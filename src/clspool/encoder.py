@@ -6,28 +6,26 @@ hidden states it exposes the hidden state of the leading classification
 token ([CLS]) from *every* layer, ordered from the embedding-adjacent
 layer up to the last one; downstream pooling heads consume that trace.
 
-For speed, a batch of sequences is packed into one long (B*S)×H matrix
-and attention is restricted to per-example blocks by an additive mask,
-so all tensor ops stay two-dimensional. Per-example results are
-identical to running examples one at a time.
+For speed, a batch of sequences is packed into one long (B*S)×H matrix.
+The fused attention op views it as (B, A, S, d_h), so each example
+attends only to its own unmasked positions and per-example results match
+running examples one at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import tensor as T
-from .tensor import Tensor
+from .tensor import ShapeError, Tensor
 
 # Weight init scale. 0.02 (the usual BERT value) assumes pre-trained scale
 # and stalls a from-scratch desk model: attention logits start so close to
 # uniform that no head ever specializes within the training budget.
 INIT_STD = 0.15
 LN_EPS = 1e-12
-MASK_BIAS = -1e9
 
 
 @dataclass
@@ -146,22 +144,27 @@ class MiniEncoder:
         """Encode a batch; returns ((B*S)×H final hidden states, trace of B×H).
 
         ``token_ids``, ``segment_ids`` and ``mask`` are integer arrays of
-        shape (B, S); all sequences in a batch share the padded length S.
-        If ``attn_out`` is a list, per-layer lists of per-head attention
-        weight arrays are appended to it.
+        shape (B, S); all sequences in a batch share the padded length S,
+        and every row of ``mask`` needs at least one valid (1) position.
+        If ``attn_out`` is a list, each layer appends its (B, A, S, S)
+        attention probabilities to it.
         """
         c = self.config
         token_ids = np.atleast_2d(np.asarray(token_ids))
         segment_ids = np.atleast_2d(np.asarray(segment_ids))
         mask = np.atleast_2d(np.asarray(mask))
         B, S = token_ids.shape
+        if mask.shape != (B, S):
+            raise ShapeError(f"mask shape {mask.shape} does not match token_ids shape {(B, S)}")
+        empty = np.flatnonzero(~(mask == 1).any(axis=1))
+        if empty.size:
+            raise ValueError(f"mask rows {empty.tolist()} have no valid position")
         x = self.embed_batch(token_ids, segment_ids, training=training, rng=rng)
 
-        bias = self._attention_bias(mask, S)
         trace = []
         cls_rows = np.arange(B) * S
         for i in range(c.L):
-            x = self._block(x, bias, i, training, rng, attn_out=attn_out)
+            x = self._block(x, mask, i, training, rng, attn_out=attn_out)
             trace.append(T.gather_rows(x, cls_rows))
         return x, CLSTrace(trace)
 
@@ -173,17 +176,7 @@ class MiniEncoder:
         vectors = [T.reshape(v, (self.config.H,)) for v in trace.vectors]
         return final, CLSTrace(vectors)
 
-    @staticmethod
-    def _attention_bias(mask, S):
-        """Block-diagonal additive bias: masked or cross-example keys get -1e9."""
-        B = mask.shape[0]
-        bias = np.full((B * S, B * S), MASK_BIAS)
-        for b in range(B):
-            blk = slice(b * S, (b + 1) * S)
-            bias[blk, blk] = np.where(mask[b] == 1, 0.0, MASK_BIAS)
-        return bias
-
-    def _block(self, x, bias, i, training, rng, attn_out=None):
+    def _block(self, x, mask, i, training, rng, attn_out=None):
         c = self.config
         p = self.params
         pre = f"layer{i}"
@@ -192,21 +185,9 @@ class MiniEncoder:
         k = T.add(T.matmul(x, p[f"{pre}/attn/Wk"]), p[f"{pre}/attn/bk"])
         v = T.add(T.matmul(x, p[f"{pre}/attn/Wv"]), p[f"{pre}/attn/bv"])
 
-        dh = c.H // c.A
-        heads = []
-        layer_attn = []
-        for a in range(c.A):
-            qh = T.slice_cols(q, a * dh, (a + 1) * dh)
-            kh = T.slice_cols(k, a * dh, (a + 1) * dh)
-            vh = T.slice_cols(v, a * dh, (a + 1) * dh)
-            scores = T.add(T.scale(T.matmul(qh, T.transpose(kh)), 1.0 / math.sqrt(dh)),
-                           Tensor(bias))
-            attn = T.softmax(scores, axis=1)
-            layer_attn.append(attn.data)
-            heads.append(T.matmul(attn, vh))
+        ctx, probs = T.attention(q, k, v, mask, c.A)
         if attn_out is not None:
-            attn_out.append(layer_attn)
-        ctx = T.concat_cols(heads)
+            attn_out.append(probs)
         out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
         out = T.dropout(out, c.p_drop, rng, training)
         x = T.layer_norm(T.add(x, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"], eps=LN_EPS)

@@ -84,6 +84,27 @@ def _composite_graph_scenario(seed):
     return loss_fn, params
 
 
+# Pads two different examples by different amounts (B=3, S=5).
+ATTENTION_MASK = np.array([[1, 1, 1, 0, 0],
+                           [1, 1, 1, 1, 1],
+                           [1, 1, 1, 1, 0]])
+
+
+def _fused_attention_scenario(seed):
+    """The fused attention op alone: random q/k/v, A=2 heads of width 3."""
+    rng = rng_mod.rng_for(seed, 94)
+    B, S = ATTENTION_MASK.shape
+    params = {name: T.Tensor(rng.normal(size=(B * S, 6)), requires_grad=True)
+              for name in ("q", "k", "v")}
+    weights = T.Tensor(rng.normal(size=(B * S, 6)))
+
+    def loss_fn():
+        out, _ = T.attention(params["q"], params["k"], params["v"], ATTENTION_MASK, 2)
+        return T.tsum(T.mul(out, weights))
+
+    return loss_fn, params
+
+
 def _model_scenario(seed, pooling):
     """Full desk model, tiny config: encoder blocks + head + classifier + L2."""
     config = EncoderConfig(L=2, H=8, A=2, F=12, V=12, S_max=8, p_drop=0.0)
@@ -96,6 +117,7 @@ def _model_scenario(seed, pooling):
     seg[:, S // 2:] = 1
     mask = np.ones((B, S), dtype=int)
     mask[0, -1] = 0
+    mask[1, -2:] = 0
     labels = rng.integers(3, size=B)
     params = model.parameters()
     decay = model.decay_names()
@@ -109,6 +131,7 @@ def _model_scenario(seed, pooling):
 
 SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
+    "fused_attention": _fused_attention_scenario,
     "encoder_last_classifier": lambda seed: _model_scenario(seed, "last"),
     "encoder_lstm_pool": lambda seed: _model_scenario(seed, "lstm"),
     "encoder_attention_pool": lambda seed: _model_scenario(seed, "attention"),

@@ -5,9 +5,11 @@ nodes); ``backward(loss)`` walks the tape in reverse topological order,
 accumulates gradients into every tensor created with ``requires_grad=True``,
 and then clears the tape so a graph can only be differentiated once.
 
-Layout is row-major everywhere. Shapes are checked explicitly; the only
-broadcasts allowed are a bias vector added over the rows of a matrix
-(``add``) and a per-row scalar multiplying a matrix (``scale_rows``).
+Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
+checked explicitly; the only broadcasts allowed are a bias vector added
+over the rows of a matrix (``add``) and a per-row scalar multiplying a
+matrix (``scale_rows``). The fused multi-head ``attention`` op takes and
+returns packed (B*S)×H matrices and works on (B, A, S, d_h) views inside.
 """
 
 from __future__ import annotations
@@ -221,12 +223,6 @@ def matmul(a, b):
     return out
 
 
-def transpose(a):
-    out = Tensor(a.data.T.copy(), _parents=(a,))
-    out._backward = lambda g: _accumulate(a, g.T.copy())
-    return out
-
-
 def reshape(a, shape):
     out = Tensor(a.data.reshape(shape).copy(), _parents=(a,))
     out._backward = lambda g: _accumulate(a, g.reshape(a.shape))
@@ -367,6 +363,55 @@ def softmax(a, axis=-1):
 
     out._backward = bwd
     return out
+
+
+def _split_heads(x, B, S, heads):
+    """(B*S)×H -> (B, A, S, d_h) view."""
+    return x.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(x):
+    """(B, A, S, d_h) -> (B*S)×H copy."""
+    B, A, S, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(B * S, A * dh)
+
+
+def attention(q, k, v, mask, heads):
+    """Fused scaled dot-product multi-head self-attention over a packed batch.
+
+    ``q``, ``k`` and ``v`` are (B*S)×H with rows in example-major order;
+    ``mask`` is a (B, S) 0/1 array, and each example attends only to its
+    own positions whose mask is 1. Returns ``(out, probs)``: the (B*S)×H
+    context as one tape node with parents (q, k, v), and the (B, A, S, S)
+    attention probabilities, which the backward reuses.
+    """
+    mask = np.asarray(mask)
+    if mask.ndim != 2:
+        raise ShapeError(f"attention: mask must be (B, S), got shape {mask.shape}")
+    B, S = mask.shape
+    H = q.shape[-1]
+    if (any(t.shape != (B * S, H) for t in (q, k, v))
+            or heads < 1 or H % heads != 0):
+        raise ShapeError(f"attention: q/k/v {q.shape}/{k.shape}/{v.shape} do not fit "
+                         f"mask {mask.shape} with {heads} heads")
+    c = 1.0 / math.sqrt(H // heads)
+    Q, K, V = (_split_heads(t.data, B, S, heads) for t in (q, k, v))
+    bias = np.where(mask == 1, 0.0, -1e9)[:, None, None, :]
+    scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    P = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(_merge_heads(np.matmul(P, V)), _parents=(q, k, v))
+
+    def bwd(g):
+        G = _split_heads(g, B, S, heads)
+        _accumulate(v, _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G)))
+        dP = np.matmul(G, V.transpose(0, 1, 3, 2))
+        dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
+        _accumulate(q, _merge_heads(np.matmul(dS, K)))
+        _accumulate(k, _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q)))
+
+    out._backward = bwd
+    return out, P
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):

@@ -5,6 +5,7 @@ import pytest
 from clspool import rng as R
 from clspool import tensor as T
 from clspool.encoder import CLSTrace, EncoderConfig, MiniEncoder, PackedInput
+from clspool.tensor import ShapeError
 
 
 def small_config(**overrides):
@@ -71,7 +72,8 @@ class TestSelfAttention:
         attn = []
         enc.forward_batch(np.array([[2, 5, 6, 0]]), np.zeros((1, 4), dtype=int),
                           mask, attn_out=attn)
-        for head in attn[0]:
+        assert attn[0].shape == (1, 2, 4, 4)
+        for head in attn[0][0]:
             # Uniform over the 3 unmasked positions, zero on the masked one.
             npt.assert_allclose(head[:3, :3], 1 / 3, atol=1e-12)
             npt.assert_allclose(head[:3, 3], 0.0, atol=1e-30)
@@ -81,7 +83,7 @@ class TestSelfAttention:
         attn = []
         enc.forward_batch(np.array([[2]]), np.zeros((1, 1), dtype=int),
                           np.ones((1, 1), dtype=int), attn_out=attn)
-        for head in attn[0]:
+        for head in attn[0][0]:
             npt.assert_allclose(head, [[1.0]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
@@ -93,8 +95,8 @@ class TestSelfAttention:
         attn = []
         enc.forward_batch(ids, np.zeros((2, 6), dtype=int), mask, attn_out=attn)
         for layer in attn:
-            for head in layer:
-                npt.assert_allclose(head.sum(axis=1), 1.0, atol=1e-6)
+            assert layer.shape == (2, 2, 6, 6)
+            npt.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
 
 
 class TestEncode:
@@ -164,3 +166,36 @@ class TestBatching:
             for li in range(enc.config.L):
                 npt.assert_allclose(batch_trace[li].data[b], single[li].data,
                                     rtol=0, atol=1e-6)
+
+    def test_sweep_point_b128_s64_runs_in_eval(self):
+        enc = MiniEncoder(EncoderConfig(), R.rng_for(11, 0))
+        rng = np.random.default_rng(2)
+        ids = rng.integers(4, 100, size=(128, 64))
+        mask = np.ones((128, 64), dtype=int)
+        mask[::2, 40:] = 0
+        attn = []
+        final, trace = enc.forward_batch(ids, np.zeros_like(ids), mask, attn_out=attn)
+        assert final.shape == (128 * 64, 32)
+        assert len(trace) == len(attn) == 4
+        for probs in attn:
+            assert probs.shape == (128, 4, 64, 64)
+            assert not np.any(probs[::2, :, :, 40:])
+
+
+class TestMaskValidation:
+    def test_mask_shape_must_match_token_ids(self):
+        enc = MiniEncoder(small_config(), R.rng_for(12, 0))
+        ids = np.array([[2, 5, 6, 3]])
+        with pytest.raises(ShapeError, match=r"mask shape \(1, 3\)"):
+            enc.forward_batch(ids, np.zeros_like(ids), np.array([[1, 1, 1]]))
+        with pytest.raises(ShapeError, match=r"mask shape \(1, 4\)"):
+            enc.forward_batch(np.vstack([ids, ids]), np.zeros((2, 4), dtype=int),
+                              np.ones((1, 4), dtype=int))
+
+    def test_row_without_valid_position_is_rejected(self):
+        enc = MiniEncoder(small_config(), R.rng_for(13, 0))
+        ids = np.array([[2, 5, 6, 3], [2, 7, 8, 3], [2, 9, 3, 0]])
+        mask = np.ones((3, 4), dtype=int)
+        mask[1] = 0
+        with pytest.raises(ValueError, match=r"mask rows \[1\] have no valid position"):
+            enc.forward_batch(ids, np.zeros_like(ids), mask)

@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clspool import tensor as T
 from clspool.tensor import ShapeError, Tensor
@@ -140,6 +144,75 @@ class TestBackward:
             return w.grad
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
+
+
+def naive_attention(q, k, v, mask, heads):
+    """Loop oracle: per example and head, a softmax over the valid keys only."""
+    B, S = mask.shape
+    dh = q.shape[1] // heads
+    out = np.zeros_like(q)
+    probs = np.zeros((B, heads, S, S))
+    for b in range(B):
+        rows = slice(b * S, (b + 1) * S)
+        valid = np.flatnonzero(mask[b] == 1)
+        for a in range(heads):
+            cols = slice(a * dh, (a + 1) * dh)
+            kh, vh = k[rows, cols][valid], v[rows, cols][valid]
+            s = q[rows, cols] @ kh.T / math.sqrt(dh)
+            e = np.exp(s - s.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            probs[b, a][:, valid] = p
+            out[rows, cols] = p @ vh
+    return out, probs
+
+
+@st.composite
+def attention_cases(draw):
+    B = draw(st.integers(1, 6))
+    S = draw(st.integers(1, 12))
+    heads = draw(st.sampled_from([1, 2, 4]))
+    dh = draw(st.integers(1, 4))
+    mask = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=S, max_size=S),
+                                  min_size=B, max_size=B)))
+    mask[:, 0] = 1
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, k, v = (rng.normal(size=(B * S, heads * dh)) for _ in range(3))
+    return q, k, v, mask, heads
+
+
+class TestAttention:
+    @settings(max_examples=150, deadline=None)
+    @given(attention_cases())
+    def test_matches_per_example_per_head_loop(self, case):
+        q, k, v, mask, heads = case
+        out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
+        ref_out, ref_probs = naive_attention(q, k, v, mask, heads)
+        npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        npt.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
+        masked = np.broadcast_to((mask == 0)[:, None, None, :], probs.shape)
+        assert np.all(probs[masked] == 0.0)
+        npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    def test_padded_key_value_rows_get_exactly_zero_gradient(self):
+        from clspool.gradcheck import ATTENTION_MASK, SCENARIOS
+        padded = (ATTENTION_MASK == 0).reshape(-1)
+        for seed in range(3):
+            loss_fn, params = SCENARIOS["fused_attention"](seed)
+            loss_fn().backward()
+            for name in ("k", "v"):
+                assert np.all(params[name].grad[padded] == 0.0), name
+                assert np.all(params[name].grad[~padded] != 0.0), name
+
+    def test_shapes_rejected(self):
+        x = Tensor(np.zeros((8, 4)))
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, np.ones((2, 3)), 2)
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, np.ones((2, 4)), 3)
+        with pytest.raises(ShapeError):
+            T.attention(x, Tensor(np.zeros((8, 2))), x, np.ones((2, 4)), 2)
+        with pytest.raises(ShapeError):
+            T.attention(x, x, x, np.ones(8), 2)
 
 
 class TestShapeDiscipline:
