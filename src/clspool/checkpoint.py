@@ -21,6 +21,7 @@ Writes are atomic (temp file + rename).
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import tempfile
@@ -62,33 +63,51 @@ def save_checkpoint(path, meta: dict, params: dict):
 
 
 def load_checkpoint(path):
+    """Read a checkpoint; raise ValueError, with the offset, on any malformed byte."""
     with open(path, "rb") as f:
         buf = f.read()
     if buf[:8] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file (bad magic)")
     off = 8
-    (version,) = struct.unpack_from("<I", buf, off)
-    off += 4
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(buf):
+            raise ValueError(f"{path}: truncated checkpoint: {what} at offset {off} needs "
+                             f"{n} bytes, {len(buf) - off} left")
+        chunk = buf[off:off + n]
+        off += n
+        return chunk
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    (version,) = unpack("<I", "version")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    (meta_len,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    meta = json.loads(buf[off:off + meta_len].decode("utf-8"))
-    off += meta_len
-    (count,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    (meta_len,) = unpack("<I", "metadata length")
+    at = off
+    try:
+        meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValueError(f"{path}: bad metadata at offset {at}: {e}") from None
+    if not isinstance(meta, dict):
+        raise ValueError(f"{path}: metadata at offset {at} is not a JSON object")
+    (count,) = unpack("<I", "parameter count")
     params = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<H", buf, off)
-        off += 2
-        name = buf[off:off + name_len].decode("utf-8")
-        off += name_len
-        (ndim,) = struct.unpack_from("<B", buf, off)
-        off += 1
-        dims = struct.unpack_from(f"<{ndim}I", buf, off)
-        off += 4 * ndim
-        n = int(np.prod(dims)) if ndim else 1
-        arr = np.frombuffer(buf, dtype="<f4", count=n, offset=off).reshape(dims)
-        off += 4 * n
-        params[name] = arr.astype(np.float64)
+        (name_len,) = unpack("<H", "name length")
+        at = off
+        try:
+            name = take(name_len, "name").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: bad parameter name at offset {at}: {e}") from None
+        if name in params:
+            raise ValueError(f"{path}: duplicate parameter {name!r} at offset {at}")
+        (ndim,) = unpack("<B", f"{name} ndim")
+        dims = unpack(f"<{ndim}I", f"{name} dims")
+        data = take(4 * math.prod(dims), f"{name} data")
+        params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float64)
+    if off != len(buf):
+        raise ValueError(f"{path}: {len(buf) - off} trailing bytes at offset {off}")
     return meta, params

@@ -79,7 +79,8 @@ def _composite_graph_scenario(seed):
         h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
         h = T.layer_norm(T.gelu(h), params["g"], params["v"])
         probs = T.softmax(T.matmul(T.tanh(h), params["W2"]), axis=1)
-        return T.cross_entropy(probs, labels)
+        penalty = T.sum_squares([params["W1"], params["W2"], params["g"]])
+        return T.add(T.cross_entropy(probs, labels), T.scale(penalty, 0.1))
 
     return loss_fn, params
 
@@ -101,6 +102,26 @@ def _fused_attention_scenario(seed):
     def loss_fn():
         out, _ = T.attention(params["q"], params["k"], params["v"], ATTENTION_MASK, 2)
         return T.tsum(T.mul(out, weights))
+
+    return loss_fn, params
+
+
+def _fused_lstm_scenario(seed):
+    """The fused LSTM op alone: B=3 rows per step, 3 steps, H=4; rows and
+    all 12 gate tensors require gradients."""
+    rng = rng_mod.rng_for(seed, 95)
+    B, steps, H = 3, 3, 4
+    params = {f"x{t}": T.Tensor(rng.normal(size=(B, H)), requires_grad=True)
+              for t in range(steps)}
+    for kind, shape in (("W", (H, H)), ("U", (H, H)), ("b", (H,))):
+        for gate in "ifgo":
+            params[f"{kind}_{gate}"] = T.Tensor(rng.normal(size=shape), requires_grad=True)
+    weights = T.Tensor(rng.normal(size=(B, H)))
+    gates = {kind: [params[f"{kind}_{gate}"] for gate in "ifgo"] for kind in "WUb"}
+
+    def loss_fn():
+        h = T.lstm([params[f"x{t}"] for t in range(steps)], gates["W"], gates["U"], gates["b"])
+        return T.tsum(T.mul(h, weights))
 
     return loss_fn, params
 
@@ -132,6 +153,7 @@ def _model_scenario(seed, pooling):
 SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
     "fused_attention": _fused_attention_scenario,
+    "fused_lstm": _fused_lstm_scenario,
     "encoder_last_classifier": lambda seed: _model_scenario(seed, "last"),
     "encoder_lstm_pool": lambda seed: _model_scenario(seed, "lstm"),
     "encoder_attention_pool": lambda seed: _model_scenario(seed, "attention"),

@@ -92,16 +92,8 @@ def lstm_pool(trace, head: LSTMPoolHead):
     """Run the LSTM over the trace in layer order; return the last hidden state."""
     rows, was_1d = _as_row_tensors(trace)
     p = head.params
-    B = rows[0].shape[0]
-    h = Tensor(np.zeros((B, head.H)))
-    c = Tensor(np.zeros((B, head.H)))
-    for x in rows:
-        gi = T.sigmoid(T.add(T.add(T.matmul(x, p["lstm/W_i"]), T.matmul(h, p["lstm/U_i"])), p["lstm/b_i"]))
-        gf = T.sigmoid(T.add(T.add(T.matmul(x, p["lstm/W_f"]), T.matmul(h, p["lstm/U_f"])), p["lstm/b_f"]))
-        gg = T.tanh(T.add(T.add(T.matmul(x, p["lstm/W_g"]), T.matmul(h, p["lstm/U_g"])), p["lstm/b_g"]))
-        go = T.sigmoid(T.add(T.add(T.matmul(x, p["lstm/W_o"]), T.matmul(h, p["lstm/U_o"])), p["lstm/b_o"]))
-        c = T.add(T.mul(gf, c), T.mul(gi, gg))
-        h = T.mul(go, T.tanh(c))
+    h = T.lstm(rows, [p[f"lstm/W_{g}"] for g in _GATES], [p[f"lstm/U_{g}"] for g in _GATES],
+               [p[f"lstm/b_{g}"] for g in _GATES])
     return _maybe_squeeze(h, was_1d)
 
 

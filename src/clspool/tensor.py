@@ -8,8 +8,12 @@ and then clears the tape so a graph can only be differentiated once.
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcasts allowed are a bias vector added
 over the rows of a matrix (``add``) and a per-row scalar multiplying a
-matrix (``scale_rows``). The fused multi-head ``attention`` op takes and
-returns packed (B*S)×H matrices and works on (B, A, S, d_h) views inside.
+matrix (``scale_rows``). Three fused ops record one tape node each and
+carry a hand-derived backward: ``attention`` (multi-head self-attention on
+packed (B*S)×H matrices, (B, A, S, d_h) views inside), ``lstm`` (an LSTM
+over a list of B×H rows, its four gates computed as one H×4H block) and
+``sum_squares`` (the sum of squares of several tensors, for the L2
+penalty).
 """
 
 from __future__ import annotations
@@ -236,6 +240,22 @@ def tsum(a):
     return out
 
 
+def sum_squares(tensors):
+    """Sum over ``tensors`` of the sum of their squared entries, as one scalar node.
+
+    The per-tensor sums are added left to right in the order given.
+    """
+    tensors = tuple(tensors)
+    out = Tensor(sum((t.data * t.data).sum() for t in tensors), _parents=tensors)
+
+    def bwd(g):
+        for t in tensors:
+            _accumulate(t, 2.0 * float(g) * t.data)
+
+    out._backward = bwd
+    return out
+
+
 # ---------------------------------------------------------------------------
 # indexing / assembly
 
@@ -412,6 +432,89 @@ def attention(q, k, v, mask, heads):
 
     out._backward = bwd
     return out, P
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
+
+
+def lstm(xs, W, U, b):
+    """Fused single-layer LSTM over a sequence of B×D rows; returns the last h.
+
+    ``W`` (D×H), ``U`` (H×H) and ``b`` (H) are lists of four tensors, one
+    per gate in (i, f, g, o) order. They are joined into D×4H and H×4H
+    blocks so each step makes one ``h @ U`` product, and every step's
+    ``x @ W`` is one product over the stacked rows. The state starts at
+    zero. Returns one B×H tape node whose parents are the rows and the 12
+    gate tensors; the backward is hand-derived backpropagation through time
+    from the saved gates and cell states.
+    """
+    xs, W, U, b = list(xs), list(W), list(U), list(b)
+    if not xs or len(W) != 4 or len(U) != 4 or len(b) != 4:
+        raise ShapeError(f"lstm: need a nonempty sequence and four gates each, got "
+                         f"{len(xs)} rows and {len(W)}/{len(U)}/{len(b)} gate tensors")
+    B, D, H = xs[0].shape[0], W[0].shape[0], U[0].shape[-1]
+    if (any(x.shape != (B, D) for x in xs)
+            or any(w.shape != (D, H) for w in W) or any(u.shape != (H, H) for u in U)
+            or any(v.shape != (H,) for v in b)):
+        raise ShapeError(f"lstm: rows {[x.shape for x in xs]} do not fit W "
+                         f"{[w.shape for w in W]}, U {[u.shape for u in U]}, b {[v.shape for v in b]}")
+    Wc = np.concatenate([w.data for w in W], axis=1)
+    Uc = np.concatenate([u.data for u in U], axis=1)
+    bc = np.concatenate([v.data for v in b])
+    X = np.stack([x.data for x in xs])                       # (L, B, D)
+    XW = (X.reshape(-1, D) @ Wc).reshape(len(xs), B, 4 * H)
+    gates, cs, tcs = [], [np.zeros((B, H))], []
+    h = np.zeros((B, H))
+    hs = [h]
+    for t in range(len(xs)):
+        z = XW[t] + h @ Uc + bc if t else XW[t] + bc
+        a = np.empty_like(z)
+        a[:, :2 * H] = _sigmoid(z[:, :2 * H])
+        a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
+        a[:, 3 * H:] = _sigmoid(z[:, 3 * H:])
+        i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+        c = f * cs[-1] + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        gates.append(a)
+        cs.append(c)
+        tcs.append(tc)
+        hs.append(h)
+    out = Tensor(h, _parents=(*xs, *W, *U, *b))
+
+    def bwd(dh):
+        dZ = np.empty((len(xs), B, 4 * H))
+        dc = np.zeros((B, H))
+        for t in reversed(range(len(xs))):
+            a = gates[t]
+            i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            tc = tcs[t]
+            dc = dc + dh * o * (1.0 - tc * tc)
+            dz = dZ[t]
+            dz[:, :H] = dc * g * i * (1.0 - i)
+            dz[:, H:2 * H] = dc * cs[t] * f * (1.0 - f)
+            dz[:, 2 * H:3 * H] = dc * i * (1.0 - g * g)
+            dz[:, 3 * H:] = dh * tc * o * (1.0 - o)
+            dc = dc * f
+            if t:
+                dh = dz @ Uc.T
+        flat = dZ.reshape(-1, 4 * H)
+        dW = X.reshape(-1, D).T @ flat
+        dU = np.stack(hs[:-1]).reshape(-1, H).T @ flat
+        db = flat.sum(axis=0)
+        for k in range(4):
+            cols = slice(k * H, (k + 1) * H)
+            _accumulate(W[k], dW[:, cols])
+            _accumulate(U[k], dU[:, cols])
+            _accumulate(b[k], db[cols])
+        if any(x.requires_grad for x in xs):
+            dX = flat @ Wc.T
+            for t, x in enumerate(xs):
+                _accumulate(x, dX[t * B:(t + 1) * B])
+
+    out._backward = bwd
+    return out
 
 
 def layer_norm(x, gamma, beta, eps=1e-12):

@@ -10,6 +10,8 @@ desk-scale encoder from scratch stalls there, so the working default is
 from __future__ import annotations
 
 import csv
+import ctypes
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,39 +52,58 @@ def regularized_loss(probs, labels, params, decay_names, lam):
     """
     loss = T.cross_entropy(probs, labels)
     if lam > 0 and decay_names:
-        penalty = None
-        for name in sorted(decay_names):
-            sq = T.tsum(T.mul(params[name], params[name]))
-            penalty = sq if penalty is None else T.add(penalty, sq)
+        penalty = T.sum_squares(params[name] for name in sorted(decay_names))
         loss = T.add(loss, T.scale(penalty, lam))
     return loss
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8)."""
+    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+
+    The moments of all parameters live in two flat vectors, and a step
+    updates every parameter that has a gradient with one pass of vector
+    ops; the update is elementwise, so it equals a per-parameter loop bit
+    for bit. Parameters whose ``grad`` is None are left untouched.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params.values()) if isinstance(params, dict) else list(params)
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self.m = np.zeros(self._offsets[-1])
+        self.v = np.zeros(self._offsets[-1])
 
     def step(self):
+        live = [i for i, p in enumerate(self.params) if p.grad is not None]
+        for i in live:
+            p = self.params[i]
+            if p.grad.shape != p.data.shape:
+                raise ValueError(f"gradient shape {p.grad.shape} != parameter shape {p.data.shape}")
         self.t += 1
+        if not live:
+            return
+        off = self._offsets
+        if len(live) == len(self.params):
+            sel = slice(None)
+        else:
+            sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
+        g = np.concatenate([self.params[i].grad.ravel() for i in live])
+        theta = np.concatenate([self.params[i].data.ravel() for i in live])
         b1, b2 = self.beta1, self.beta2
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-            self.m[i] = b1 * self.m[i] + (1 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
-            m_hat = self.m[i] / (1 - b1 ** self.t)
-            v_hat = self.v[i] / (1 - b2 ** self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m = b1 * self.m[sel] + (1 - b1) * g
+        v = b2 * self.v[sel] + (1 - b2) * g * g
+        self.m[sel] = m
+        self.v[sel] = v
+        m_hat = m / (1 - b1 ** self.t)
+        v_hat = v / (1 - b2 ** self.t)
+        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        lo = 0
+        for i in live:
+            p = self.params[i]
+            p.data = theta[lo:lo + p.data.size].reshape(p.data.shape)
+            lo += p.data.size
 
     def zero_grad(self):
         for p in self.params:
@@ -137,8 +158,31 @@ def metrics_from_confusion(cm):
                       per_class_f1=per_class, confusion=cm, empty_classes=empty)
 
 
+def _keep_freed_memory():
+    """Have glibc malloc keep freed memory for reuse instead of returning it.
+
+    Every training step and eval batch allocates and frees its whole tape,
+    and a 512×32 float64 array is exactly glibc's default 128 KiB mmap
+    threshold. Depending on heap layout, each step then unmaps (or trims)
+    those blocks and page-faults them back in on the next step, which costs
+    thousands of minor faults per step. Raising the mmap and trim
+    thresholds keeps the freed blocks in the heap. Idempotent; a no-op off
+    Linux or without ``mallopt``.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD: 32 MiB, glibc's largest
+    mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: 1 GiB
+
+
 def evaluate(model, arrays, batch_size=64):
     """Eval-mode metrics for a packed dataset (tok, seg, mask, labels)."""
+    _keep_freed_memory()
     tok, seg, mask, labels = arrays
     n = len(labels)
     if n == 0:
@@ -189,6 +233,7 @@ def kfold_split(labels, folds, seed):
 def train_model(model, arrays, config: TrainConfig, shuffle_rng, dropout_rng,
                 epoch_hook=None):
     """Fixed-epoch minibatch training; returns per-epoch mean losses."""
+    _keep_freed_memory()
     tok, seg, mask, labels = arrays
     n = len(labels)
     params = model.parameters()

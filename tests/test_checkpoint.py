@@ -1,9 +1,12 @@
 import os
 import struct
+import tempfile
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clspool import rng as R
 from clspool.checkpoint import (MAGIC, VERSION, atomic_write_bytes,
@@ -138,3 +141,62 @@ class TestModelPersistence:
             back, meta = PooledClassifier.load(path)
             assert meta["pooling"] == kind
             assert set(back.parameters()) == set(model.parameters())
+
+
+def lstm_checkpoint_bytes():
+    """The bytes of a real saved model (lstm head, tiny config)."""
+    cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=6, p_drop=0.1)
+    model = PooledClassifier(cfg, "lstm", 3, R.rng_for(4, 0))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "m.ckpt")
+        model.save(path, extra_meta={"schema": "absa"})
+        with open(path, "rb") as f:
+            return f.read()
+
+
+REAL = lstm_checkpoint_bytes()
+
+
+def load_bytes(payload):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "c.ckpt")
+        with open(path, "wb") as f:
+            f.write(payload)
+        return load_checkpoint(path)
+
+
+class TestMalformed:
+    def test_real_checkpoint_loads(self):
+        meta, params = load_bytes(REAL)
+        assert meta["pooling"] == "lstm" and "lstm/W_i" in params
+
+    @pytest.mark.parametrize("cut", [9, 14, 20, len(REAL) - 1])
+    def test_truncation_names_offset(self, cut):
+        with pytest.raises(ValueError, match="truncated checkpoint.*offset"):
+            load_bytes(REAL[:cut])
+
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ValueError, match=f"1 trailing bytes at offset {len(REAL)}"):
+            load_bytes(REAL + b"\x00")
+
+    def test_bad_metadata_rejected(self):
+        meta_len = struct.unpack_from("<I", REAL, 12)[0]
+        bad = REAL[:16] + b"\xff" + REAL[17:]
+        with pytest.raises(ValueError, match="bad metadata at offset 16"):
+            load_bytes(bad)
+        not_object = b"[1]".ljust(meta_len)
+        with pytest.raises(ValueError, match="not a JSON object"):
+            load_bytes(REAL[:16] + not_object + REAL[16 + meta_len:])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, len(REAL) - 1).map(lambda n: REAL[:n]),
+                     st.integers(0, 8 * len(REAL) - 1).map(
+                         lambda bit: REAL[:bit // 8]
+                         + bytes([REAL[bit // 8] ^ (1 << bit % 8)]) + REAL[bit // 8 + 1:])))
+    def test_truncations_and_bit_flips_load_or_raise_value_error(self, payload):
+        try:
+            meta, params = load_bytes(payload)
+        except ValueError:
+            return
+        assert isinstance(meta, dict)
+        assert all(a.dtype == np.float64 for a in params.values())

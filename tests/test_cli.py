@@ -122,6 +122,14 @@ class TestEvalAndProject:
         bad.write_bytes(b"garbage bytes")
         assert run(["eval", "--checkpoint", str(bad), "--data", dataset]) == 1
 
+    def test_eval_truncated_checkpoint_exit_1(self, trained, dataset, tmp_path, capsys):
+        with open(os.path.join(trained, "model.ckpt"), "rb") as f:
+            head = f.read(14)
+        bad = tmp_path / "short.ckpt"
+        bad.write_bytes(head)
+        assert run(["eval", "--checkpoint", str(bad), "--data", dataset]) == 1
+        assert "truncated checkpoint: metadata length at offset 12" in capsys.readouterr().err
+
     def test_project(self, trained, tmp_path, capsys):
         out = str(tmp_path / "proj")
         rc = run(["project", "--dumps", os.path.join(trained, "dumps"),

@@ -215,6 +215,95 @@ class TestAttention:
             T.attention(x, x, x, np.ones(8), 2)
 
 
+def per_gate_lstm(xs, W, U, b):
+    """Loop oracle: the LSTM as a graph of per-gate tape ops (8 matmuls per step)."""
+    B, H = xs[0].shape[0], U[0].shape[1]
+    h = Tensor(np.zeros((B, H)))
+    c = Tensor(np.zeros((B, H)))
+    for x in xs:
+        z = [T.add(T.add(T.matmul(x, W[k]), T.matmul(h, U[k])), b[k]) for k in range(4)]
+        gi, gf, gg, go = T.sigmoid(z[0]), T.sigmoid(z[1]), T.tanh(z[2]), T.sigmoid(z[3])
+        c = T.add(T.mul(gf, c), T.mul(gi, gg))
+        h = T.mul(go, T.tanh(c))
+    return h
+
+
+@st.composite
+def lstm_cases(draw):
+    B = draw(st.integers(1, 5))
+    steps = draw(st.integers(1, 5))
+    H = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    xs = [rng.normal(size=(B, H)) for _ in range(steps)]
+    gates = [[rng.normal(size=shape) for _ in range(4)] for shape in ((H, H), (H, H), (H,))]
+    return xs, gates, rng.normal(size=(B, H))
+
+
+class TestLSTM:
+    @settings(max_examples=150, deadline=None)
+    @given(lstm_cases())
+    def test_matches_per_gate_tape_graph(self, case):
+        xs, gates, weights = case
+        results = []
+        for fn in (T.lstm, per_gate_lstm):
+            rows = [Tensor(x, requires_grad=True) for x in xs]
+            W, U, b = ([Tensor(a, requires_grad=True) for a in group] for group in gates)
+            h = fn(rows, W, U, b)
+            T.tsum(T.mul(h, Tensor(weights))).backward()
+            results.append((h.data, [t.grad for t in (*rows, *W, *U, *b)]))
+        (h, grads), (ref_h, ref_grads) = results
+        npt.assert_allclose(h, ref_h, rtol=0, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            npt.assert_allclose(g, ref, rtol=0, atol=1e-10)
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(0)
+        rows = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+        W, U, b = ([Tensor(rng.normal(size=s), requires_grad=True) for _ in range(4)]
+                   for s in ((3, 3), (3, 3), (3,)))
+        h = T.lstm(rows, W, U, b)
+        assert h.shape == (2, 3)
+        assert h._parents == (*rows, *W, *U, *b)
+
+    def test_shapes_rejected(self):
+        x = Tensor(np.zeros((2, 3)))
+        W = [Tensor(np.zeros((3, 3)))] * 4
+        b = [Tensor(np.zeros(3))] * 4
+        with pytest.raises(ShapeError):
+            T.lstm([], W, W, b)
+        with pytest.raises(ShapeError):
+            T.lstm([x], W[:3], W, b)
+        with pytest.raises(ShapeError):
+            T.lstm([x, Tensor(np.zeros((3, 3)))], W, W, b)
+        with pytest.raises(ShapeError):
+            T.lstm([x], W, W, [Tensor(np.zeros(2))] * 4)
+        with pytest.raises(ShapeError):
+            T.lstm([Tensor(np.zeros(3))], W, W, b)
+
+
+class TestSumSquares:
+    def test_bit_identical_to_mul_tsum_chain(self):
+        rng = np.random.default_rng(3)
+        data = [rng.normal(size=s) for s in ((4, 5), (7,), (3, 3), (2, 6))]
+        results = []
+        for fused in (True, False):
+            ps = [Tensor(d, requires_grad=True) for d in data]
+            if fused:
+                penalty = T.sum_squares(ps)
+            else:
+                penalty = None
+                for p in ps:
+                    sq = T.tsum(T.mul(p, p))
+                    penalty = sq if penalty is None else T.add(penalty, sq)
+            loss = T.scale(penalty, 1e-5)
+            loss.backward()
+            results.append((loss.item(), [p.grad for p in ps]))
+        (value, grads), (ref_value, ref_grads) = results
+        assert value == ref_value
+        for g, ref in zip(grads, ref_grads):
+            assert np.array_equal(g, ref)
+
+
 class TestShapeDiscipline:
     def test_bias_broadcast_allowed(self):
         out = T.add(Tensor(np.zeros((2, 3))), Tensor([1.0, 2.0, 3.0]))

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -25,6 +27,30 @@ def reference_adam(grads, theta0, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         v_hat = v / (1 - beta2 ** t)
         theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
     return theta
+
+
+class LoopAdam:
+    """The per-parameter Adam loop, kept as the oracle for the flat update."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.params = list(params)
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        b1, b2 = self.beta1, self.beta2
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            m_hat = self.m[i] / (1 - b1 ** self.t)
+            v_hat = self.v[i] / (1 - b2 ** self.t)
+            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def sklearn_style_oracle(y_true, y_pred, classes):
@@ -136,6 +162,41 @@ class TestAdam:
         p.grad = np.array([1.0])
         with pytest.raises(ValueError):
             opt.step()
+
+    def test_shape_mismatch_moves_nothing(self):
+        a = Tensor([1.0, 2.0], requires_grad=True)
+        b = Tensor([1.0, 2.0], requires_grad=True)
+        opt = Adam({"a": a, "b": b}, lr=0.1)
+        a.grad = np.array([1.0, 1.0])
+        b.grad = np.array([1.0])
+        with pytest.raises(ValueError, match="gradient shape"):
+            opt.step()
+        assert opt.t == 0
+        npt.assert_array_equal(a.data, [1.0, 2.0])
+        assert not opt.m.any() and not opt.v.any()
+
+    def test_flat_update_bit_identical_to_per_parameter_loop(self):
+        rng = np.random.default_rng(7)
+        shapes = [(3, 4), (5,), (1,), (2, 2), (6, 1), (4,), (1, 7), (3,), (2, 3), (8,)]
+        init = [rng.normal(size=s) for s in shapes]
+        flat = [Tensor(d.copy(), requires_grad=True) for d in init]
+        loop = [Tensor(d.copy(), requires_grad=True) for d in init]
+        opt, ref = Adam(flat, lr=0.01), LoopAdam(loop, lr=0.01)
+        skipped = 0
+        for _ in range(50):
+            for p, q in zip(flat, loop):
+                if rng.random() < 0.2:
+                    p.grad = q.grad = None
+                    skipped += 1
+                else:
+                    p.grad = rng.normal(size=p.shape)
+                    q.grad = p.grad.copy()
+            opt.step()
+            ref.step()
+            for p, q in zip(flat, loop):
+                assert np.array_equal(p.data, q.data)
+        assert opt.t == ref.t == 50
+        assert skipped > 0
 
 
 class TestKFold:
@@ -317,6 +378,26 @@ class TestTrainingDynamics:
                                              mask[i:i + 1]).data
                              for i in range(12)])
         npt.assert_allclose(whole, singles, rtol=0, atol=1e-6)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="minor-fault counts and the allocator setting are Linux-specific")
+    def test_repeated_evaluate_reuses_freed_memory(self):
+        # Each eval batch frees its whole forward pass. The second call must
+        # reuse that memory, not page it back in from the kernel.
+        import resource
+        rng = np.random.default_rng(0)
+        B, S = 64, 32
+        tok = rng.integers(4, 40, size=(B, S))
+        tok[:, 0] = 2
+        arrays = (tok, np.zeros((B, S), dtype=int), np.ones((B, S), dtype=int),
+                  rng.integers(3, size=B))
+        cfg = EncoderConfig(L=4, H=32, A=4, F=64, V=40, S_max=S, p_drop=0.1)
+        m = PooledClassifier(cfg, "lstm", 3, R.rng_for(0, 0))
+        evaluate(m, arrays)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        evaluate(m, arrays)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 1000
 
     def test_evaluate_rejects_empty(self):
         m = PooledClassifier(TOY_ENC, "last", 3, R.rng_for(0, 0))
