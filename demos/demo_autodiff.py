@@ -11,7 +11,7 @@ from clspool.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-# A two-layer net on a fixed input, ending in a cross-entropy loss.
+# A two-layer net on a fixed input, ending in a softmax cross-entropy loss.
 x = Tensor(rng.normal(size=(4, 3)))
 W1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 b1 = Tensor(np.zeros(5), requires_grad=True)
@@ -19,8 +19,8 @@ W2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 labels = np.array([0, 1, 1, 0])
 
 hidden = T.gelu(T.add(T.matmul(x, W1), b1))
-probs = T.softmax(T.matmul(hidden, W2), axis=1)
-loss = T.cross_entropy(probs, labels)
+logits = T.matmul(hidden, W2)
+loss = T.softmax_cross_entropy(logits, labels)
 print(f"loss = {loss.item():.6f}")
 
 loss.backward()
@@ -35,7 +35,7 @@ h = 1e-6
 def loss_at(w):
     W2_probe = Tensor(w)
     hid = T.gelu(T.add(T.matmul(x, W1), b1))
-    return T.cross_entropy(T.softmax(T.matmul(hid, W2_probe), axis=1), labels).item()
+    return T.softmax_cross_entropy(T.matmul(hid, W2_probe), labels).item()
 
 
 wplus = W2.data.copy()

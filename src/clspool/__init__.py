@@ -7,7 +7,7 @@ training harness, and a PCA-based layer-geometry analysis pipeline.
 """
 
 from .tensor import Tensor, ShapeError, backward
-from .encoder import CLSTrace, EncoderConfig, MiniEncoder, PackedInput
+from .encoder import EncoderConfig, MiniEncoder
 from .pooling import (AttentionPoolHead, ClassifierHead, LSTMPoolHead,
                       attention_pool, classify, last_cls_pool, lstm_pool)
 from .model import PooledClassifier

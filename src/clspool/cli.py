@@ -19,13 +19,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import rng as rng_mod
 from .analysis import dump_trace, project_dump_dir
-from .data import (DataError, PairExample, load_jsonl, pack_dataset, save_jsonl,
+from .data import (SCHEMAS, DataError, Vocab, load_jsonl, pack_dataset, save_jsonl,
                    synth_generate, vocab_for_examples)
 from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
@@ -35,7 +35,33 @@ from .train import (TrainConfig, cross_validated_train, evaluate, kfold_split,
                     train_model)
 
 
+# The `train` settings the CLI owns, with their defaults. The rest are the
+# TrainConfig fields and the EncoderConfig fields in _ENCODER_KEYS (config
+# key -> field); their types and defaults come from the dataclasses.
+_CLI_DEFAULTS = {"data": None, "schema": "absa", "pooling": "last", "out": "runs",
+                 "dump_epochs": "", "dump_layers": ""}
+_ENCODER_KEYS = {"L": "L", "H": "H", "A": "A", "F": "F", "s_max": "S_max"}
+_CHOICES = {"schema": sorted(SCHEMAS), "pooling": list(HEAD_KINDS)}
+_HELP = {"data": "JSONL dataset (here or in the config file)", "out": "output directory",
+         "dump_epochs": "comma-separated epochs at which to dump [CLS] states",
+         "dump_layers": "comma-separated 1-based layers to dump (default: all)"}
+
+
+def _train_keys():
+    """Every `train` key mapped to its (type, default)."""
+    keys = {key: (str, default) for key, default in _CLI_DEFAULTS.items()}
+    keys.update({f.name: (type(f.default), f.default) for f in fields(TrainConfig)})
+    encoder = {f.name: f.default for f in fields(EncoderConfig)}
+    keys.update({key: (type(encoder[name]), encoder[name])
+                 for key, name in _ENCODER_KEYS.items()})
+    return keys
+
+
+_TRAIN_KEYS = _train_keys()
+
+
 def _read_config_file(path):
+    """Typed ``key=value`` settings from a config file."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
@@ -44,42 +70,31 @@ def _read_config_file(path):
                 continue
             if "=" not in line:
                 raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key, _, val = (part.strip() for part in line.partition("="))
+            if key not in _TRAIN_KEYS:
+                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+            kind = _TRAIN_KEYS[key][0]
+            try:
+                values[key] = kind(val)
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: {key}: expected {kind.__name__}, "
+                                f"got {val!r}") from None
+            if key in _CHOICES and values[key] not in _CHOICES[key]:
+                raise DataError(f"{path}:{lineno}: {key}: expected one of {_CHOICES[key]}, "
+                                f"got {val!r}")
     return values
-
-
-_TRAIN_KEYS = {
-    "data": str, "schema": str, "pooling": str, "folds": int, "epochs": int,
-    "lr": float, "seed": int, "out": str, "batch_size": int, "lam": float,
-    "p_drop": float, "L": int, "H": int, "A": int, "F": int, "s_max": int,
-    "dump_epochs": str, "dump_layers": str,
-}
-
-_TRAIN_DEFAULTS = {
-    "schema": "absa", "pooling": "last", "folds": 10, "epochs": 10,
-    "lr": 1e-3, "seed": 0, "out": "runs", "batch_size": 32, "lam": 1e-5,
-    "p_drop": 0.1, "L": 4, "H": 32, "A": 4, "F": 64, "s_max": 64,
-    "dump_epochs": "", "dump_layers": "",
-}
 
 
 def _resolve(args, file_values):
     """Merge builtin defaults, config-file values, and explicit flags."""
-    merged = dict(_TRAIN_DEFAULTS)
-    for key, val in file_values.items():
-        if key not in _TRAIN_KEYS:
-            raise DataError(f"unknown config key {key!r}")
-        merged[key] = _TRAIN_KEYS[key](val)
+    merged = {key: default for key, (_, default) in _TRAIN_KEYS.items()}
+    merged.update(file_values)
     for key in _TRAIN_KEYS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
-    if merged.get("data") is None:
+    if merged["data"] is None:
         raise DataError("no dataset given: pass --data or set data= in the config file")
-    if merged["pooling"] not in HEAD_KINDS:
-        raise DataError(f"invalid pooling {merged['pooling']!r}, "
-                        f"expected one of {HEAD_KINDS}")
     return merged
 
 
@@ -98,11 +113,9 @@ def _cmd_train(args):
     file_values = _read_config_file(args.config) if args.config else {}
     opt = _resolve(args, file_values)
     examples = load_jsonl(opt["data"], opt["schema"])
-    config = TrainConfig(lam=opt["lam"], lr=opt["lr"], p_drop=opt["p_drop"],
-                         epochs=opt["epochs"], folds=opt["folds"],
-                         seed=opt["seed"], batch_size=opt["batch_size"])
-    enc = EncoderConfig(L=opt["L"], H=opt["H"], A=opt["A"], F=opt["F"],
-                        V=4, S_max=opt["s_max"], p_drop=opt["p_drop"])
+    config = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})
+    enc = EncoderConfig(V=4, p_drop=opt["p_drop"],
+                        **{name: opt[key] for key, name in _ENCODER_KEYS.items()})
     os.makedirs(opt["out"], exist_ok=True)
 
     dump_epochs = _int_list(opt["dump_epochs"])
@@ -147,8 +160,9 @@ def _cmd_train(args):
 
 
 def _cmd_eval(args):
-    from .data import Vocab
     model, meta = PooledClassifier.load(args.checkpoint)
+    if "vocab" not in meta:
+        raise ValueError("checkpoint metadata has no 'vocab'")
     vocab = Vocab(meta["vocab"])
     examples = load_jsonl(args.data, meta.get("schema", "absa"))
     arrays = pack_dataset(examples, vocab, model.config.S_max)
@@ -187,22 +201,11 @@ def build_parser():
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("train", help="cross-validated training")
-    p.add_argument("--data")
-    p.add_argument("--schema", choices=["absa", "nli"])
-    p.add_argument("--pooling", choices=list(HEAD_KINDS))
-    p.add_argument("--folds", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--seed", type=int)
     p.add_argument("--config", help="key=value file; flags override it")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--p-drop", dest="p_drop", type=float)
-    p.add_argument("--dump-epochs", dest="dump_epochs",
-                   help="comma-separated epochs at which to dump [CLS] states")
-    p.add_argument("--dump-layers", dest="dump_layers",
-                   help="comma-separated 1-based layers to dump (default: all)")
+    for key, (kind, default) in _TRAIN_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+                       choices=_CHOICES.get(key),
+                       help=_HELP.get(key, f"default: {default}"))
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")

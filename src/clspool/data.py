@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
-from .encoder import PackedInput
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 RESERVED = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID}
@@ -90,7 +89,10 @@ def vocab_for_examples(examples, min_count=1):
 
 
 def pack_pair(ex: PairExample, vocab: Vocab, s_max):
-    """Pack a sentence pair, truncating the longer side token-by-token."""
+    """Pack a sentence pair, truncating the longer side token-by-token.
+
+    Returns (token_ids, segment_ids, mask), three integer arrays of length s_max.
+    """
     if s_max < 4:
         raise ValueError(f"s_max={s_max} cannot hold [CLS] tok [SEP] [SEP]")
     a = vocab.encode(ex.text_a)
@@ -107,24 +109,21 @@ def pack_pair(ex: PairExample, vocab: Vocab, s_max):
     ids += [PAD_ID] * pad
     segments += [0] * pad
     mask += [0] * pad
-    return PackedInput(np.array(ids), np.array(segments), np.array(mask))
+    return np.array(ids), np.array(segments), np.array(mask)
 
 
-def pack_dataset(examples, vocab, s_max, trim=True):
+def pack_dataset(examples, vocab, s_max):
     """Pack a list of examples into (token_ids, segment_ids, mask, labels) arrays.
 
-    With ``trim`` the shared padded length shrinks to the longest packed
-    sequence in the dataset; padding is trailing and masked, so outputs at
-    real positions are unchanged.
+    The shared padded length is that of the longest packed sequence in the
+    dataset (at most ``s_max``); padding is trailing and masked, so outputs
+    at real positions do not depend on it.
     """
     packed = [pack_pair(ex, vocab, s_max) for ex in examples]
-    tok = np.stack([p.token_ids for p in packed])
-    seg = np.stack([p.segment_ids for p in packed])
-    mask = np.stack([p.mask for p in packed])
-    if trim:
-        longest = int(mask.sum(axis=1).max())
-        tok, seg, mask = tok[:, :longest], seg[:, :longest], mask[:, :longest]
-    return tok, seg, mask, np.array([ex.label for ex in examples])
+    tok, seg, mask = (np.stack(a) for a in zip(*packed))
+    longest = int(mask.sum(axis=1).max())
+    return (tok[:, :longest], seg[:, :longest], mask[:, :longest],
+            np.array([ex.label for ex in examples]))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ running examples one at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,40 +41,17 @@ class EncoderConfig:
     p_drop: float = 0.1
 
     def __post_init__(self):
-        if self.L < 1:
-            raise ValueError(f"layer count must be >= 1, got {self.L}")
+        for name in ("L", "H", "A", "F", "V", "S_max"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.H % self.A != 0:
             raise ValueError(f"hidden size {self.H} not divisible by head count {self.A}")
         if not 0.0 <= self.p_drop < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {self.p_drop}")
 
 
-@dataclass
-class PackedInput:
-    """One tokenized sequence in the [CLS] a [SEP] b [SEP] convention."""
-
-    token_ids: np.ndarray
-    segment_ids: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass
-class CLSTrace:
-    """Per-layer [CLS] hidden states, embedding-adjacent layer first."""
-
-    vectors: list = field(default_factory=list)
-
-    def __len__(self):
-        return len(self.vectors)
-
-    def __getitem__(self, i):
-        return self.vectors[i]
-
-
-def init_normal(rng, shape, std=None):
-    if std is None:
-        std = INIT_STD
-    return rng.normal(0.0, std, size=shape)
+def init_normal(rng, shape):
+    return rng.normal(0.0, INIT_STD, size=shape)
 
 
 class MiniEncoder:
@@ -120,8 +97,6 @@ class MiniEncoder:
         Returns a (B*S)×H tensor, rows in example-major order.
         """
         c = self.config
-        token_ids = np.atleast_2d(np.asarray(token_ids))
-        segment_ids = np.atleast_2d(np.asarray(segment_ids))
         B, S = token_ids.shape
         if S > c.S_max:
             raise ValueError(f"sequence length {S} exceeds S_max={c.S_max}")
@@ -134,14 +109,12 @@ class MiniEncoder:
         x = T.layer_norm(x, p["embed/ln_g"], p["embed/ln_b"], eps=LN_EPS)
         return T.dropout(x, c.p_drop, rng, training)
 
-    def embed(self, packed: PackedInput, training=False, rng=None):
-        """Embed one sequence; returns an S×H tensor."""
-        return self.embed_batch(packed.token_ids[None, :], packed.segment_ids[None, :],
-                                training=training, rng=rng)
-
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None,
                       attn_out=None):
-        """Encode a batch; returns ((B*S)×H final hidden states, trace of B×H).
+        """Encode a batch; returns ((B*S)×H final hidden states, trace).
+
+        The trace is a list of L B×H tensors, the [CLS] row of each layer,
+        embedding-adjacent layer first.
 
         ``token_ids``, ``segment_ids`` and ``mask`` are integer arrays of
         shape (B, S); all sequences in a batch share the padded length S,
@@ -150,9 +123,6 @@ class MiniEncoder:
         attention probabilities to it.
         """
         c = self.config
-        token_ids = np.atleast_2d(np.asarray(token_ids))
-        segment_ids = np.atleast_2d(np.asarray(segment_ids))
-        mask = np.atleast_2d(np.asarray(mask))
         B, S = token_ids.shape
         if mask.shape != (B, S):
             raise ShapeError(f"mask shape {mask.shape} does not match token_ids shape {(B, S)}")
@@ -166,15 +136,7 @@ class MiniEncoder:
         for i in range(c.L):
             x = self._block(x, mask, i, training, rng, attn_out=attn_out)
             trace.append(T.gather_rows(x, cls_rows))
-        return x, CLSTrace(trace)
-
-    def encode(self, packed: PackedInput, training=False, rng=None):
-        """Encode one sequence; returns (S×H final states, CLSTrace of H-vectors)."""
-        final, trace = self.forward_batch(
-            packed.token_ids[None, :], packed.segment_ids[None, :],
-            packed.mask[None, :], training=training, rng=rng)
-        vectors = [T.reshape(v, (self.config.H,)) for v in trace.vectors]
-        return final, CLSTrace(vectors)
+        return x, trace
 
     def _block(self, x, mask, i, training, rng, attn_out=None):
         c = self.config

@@ -78,9 +78,9 @@ def _composite_graph_scenario(seed):
     def loss_fn():
         h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
         h = T.layer_norm(T.gelu(h), params["g"], params["v"])
-        probs = T.softmax(T.matmul(T.tanh(h), params["W2"]), axis=1)
+        logits = T.matmul(T.tanh(h), params["W2"])
         penalty = T.sum_squares([params["W1"], params["W2"], params["g"]])
-        return T.add(T.cross_entropy(probs, labels), T.scale(penalty, 0.1))
+        return T.add(T.softmax_cross_entropy(logits, labels), T.scale(penalty, 0.1))
 
     return loss_fn, params
 
@@ -144,8 +144,8 @@ def _model_scenario(seed, pooling):
     decay = model.decay_names()
 
     def loss_fn():
-        probs = model.forward_batch(tok, seg, mask)
-        return regularized_loss(probs, labels, params, decay, lam=1e-5)
+        logits = model.forward_batch(tok, seg, mask)
+        return regularized_loss(logits, labels, params, decay, lam=1e-5)
 
     return loss_fn, params
 

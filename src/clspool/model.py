@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 
-from . import pooling
 from .encoder import EncoderConfig, MiniEncoder
 from .pooling import (AttentionPoolHead, ClassifierHead, HEAD_KINDS, LSTMPoolHead,
                       attention_pool, classify, last_cls_pool, lstm_pool)
@@ -55,7 +56,7 @@ class PooledClassifier:
         return last_cls_pool(trace)
 
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None):
-        """Class probabilities, shape B×C."""
+        """Class logits, shape B×C."""
         _, trace = self.encoder.forward_batch(token_ids, segment_ids, mask,
                                               training=training, rng=rng)
         o = self.pool(trace)
@@ -65,19 +66,17 @@ class PooledClassifier:
     def trace_batch(self, token_ids, segment_ids, mask):
         """Eval-mode CLS trace for a batch, as plain arrays (one B×H per layer)."""
         _, trace = self.encoder.forward_batch(token_ids, segment_ids, mask)
-        return [v.data for v in trace.vectors]
+        return [v.data for v in trace]
 
     def predict(self, token_ids, segment_ids, mask):
         """Eval-mode hard labels; argmax ties break toward the lowest class."""
-        probs = self.forward_batch(token_ids, segment_ids, mask)
-        return np.argmax(probs.data, axis=1)
+        return np.argmax(self.forward_batch(token_ids, segment_ids, mask).data, axis=1)
 
     # -- persistence -----------------------------------------------------------
 
     def save(self, path, extra_meta=None):
         meta = {
-            "encoder": {k: getattr(self.config, k)
-                        for k in ("L", "H", "A", "F", "V", "S_max", "p_drop")},
+            "encoder": {f.name: getattr(self.config, f.name) for f in fields(EncoderConfig)},
             "pooling": self.pooling_kind,
             "n_classes": self.n_classes,
         }
@@ -88,8 +87,7 @@ class PooledClassifier:
     @classmethod
     def load(cls, path):
         meta, blobs = load_checkpoint(path)
-        config = EncoderConfig(**meta["encoder"])
-        model = cls(config, meta["pooling"], meta["n_classes"],
+        model = cls(_config_from_meta(meta), meta["pooling"], meta["n_classes"],
                     np.random.default_rng(0))
         params = model.parameters()
         missing = set(params) - set(blobs)
@@ -103,3 +101,35 @@ class PooledClassifier:
                                  f"{arr.shape} vs {params[name].data.shape}")
             params[name].data = arr.astype(np.float64)
         return model, meta
+
+
+def _config_from_meta(meta):
+    """Check the checkpoint metadata keys the model needs; return its EncoderConfig.
+
+    Every fault raises a ValueError that names the key.
+    """
+    enc = meta.get("encoder")
+    if not isinstance(enc, dict):
+        raise ValueError(f"checkpoint metadata 'encoder' must be an object, got {enc!r}")
+    names = {f.name for f in fields(EncoderConfig)}
+    if set(enc) != names:
+        raise ValueError(f"checkpoint metadata 'encoder' has missing keys "
+                         f"{sorted(names - set(enc))} and unknown keys {sorted(set(enc) - names)}")
+    for key, value in enc.items():
+        number = (int, float) if key == "p_drop" else int
+        if isinstance(value, bool) or not isinstance(value, number):
+            raise ValueError(f"checkpoint metadata 'encoder.{key}' has bad value {value!r}")
+    try:
+        config = EncoderConfig(**enc)
+    except ValueError as e:
+        raise ValueError(f"checkpoint metadata 'encoder': {e}") from None
+    if meta.get("pooling") not in HEAD_KINDS:
+        raise ValueError(f"checkpoint metadata 'pooling' must be one of {HEAD_KINDS}, "
+                         f"got {meta.get('pooling')!r}")
+    n = meta.get("n_classes")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"checkpoint metadata 'n_classes' must be an integer >= 1, got {n!r}")
+    vocab = meta.get("vocab", [])
+    if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+        raise ValueError("checkpoint metadata 'vocab' must be a list of strings")
+    return config

@@ -9,8 +9,10 @@ classification-token states to one pooled vector o:
   * ``attention`` — dot-product attention with a learned query q and
                     projection W_h: o = W_h^T softmax(q h^T) h.
 
+Every trace entry is a B×H tensor, and every head returns a B×H tensor.
 The attention scores are plain dot products, with no 1/sqrt(H) scaling.
-A fully-connected softmax layer then produces the label distribution.
+A fully-connected layer then maps o to class logits; the softmax is part
+of the loss (``tensor.softmax_cross_entropy``).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import Tensor
-from .encoder import CLSTrace, init_normal
+from .encoder import init_normal
 
 HEAD_KINDS = ("last", "lstm", "attention")
 
@@ -55,7 +57,7 @@ class AttentionPoolHead:
 
 
 class ClassifierHead:
-    """Affine map + softmax over C classes."""
+    """Affine map to C class logits."""
 
     def __init__(self, H, C, rng):
         self.H, self.C = H, C
@@ -66,40 +68,29 @@ class ClassifierHead:
         self.decay = {"classifier/W_o"}
 
 
-def _as_row_tensors(trace):
-    """Normalize a trace to a list of 2-D (B×H) tensors; remember if 1-D."""
-    vectors = trace.vectors if isinstance(trace, CLSTrace) else list(trace)
-    if not vectors:
+def _layers(trace):
+    """The trace as a list of B×H tensors; rejects an empty one."""
+    rows = list(trace)
+    if not rows:
         raise ValueError("pooling requires a nonempty trace")
-    if vectors[0].data.ndim == 1:
-        return [T.reshape(v, (1, v.shape[0])) for v in vectors], True
-    return vectors, False
-
-
-def _maybe_squeeze(o, was_1d):
-    return T.reshape(o, (o.shape[1],)) if was_1d else o
+    return rows
 
 
 def last_cls_pool(trace):
     """Canonical pooling: the final layer's [CLS] state, unchanged."""
-    vectors = trace.vectors if isinstance(trace, CLSTrace) else list(trace)
-    if not vectors:
-        raise ValueError("pooling requires a nonempty trace")
-    return vectors[-1]
+    return _layers(trace)[-1]
 
 
 def lstm_pool(trace, head: LSTMPoolHead):
     """Run the LSTM over the trace in layer order; return the last hidden state."""
-    rows, was_1d = _as_row_tensors(trace)
     p = head.params
-    h = T.lstm(rows, [p[f"lstm/W_{g}"] for g in _GATES], [p[f"lstm/U_{g}"] for g in _GATES],
-               [p[f"lstm/b_{g}"] for g in _GATES])
-    return _maybe_squeeze(h, was_1d)
+    return T.lstm(_layers(trace), [p[f"lstm/W_{g}"] for g in _GATES],
+                  [p[f"lstm/U_{g}"] for g in _GATES], [p[f"lstm/b_{g}"] for g in _GATES])
 
 
 def attention_pool(trace, head: AttentionPoolHead, return_weights=False):
     """Softmax-weighted combination of the trace, projected by W_h."""
-    rows, was_1d = _as_row_tensors(trace)
+    rows = _layers(trace)
     p = head.params
     q_col = T.reshape(p["attnpool/q"], (head.H, 1))
     scores = T.concat_cols([T.matmul(r, q_col) for r in rows])  # B×L
@@ -109,18 +100,12 @@ def attention_pool(trace, head: AttentionPoolHead, return_weights=False):
         term = T.scale_rows(r, T.slice_cols(weights, i, i + 1))
         combined = term if combined is None else T.add(combined, term)
     o = T.matmul(combined, p["attnpool/W_h"])
-    o = _maybe_squeeze(o, was_1d)
     if return_weights:
         return o, weights
     return o
 
 
 def classify(o, head: ClassifierHead, p_drop=0.0, rng=None, training=False):
-    """Label distribution y = softmax(W_o^T dropout(o) + b_o)."""
-    was_1d = o.data.ndim == 1
-    if was_1d:
-        o = T.reshape(o, (1, o.shape[0]))
+    """Class logits W_o^T dropout(o) + b_o, shape B×C."""
     o = T.dropout(o, p_drop, rng, training)
-    y = T.softmax(T.add(T.matmul(o, head.params["classifier/W_o"]),
-                        head.params["classifier/b_o"]), axis=1)
-    return _maybe_squeeze(y, was_1d)
+    return T.add(T.matmul(o, head.params["classifier/W_o"]), head.params["classifier/b_o"])

@@ -8,12 +8,12 @@ and then clears the tape so a graph can only be differentiated once.
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcasts allowed are a bias vector added
 over the rows of a matrix (``add``) and a per-row scalar multiplying a
-matrix (``scale_rows``). Three fused ops record one tape node each and
+matrix (``scale_rows``). Four fused ops record one tape node each and
 carry a hand-derived backward: ``attention`` (multi-head self-attention on
 packed (B*S)×H matrices, (B, A, S, d_h) views inside), ``lstm`` (an LSTM
-over a list of B×H rows, its four gates computed as one H×4H block) and
+over a list of B×H rows, its four gates computed as one H×4H block),
 ``sum_squares`` (the sum of squares of several tensors, for the L2
-penalty).
+penalty) and ``softmax_cross_entropy`` (the classifier loss on logits).
 """
 
 from __future__ import annotations
@@ -55,25 +55,8 @@ class Tensor:
     def backward(self):
         backward(self)
 
-    def zero_grad(self):
-        self.grad = None
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, other)
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return neg(self)
 
 
 def _as_tensor(x):
@@ -150,12 +133,6 @@ def add(a, b):
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
     out._backward = bwd
-    return out
-
-
-def neg(a):
-    out = Tensor(-a.data, _parents=(a,))
-    out._backward = lambda g: _accumulate(a, -g)
     return out
 
 
@@ -313,22 +290,6 @@ def concat_cols(parts):
         for p, w in zip(parts, widths):
             _accumulate(p, g[:, off:off + w].copy())
             off += w
-
-    out._backward = bwd
-    return out
-
-
-def stack_rows(vectors):
-    """Stack 1-D tensors of equal length into a matrix, one per row."""
-    n = vectors[0].shape[0]
-    for v in vectors:
-        if v.data.ndim != 1 or v.shape[0] != n:
-            raise ShapeError(f"stack_rows: lengths differ ({[v.shape for v in vectors]})")
-    out = Tensor(np.stack([v.data for v in vectors]), _parents=tuple(vectors))
-
-    def bwd(g):
-        for i, v in enumerate(vectors):
-            _accumulate(v, g[i].copy())
 
     out._backward = bwd
     return out
@@ -559,28 +520,29 @@ def dropout(x, p, rng, training=True):
 # losses
 
 
-def cross_entropy(probs, labels):
-    """Mean negative log-likelihood of integer labels under given rows.
+def softmax_cross_entropy(logits, labels):
+    """Mean cross-entropy of integer labels under the row-wise softmax of logits.
 
-    ``probs`` rows are expected to already be probability distributions;
-    the log is clamped at 1e-12.
+    One tape node: each row's loss is logsumexp(row) - row[label], computed
+    after subtracting the row max, so no probability is ever clamped. The
+    backward is (softmax - onehot) / n.
     """
     lab = np.asarray(labels, dtype=np.intp)
-    if probs.data.ndim != 2 or lab.ndim != 1 or lab.shape[0] != probs.shape[0]:
-        raise ShapeError(f"cross_entropy: probs {probs.shape} vs labels {lab.shape}")
-    n, c = probs.shape
+    if logits.data.ndim != 2 or lab.ndim != 1 or lab.shape[0] != logits.shape[0]:
+        raise ShapeError(f"softmax_cross_entropy: logits {logits.shape} vs labels {lab.shape}")
+    n, c = logits.shape
     if lab.size and (lab.min() < 0 or lab.max() >= c):
         raise IndexError(f"label out of range [0, {c}): saw {lab.min()}..{lab.max()}")
-    picked = np.clip(probs.data[np.arange(n), lab], 1e-12, None)
-    out = Tensor(-np.log(picked).sum() / n, _parents=(probs,))
+    rows = np.arange(n)
+    z = logits.data - logits.data.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    total = e.sum(axis=1, keepdims=True)
+    out = Tensor((np.log(total[:, 0]) - z[rows, lab]).sum() / n, _parents=(logits,))
 
     def bwd(g):
-        if probs.requires_grad:
-            buf = np.zeros_like(probs.data)
-            unclamped = probs.data[np.arange(n), lab]
-            live = unclamped >= 1e-12
-            buf[np.arange(n), lab] = np.where(live, -1.0 / (n * picked), 0.0)
-            _accumulate(probs, buf * float(g))
+        d = e / total
+        d[rows, lab] -= 1.0
+        _accumulate(logits, d * (float(g) / n))
 
     out._backward = bwd
     return out

@@ -43,14 +43,16 @@ class TrainConfig:
             raise ValueError(f"fold count must be >= 2, got {self.folds}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
-def regularized_loss(probs, labels, params, decay_names, lam):
-    """Cross-entropy plus lam * sum of squares of the decayed weights.
+def regularized_loss(logits, labels, params, decay_names, lam):
+    """Softmax cross-entropy on the logits plus lam * sum of squares of the decayed weights.
 
     Biases and layer-norm parameters are excluded via ``decay_names``.
     """
-    loss = T.cross_entropy(probs, labels)
+    loss = T.softmax_cross_entropy(logits, labels)
     if lam > 0 and decay_names:
         penalty = T.sum_squares(params[name] for name in sorted(decay_names))
         loss = T.add(loss, T.scale(penalty, lam))
@@ -245,9 +247,9 @@ def train_model(model, arrays, config: TrainConfig, shuffle_rng, dropout_rng,
         losses = []
         for lo in range(0, n, config.batch_size):
             batch = order[lo:lo + config.batch_size]
-            probs = model.forward_batch(tok[batch], seg[batch], mask[batch],
-                                        training=True, rng=dropout_rng)
-            loss = regularized_loss(probs, labels[batch], params, decay, config.lam)
+            logits = model.forward_batch(tok[batch], seg[batch], mask[batch],
+                                         training=True, rng=dropout_rng)
+            loss = regularized_loss(logits, labels[batch], params, decay, config.lam)
             opt.zero_grad()
             loss.backward()
             opt.step()

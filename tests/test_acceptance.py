@@ -18,7 +18,7 @@ from clspool import rng as R
 from clspool.analysis import cluster_score, dump_trace, pca_project, read_dump
 from clspool.data import (pack_dataset, synth_generate, unigram_baseline_accuracy,
                           vocab_for_examples)
-from clspool.encoder import CLSTrace, EncoderConfig
+from clspool.encoder import EncoderConfig
 from clspool.gradcheck import run_gradcheck
 from clspool.model import PooledClassifier
 from clspool.pooling import AttentionPoolHead, LSTMPoolHead, attention_pool, lstm_pool
@@ -37,7 +37,8 @@ def _line(num, name, ok):
 
 
 def trace_of(*rows):
-    return CLSTrace([Tensor(np.asarray(r, dtype=float)) for r in rows])
+    """A trace of B=1: each H-vector becomes one (1, H) layer."""
+    return [Tensor(np.asarray(r, dtype=float).reshape(1, -1)) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -71,9 +72,9 @@ def _train_head(pooling, vocab, train, test, max_epochs=10, min_epochs=1,
         order = shuffle_rng.permutation(n)
         for lo in range(0, n, batch_size):
             b = order[lo:lo + batch_size]
-            probs = model.forward_batch(tok[b], seg[b], mask[b],
-                                        training=True, rng=drop_rng)
-            loss = regularized_loss(probs, labels[b], params, decay, lam)
+            logits = model.forward_batch(tok[b], seg[b], mask[b],
+                                         training=True, rng=drop_rng)
+            loss = regularized_loss(logits, labels[b], params, decay, lam)
             opt.zero_grad()
             loss.backward()
             opt.step()

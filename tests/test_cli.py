@@ -3,8 +3,12 @@ import os
 
 import pytest
 
+from clspool import rng as R
+from clspool.checkpoint import load_checkpoint, save_checkpoint
 from clspool.cli import main
 from clspool.data import load_jsonl
+from clspool.encoder import EncoderConfig
+from clspool.model import PooledClassifier
 
 
 TINY_MODEL = "L=1\nH=8\nA=2\nF=8\ns_max=32\n"
@@ -80,6 +84,22 @@ class TestTrain:
         cfg.write_text("optimizer=sgd\n")
         assert run(["train", "--data", dataset, "--config", str(cfg)]) == 1
 
+    def test_unparsable_config_value_names_file_line_and_key(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(TINY_MODEL + "epochs=ten\n")
+        assert run(["train", "--data", dataset, "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:6: epochs: expected int, got 'ten'" in err
+
+    def test_encoder_flags(self, dataset, tmp_path):
+        out = str(tmp_path / "run")
+        assert run(["train", "--data", dataset, "--L", "1", "--H", "8", "--A", "2",
+                    "--F", "8", "--s-max", "32", "--folds", "2", "--epochs", "1",
+                    "--out", out]) == 0
+        meta, _ = load_checkpoint(os.path.join(out, "model.ckpt"))
+        assert {k: meta["encoder"][k] for k in ("L", "H", "A", "F", "S_max")} == \
+            {"L": 1, "H": 8, "A": 2, "F": 8, "S_max": 32}
+
     def test_dump_epochs(self, dataset, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text(TINY_MODEL)
@@ -129,6 +149,29 @@ class TestEvalAndProject:
         bad.write_bytes(head)
         assert run(["eval", "--checkpoint", str(bad), "--data", dataset]) == 1
         assert "truncated checkpoint: metadata length at offset 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("encoder", None), ("encoder", {"bogus": 1}), ("encoder", {"A": 0}),
+        ("pooling", None), ("pooling", "cnn"), ("n_classes", None), ("n_classes", "3"),
+        ("vocab", None), ("vocab", "w1 w2"),
+    ])
+    def test_eval_bad_checkpoint_metadata_exit_1(self, dataset, tmp_path, capsys, key, value):
+        cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+        model = PooledClassifier(cfg, "last", 3, R.rng_for(0, 0))
+        meta = {"encoder": {"L": 1, "H": 4, "A": 2, "F": 4, "V": 6, "S_max": 8, "p_drop": 0.1},
+                "pooling": "last", "n_classes": 3, "vocab": ["w1", "w2"]}
+        if value is None:
+            del meta[key]
+        elif isinstance(value, dict):
+            meta[key] = {**meta[key], **value}
+        else:
+            meta[key] = value
+        path = str(tmp_path / "bad.ckpt")
+        save_checkpoint(path, meta, {k: v.data for k, v in model.parameters().items()})
+        assert run(["eval", "--checkpoint", path, "--data", dataset]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"'{key}" in err
+        assert "Traceback" not in err
 
     def test_project(self, trained, tmp_path, capsys):
         out = str(tmp_path / "proj")

@@ -52,27 +52,24 @@ class TestPackPair:
         v = Vocab([])
         v.token_to_id.update({"w7": 7, "w8": 8, "w9": 9})
         # build intermediate ids 4..6 so the map stays dense enough for V
-        packed = pack_pair(PairExample("w7 w8", "w9", 0), v, 8)
-        assert packed.token_ids.tolist() == [2, 7, 8, 3, 9, 3, 0, 0]
-        assert packed.segment_ids.tolist() == [0, 0, 0, 0, 1, 1, 0, 0]
-        assert packed.mask.tolist() == [1, 1, 1, 1, 1, 1, 0, 0]
+        ids, segs, mask = pack_pair(PairExample("w7 w8", "w9", 0), v, 8)
+        assert ids.tolist() == [2, 7, 8, 3, 9, 3, 0, 0]
+        assert segs.tolist() == [0, 0, 0, 0, 1, 1, 0, 0]
+        assert mask.tolist() == [1, 1, 1, 1, 1, 1, 0, 0]
 
     def test_empty_b(self):
         v = build_vocab(["x y"])
-        packed = pack_pair(PairExample("x y", "", 0), v, 8)
-        ids = packed.token_ids.tolist()
+        ids, segs, mask = pack_pair(PairExample("x y", "", 0), v, 8)
         assert ids[0] == CLS_ID
-        assert ids.count(SEP_ID) == 2
+        assert ids.tolist().count(SEP_ID) == 2
         # segment-1 block is exactly the trailing [SEP]
-        segs = packed.segment_ids[packed.mask == 1]
-        assert segs.tolist() == [0, 0, 0, 0, 1]
+        assert segs[mask == 1].tolist() == [0, 0, 0, 0, 1]
 
     def test_longest_first_truncation(self):
         v = build_vocab(["t"])
         a = " ".join(["t"] * 100)
         b = "t t"
-        packed = pack_pair(PairExample(a, b, 0), v, 16)
-        ids = packed.token_ids
+        ids, _, _ = pack_pair(PairExample(a, b, 0), v, 16)
         seps = np.flatnonzero(ids == SEP_ID)
         n_a = seps[0] - 1
         n_b = seps[1] - seps[0] - 1
@@ -85,13 +82,11 @@ class TestPackPair:
             na, nb = rng.integers(0, 30, size=2)
             ex = PairExample(" ".join(rng.choice(list("abcdefg"), na)),
                              " ".join(rng.choice(list("abcdefg"), nb)), 0)
-            p = pack_pair(ex, v, 12)
-            ids = p.token_ids
+            ids, segs, mask = pack_pair(ex, v, 12)
             assert ids[0] == CLS_ID
             assert (ids == SEP_ID).sum() == 2
             assert (ids == CLS_ID).sum() == 1
-            segs = p.segment_ids[p.mask == 1]
-            assert np.all(np.diff(segs) >= 0)
+            assert np.all(np.diff(segs[mask == 1]) >= 0)
             assert len(ids) == 12
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from clspool import rng as R
 from clspool import tensor as T
-from clspool.encoder import CLSTrace, EncoderConfig, MiniEncoder, PackedInput
+from clspool.encoder import EncoderConfig, MiniEncoder
 from clspool.tensor import ShapeError
 
 
@@ -15,12 +15,11 @@ def small_config(**overrides):
 
 
 def make_packed(ids, segs=None, mask=None):
-    ids = np.asarray(ids)
-    if segs is None:
-        segs = np.zeros_like(ids)
-    if mask is None:
-        mask = np.ones_like(ids)
-    return PackedInput(ids, np.asarray(segs), np.asarray(mask))
+    """A batch of one sequence: (token_ids, segment_ids, mask), each (1, S)."""
+    ids = np.asarray(ids)[None, :]
+    segs = np.zeros_like(ids) if segs is None else np.asarray(segs)[None, :]
+    mask = np.ones_like(ids) if mask is None else np.asarray(mask)[None, :]
+    return ids, segs, mask
 
 
 class TestConfig:
@@ -42,25 +41,25 @@ class TestEmbed:
         enc = MiniEncoder(small_config(), R.rng_for(0, 0))
         for name in ("embed/token", "embed/segment", "embed/position"):
             enc.params[name].data[:] = 0.0
-        out = enc.embed(make_packed([2, 5, 3]))
+        out = enc.embed_batch(*make_packed([2, 5, 3])[:2])
         npt.assert_array_equal(out.data, np.zeros((3, 8)))
 
     def test_eval_determinism(self):
         enc = MiniEncoder(small_config(), R.rng_for(0, 0))
         packed = make_packed([2, 5, 7, 3])
-        a = enc.embed(packed).data
-        b = enc.embed(packed).data
+        a = enc.embed_batch(*packed[:2]).data
+        b = enc.embed_batch(*packed[:2]).data
         assert np.array_equal(a, b)
 
     def test_length_error(self):
         enc = MiniEncoder(small_config(S_max=4), R.rng_for(0, 0))
         with pytest.raises(ValueError, match="exceeds"):
-            enc.embed(make_packed([2, 5, 7, 6, 3]))
+            enc.embed_batch(*make_packed([2, 5, 7, 6, 3])[:2])
 
     def test_id_out_of_vocab(self):
         enc = MiniEncoder(small_config(V=8), R.rng_for(0, 0))
         with pytest.raises(IndexError):
-            enc.embed(make_packed([2, 8, 3]))
+            enc.embed_batch(*make_packed([2, 8, 3])[:2])
 
 
 class TestSelfAttention:
@@ -102,40 +101,40 @@ class TestSelfAttention:
 class TestEncode:
     def test_single_layer_trace_is_final_cls(self):
         enc = MiniEncoder(small_config(L=1), R.rng_for(4, 0))
-        final, trace = enc.encode(make_packed([2, 5, 3]))
+        final, trace = enc.forward_batch(*make_packed([2, 5, 3]))
         assert len(trace) == 1
-        npt.assert_array_equal(trace[0].data, final.data[0])
+        npt.assert_array_equal(trace[0].data, final.data[:1])
 
     def test_shapes(self):
         enc = MiniEncoder(small_config(L=4, H=8, V=32), R.rng_for(5, 0))
-        _, trace = enc.encode(make_packed([2, 9, 11, 3]))
+        _, trace = enc.forward_batch(*make_packed([2, 9, 11, 3]))
         assert len(trace) == 4
-        for v in trace.vectors:
-            assert v.shape == (8,)
+        for v in trace:
+            assert v.shape == (1, 8)
 
     def test_eval_determinism(self):
         enc = MiniEncoder(small_config(), R.rng_for(6, 0))
         packed = make_packed([2, 5, 7, 3], segs=[0, 0, 1, 1])
-        f1, t1 = enc.encode(packed)
-        f2, t2 = enc.encode(packed)
+        f1, t1 = enc.forward_batch(*packed)
+        f2, t2 = enc.forward_batch(*packed)
         assert np.array_equal(f1.data, f2.data)
-        for a, b in zip(t1.vectors, t2.vectors):
+        for a, b in zip(t1, t2):
             assert np.array_equal(a.data, b.data)
 
     def test_trace_last_equals_final_row0(self):
         enc = MiniEncoder(small_config(L=3), R.rng_for(7, 0))
-        final, trace = enc.encode(make_packed([2, 4, 9, 3]))
-        npt.assert_array_equal(trace[len(trace) - 1].data, final.data[0])
+        final, trace = enc.forward_batch(*make_packed([2, 4, 9, 3]))
+        npt.assert_array_equal(trace[len(trace) - 1].data, final.data[:1])
 
     def test_masked_token_does_not_leak(self):
         enc = MiniEncoder(small_config(), R.rng_for(8, 0))
         mask = np.array([1, 1, 1, 0])
         a = make_packed([2, 5, 3, 7], mask=mask)
         b = make_packed([2, 5, 3, 12], mask=mask)
-        fa, ta = enc.encode(a)
-        fb, tb = enc.encode(b)
+        fa, ta = enc.forward_batch(*a)
+        fb, tb = enc.forward_batch(*b)
         npt.assert_array_equal(fa.data[:3], fb.data[:3])
-        for va, vb in zip(ta.vectors, tb.vectors):
+        for va, vb in zip(ta, tb):
             npt.assert_array_equal(va.data, vb.data)
 
 
@@ -144,7 +143,7 @@ class TestGradientFlow:
         from clspool.pooling import AttentionPoolHead, attention_pool
         enc = MiniEncoder(small_config(L=3), R.rng_for(9, 0))
         head = AttentionPoolHead(8, R.rng_for(9, 1))
-        _, trace = enc.encode(make_packed([2, 5, 9, 3]))
+        _, trace = enc.forward_batch(*make_packed([2, 5, 9, 3]))
         o = attention_pool(trace, head)
         T.tsum(T.mul(o, o)).backward()
         for name, p in enc.params.items():
@@ -162,9 +161,9 @@ class TestBatching:
         mask[1, -2:] = 0
         _, batch_trace = enc.forward_batch(ids, segs, mask)
         for b in range(3):
-            _, single = enc.encode(PackedInput(ids[b], segs[b], mask[b]))
+            _, single = enc.forward_batch(ids[b:b + 1], segs[b:b + 1], mask[b:b + 1])
             for li in range(enc.config.L):
-                npt.assert_allclose(batch_trace[li].data[b], single[li].data,
+                npt.assert_allclose(batch_trace[li].data[b], single[li].data[0],
                                     rtol=0, atol=1e-6)
 
     def test_sweep_point_b128_s64_runs_in_eval(self):

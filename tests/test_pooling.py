@@ -3,14 +3,15 @@ import numpy.testing as npt
 import pytest
 
 from clspool import rng as R
-from clspool.encoder import CLSTrace
+from clspool import tensor as T
 from clspool.pooling import (AttentionPoolHead, ClassifierHead, LSTMPoolHead,
                              attention_pool, classify, last_cls_pool, lstm_pool)
 from clspool.tensor import Tensor
 
 
 def trace_of(*rows):
-    return CLSTrace([Tensor(np.asarray(r, dtype=float)) for r in rows])
+    """A trace of B=1: each H-vector becomes one (1, H) layer."""
+    return [Tensor(np.asarray(r, dtype=float).reshape(1, -1)) for r in rows]
 
 
 def random_trace(rng, L, H):
@@ -58,15 +59,15 @@ def reference_attention(vectors, head):
 class TestLastPool:
     def test_definition(self):
         t = trace_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
-        npt.assert_array_equal(last_cls_pool(t).data, [5.0, 6.0])
+        npt.assert_array_equal(last_cls_pool(t).data, [[5.0, 6.0]])
 
     def test_singleton(self):
         t = trace_of([7.0, 8.0])
-        npt.assert_array_equal(last_cls_pool(t).data, [7.0, 8.0])
+        npt.assert_array_equal(last_cls_pool(t).data, [[7.0, 8.0]])
 
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="nonempty"):
-            last_cls_pool(CLSTrace([]))
+            last_cls_pool([])
 
     def test_matches_attention_with_identity_when_single_layer(self):
         rng = np.random.default_rng(0)
@@ -83,14 +84,14 @@ class TestLSTMPool:
         for p in head.params.values():
             p.data[:] = 0.0
         t = trace_of([1.0, -2.0, 3.0, 0.5], [4.0, 4.0, 4.0, 4.0])
-        npt.assert_array_equal(lstm_pool(t, head).data, np.zeros(4))
+        npt.assert_array_equal(lstm_pool(t, head).data, np.zeros((1, 4)))
 
     def test_single_step_matches_reference_cell(self):
         rng = np.random.default_rng(1)
         head = LSTMPoolHead(5, rng)
         v = rng.normal(size=5)
         npt.assert_allclose(lstm_pool(trace_of(v), head).data,
-                            reference_lstm([v], head), atol=1e-12)
+                            [reference_lstm([v], head)], atol=1e-12)
 
     def test_matches_reference_over_trace(self):
         rng = np.random.default_rng(2)
@@ -100,7 +101,7 @@ class TestLSTMPool:
             head = LSTMPoolHead(H, rng)
             vectors = [rng.normal(size=H) for _ in range(L)]
             npt.assert_allclose(lstm_pool(trace_of(*vectors), head).data,
-                                reference_lstm(vectors, head), atol=1e-10)
+                                [reference_lstm(vectors, head)], atol=1e-10)
 
     def test_reversal_changes_output(self):
         rng = np.random.default_rng(3)
@@ -125,7 +126,7 @@ class TestLSTMPool:
     def test_empty_trace(self):
         head = LSTMPoolHead(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="nonempty"):
-            lstm_pool(CLSTrace([]), head)
+            lstm_pool([], head)
 
 
 class TestAttentionPool:
@@ -135,7 +136,7 @@ class TestAttentionPool:
         v = rng.normal(size=3)
         o, w = attention_pool(trace_of(v), head, return_weights=True)
         npt.assert_allclose(w.data, [[1.0]], atol=1e-15)
-        npt.assert_allclose(o.data, head.params["attnpool/W_h"].data.T @ v, atol=1e-12)
+        npt.assert_allclose(o.data, [head.params["attnpool/W_h"].data.T @ v], atol=1e-12)
 
     def test_zero_query_gives_uniform_mean(self):
         rng = np.random.default_rng(5)
@@ -145,7 +146,7 @@ class TestAttentionPool:
         o, w = attention_pool(trace_of(*vectors), head, return_weights=True)
         npt.assert_allclose(w.data, 0.25, atol=1e-15)
         npt.assert_allclose(o.data,
-                            head.params["attnpool/W_h"].data.T @ np.mean(vectors, axis=0),
+                            [head.params["attnpool/W_h"].data.T @ np.mean(vectors, axis=0)],
                             atol=1e-12)
 
     def test_worked_example(self):
@@ -155,7 +156,7 @@ class TestAttentionPool:
         t = trace_of([0.0, 4.0], [np.log(3.0), 0.0])
         o, w = attention_pool(t, head, return_weights=True)
         npt.assert_allclose(w.data, [[0.25, 0.75]], atol=1e-12)
-        npt.assert_allclose(o.data, [0.75 * np.log(3.0), 1.0], atol=1e-12)
+        npt.assert_allclose(o.data, [[0.75 * np.log(3.0), 1.0]], atol=1e-12)
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(6)
@@ -166,7 +167,7 @@ class TestAttentionPool:
             vectors = [rng.normal(size=H) for _ in range(L)]
             o = attention_pool(trace_of(*vectors), head).data
             expect, _ = reference_attention(vectors, head)
-            npt.assert_allclose(o, expect, atol=1e-10)
+            npt.assert_allclose(o, [expect], atol=1e-10)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(7)
@@ -204,35 +205,35 @@ class TestAttentionPool:
     def test_empty_trace(self):
         head = AttentionPoolHead(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="nonempty"):
-            attention_pool(CLSTrace([]), head)
+            attention_pool([], head)
 
 
 class TestClassifier:
     def test_zero_weights_uniform(self):
         head = ClassifierHead(4, 3, np.random.default_rng(0))
         head.params["classifier/W_o"].data[:] = 0.0
-        y = classify(Tensor(np.ones(4)), head)
-        npt.assert_allclose(y.data, [1 / 3] * 3, atol=1e-15)
+        y = T.softmax(classify(Tensor(np.ones((1, 4))), head), axis=1)
+        npt.assert_allclose(y.data, [[1 / 3] * 3], atol=1e-15)
 
     def test_log_bias_ratios(self):
         head = ClassifierHead(4, 3, np.random.default_rng(0))
         head.params["classifier/W_o"].data[:] = 0.0
         head.params["classifier/b_o"].data = np.log([1.0, 2.0, 3.0]) - 0.37
-        y = classify(Tensor(np.zeros(4)), head)
-        npt.assert_allclose(y.data, [1 / 6, 2 / 6, 3 / 6], atol=1e-12)
+        y = T.softmax(classify(Tensor(np.zeros((1, 4))), head), axis=1)
+        npt.assert_allclose(y.data, [[1 / 6, 2 / 6, 3 / 6]], atol=1e-12)
 
     def test_sums_to_one_random(self):
         rng = np.random.default_rng(10)
         for _ in range(100):
             head = ClassifierHead(6, 4, rng)
-            y = classify(Tensor(rng.normal(size=6)), head)
+            y = T.softmax(classify(Tensor(rng.normal(size=(1, 6))), head), axis=1)
             assert abs(y.data.sum() - 1.0) < 1e-12
             assert np.all(y.data >= 0)
 
     def test_dropout_only_when_training(self):
         rng = np.random.default_rng(11)
         head = ClassifierHead(4, 2, rng)
-        o = Tensor(rng.normal(size=4))
+        o = Tensor(rng.normal(size=(1, 4)))
         eval_y = classify(o, head).data
         train_y = classify(o, head, p_drop=0.5, rng=np.random.default_rng(0),
                            training=True).data

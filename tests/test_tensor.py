@@ -85,21 +85,52 @@ class TestSoftmax:
 
 
 class TestCrossEntropy:
+    """The fused softmax cross-entropy on logits."""
+
     def test_perfect_prediction(self):
-        probs = Tensor([[0.0, 1.0, 0.0]])
-        assert T.cross_entropy(probs, [1]).item() == pytest.approx(0.0, abs=1e-12)
+        logits = Tensor([[-1e3, 0.0, -1e3]])
+        assert T.softmax_cross_entropy(logits, [1]).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_uniform(self):
-        probs = Tensor([[1 / 3, 1 / 3, 1 / 3]])
-        assert T.cross_entropy(probs, [0]).item() == pytest.approx(np.log(3), abs=1e-12)
+        logits = Tensor([[0.0, 0.0, 0.0]])
+        assert T.softmax_cross_entropy(logits, [0]).item() == pytest.approx(np.log(3), abs=1e-12)
 
     def test_hand_evaluation(self):
-        loss = T.cross_entropy(Tensor([[0.25, 0.75]]), [1])
+        loss = T.softmax_cross_entropy(Tensor(np.log([[0.25, 0.75]])), [1])
         assert loss.item() == pytest.approx(-np.log(0.75), abs=1e-12)
 
     def test_label_out_of_range(self):
         with pytest.raises(IndexError):
-            T.cross_entropy(Tensor([[0.5, 0.5]]), [2])
+            T.softmax_cross_entropy(Tensor([[0.5, 0.5]]), [2])
+
+    def test_shape_errors(self):
+        with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+            T.softmax_cross_entropy(Tensor([0.5, 0.5]), [1])
+        with pytest.raises(ShapeError, match="softmax_cross_entropy"):
+            T.softmax_cross_entropy(Tensor([[0.5, 0.5]]), [1, 0])
+
+    def test_confidently_wrong_keeps_its_gradient(self):
+        # A probability clamp would give log(1e12) = 27.63 and a zero gradient here.
+        logits = Tensor([[1e4, 0.0, -1e4]], requires_grad=True)
+        loss = T.softmax_cross_entropy(logits, [2])
+        assert loss.item() == pytest.approx(2e4, rel=1e-12)
+        loss.backward()
+        npt.assert_array_equal(logits.grad, [[1.0, 0.0, -1.0]])
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(1, 6), st.integers(2, 5), st.integers(0, 2**32 - 1))
+    def test_matches_log_of_softmax_and_its_gradient(self, n, c, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=5, size=(n, c))
+        labels = rng.integers(c, size=n)
+        logits = Tensor(x, requires_grad=True)
+        loss = T.softmax_cross_entropy(logits, labels)
+        assert loss._parents == (logits,)  # one tape node
+        loss.backward()
+        p = np.exp(x - x.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        assert loss.item() == pytest.approx(-np.log(p[np.arange(n), labels]).mean(), rel=1e-12)
+        npt.assert_allclose(logits.grad, (p - np.eye(c)[labels]) / n, rtol=0, atol=1e-15)
 
 
 class TestBackward:
@@ -139,8 +170,7 @@ class TestBackward:
             rng = np.random.default_rng(11)
             w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             x = Tensor(rng.normal(size=(2, 4)))
-            probs = T.softmax(T.matmul(x, w), axis=1)
-            T.cross_entropy(probs, [0, 2]).backward()
+            T.softmax_cross_entropy(T.matmul(x, w), [0, 2]).backward()
             return w.grad
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)

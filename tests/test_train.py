@@ -81,26 +81,29 @@ class TestTrainConfig:
             TrainConfig(folds=1)
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
+        for batch_size in (0, -4):
+            with pytest.raises(ValueError, match="batch_size"):
+                TrainConfig(batch_size=batch_size)
 
 
 class TestRegularizedLoss:
     def test_zero_lambda_equals_cross_entropy(self):
-        probs = Tensor([[0.2, 0.8]])
+        logits = Tensor(np.log([[0.2, 0.8]]))
         w = Tensor([[1.0]], requires_grad=True)
-        loss = regularized_loss(probs, [1], {"w": w}, {"w"}, lam=0.0)
+        loss = regularized_loss(logits, [1], {"w": w}, {"w"}, lam=0.0)
         assert loss.item() == pytest.approx(-np.log(0.8), abs=1e-12)
 
     def test_single_weight_analytic(self):
-        probs = Tensor([[0.0, 1.0]])
+        logits = Tensor([[-1e3, 0.0]])
         w = Tensor([2.0], requires_grad=True)
-        loss = regularized_loss(probs, [1], {"w": w}, {"w"}, lam=1e-5)
+        loss = regularized_loss(logits, [1], {"w": w}, {"w"}, lam=1e-5)
         assert loss.item() == pytest.approx(4e-5, abs=1e-18)
 
     def test_biases_excluded(self):
-        probs = Tensor([[0.0, 1.0]])
+        logits = Tensor([[-1e3, 0.0]])
         w = Tensor([2.0], requires_grad=True)
         b = Tensor([100.0], requires_grad=True)
-        loss = regularized_loss(probs, [1], {"w": w, "b": b}, {"w"}, lam=1.0)
+        loss = regularized_loss(logits, [1], {"w": w, "b": b}, {"w"}, lam=1.0)
         assert loss.item() == pytest.approx(4.0, abs=1e-12)
 
     def test_finite_difference_on_full_loss(self):
@@ -113,8 +116,8 @@ class TestRegularizedLoss:
         params = {"w1": w1, "w2": w2}
 
         def loss_fn():
-            probs = T.softmax(T.matmul(T.tanh(T.matmul(Tensor(x), w1)), w2), axis=1)
-            return regularized_loss(probs, labels, params, {"w1", "w2"}, lam=1e-5)
+            logits = T.matmul(T.tanh(T.matmul(Tensor(x), w1)), w2)
+            return regularized_loss(logits, labels, params, {"w1", "w2"}, lam=1e-5)
 
         assert check_gradients(loss_fn, params, rng, coords_per_param=4) < 1e-4
 
@@ -357,8 +360,8 @@ class TestTrainingDynamics:
             opt = Adam(params, lr=1e-3)
             losses = []
             for _ in range(6):
-                probs = m.forward_batch(tok, seg, mask)
-                loss = regularized_loss(probs, labels, params, decay, 1e-5)
+                logits = m.forward_batch(tok, seg, mask)
+                loss = regularized_loss(logits, labels, params, decay, 1e-5)
                 losses.append(loss.item())
                 opt.zero_grad()
                 loss.backward()
