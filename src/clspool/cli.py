@@ -19,20 +19,16 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
-import numpy as np
-
-from . import rng as rng_mod
 from .analysis import dump_trace, project_dump_dir
 from .data import (SCHEMAS, DataError, Vocab, load_jsonl, pack_dataset, save_jsonl,
-                   synth_generate, vocab_for_examples)
+                   synth_generate)
 from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
 from .model import PooledClassifier
 from .pooling import HEAD_KINDS
-from .train import (TrainConfig, cross_validated_train, evaluate, kfold_split,
-                    train_model)
+from .train import TrainConfig, cross_validated_train, evaluate, fit
 
 
 # The `train` settings the CLI owns, with their defaults. The rest are the
@@ -40,7 +36,7 @@ from .train import (TrainConfig, cross_validated_train, evaluate, kfold_split,
 # key -> field); their types and defaults come from the dataclasses.
 _CLI_DEFAULTS = {"data": None, "schema": "absa", "pooling": "last", "out": "runs",
                  "dump_epochs": "", "dump_layers": ""}
-_ENCODER_KEYS = {"L": "L", "H": "H", "A": "A", "F": "F", "s_max": "S_max"}
+_ENCODER_KEYS = {"L": "L", "H": "H", "A": "A", "F": "F", "s_max": "S_max", "p_drop": "p_drop"}
 _CHOICES = {"schema": sorted(SCHEMAS), "pooling": list(HEAD_KINDS)}
 _HELP = {"data": "JSONL dataset (here or in the config file)", "out": "output directory",
          "dump_epochs": "comma-separated epochs at which to dump [CLS] states",
@@ -98,8 +94,17 @@ def _resolve(args, file_values):
     return merged
 
 
-def _int_list(text):
-    return [int(v) for v in text.split(",") if v.strip()] if text else []
+def _dump_list(opt, key, bound):
+    """The comma-separated integers of ``opt[key]``, each checked against 1..opt[bound]."""
+    flag = "--" + key.replace("_", "-")
+    try:
+        values = [int(v) for v in opt[key].split(",") if v.strip()]
+    except ValueError:
+        raise DataError(f"{flag}: expected comma-separated integers, got {opt[key]!r}") from None
+    for v in values:
+        if not 1 <= v <= opt[bound]:
+            raise DataError(f"{flag}: {v} is out of range 1..{opt[bound]} (--{bound})")
+    return values
 
 
 def _cmd_synth(args):
@@ -114,27 +119,15 @@ def _cmd_train(args):
     opt = _resolve(args, file_values)
     examples = load_jsonl(opt["data"], opt["schema"])
     config = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})
-    enc = EncoderConfig(V=4, p_drop=opt["p_drop"],
-                        **{name: opt[key] for key, name in _ENCODER_KEYS.items()})
+    enc = EncoderConfig(V=4, **{name: opt[key] for key, name in _ENCODER_KEYS.items()})
+    dump_epochs = _dump_list(opt, "dump_epochs", "epochs")
+    dump_layers = _dump_list(opt, "dump_layers", "L") or list(range(1, enc.L + 1))
     os.makedirs(opt["out"], exist_ok=True)
 
-    dump_epochs = _int_list(opt["dump_epochs"])
-    dump_layers = _int_list(opt["dump_layers"])
-    epoch_hook = None
-    if dump_epochs:
-        if not dump_layers:
-            dump_layers = list(range(1, opt["L"] + 1))
-        labels = np.array([ex.label for ex in examples])
-        vocab = vocab_for_examples(examples)
-        arrays = pack_dataset(examples, vocab, opt["s_max"])
-        _, fold0_test = kfold_split(labels, config.folds, config.seed)[0]
-        held_out = tuple(a[fold0_test] for a in arrays)
-        dumps_dir = os.path.join(opt["out"], "dumps")
-
-        def epoch_hook(fold, epoch, model):
-            # Dump the fold-0 held-out set at the requested epochs.
-            if fold == 0 and epoch in dump_epochs:
-                dump_trace(model, held_out, epoch, dump_layers, dumps_dir)
+    def epoch_hook(fold, epoch, model, held_out):
+        # Dump the fold-0 held-out set at the requested epochs.
+        if fold == 0 and epoch in dump_epochs:
+            dump_trace(model, held_out, epoch, dump_layers, os.path.join(opt["out"], "dumps"))
 
     result = cross_validated_train(examples, enc, opt["pooling"], config,
                                    out_csv=os.path.join(opt["out"], "results.csv"),
@@ -143,18 +136,10 @@ def _cmd_train(args):
           f"macro-F1 {result.mean['macro_f1']:.4f} over {config.folds} folds")
 
     # Final model trained on the full dataset, for `eval`.
-    labels = np.array([ex.label for ex in examples])
-    n_classes = int(labels.max()) + 1
-    vocab = vocab_for_examples(examples)
-    cfg = replace(enc, V=len(vocab))
-    arrays = pack_dataset(examples, vocab, cfg.S_max)
-    model = PooledClassifier(cfg, opt["pooling"], n_classes,
-                             rng_mod.rng_for(config.seed, rng_mod.INIT, config.folds))
-    train_model(model, arrays, config,
-                shuffle_rng=rng_mod.rng_for(config.seed, rng_mod.SHUFFLE, config.folds),
-                dropout_rng=rng_mod.rng_for(config.seed, rng_mod.DROPOUT, config.folds))
+    model = fit(result.model_config, opt["pooling"], len(SCHEMAS[opt["schema"]][1]),
+                result.arrays, config, run=config.folds)
     ckpt = os.path.join(opt["out"], "model.ckpt")
-    model.save(ckpt, extra_meta={"vocab": vocab.tokens(), "schema": opt["schema"]})
+    model.save(ckpt, extra_meta={"vocab": result.vocab.tokens(), "schema": opt["schema"]})
     print(f"wrote {os.path.join(opt['out'], 'results.csv')} and {ckpt}")
     return 0
 

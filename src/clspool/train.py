@@ -1,10 +1,16 @@
 """Training harness: regularized loss, Adam, stratified k-fold CV, metrics.
 
-Defaults: L2 coefficient 1e-5, dropout 0.1, Adam, 10-fold
-cross-validation with per-fold averaging. The conventional fine-tuning
-learning rate 2e-5 presumes a pre-trained initialization; training the
-desk-scale encoder from scratch stalls there, so the working default is
-1e-3 and the fine-tuning value is kept as ``FINE_TUNE_LR``.
+Defaults: L2 coefficient 1e-5, Adam, 10-fold cross-validation with
+per-fold averaging; dropout is the model's ``EncoderConfig.p_drop``. The
+conventional fine-tuning learning rate 2e-5 presumes a pre-trained
+initialization; training the desk-scale encoder from scratch stalls
+there, so the working default is 1e-3 and the fine-tuning value is kept
+as ``FINE_TUNE_LR``.
+
+``cross_validated_train`` builds the vocabulary, packs the data and
+splits the folds once, and returns the prepared data on ``CVResult``.
+``fit`` alone seeds and trains a model: run r (fold r, or ``folds`` for
+the final model) draws from the INIT, SHUFFLE and DROPOUT streams at r.
 """
 
 from __future__ import annotations
@@ -12,13 +18,16 @@ from __future__ import annotations
 import csv
 import ctypes
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import data
 from . import rng as rng_mod
 from . import tensor as T
 from .checkpoint import atomic_write_bytes
+from .encoder import EncoderConfig
+from .model import PooledClassifier
 
 FINE_TUNE_LR = 2e-5  # conventional rate for pre-trained initializations
 DESK_LR = 1e-3
@@ -28,7 +37,6 @@ DESK_LR = 1e-3
 class TrainConfig:
     lam: float = 1e-5        # L2 coefficient
     lr: float = DESK_LR
-    p_drop: float = 0.1
     epochs: int = 10         # 10 suits ABSA-shaped tasks; 5 is typical for NLI
     folds: int = 10
     seed: int = 0
@@ -189,6 +197,10 @@ def evaluate(model, arrays, batch_size=64):
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    bad = np.flatnonzero(labels >= model.n_classes)
+    if bad.size:
+        raise ValueError(f"example {bad[0]} has label {labels[bad[0]]}, but the model "
+                         f"has only {model.n_classes} classes")
     preds = np.empty(n, dtype=int)
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
@@ -260,53 +272,55 @@ def train_model(model, arrays, config: TrainConfig, shuffle_rng, dropout_rng,
     return epoch_losses
 
 
+def fit(model_config, pooling, n_classes, arrays, config: TrainConfig, run,
+        epoch_hook=None):
+    """A fresh PooledClassifier trained on ``arrays`` with the streams of run ``run``."""
+    model = PooledClassifier(model_config, pooling, n_classes,
+                             rng_mod.rng_for(config.seed, rng_mod.INIT, run))
+    train_model(model, arrays, config,
+                shuffle_rng=rng_mod.rng_for(config.seed, rng_mod.SHUFFLE, run),
+                dropout_rng=rng_mod.rng_for(config.seed, rng_mod.DROPOUT, run),
+                epoch_hook=epoch_hook)
+    return model
+
+
 @dataclass
 class CVResult:
     fold_results: list
     mean: dict
     std: dict
-
-
-def _take(arrays, idx):
-    tok, seg, mask, labels = arrays
-    return tok[idx], seg[idx], mask[idx], labels[idx]
+    model_config: EncoderConfig  # the template with V set from the vocabulary
+    vocab: data.Vocab
+    arrays: tuple                # the packed dataset (tok, seg, mask, labels)
 
 
 def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
-                          model_cls=None, out_csv=None, epoch_hook=None):
-    """Stratified k-fold CV with a fresh, fold-seeded model per fold.
+                          out_csv=None, epoch_hook=None):
+    """Stratified k-fold CV with a fresh model per fold (``fit`` run f).
 
     ``enc_config`` is used as a template; vocabulary size is set from the
-    data. Returns per-fold EvalResults plus mean/std aggregates, and
-    optionally writes the results CSV.
+    data. ``epoch_hook(fold, epoch, model, held_out)`` gets the fold's
+    packed held-out arrays. Returns per-fold EvalResults, mean/std
+    aggregates and the prepared data, and optionally writes the results CSV.
     """
-    from dataclasses import replace
-    from .data import pack_dataset, vocab_for_examples
-    from .model import PooledClassifier
-    if model_cls is None:
-        model_cls = PooledClassifier
-
-    labels_all = np.array([ex.label for ex in examples])
-    n_classes = int(labels_all.max()) + 1
-    vocab = vocab_for_examples(examples)
-    cfg = replace(enc_config, V=len(vocab), p_drop=config.p_drop)
-    arrays = pack_dataset(examples, vocab, cfg.S_max)
+    vocab = data.vocab_for_examples(examples)
+    model_config = replace(enc_config, V=len(vocab))
+    arrays = data.pack_dataset(examples, vocab, model_config.S_max)
+    labels = arrays[3]
+    n_classes = int(labels.max()) + 1
 
     fold_results = []
-    for f, (train_idx, test_idx) in enumerate(kfold_split(labels_all, config.folds,
-                                                          config.seed)):
-        model = model_cls(cfg, pooling, n_classes,
-                          rng_mod.rng_for(config.seed, rng_mod.INIT, f))
-        train_model(model, _take(arrays, train_idx), config,
-                    shuffle_rng=rng_mod.rng_for(config.seed, rng_mod.SHUFFLE, f),
-                    dropout_rng=rng_mod.rng_for(config.seed, rng_mod.DROPOUT, f),
-                    epoch_hook=(lambda e, m, f=f: epoch_hook(f, e, m)) if epoch_hook else None)
-        fold_results.append(evaluate(model, _take(arrays, test_idx)))
+    for f, (train_idx, test_idx) in enumerate(kfold_split(labels, config.folds, config.seed)):
+        held_out = tuple(a[test_idx] for a in arrays)
+        hook = (lambda e, m: epoch_hook(f, e, m, held_out)) if epoch_hook else None
+        model = fit(model_config, pooling, n_classes, tuple(a[train_idx] for a in arrays),
+                    config, run=f, epoch_hook=hook)
+        fold_results.append(evaluate(model, held_out))
 
     mean, std = _aggregate(fold_results)
     if out_csv is not None:
         write_results_csv(out_csv, fold_results, mean, std)
-    return CVResult(fold_results=fold_results, mean=mean, std=std)
+    return CVResult(fold_results, mean, std, model_config, vocab, arrays)
 
 
 def _aggregate(fold_results):

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from clspool import cli, data, train
 from clspool import rng as R
 from clspool.checkpoint import load_checkpoint, save_checkpoint
 from clspool.cli import main
@@ -23,6 +24,13 @@ def dataset(tmp_path):
     path = str(tmp_path / "data.jsonl")
     assert run(["synth", "--n", "30", "--seed", "0", "--out", path]) == 0
     return path
+
+
+@pytest.fixture()
+def tiny_cfg(tmp_path):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(TINY_MODEL)
+    return str(cfg)
 
 
 class TestSynth:
@@ -94,11 +102,11 @@ class TestTrain:
     def test_encoder_flags(self, dataset, tmp_path):
         out = str(tmp_path / "run")
         assert run(["train", "--data", dataset, "--L", "1", "--H", "8", "--A", "2",
-                    "--F", "8", "--s-max", "32", "--folds", "2", "--epochs", "1",
-                    "--out", out]) == 0
+                    "--F", "8", "--s-max", "32", "--p-drop", "0.25", "--folds", "2",
+                    "--epochs", "1", "--out", out]) == 0
         meta, _ = load_checkpoint(os.path.join(out, "model.ckpt"))
-        assert {k: meta["encoder"][k] for k in ("L", "H", "A", "F", "S_max")} == \
-            {"L": 1, "H": 8, "A": 2, "F": 8, "S_max": 32}
+        assert {k: meta["encoder"][k] for k in ("L", "H", "A", "F", "S_max", "p_drop")} == \
+            {"L": 1, "H": 8, "A": 2, "F": 8, "S_max": 32, "p_drop": 0.25}
 
     def test_dump_epochs(self, dataset, tmp_path):
         cfg = tmp_path / "cfg"
@@ -111,6 +119,73 @@ class TestTrain:
         dumps = os.path.join(out, "dumps")
         assert sorted(os.listdir(dumps)) == [
             "cls_epoch1_layer1.csv", "cls_epoch2_layer1.csv"]
+
+    def test_prepares_the_data_once(self, dataset, tiny_cfg, tmp_path, monkeypatch):
+        calls = {}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for home, name in ((data, "vocab_for_examples"), (data, "pack_dataset"),
+                           (train, "kfold_split")):
+            wrapper = counted(name, getattr(home, name))
+            for module in (data, train, cli):  # every module that may hold the name
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapper)
+        assert run(["train", "--data", dataset, "--config", tiny_cfg,
+                    "--folds", "2", "--epochs", "1", "--dump-epochs", "1",
+                    "--out", str(tmp_path / "run")]) == 0
+        assert calls == {"vocab_for_examples": 1, "pack_dataset": 1, "kfold_split": 1}
+
+    def test_same_seed_rerun_byte_identical_artifacts(self, dataset, tiny_cfg, tmp_path):
+        outs = [str(tmp_path / name) for name in ("a", "b")]
+        for out in outs:
+            assert run(["train", "--data", dataset, "--config", tiny_cfg,
+                        "--L", "2", "--pooling", "lstm", "--folds", "3", "--epochs", "2",
+                        "--dump-epochs", "1,2", "--seed", "3", "--out", out]) == 0
+        dumps = [f"cls_epoch{e}_layer{layer}.csv" for e in (1, 2) for layer in (1, 2)]
+        assert sorted(os.listdir(os.path.join(outs[0], "dumps"))) == dumps
+        for name in ["results.csv", "model.ckpt"] + [os.path.join("dumps", d) for d in dumps]:
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--epochs", "2", "--dump-epochs", "7"], "--dump-epochs: 7 is out of range 1..2 (--epochs)"),
+        (["--epochs", "2", "--dump-epochs", "1,0"], "--dump-epochs: 0 is out of range 1..2"),
+        (["--L", "1", "--epochs", "3", "--dump-epochs", "2", "--dump-layers", "5"],
+         "--dump-layers: 5 is out of range 1..1 (--L)"),
+        (["--epochs", "2", "--dump-epochs", "1,a"],
+         "--dump-epochs: expected comma-separated integers, got '1,a'"),
+    ])
+    def test_dump_flags_checked_before_training(self, dataset, tiny_cfg, tmp_path, monkeypatch,
+                                                capsys, flags, message):
+        trained = []
+        monkeypatch.setattr(train, "train_model", lambda *a, **k: trained.append(1))
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", tiny_cfg,
+                    "--folds", "2", "--out", str(out)] + flags) == 1
+        assert message in capsys.readouterr().err
+        assert trained == []
+        assert not (out / "results.csv").exists()
+
+    def test_class_count_from_schema(self, dataset, tiny_cfg, tmp_path):
+        # Trained without any `positive` example, the checkpoint still has
+        # every absa class, so eval on data that has them succeeds.
+        two = tmp_path / "two.jsonl"
+        with open(dataset, encoding="utf-8") as f:
+            two.write_text("".join(line for line in f
+                                   if json.loads(line)["label"] != "positive"))
+        out = str(tmp_path / "run")
+        assert run(["train", "--data", str(two), "--config", tiny_cfg,
+                    "--folds", "2", "--epochs", "1", "--out", out]) == 0
+        ckpt = os.path.join(out, "model.ckpt")
+        meta, _ = load_checkpoint(ckpt)
+        assert meta["n_classes"] == 3
+        assert run(["eval", "--checkpoint", ckpt, "--data", dataset]) == 0
 
 
 class TestEvalAndProject:

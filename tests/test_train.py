@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -11,7 +12,7 @@ from clspool.encoder import EncoderConfig
 from clspool.model import PooledClassifier
 from clspool.tensor import Tensor
 from clspool.train import (Adam, TrainConfig, confusion_matrix, cross_validated_train,
-                           evaluate, kfold_split, metrics_from_confusion,
+                           evaluate, fit, kfold_split, metrics_from_confusion,
                            read_results_csv, regularized_loss, train_model,
                            write_results_csv)
 
@@ -84,6 +85,11 @@ class TestTrainConfig:
         for batch_size in (0, -4):
             with pytest.raises(ValueError, match="batch_size"):
                 TrainConfig(batch_size=batch_size)
+
+    def test_dropout_is_not_a_train_setting(self):
+        # The dropout rate has one home: EncoderConfig.p_drop.
+        with pytest.raises(TypeError):
+            TrainConfig(p_drop=0.1)
 
 
 class TestRegularizedLoss:
@@ -343,6 +349,60 @@ class TestCrossValidation:
         assert rows["mean"][1] == pytest.approx(
             np.mean([rows[str(f)][1] for f in range(3)]), abs=1e-12)
 
+    def test_honours_encoder_p_drop(self, monkeypatch):
+        # p_drop=0 in the encoder config means no dropout mask is ever drawn.
+        rates = []
+        dropout = T.dropout
+
+        def spy(x, p, rng, training=True):
+            if training:
+                rates.append(p)
+            return dropout(x, p, rng, training)
+
+        monkeypatch.setattr(T, "dropout", spy)
+        config = TrainConfig(epochs=1, lr=1e-2, folds=2, seed=0, batch_size=8)
+        cross_validated_train(toy_separable_examples(12), replace(TOY_ENC, p_drop=0.0),
+                              "last", config)
+        assert rates and set(rates) == {0.0}
+
+    def test_returns_the_prepared_data(self):
+        examples = toy_separable_examples(30)
+        config = TrainConfig(epochs=1, lr=1e-2, folds=3, seed=2, batch_size=8)
+        res = cross_validated_train(examples, TOY_ENC, "lstm", config)
+        vocab = vocab_for_examples(examples)
+        assert res.vocab.tokens() == vocab.tokens()
+        assert res.model_config == replace(TOY_ENC, V=len(vocab))
+        for got, want in zip(res.arrays, pack_dataset(examples, vocab, TOY_ENC.S_max)):
+            npt.assert_array_equal(got, want)
+
+    def test_epoch_hook_gets_each_folds_held_out_set(self):
+        examples = toy_separable_examples(30)
+        config = TrainConfig(epochs=2, lr=1e-2, folds=3, seed=4, batch_size=8)
+        calls = []
+        res = cross_validated_train(
+            examples, TOY_ENC, "last", config,
+            epoch_hook=lambda fold, epoch, model, held: calls.append((fold, epoch, held)))
+        assert [(f, e) for f, e, _ in calls] == [(f, e) for f in range(3) for e in (1, 2)]
+        splits = kfold_split(res.arrays[3], 3, 4)
+        for fold, _, held in calls:
+            test_idx = splits[fold][1]
+            for got, arr in zip(held, res.arrays):
+                npt.assert_array_equal(got, arr[test_idx])
+
+    def test_fold_models_are_fit_runs(self):
+        # Fold f's model is fit run f on the fold's training rows.
+        examples = toy_separable_examples(30)
+        config = TrainConfig(epochs=2, lr=1e-2, folds=3, seed=3, batch_size=8)
+        trained = {}
+        res = cross_validated_train(
+            examples, TOY_ENC, "attention", config,
+            epoch_hook=lambda fold, epoch, model, held: trained.setdefault(fold, model))
+        train_idx, _ = kfold_split(res.arrays[3], 3, 3)[1]
+        model = fit(res.model_config, "attention", 3,
+                    tuple(a[train_idx] for a in res.arrays), config, run=1)
+        for name, p in model.parameters().items():
+            npt.assert_array_equal(p.data, trained[1].parameters()[name].data)
+
 
 class TestTrainingDynamics:
     def test_loss_non_increasing_first_five_steps(self):
@@ -401,6 +461,13 @@ class TestTrainingDynamics:
         evaluate(m, arrays)
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults < 1000
+
+    def test_evaluate_names_a_label_beyond_the_class_count(self):
+        m = PooledClassifier(TOY_ENC, "last", 2, R.rng_for(0, 0))
+        arrays = (np.full((3, 4), 2), np.zeros((3, 4), dtype=int), np.ones((3, 4), dtype=int),
+                  np.array([1, 2, 0]))
+        with pytest.raises(ValueError, match="example 1 has label 2, but the model has only 2"):
+            evaluate(m, arrays)
 
     def test_evaluate_rejects_empty(self):
         m = PooledClassifier(TOY_ENC, "last", 3, R.rng_for(0, 0))
