@@ -129,15 +129,16 @@ def _cmd_train(args):
         if fold == 0 and epoch in dump_epochs:
             dump_trace(model, held_out, epoch, dump_layers, os.path.join(opt["out"], "dumps"))
 
+    n_classes = len(SCHEMAS[opt["schema"]][1])
     result = cross_validated_train(examples, enc, opt["pooling"], config,
                                    out_csv=os.path.join(opt["out"], "results.csv"),
-                                   epoch_hook=epoch_hook)
+                                   epoch_hook=epoch_hook, n_classes=n_classes)
     print(f"cv mean accuracy {result.mean['accuracy']:.4f}, "
           f"macro-F1 {result.mean['macro_f1']:.4f} over {config.folds} folds")
 
     # Final model trained on the full dataset, for `eval`.
-    model = fit(result.model_config, opt["pooling"], len(SCHEMAS[opt["schema"]][1]),
-                result.arrays, config, run=config.folds)
+    model = fit(result.model_config, opt["pooling"], n_classes, result.arrays, config,
+                run=config.folds)
     ckpt = os.path.join(opt["out"], "model.ckpt")
     model.save(ckpt, extra_meta={"vocab": result.vocab.tokens(), "schema": opt["schema"]})
     print(f"wrote {os.path.join(opt['out'], 'results.csv')} and {ckpt}")

@@ -25,7 +25,6 @@ from .tensor import ShapeError, Tensor
 # and stalls a from-scratch desk model: attention logits start so close to
 # uniform that no head ever specializes within the training budget.
 INIT_STD = 0.15
-LN_EPS = 1e-12
 
 
 @dataclass
@@ -106,7 +105,7 @@ class MiniEncoder:
                   T.embedding(p["embed/segment"], segment_ids.reshape(-1))),
             T.gather_rows(p["embed/position"], np.tile(np.arange(S), B)),
         )
-        x = T.layer_norm(x, p["embed/ln_g"], p["embed/ln_b"], eps=LN_EPS)
+        x = T.layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
         return T.dropout(x, c.p_drop, rng, training)
 
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None,
@@ -152,9 +151,9 @@ class MiniEncoder:
             attn_out.append(probs)
         out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
         out = T.dropout(out, c.p_drop, rng, training)
-        x = T.layer_norm(T.add(x, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"], eps=LN_EPS)
+        x = T.layer_norm(T.add(x, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
 
         h = T.gelu(T.add(T.matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
         h = T.add(T.matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
         h = T.dropout(h, c.p_drop, rng, training)
-        return T.layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"], eps=LN_EPS)
+        return T.layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])

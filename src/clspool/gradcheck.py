@@ -78,6 +78,8 @@ def _composite_graph_scenario(seed):
     def loss_fn():
         h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
         h = T.layer_norm(T.gelu(h), params["g"], params["v"])
+        # A fresh generator per call: every finite-difference pass draws the same mask.
+        h = T.dropout(T.sigmoid(h), 0.3, rng_mod.rng_for(seed, 96))
         logits = T.matmul(T.tanh(h), params["W2"])
         penalty = T.sum_squares([params["W1"], params["W2"], params["g"]])
         return T.add(T.softmax_cross_entropy(logits, labels), T.scale(penalty, 0.1))
@@ -126,6 +128,23 @@ def _fused_lstm_scenario(seed):
     return loss_fn, params
 
 
+def _fused_layer_attention_scenario(seed):
+    """The fused layer-attention op alone: L=3 layers of B=3 rows, H=4; the
+    rows and the query require gradients."""
+    rng = rng_mod.rng_for(seed, 97)
+    B, L, H = 3, 3, 4
+    params = {f"x{l}": T.Tensor(rng.normal(size=(B, H)), requires_grad=True)
+              for l in range(L)}
+    params["q"] = T.Tensor(rng.normal(size=H), requires_grad=True)
+    weights = T.Tensor(rng.normal(size=(B, H)))
+
+    def loss_fn():
+        out, _ = T.layer_attention([params[f"x{l}"] for l in range(L)], params["q"])
+        return T.tsum(T.mul(out, weights))
+
+    return loss_fn, params
+
+
 def _model_scenario(seed, pooling):
     """Full desk model, tiny config: encoder blocks + head + classifier + L2."""
     config = EncoderConfig(L=2, H=8, A=2, F=12, V=12, S_max=8, p_drop=0.0)
@@ -154,6 +173,7 @@ SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
     "fused_attention": _fused_attention_scenario,
     "fused_lstm": _fused_lstm_scenario,
+    "fused_layer_attention": _fused_layer_attention_scenario,
     "encoder_last_classifier": lambda seed: _model_scenario(seed, "last"),
     "encoder_lstm_pool": lambda seed: _model_scenario(seed, "lstm"),
     "encoder_attention_pool": lambda seed: _model_scenario(seed, "attention"),

@@ -10,7 +10,9 @@ classification-token states to one pooled vector o:
                     projection W_h: o = W_h^T softmax(q h^T) h.
 
 Every trace entry is a B×H tensor, and every head returns a B×H tensor.
-The attention scores are plain dot products, with no 1/sqrt(H) scaling.
+The LSTM head is one fused ``tensor.lstm`` node; the attention head is one
+fused ``tensor.layer_attention`` node, whose scores are plain dot products
+with no 1/sqrt(H) scaling, followed by the W_h matmul.
 A fully-connected layer then maps o to class logits; the softmax is part
 of the loss (``tensor.softmax_cross_entropy``).
 """
@@ -68,40 +70,26 @@ class ClassifierHead:
         self.decay = {"classifier/W_o"}
 
 
-def _layers(trace):
-    """The trace as a list of B×H tensors; rejects an empty one."""
-    rows = list(trace)
-    if not rows:
-        raise ValueError("pooling requires a nonempty trace")
-    return rows
-
-
 def last_cls_pool(trace):
     """Canonical pooling: the final layer's [CLS] state, unchanged."""
-    return _layers(trace)[-1]
+    if not trace:
+        raise ValueError("pooling requires a nonempty trace")
+    return trace[-1]
 
 
 def lstm_pool(trace, head: LSTMPoolHead):
     """Run the LSTM over the trace in layer order; return the last hidden state."""
     p = head.params
-    return T.lstm(_layers(trace), [p[f"lstm/W_{g}"] for g in _GATES],
+    return T.lstm(trace, [p[f"lstm/W_{g}"] for g in _GATES],
                   [p[f"lstm/U_{g}"] for g in _GATES], [p[f"lstm/b_{g}"] for g in _GATES])
 
 
 def attention_pool(trace, head: AttentionPoolHead, return_weights=False):
     """Softmax-weighted combination of the trace, projected by W_h."""
-    rows = _layers(trace)
-    p = head.params
-    q_col = T.reshape(p["attnpool/q"], (head.H, 1))
-    scores = T.concat_cols([T.matmul(r, q_col) for r in rows])  # B×L
-    weights = T.softmax(scores, axis=1)
-    combined = None
-    for i, r in enumerate(rows):
-        term = T.scale_rows(r, T.slice_cols(weights, i, i + 1))
-        combined = term if combined is None else T.add(combined, term)
-    o = T.matmul(combined, p["attnpool/W_h"])
+    combined, weights = T.layer_attention(trace, head.params["attnpool/q"])
+    o = T.matmul(combined, head.params["attnpool/W_h"])
     if return_weights:
-        return o, weights
+        return o, Tensor(weights)
     return o
 
 

@@ -6,14 +6,15 @@ accumulates gradients into every tensor created with ``requires_grad=True``,
 and then clears the tape so a graph can only be differentiated once.
 
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
-checked explicitly; the only broadcasts allowed are a bias vector added
-over the rows of a matrix (``add``) and a per-row scalar multiplying a
-matrix (``scale_rows``). Four fused ops record one tape node each and
-carry a hand-derived backward: ``attention`` (multi-head self-attention on
-packed (B*S)×H matrices, (B, A, S, d_h) views inside), ``lstm`` (an LSTM
-over a list of B×H rows, its four gates computed as one H×4H block),
-``sum_squares`` (the sum of squares of several tensors, for the L2
-penalty) and ``softmax_cross_entropy`` (the classifier loss on logits).
+checked explicitly; the only broadcast allowed is a bias vector added over
+the rows of a matrix (``add``). Five fused ops record one tape node each
+and carry a hand-derived backward: ``attention`` (multi-head self-attention
+on packed (B*S)×H matrices, (B, A, S, d_h) views inside),
+``layer_attention`` (a softmax-weighted sum of L B×H rows, for the
+attention pooling head), ``lstm`` (an LSTM over a list of B×H rows, its
+four gates computed as one H×4H block), ``sum_squares`` (the sum of
+squares of several tensors, for the L2 penalty) and
+``softmax_cross_entropy`` (the classifier loss on logits).
 """
 
 from __future__ import annotations
@@ -159,21 +160,6 @@ def scale(a, c):
     return out
 
 
-def scale_rows(x, s):
-    """Multiply each row of a matrix by a per-row scalar (n×1 or n-vector)."""
-    col = s.data.reshape(-1, 1)
-    if x.data.ndim != 2 or col.shape[0] != x.shape[0]:
-        raise ShapeError(f"scale_rows: incompatible shapes {x.shape} and {s.shape}")
-    out = Tensor(x.data * col, _parents=(x, s))
-
-    def bwd(g):
-        _accumulate(x, g * col)
-        _accumulate(s, (g * x.data).sum(axis=1).reshape(s.shape))
-
-    out._backward = bwd
-    return out
-
-
 # Below this many multiply-adds, matmul accumulates k-slices in order, which
 # is bit-identical to a naive triple loop (BLAS reorders/fuses and is not).
 _MATMUL_EXACT_LIMIT = 512
@@ -204,12 +190,6 @@ def matmul(a, b):
     return out
 
 
-def reshape(a, shape):
-    out = Tensor(a.data.reshape(shape).copy(), _parents=(a,))
-    out._backward = lambda g: _accumulate(a, g.reshape(a.shape))
-    return out
-
-
 def tsum(a):
     """Sum of all entries, as a scalar tensor."""
     out = Tensor(a.data.sum(), _parents=(a,))
@@ -234,7 +214,7 @@ def sum_squares(tensors):
 
 
 # ---------------------------------------------------------------------------
-# indexing / assembly
+# indexing
 
 
 def gather_rows(a, indices):
@@ -261,38 +241,6 @@ def embedding(table, ids):
             f"table has {table.shape[0]} rows"
         )
     return gather_rows(table, idx)
-
-
-def slice_cols(a, start, stop):
-    out = Tensor(a.data[:, start:stop].copy(), _parents=(a,))
-
-    def bwd(g):
-        if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            buf[:, start:stop] = g
-            _accumulate(a, buf)
-
-    out._backward = bwd
-    return out
-
-
-def concat_cols(parts):
-    """Concatenate matrices with equal row counts along columns."""
-    rows = parts[0].shape[0]
-    for p in parts:
-        if p.data.ndim != 2 or p.shape[0] != rows:
-            raise ShapeError(f"concat_cols: row counts differ ({[p.shape for p in parts]})")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1), _parents=tuple(parts))
-    widths = [p.shape[1] for p in parts]
-
-    def bwd(g):
-        off = 0
-        for p, w in zip(parts, widths):
-            _accumulate(p, g[:, off:off + w].copy())
-            off += w
-
-    out._backward = bwd
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +274,6 @@ def gelu(a):
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
         _accumulate(a, g * (cdf + x * pdf))
-
-    out._backward = bwd
-    return out
-
-
-def softmax(a, axis=-1):
-    """Numerically stable softmax along one axis (max subtraction)."""
-    z = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(a,))
-
-    def bwd(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        _accumulate(a, y * (g - dot))
 
     out._backward = bwd
     return out
@@ -390,6 +323,41 @@ def attention(q, k, v, mask, heads):
         dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
         _accumulate(q, _merge_heads(np.matmul(dS, K)))
         _accumulate(k, _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q)))
+
+    out._backward = bwd
+    return out, P
+
+
+def layer_attention(rows, q):
+    """Fused softmax-weighted sum of L B×H rows, with one weight per row and layer.
+
+    Row b of layer l scores ``rows[l][b] · q``; the weights are the softmax
+    of the scores over layers. Returns ``(out, weights)``: the B×H weighted
+    sum as one tape node with parents (*rows, q), and the B×L weights,
+    which the backward reuses.
+    """
+    rows = list(rows)
+    if not rows:
+        raise ValueError("layer_attention requires a nonempty list of rows")
+    B, H = rows[0].shape[0], q.data.size
+    if q.shape != (H,) or any(r.shape != (B, H) for r in rows):
+        raise ShapeError(f"layer_attention: rows {[r.shape for r in rows]} "
+                         f"do not fit query {q.shape}")
+    q_col = q.data.reshape(H, 1)
+    scores = np.concatenate([_matmul_data(r.data, q_col) for r in rows], axis=1)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    P = e / e.sum(axis=1, keepdims=True)
+    combined = rows[0].data * P[:, :1]
+    for l in range(1, len(rows)):
+        combined = combined + rows[l].data * P[:, l:l + 1]
+    out = Tensor(combined, _parents=(*rows, q))
+
+    def bwd(g):
+        dP = np.stack([(g * r.data).sum(axis=1) for r in rows], axis=1)
+        dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+        for l, r in enumerate(rows):
+            _accumulate(r, g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data)
+        _accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
 
     out._backward = bwd
     return out, P

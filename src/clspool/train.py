@@ -73,11 +73,15 @@ class Adam:
     The moments of all parameters live in two flat vectors, and a step
     updates every parameter that has a gradient with one pass of vector
     ops; the update is elementwise, so it equals a per-parameter loop bit
-    for bit. Parameters whose ``grad`` is None are left untouched.
+    for bit. Parameters whose ``grad`` is None are left untouched. A shape
+    mismatch or a non-finite gradient raises ``ValueError`` before anything
+    moves; the message names the parameter (its key, or its index in a list).
     """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.params = list(params.values()) if isinstance(params, dict) else list(params)
+        if not isinstance(params, dict):
+            params = dict(enumerate(params))
+        self.names, self.params = list(params), list(params.values())
         self.lr = lr
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
@@ -91,15 +95,19 @@ class Adam:
             p = self.params[i]
             if p.grad.shape != p.data.shape:
                 raise ValueError(f"gradient shape {p.grad.shape} != parameter shape {p.data.shape}")
-        self.t += 1
         if not live:
+            self.t += 1
             return
+        g = np.concatenate([self.params[i].grad.ravel() for i in live])
+        if not np.isfinite(g).all():
+            bad = next(i for i in live if not np.isfinite(self.params[i].grad).all())
+            raise ValueError(f"non-finite gradient in parameter {self.names[bad]}")
+        self.t += 1
         off = self._offsets
         if len(live) == len(self.params):
             sel = slice(None)
         else:
             sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
-        g = np.concatenate([self.params[i].grad.ravel() for i in live])
         theta = np.concatenate([self.params[i].data.ravel() for i in live])
         b1, b2 = self.beta1, self.beta2
         m = b1 * self.m[sel] + (1 - b1) * g
@@ -246,7 +254,11 @@ def kfold_split(labels, folds, seed):
 
 def train_model(model, arrays, config: TrainConfig, shuffle_rng, dropout_rng,
                 epoch_hook=None):
-    """Fixed-epoch minibatch training; returns per-epoch mean losses."""
+    """Fixed-epoch minibatch training; returns per-epoch mean losses.
+
+    A non-finite loss or gradient raises ``ValueError`` naming the epoch and
+    the 1-based step before any weight of that step moves.
+    """
     _keep_freed_memory()
     tok, seg, mask, labels = arrays
     n = len(labels)
@@ -257,15 +269,20 @@ def train_model(model, arrays, config: TrainConfig, shuffle_rng, dropout_rng,
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         losses = []
-        for lo in range(0, n, config.batch_size):
+        for step, lo in enumerate(range(0, n, config.batch_size), start=1):
             batch = order[lo:lo + config.batch_size]
             logits = model.forward_batch(tok[batch], seg[batch], mask[batch],
                                          training=True, rng=dropout_rng)
             loss = regularized_loss(logits, labels[batch], params, decay, config.lam)
+            losses.append(loss.item())
+            if not np.isfinite(losses[-1]):
+                raise ValueError(f"epoch {epoch}, step {step}: non-finite loss {losses[-1]}")
             opt.zero_grad()
             loss.backward()
-            opt.step()
-            losses.append(loss.item())
+            try:
+                opt.step()
+            except ValueError as e:
+                raise ValueError(f"epoch {epoch}, step {step}: {e}") from None
         epoch_losses.append(float(np.mean(losses)))
         if epoch_hook is not None:
             epoch_hook(epoch, model)
@@ -295,11 +312,13 @@ class CVResult:
 
 
 def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
-                          out_csv=None, epoch_hook=None):
+                          out_csv=None, epoch_hook=None, n_classes=None):
     """Stratified k-fold CV with a fresh model per fold (``fit`` run f).
 
     ``enc_config`` is used as a template; vocabulary size is set from the
-    data. ``epoch_hook(fold, epoch, model, held_out)`` gets the fold's
+    data. ``n_classes`` defaults to the largest label plus one; pass the
+    schema's class count so that a class absent from the data still gets
+    its column. ``epoch_hook(fold, epoch, model, held_out)`` gets the fold's
     packed held-out arrays. Returns per-fold EvalResults, mean/std
     aggregates and the prepared data, and optionally writes the results CSV.
     """
@@ -307,7 +326,8 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     model_config = replace(enc_config, V=len(vocab))
     arrays = data.pack_dataset(examples, vocab, model_config.S_max)
     labels = arrays[3]
-    n_classes = int(labels.max()) + 1
+    if n_classes is None:
+        n_classes = int(labels.max()) + 1
 
     fold_results = []
     for f, (train_idx, test_idx) in enumerate(kfold_split(labels, config.folds, config.seed)):

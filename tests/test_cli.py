@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from clspool import cli, data, train
@@ -186,6 +187,37 @@ class TestTrain:
         meta, _ = load_checkpoint(ckpt)
         assert meta["n_classes"] == 3
         assert run(["eval", "--checkpoint", ckpt, "--data", dataset]) == 0
+
+    def test_cv_fold_class_count_from_schema(self, tiny_cfg, tmp_path):
+        # The CV folds, like the checkpoint, get one class per schema label,
+        # so results.csv keeps the column of a class that the data lacks.
+        path = str(tmp_path / "data60.jsonl")
+        assert run(["synth", "--n", "60", "--seed", "0", "--out", path]) == 0
+        two = tmp_path / "two.jsonl"
+        with open(path, encoding="utf-8") as f:
+            two.write_text("".join(line for line in f
+                                   if json.loads(line)["label"] != "positive"))
+        out = str(tmp_path / "run")
+        assert run(["train", "--data", str(two), "--config", tiny_cfg,
+                    "--folds", "2", "--epochs", "1", "--out", out]) == 0
+        header, rows = train.read_results_csv(os.path.join(out, "results.csv"))
+        assert header == ["fold", "accuracy", "macro_f1",
+                          "f1_class0", "f1_class1", "f1_class2"]
+        assert all(len(v) == 5 for v in rows.values())
+        meta, _ = load_checkpoint(os.path.join(out, "model.ckpt"))
+        assert meta["n_classes"] == 3
+
+    def test_non_finite_loss_exit_1(self, dataset, tiny_cfg, tmp_path, capsys):
+        # A huge learning rate overflows the weights after the first step.
+        out = str(tmp_path / "run")
+        with np.errstate(all="ignore"):
+            rc = run(["train", "--data", dataset, "--config", tiny_cfg, "--folds", "2",
+                      "--epochs", "1", "--batch-size", "4", "--lr", "1e300", "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error: epoch 1, step 2: non-finite loss" in err
+        assert "Traceback" not in err
+        assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
 class TestEvalAndProject:

@@ -3,6 +3,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clspool.data import (CLS_ID, DataError, PAD_ID, PairExample, SEP_ID, UNK_ID,
                           Vocab, build_vocab, load_jsonl, pack_dataset, pack_pair,
@@ -74,6 +76,33 @@ class TestPackPair:
         n_a = seps[0] - 1
         n_b = seps[1] - seps[0] - 1
         assert (n_a, n_b) == (11, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=40),
+           st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=40),
+           st.integers(4, 40))
+    def test_packing_properties(self, words_a, words_b, s_max):
+        v = build_vocab(["a b c"])  # "zz" encodes as [UNK]
+        enc_a, enc_b = v.encode(" ".join(words_a)), v.encode(" ".join(words_b))
+        ids, segs, mask = pack_pair(PairExample(" ".join(words_a), " ".join(words_b), 0),
+                                    v, s_max)
+        assert len(ids) == len(segs) == len(mask) == s_max
+        m = int(mask.sum())
+        assert mask.tolist() == [1] * m + [0] * (s_max - m)
+        na = int(np.flatnonzero(ids == SEP_ID)[0]) - 1
+        nb = m - na - 3
+        assert ids.tolist() == ([CLS_ID] + enc_a[:na] + [SEP_ID] + enc_b[:nb] + [SEP_ID]
+                                + [PAD_ID] * (s_max - m))
+        assert segs.tolist() == [0] * (na + 2) + [1] * (nb + 1) + [0] * (s_max - m)
+        # Longest first, a tie takes from a: a side that lost tokens ends no
+        # shorter than the other, except that a may end one token short of b.
+        A, B = len(enc_a), len(enc_b)
+        kept = min(A + B, s_max - 3)
+        assert na == min(A, max(kept - B, kept // 2)) and nb == kept - na
+        if na < A:
+            assert na >= nb - 1
+        if nb < B:
+            assert nb >= na
 
     def test_structure_invariants(self):
         rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -55,32 +56,42 @@ class TestMatmul:
         npt.assert_array_equal(b.grad, a.data.T @ g)
 
 
+def layer_weights(scores):
+    """The weights of ``T.layer_attention`` for a B×L score matrix: layer l's
+    rows are [s_l, 0] and q = e_1, so row b of layer l scores s_l[b]."""
+    scores = np.asarray(scores, dtype=float)
+    rows = [Tensor(np.stack([s, np.zeros_like(s)], axis=1)) for s in scores.T]
+    return T.layer_attention(rows, Tensor([1.0, 0.0]))[1]
+
+
 class TestSoftmax:
+    """The softmax over layers inside ``T.layer_attention``."""
+
     def test_symmetry(self):
-        out = T.softmax(Tensor([[0.0, 0.0, 0.0]]), axis=1)
-        npt.assert_allclose(out.data, [[1 / 3] * 3], rtol=0, atol=1e-15)
+        out = layer_weights([[0.0, 0.0, 0.0]])
+        npt.assert_allclose(out, [[1 / 3] * 3], rtol=0, atol=1e-15)
 
     def test_shift_invariance(self):
         c = 0.7
         for x in (-3.0, 0.0, 123.4):
-            a = T.softmax(Tensor([[x, x + c, x + 2 * c]]), axis=1).data
-            b = T.softmax(Tensor([[0.0, c, 2 * c]]), axis=1).data
+            a = layer_weights([[x, x + c, x + 2 * c]])
+            b = layer_weights([[0.0, c, 2 * c]])
             npt.assert_allclose(a, b, atol=1e-14)
 
     def test_direct_evaluation(self):
-        out = T.softmax(Tensor([[0.0, np.log(3.0)]]), axis=1)
-        npt.assert_allclose(out.data, [[0.25, 0.75]], atol=1e-15)
+        out = layer_weights([[0.0, np.log(3.0)]])
+        npt.assert_allclose(out, [[0.25, 0.75]], atol=1e-15)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             x = rng.normal(scale=20, size=(4, 7))
-            y = T.softmax(Tensor(x), axis=1).data
+            y = layer_weights(x)
             assert np.all(y >= 0) and np.all(y <= 1)
             npt.assert_allclose(y.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
     def test_stable_on_large_inputs(self):
-        y = T.softmax(Tensor([[1e4, 0.0, -1e4]]), axis=1).data
+        y = layer_weights([[1e4, 0.0, -1e4]])
         assert np.all(np.isfinite(y))
 
 
@@ -311,6 +322,73 @@ class TestLSTM:
             T.lstm([Tensor(np.zeros(3))], W, W, b)
 
 
+def per_row_layer_attention(xs, q, weights):
+    """Row-by-row oracle: the output and, for the loss sum(out * weights),
+    the gradients, with the softmax Jacobian diag(a) - a a^T written out."""
+    B, H = xs[0].shape
+    out, dxs, dq = np.empty((B, H)), np.empty((len(xs), B, H)), np.zeros(H)
+    alphas = np.empty((B, len(xs)))
+    for b in range(B):
+        R = np.array([x[b] for x in xs])             # L×H
+        s = R @ q
+        a = np.exp(s - s.max()) / np.exp(s - s.max()).sum()
+        out[b] = a @ R
+        ds = (np.diag(a) - np.outer(a, a)) @ (R @ weights[b])
+        dxs[:, b] = np.outer(a, weights[b]) + np.outer(ds, q)
+        dq += R.T @ ds
+        alphas[b] = a
+    return out, alphas, list(dxs), dq
+
+
+@st.composite
+def layer_attention_cases(draw):
+    B = draw(st.integers(1, 40))
+    L = draw(st.integers(1, 6))
+    H = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ([rng.normal(size=(B, H)) for _ in range(L)], rng.normal(size=H),
+            rng.normal(size=(B, H)))
+
+
+class TestLayerAttention:
+    @settings(max_examples=150, deadline=None)
+    @given(layer_attention_cases())
+    def test_matches_per_row_oracle(self, case):
+        xs, q, weights = case
+        rows = [Tensor(x, requires_grad=True) for x in xs]
+        query = Tensor(q, requires_grad=True)
+        out, P = T.layer_attention(rows, query)
+        T.tsum(T.mul(out, Tensor(weights))).backward()
+        ref_out, ref_P, ref_dxs, ref_dq = per_row_layer_attention(xs, q, weights)
+        npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
+        npt.assert_allclose(P, ref_P, rtol=0, atol=1e-12)
+        npt.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        for r, ref in zip(rows, ref_dxs):
+            npt.assert_allclose(r.grad, ref, rtol=0, atol=1e-12)
+        npt.assert_allclose(query.grad, ref_dq, rtol=0, atol=1e-12)
+
+    def test_one_tape_node(self):
+        rng = np.random.default_rng(0)
+        rows = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
+        q = Tensor(rng.normal(size=3), requires_grad=True)
+        out, P = T.layer_attention(rows, q)
+        assert out.shape == (2, 3) and P.shape == (2, 4)
+        assert out._parents == (*rows, q)
+
+    def test_empty_rows_rejected(self):
+        with pytest.raises(ValueError, match="nonempty"):
+            T.layer_attention([], Tensor(np.zeros(3)))
+
+    def test_shapes_rejected(self):
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            T.layer_attention([x], Tensor(np.zeros(2)))
+        with pytest.raises(ShapeError):
+            T.layer_attention([x, Tensor(np.zeros((3, 3)))], Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError):
+            T.layer_attention([x], Tensor(np.zeros((3, 1))))
+
+
 class TestSumSquares:
     def test_bit_identical_to_mul_tsum_chain(self):
         rng = np.random.default_rng(3)
@@ -348,7 +426,7 @@ class TestShapeDiscipline:
     def test_finite_after_ops(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(scale=50, size=(3, 5)))
-        y = T.softmax(T.gelu(T.tanh(x)), axis=1)
+        y = T.softmax_cross_entropy(T.gelu(T.tanh(x)), [0, 4, 2])
         assert np.all(np.isfinite(y.data))
 
 
@@ -388,3 +466,28 @@ class TestLayerNormAndActivations:
     def test_sigmoid_tanh_values(self):
         npt.assert_allclose(T.sigmoid(Tensor([0.0])).data, [0.5])
         npt.assert_allclose(T.tanh(Tensor([0.0])).data, [0.0])
+
+
+class TestGradcheckCoverage:
+    def test_every_public_op_records_a_node(self, monkeypatch):
+        # Every public op of clspool.tensor must record at least one new tape
+        # node somewhere in the gradcheck suite, or its backward goes unchecked.
+        from clspool.gradcheck import run_gradcheck
+        ops = {name: f for name, f in vars(T).items()
+               if inspect.isfunction(f) and f.__module__ == T.__name__
+               and not name.startswith("_") and name != "backward"}
+        recorded = set()
+
+        def spy(name, op):
+            def wrapped(*args, **kwargs):
+                out = op(*args, **kwargs)
+                node = out[0] if isinstance(out, tuple) else out
+                if node._parents and not any(node is a for a in args):
+                    recorded.add(name)
+                return out
+            return wrapped
+
+        for name, op in ops.items():
+            monkeypatch.setattr(T, name, spy(name, op))
+        run_gradcheck(seeds=1, coords_per_param=1)
+        assert sorted(set(ops) - recorded) == []

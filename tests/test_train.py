@@ -184,6 +184,19 @@ class TestAdam:
         npt.assert_array_equal(a.data, [1.0, 2.0])
         assert not opt.m.any() and not opt.v.any()
 
+    def test_non_finite_gradient_moves_nothing(self):
+        params = {"a": Tensor(np.ones(3), requires_grad=True),
+                  "b": Tensor(np.ones((2, 2)), requires_grad=True)}
+        opt = Adam(params, lr=0.1)
+        params["a"].grad = np.ones(3)
+        params["b"].grad = np.array([[1.0, np.inf], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="non-finite gradient in parameter b"):
+            opt.step()
+        assert opt.t == 0 and not opt.m.any() and not opt.v.any()
+        npt.assert_array_equal(params["a"].data, np.ones(3))
+        with pytest.raises(ValueError, match="parameter 1"):
+            Adam(list(params.values()), lr=0.1).step()
+
     def test_flat_update_bit_identical_to_per_parameter_loop(self):
         rng = np.random.default_rng(7)
         shapes = [(3, 4), (5,), (1,), (2, 2), (6, 1), (4,), (1, 7), (3,), (2, 3), (8,)]
@@ -389,6 +402,17 @@ class TestCrossValidation:
             for got, arr in zip(held, res.arrays):
                 npt.assert_array_equal(got, arr[test_idx])
 
+    def test_class_count_keyword(self):
+        # Labels 0 and 1 only: by default 2 classes, with n_classes=3 a third
+        # (empty) class in every fold.
+        examples = [ex for ex in toy_separable_examples(30) if ex.label < 2]
+        config = TrainConfig(epochs=1, lr=1e-2, folds=2, seed=0, batch_size=8)
+        for n_classes, want in ((None, 2), (3, 3)):
+            res = cross_validated_train(examples, TOY_ENC, "last", config,
+                                        n_classes=n_classes)
+            assert [len(r.per_class_f1) for r in res.fold_results] == [want, want]
+            assert [r.empty_classes for r in res.fold_results] == [[2] if want == 3 else []] * 2
+
     def test_fold_models_are_fit_runs(self):
         # Fold f's model is fit run f on the fold's training rows.
         examples = toy_separable_examples(30)
@@ -468,6 +492,43 @@ class TestTrainingDynamics:
                   np.array([1, 2, 0]))
         with pytest.raises(ValueError, match="example 1 has label 2, but the model has only 2"):
             evaluate(m, arrays)
+
+    def test_nan_weight_stops_the_first_step(self):
+        ex = toy_separable_examples(16)
+        vocab = vocab_for_examples(ex)
+        m = PooledClassifier(replace(TOY_ENC, V=len(vocab)), "last", 3, R.rng_for(0, 0))
+        m.parameters()["classifier/W_o"].data[0, 0] = np.nan
+        before = {k: p.data.copy() for k, p in m.parameters().items()}
+        config = TrainConfig(epochs=2, lr=1e-2, folds=2, seed=0, batch_size=8)
+        with pytest.raises(ValueError, match="epoch 1, step 1: non-finite loss"):
+            train_model(m, pack_dataset(ex, vocab, 8), config, R.rng_for(0, 1), R.rng_for(0, 2))
+        for k, p in m.parameters().items():
+            npt.assert_array_equal(p.data, before[k])
+
+    def test_non_finite_gradient_names_the_parameter(self, monkeypatch):
+        # A finite loss whose backward puts NaN into one parameter's gradient.
+        ex = toy_separable_examples(16)
+        vocab = vocab_for_examples(ex)
+        m = PooledClassifier(replace(TOY_ENC, V=len(vocab)), "last", 3, R.rng_for(0, 0))
+        bias = m.parameters()["classifier/b_o"]
+        loss_fn = regularized_loss
+        calls = []
+
+        def poisoned(*args):
+            loss = loss_fn(*args)
+            calls.append(1)
+            if len(calls) < 3:
+                return loss
+            nan = Tensor(0.0, _parents=(bias,),
+                         _backward=lambda g: T._accumulate(bias, np.full(3, np.nan)))
+            return T.add(loss, nan)
+
+        monkeypatch.setattr("clspool.train.regularized_loss", poisoned)
+        config = TrainConfig(epochs=2, lr=1e-2, folds=2, seed=0, batch_size=8)
+        with pytest.raises(ValueError, match="epoch 2, step 1: non-finite gradient in "
+                                             "parameter classifier/b_o"):
+            train_model(m, pack_dataset(ex, vocab, 8), config, R.rng_for(0, 1), R.rng_for(0, 2))
+        assert np.all(np.isfinite(bias.data))
 
     def test_evaluate_rejects_empty(self):
         m = PooledClassifier(TOY_ENC, "last", 3, R.rng_for(0, 0))
