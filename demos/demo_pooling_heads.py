@@ -1,16 +1,16 @@
-"""Compare the three ways of pooling the per-layer [CLS] states.
+"""Compare the ways of pooling the per-layer [CLS] states.
 
 Runs a randomly initialized encoder on a batch of one packed sentence
-pair, prints the layer-by-layer [CLS] trace, and shows what each pooling
-head makes of it — including the attention head's layer weights.
+pair, prints the layer-by-layer [CLS] trace, and shows what each head in
+``clspool.pooling.HEADS`` makes of it — including the attention head's
+layer weights.
 """
 
 import numpy as np
 
 from clspool import rng as R
 from clspool.encoder import EncoderConfig, MiniEncoder
-from clspool.pooling import (AttentionPoolHead, LSTMPoolHead, attention_pool,
-                             last_cls_pool, lstm_pool)
+from clspool.pooling import HEADS
 
 cfg = EncoderConfig(L=4, H=8, A=2, F=12, V=16, S_max=12, p_drop=0.1)
 enc = MiniEncoder(cfg, R.rng_for(0, R.INIT))
@@ -24,24 +24,22 @@ print(f"trace of {len(trace)} per-layer [CLS] states (each 1×{cfg.H}):")
 for i, h in enumerate(trace):
     print(f"  layer {i + 1}: {np.round(h.data[0], 3)}")
 
-print("\nlast-layer pooling (the plain baseline):")
-print(" ", np.round(last_cls_pool(trace).data[0], 3))
+# Every head in the HEADS table, each from its own init stream; every head's
+# pool(trace) maps the trace to one 1×H vector.
+heads = {kind: make(cfg.H, R.rng_for(0, R.INIT, i))
+         for i, (kind, make) in enumerate(HEADS.items())}
+print("\nwhat each head pools the trace to (`last` is the plain baseline):")
+for kind, head in heads.items():
+    print(f"  {kind:>9}: {np.round(head.pool(trace).data[0], 3)}")
 
-lstm_head = LSTMPoolHead(cfg.H, R.rng_for(0, R.INIT, 1))
-print("\nLSTM pooling (reads the trace in layer order):")
-print(" ", np.round(lstm_pool(trace, lstm_head).data[0], 3))
+_, w = heads["attention"].pool(trace, return_weights=True)
+print("\nthe attention head's softmax weights over layers:")
+print("  ", np.round(w.data.ravel(), 3), " (sum =", w.data.sum(), ")")
 
-attn_head = AttentionPoolHead(cfg.H, R.rng_for(0, R.INIT, 2))
-o, w = attention_pool(trace, attn_head, return_weights=True)
-print("\nattention pooling (softmax weights over layers):")
-print("  weights:", np.round(w.data.ravel(), 3), " (sum =", w.data.sum(), ")")
-print("  output: ", np.round(o.data[0], 3))
-
-# Order matters for the LSTM head but not for the attention head.
+# Order matters for the LSTM head (and picks another layer for `last`), but
+# not for the attention head.
 reversed_trace = trace[::-1]
-d_lstm = np.abs(lstm_pool(trace, lstm_head).data
-                - lstm_pool(reversed_trace, lstm_head).data).max()
-d_attn = np.abs(attention_pool(trace, attn_head).data
-                - attention_pool(reversed_trace, attn_head).data).max()
-print(f"\nreversing the trace moves lstm output by {d_lstm:.4f}, "
-      f"attention output by {d_attn:.2e}")
+print()
+for kind, head in heads.items():
+    moved = np.abs(head.pool(trace).data - head.pool(reversed_trace).data).max()
+    print(f"reversing the trace moves the {kind} output by {moved:.2e}")

@@ -8,8 +8,8 @@ training harness, and a PCA-based layer-geometry analysis pipeline.
 
 from .tensor import Tensor, ShapeError, backward
 from .encoder import EncoderConfig, MiniEncoder
-from .pooling import (AttentionPoolHead, ClassifierHead, LSTMPoolHead,
-                      attention_pool, classify, last_cls_pool, lstm_pool)
+from .pooling import (HEAD_KINDS, HEADS, AttentionPoolHead, ClassifierHead, LastPoolHead,
+                      LSTMPoolHead, classify)
 from .model import PooledClassifier
 from .train import (Adam, CVResult, EvalResult, TrainConfig, cross_validated_train,
                     evaluate, kfold_split, regularized_loss, train_model)

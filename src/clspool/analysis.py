@@ -8,12 +8,15 @@ and scored for class-cluster tightness, making the qualitative
 
 from __future__ import annotations
 
+import math
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import atomic_write_bytes
+from .data import DataError
 
 
 class DegenerateDataError(ValueError):
@@ -94,6 +97,10 @@ def dump_filename(epoch, layer):
 
 
 def write_dump(dump: LayerDump, out_dir):
+    bad = np.flatnonzero(~np.isfinite(dump.vectors).all(axis=1))
+    if bad.size:
+        raise ValueError(f"epoch {dump.epoch}, layer {dump.layer}: non-finite [CLS] state "
+                         f"for example {dump.example_ids[bad[0]]}")
     h = dump.vectors.shape[1]
     header = "example_id,label," + ",".join(f"v{i}" for i in range(h))
     lines = [header]
@@ -105,19 +112,39 @@ def write_dump(dump: LayerDump, out_dir):
 
 
 def read_dump(path, epoch=None, layer=None):
-    with open(path, encoding="utf-8") as f:
-        header = f.readline()
-        rows = [line.strip().split(",") for line in f if line.strip()]
+    """Read a dump CSV; epoch and layer default to the ones in its file name.
+
+    A bad file name, header or row raises DataError naming the file and line.
+    """
     if epoch is None or layer is None:
-        name = os.path.basename(path)
-        stem = name[len("cls_epoch"):-len(".csv")]
-        e, l = stem.split("_layer")
-        epoch, layer = int(e), int(l)
-    ids = np.array([int(r[0]) for r in rows])
-    labels = np.array([int(r[1]) for r in rows])
-    vectors = np.array([[float(v) for v in r[2:]] for r in rows])
-    return LayerDump(epoch=epoch, layer=layer, example_ids=ids, labels=labels,
-                     vectors=vectors)
+        m = re.fullmatch(r"cls_epoch(\d+)_layer(\d+)\.csv", os.path.basename(path))
+        if m is None:
+            raise DataError(f"{path}: file name does not match cls_epoch<E>_layer<L>.csv")
+        epoch, layer = int(m[1]), int(m[2])
+    ids, labels, vectors = [], [], []
+    with open(path, encoding="utf-8") as f:
+        header = f.readline().strip().split(",")
+        if header[:2] != ["example_id", "label"] or len(header) < 3:
+            raise DataError(f"{path}:1: expected header example_id,label,v0,..., "
+                            f"got {','.join(header)!r}")
+        for lineno, line in enumerate(f, start=2):
+            row = line.strip().split(",")
+            if row == [""]:
+                continue
+            if len(row) != len(header):
+                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+            try:
+                ids.append(int(row[0]))
+                labels.append(int(row[1]))
+                vectors.append([float(v) for v in row[2:]])
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+            if not all(map(math.isfinite, vectors[-1])):
+                raise DataError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+    if not ids:
+        raise DataError(f"{path}:2: no data rows after the header")
+    return LayerDump(epoch=epoch, layer=layer, example_ids=np.array(ids),
+                     labels=np.array(labels), vectors=np.array(vectors))
 
 
 def dump_trace(model, arrays, epoch, layers, out_dir, batch_size=64):

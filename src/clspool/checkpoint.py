@@ -14,8 +14,9 @@ Byte layout (all integers little-endian):
       dims      ndim * uint32
       data      prod(dims) * float32, row-major
 
-Values are stored as 32-bit floats regardless of the in-memory dtype.
-Writes are atomic (temp file + rename).
+Values are stored as 32-bit floats regardless of the in-memory dtype, and
+must be finite: a value that is not (or overflows the cast) is refused on
+save and on load. Writes are atomic (temp file + rename).
 """
 
 from __future__ import annotations
@@ -52,7 +53,13 @@ def save_checkpoint(path, meta: dict, params: dict):
     chunks.append(meta_bytes)
     chunks.append(struct.pack("<I", len(params)))
     for name in sorted(params):
-        arr = np.ascontiguousarray(params[name], dtype="<f4")
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            arr = np.ascontiguousarray(params[name], dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            value = float(np.ravel(params[name])[bad[0]])
+            raise ValueError(f"{path}: parameter {name!r} element {bad[0]} is {value!r}, "
+                             f"not a finite float32")
         nb = name.encode("utf-8")
         chunks.append(struct.pack("<H", len(nb)))
         chunks.append(nb)
@@ -106,8 +113,13 @@ def load_checkpoint(path):
             raise ValueError(f"{path}: duplicate parameter {name!r} at offset {at}")
         (ndim,) = unpack("<B", f"{name} ndim")
         dims = unpack(f"<{ndim}I", f"{name} dims")
-        data = take(4 * math.prod(dims), f"{name} data")
-        params[name] = np.frombuffer(data, dtype="<f4").reshape(dims).astype(np.float64)
+        at = off
+        arr = np.frombuffer(take(4 * math.prod(dims), f"{name} data"), dtype="<f4")
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ValueError(f"{path}: non-finite value {arr[bad[0]]} in parameter {name!r} "
+                             f"at offset {at + 4 * bad[0]}")
+        params[name] = arr.reshape(dims).astype(np.float64)
     if off != len(buf):
         raise ValueError(f"{path}: {len(buf) - off} trailing bytes at offset {off}")
     return meta, params

@@ -9,7 +9,8 @@ Subcommands:
     project    PCA-project [CLS] dumps and score cluster tightness
     gradcheck  run the finite-difference gradient suite
 
-Exit codes: 0 success, 1 data/runtime error, 2 usage error.
+Exit codes: 0 success, 1 data/runtime error (a bad file, a malformed input
+line, an OS error or a non-finite value), 2 usage error.
 A ``--config`` file holds flat ``key=value`` lines mirroring the flags;
 flags given on the command line override the file.
 """
@@ -20,6 +21,8 @@ import argparse
 import os
 import sys
 from dataclasses import fields
+
+import numpy as np
 
 from .analysis import dump_trace, project_dump_dir
 from .data import (SCHEMAS, DataError, Vocab, load_jsonl, pack_dataset, save_jsonl,
@@ -182,7 +185,8 @@ def build_parser():
     p = sub.add_parser("synth", help="generate a synthetic sentence-pair dataset")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--classes", type=int, default=3)
+    p.add_argument("--classes", type=int, default=3,
+                   choices=range(1, len(SCHEMAS["absa"][1]) + 1))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
 
@@ -217,8 +221,11 @@ def main(argv=None):
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
     try:
-        return args.func(args)
-    except (DataError, FileNotFoundError, ValueError, IndexError) as e:
+        # A diverging run is reported once, by the explicit checks on loss,
+        # gradient, logits, checkpoint and dump values, not by numpy warnings.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
+    except (DataError, OSError, ValueError, IndexError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

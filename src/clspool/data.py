@@ -145,6 +145,9 @@ def load_jsonl(path, schema):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object, "
+                                f"got {type(obj).__name__}")
             for field in (field_a, field_b, "label"):
                 if field not in obj:
                     raise DataError(f"{path}:{lineno}: missing field {field!r}")
@@ -192,6 +195,8 @@ def synth_generate(n, classes=3, seed=0, n_aspects=6, aspect_pool=6):
     best guess the most frequent sentiment among the markers, which with 6
     markers stays near chance.
     """
+    if classes < 1:
+        raise ValueError(f"need classes >= 1, got {classes}")
     if n < classes:
         raise ValueError(f"need n >= classes, got n={n}, classes={classes}")
     if n_aspects > aspect_pool:

@@ -8,12 +8,15 @@ The relative error measure is |a - fd| / max(1, |a|, |fd|).
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import rng as rng_mod
 from . import tensor as T
 from .encoder import EncoderConfig
 from .model import PooledClassifier
+from .pooling import HEAD_KINDS
 from .train import regularized_loss
 
 FD_STEP = 1e-5
@@ -93,56 +96,21 @@ ATTENTION_MASK = np.array([[1, 1, 1, 0, 0],
                            [1, 1, 1, 1, 0]])
 
 
-def _fused_attention_scenario(seed):
-    """The fused attention op alone: random q/k/v, A=2 heads of width 3."""
-    rng = rng_mod.rng_for(seed, 94)
-    B, S = ATTENTION_MASK.shape
-    params = {name: T.Tensor(rng.normal(size=(B * S, 6)), requires_grad=True)
-              for name in ("q", "k", "v")}
-    weights = T.Tensor(rng.normal(size=(B * S, 6)))
+def _op_scenario(stream, shapes, op):
+    """``op`` (params dict -> tensor) alone: inputs drawn from ``stream`` in ``shapes``
+    order, then a fixed weighting of the output; the loss is their dot product."""
+    def build(seed):
+        rng = rng_mod.rng_for(seed, stream)
+        params = {name: T.Tensor(rng.normal(size=shape), requires_grad=True)
+                  for name, shape in shapes.items()}
+        weights = T.Tensor(rng.normal(size=op(params).shape))
 
-    def loss_fn():
-        out, _ = T.attention(params["q"], params["k"], params["v"], ATTENTION_MASK, 2)
-        return T.tsum(T.mul(out, weights))
+        def loss_fn():
+            return T.tsum(T.mul(op(params), weights))
 
-    return loss_fn, params
+        return loss_fn, params
 
-
-def _fused_lstm_scenario(seed):
-    """The fused LSTM op alone: B=3 rows per step, 3 steps, H=4; rows and
-    all 12 gate tensors require gradients."""
-    rng = rng_mod.rng_for(seed, 95)
-    B, steps, H = 3, 3, 4
-    params = {f"x{t}": T.Tensor(rng.normal(size=(B, H)), requires_grad=True)
-              for t in range(steps)}
-    for kind, shape in (("W", (H, H)), ("U", (H, H)), ("b", (H,))):
-        for gate in "ifgo":
-            params[f"{kind}_{gate}"] = T.Tensor(rng.normal(size=shape), requires_grad=True)
-    weights = T.Tensor(rng.normal(size=(B, H)))
-    gates = {kind: [params[f"{kind}_{gate}"] for gate in "ifgo"] for kind in "WUb"}
-
-    def loss_fn():
-        h = T.lstm([params[f"x{t}"] for t in range(steps)], gates["W"], gates["U"], gates["b"])
-        return T.tsum(T.mul(h, weights))
-
-    return loss_fn, params
-
-
-def _fused_layer_attention_scenario(seed):
-    """The fused layer-attention op alone: L=3 layers of B=3 rows, H=4; the
-    rows and the query require gradients."""
-    rng = rng_mod.rng_for(seed, 97)
-    B, L, H = 3, 3, 4
-    params = {f"x{l}": T.Tensor(rng.normal(size=(B, H)), requires_grad=True)
-              for l in range(L)}
-    params["q"] = T.Tensor(rng.normal(size=H), requires_grad=True)
-    weights = T.Tensor(rng.normal(size=(B, H)))
-
-    def loss_fn():
-        out, _ = T.layer_attention([params[f"x{l}"] for l in range(L)], params["q"])
-        return T.tsum(T.mul(out, weights))
-
-    return loss_fn, params
+    return build
 
 
 def _model_scenario(seed, pooling):
@@ -171,12 +139,22 @@ def _model_scenario(seed, pooling):
 
 SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
-    "fused_attention": _fused_attention_scenario,
-    "fused_lstm": _fused_lstm_scenario,
-    "fused_layer_attention": _fused_layer_attention_scenario,
-    "encoder_last_classifier": lambda seed: _model_scenario(seed, "last"),
-    "encoder_lstm_pool": lambda seed: _model_scenario(seed, "lstm"),
-    "encoder_attention_pool": lambda seed: _model_scenario(seed, "attention"),
+    # Fused attention: random q/k/v, A=2 heads of width 3.
+    "fused_attention": _op_scenario(
+        94, {name: (ATTENTION_MASK.size, 6) for name in "qkv"},
+        lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
+    # Fused LSTM: 3 steps of B=3 rows, H=4; the rows and all 12 gate tensors.
+    "fused_lstm": _op_scenario(
+        95, {**{f"x{t}": (3, 4) for t in range(3)},
+             **{f"{kind}_{gate}": (4,) if kind == "b" else (4, 4)
+                for kind in "WUb" for gate in "ifgo"}},
+        lambda p: T.lstm([p[f"x{t}"] for t in range(3)],
+                         *([p[f"{kind}_{gate}"] for gate in "ifgo"] for kind in "WUb"))),
+    # Fused layer attention: L=3 layers of B=3 rows, H=4; the rows and the query.
+    "fused_layer_attention": _op_scenario(
+        97, {**{f"x{l}": (3, 4) for l in range(3)}, "q": (4,)},
+        lambda p: T.layer_attention([p[f"x{l}"] for l in range(3)], p["q"])[0]),
+    **{f"encoder_{kind}_pool": partial(_model_scenario, pooling=kind) for kind in HEAD_KINDS},
 }
 
 

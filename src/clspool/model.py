@@ -7,8 +7,7 @@ from dataclasses import fields
 import numpy as np
 
 from .encoder import EncoderConfig, MiniEncoder
-from .pooling import (AttentionPoolHead, ClassifierHead, HEAD_KINDS, LSTMPoolHead,
-                      attention_pool, classify, last_cls_pool, lstm_pool)
+from .pooling import HEAD_KINDS, HEADS, ClassifierHead, classify
 from .checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -22,38 +21,21 @@ class PooledClassifier:
         self.pooling_kind = pooling_kind
         self.n_classes = n_classes
         self.encoder = MiniEncoder(config, rng)
-        if pooling_kind == "lstm":
-            self.pool_head = LSTMPoolHead(config.H, rng)
-        elif pooling_kind == "attention":
-            self.pool_head = AttentionPoolHead(config.H, rng)
-        else:
-            self.pool_head = None
+        self.pool_head = HEADS[pooling_kind](config.H, rng)
         self.classifier = ClassifierHead(config.H, n_classes, rng)
 
     # -- parameters -----------------------------------------------------------
 
     def parameters(self):
-        params = dict(self.encoder.params)
-        if self.pool_head is not None:
-            params.update(self.pool_head.params)
-        params.update(self.classifier.params)
-        return params
+        return {**self.encoder.params, **self.pool_head.params, **self.classifier.params}
 
     def decay_names(self):
-        names = set(self.encoder.decay)
-        if self.pool_head is not None:
-            names |= self.pool_head.decay
-        names |= self.classifier.decay
-        return names
+        return self.encoder.decay | self.pool_head.decay | self.classifier.decay
 
     # -- forward ----------------------------------------------------------------
 
     def pool(self, trace):
-        if self.pooling_kind == "lstm":
-            return lstm_pool(trace, self.pool_head)
-        if self.pooling_kind == "attention":
-            return attention_pool(trace, self.pool_head)
-        return last_cls_pool(trace)
+        return self.pool_head.pool(trace)
 
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None):
         """Class logits, shape B×C."""
@@ -69,8 +51,12 @@ class PooledClassifier:
         return [v.data for v in trace]
 
     def predict(self, token_ids, segment_ids, mask):
-        """Eval-mode hard labels; argmax ties break toward the lowest class."""
-        return np.argmax(self.forward_batch(token_ids, segment_ids, mask).data, axis=1)
+        """Eval-mode hard labels (argmax ties break low); non-finite logits raise."""
+        logits = self.forward_batch(token_ids, segment_ids, mask).data
+        bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+        if bad.size:
+            raise ValueError(f"non-finite logits {logits[bad[0]]} in row {bad[0]}")
+        return np.argmax(logits, axis=1)
 
     # -- persistence -----------------------------------------------------------
 
@@ -79,9 +65,8 @@ class PooledClassifier:
             "encoder": {f.name: getattr(self.config, f.name) for f in fields(EncoderConfig)},
             "pooling": self.pooling_kind,
             "n_classes": self.n_classes,
+            **(extra_meta or {}),
         }
-        if extra_meta:
-            meta.update(extra_meta)
         save_checkpoint(path, meta, {k: v.data for k, v in self.parameters().items()})
 
     @classmethod

@@ -1,7 +1,7 @@
 """Pooling heads over the per-layer [CLS] trace, plus the classifier.
 
-Three interchangeable heads map the ordered trace {h^1 ... h^L} of
-classification-token states to one pooled vector o:
+Three interchangeable heads, listed by name in ``HEADS``, map the ordered
+trace {h^1 ... h^L} of classification-token states to one pooled vector o:
 
   * ``last``      — the canonical choice, o = h^L;
   * ``lstm``      — a unidirectional LSTM run over the trace in layer
@@ -9,7 +9,8 @@ classification-token states to one pooled vector o:
   * ``attention`` — dot-product attention with a learned query q and
                     projection W_h: o = W_h^T softmax(q h^T) h.
 
-Every trace entry is a B×H tensor, and every head returns a B×H tensor.
+Every trace entry is a B×H tensor. Each head holds ``params`` and the
+decayed names among them (``decay``); its ``pool(trace)`` returns B×H.
 The LSTM head is one fused ``tensor.lstm`` node; the attention head is one
 fused ``tensor.layer_attention`` node, whose scores are plain dot products
 with no 1/sqrt(H) scaling, followed by the W_h matmul.
@@ -25,9 +26,19 @@ from . import tensor as T
 from .tensor import Tensor
 from .encoder import init_normal
 
-HEAD_KINDS = ("last", "lstm", "attention")
-
 _GATES = ("i", "f", "g", "o")
+
+
+class LastPoolHead:
+    """Canonical pooling: the final layer's [CLS] state, unchanged; no parameters."""
+
+    def __init__(self, H, rng):
+        self.params, self.decay = {}, set()
+
+    def pool(self, trace):
+        if not trace:
+            raise ValueError("pooling requires a nonempty trace")
+        return trace[-1]
 
 
 class LSTMPoolHead:
@@ -45,6 +56,12 @@ class LSTMPoolHead:
             bias = np.ones(H) if gate == "f" else np.zeros(H)
             self.params[f"lstm/b_{gate}"] = Tensor(bias, requires_grad=True)
 
+    def pool(self, trace):
+        """Run the LSTM over the trace in layer order; return the last hidden state."""
+        p = self.params
+        return T.lstm(trace, [p[f"lstm/W_{g}"] for g in _GATES],
+                      [p[f"lstm/U_{g}"] for g in _GATES], [p[f"lstm/b_{g}"] for g in _GATES])
+
 
 class AttentionPoolHead:
     """Learned query q and square projection W_h; no bias terms."""
@@ -57,6 +74,18 @@ class AttentionPoolHead:
         }
         self.decay = {"attnpool/W_h", "attnpool/q"}
 
+    def pool(self, trace, return_weights=False):
+        """Softmax-weighted combination of the trace, projected by W_h."""
+        combined, weights = T.layer_attention(trace, self.params["attnpool/q"])
+        o = T.matmul(combined, self.params["attnpool/W_h"])
+        if return_weights:
+            return o, Tensor(weights)
+        return o
+
+
+HEADS = {"last": LastPoolHead, "lstm": LSTMPoolHead, "attention": AttentionPoolHead}
+HEAD_KINDS = tuple(HEADS)
+
 
 class ClassifierHead:
     """Affine map to C class logits."""
@@ -68,29 +97,6 @@ class ClassifierHead:
             "classifier/b_o": Tensor(np.zeros(C), requires_grad=True),
         }
         self.decay = {"classifier/W_o"}
-
-
-def last_cls_pool(trace):
-    """Canonical pooling: the final layer's [CLS] state, unchanged."""
-    if not trace:
-        raise ValueError("pooling requires a nonempty trace")
-    return trace[-1]
-
-
-def lstm_pool(trace, head: LSTMPoolHead):
-    """Run the LSTM over the trace in layer order; return the last hidden state."""
-    p = head.params
-    return T.lstm(trace, [p[f"lstm/W_{g}"] for g in _GATES],
-                  [p[f"lstm/U_{g}"] for g in _GATES], [p[f"lstm/b_{g}"] for g in _GATES])
-
-
-def attention_pool(trace, head: AttentionPoolHead, return_weights=False):
-    """Softmax-weighted combination of the trace, projected by W_h."""
-    combined, weights = T.layer_attention(trace, head.params["attnpool/q"])
-    o = T.matmul(combined, head.params["attnpool/W_h"])
-    if return_weights:
-        return o, Tensor(weights)
-    return o
 
 
 def classify(o, head: ClassifierHead, p_drop=0.0, rng=None, training=False):

@@ -212,7 +212,10 @@ def evaluate(model, arrays, batch_size=64):
     preds = np.empty(n, dtype=int)
     for lo in range(0, n, batch_size):
         hi = min(lo + batch_size, n)
-        preds[lo:hi] = model.predict(tok[lo:hi], seg[lo:hi], mask[lo:hi])
+        try:
+            preds[lo:hi] = model.predict(tok[lo:hi], seg[lo:hi], mask[lo:hi])
+        except ValueError as e:
+            raise ValueError(f"evaluating examples {lo}..{hi - 1}: {e}") from None
     cm = confusion_matrix(labels, preds, model.n_classes)
     return metrics_from_confusion(cm)
 

@@ -21,7 +21,7 @@ from clspool.data import (pack_dataset, synth_generate, unigram_baseline_accurac
 from clspool.encoder import EncoderConfig
 from clspool.gradcheck import run_gradcheck
 from clspool.model import PooledClassifier
-from clspool.pooling import AttentionPoolHead, LSTMPoolHead, attention_pool, lstm_pool
+from clspool.pooling import AttentionPoolHead, LSTMPoolHead
 from clspool.tensor import Tensor
 from clspool.train import (Adam, confusion_matrix, cross_validated_train, evaluate,
                            kfold_split, metrics_from_confusion, read_results_csv,
@@ -142,7 +142,7 @@ def test_criterion_2_pooling_oracles():
         e = np.exp(s - s.max())
         alpha = e / e.sum()
         expect = W.T @ sum(a * v for a, v in zip(alpha, vectors))
-        got = attention_pool(trace_of(*vectors), head).data
+        got = head.pool(trace_of(*vectors)).data
         if np.abs(got - expect).max() > 1e-10:
             failures.append(("attention", np.abs(got - expect).max()))
 
@@ -150,7 +150,7 @@ def test_criterion_2_pooling_oracles():
     head = AttentionPoolHead(2, np.random.default_rng(0))
     head.params["attnpool/q"].data = np.array([1.0, 0.0])
     head.params["attnpool/W_h"].data = np.eye(2)
-    out = attention_pool(trace_of([0.0, 4.0], [np.log(3.0), 0.0]), head).data
+    out = head.pool(trace_of([0.0, 4.0], [np.log(3.0), 0.0])).data
     if np.abs(out - [0.75 * np.log(3.0), 1.0]).max() > 1e-10:
         failures.append(("worked example", out))
 
@@ -173,7 +173,7 @@ def test_criterion_2_pooling_oracles():
             o = sigmoid(x @ p["lstm/W_o"] + h @ p["lstm/U_o"] + p["lstm/b_o"])
             c = f * c + i * g
             h = o * np.tanh(c)
-        got = lstm_pool(trace_of(*vectors), head).data
+        got = head.pool(trace_of(*vectors)).data
         if np.abs(got - h).max() > 1e-10:
             failures.append(("lstm", np.abs(got - h).max()))
 
@@ -188,10 +188,10 @@ def test_criterion_3_invariance_and_sensitivity():
     # attention permutation invariance
     head = AttentionPoolHead(6, rng)
     vectors = [rng.normal(size=6) for _ in range(7)]
-    base = attention_pool(trace_of(*vectors), head).data
+    base = head.pool(trace_of(*vectors)).data
     for _ in range(10):
         perm = rng.permutation(7)
-        out = attention_pool(trace_of(*[vectors[i] for i in perm]), head).data
+        out = head.pool(trace_of(*[vectors[i] for i in perm])).data
         if np.abs(out - base).max() > 1e-10:
             failures.append("permutation")
 
@@ -199,11 +199,11 @@ def test_criterion_3_invariance_and_sensitivity():
     for seed in range(10):
         h = AttentionPoolHead(4, np.random.default_rng(seed))
         vs = [rng.normal(size=4) for _ in range(5)]
-        _, w = attention_pool(trace_of(*vs), h, return_weights=True)
+        _, w = h.pool(trace_of(*vs), return_weights=True)
         ref = int(np.argmax(w.data))
         for c in (0.5, 3.0, 20.0):
             h.params["attnpool/q"].data *= c
-            _, w2 = attention_pool(trace_of(*vs), h, return_weights=True)
+            _, w2 = h.pool(trace_of(*vs), return_weights=True)
             if int(np.argmax(w2.data)) != ref:
                 failures.append(f"query scaling c={c}")
             h.params["attnpool/q"].data /= c
@@ -214,8 +214,8 @@ def test_criterion_3_invariance_and_sensitivity():
         srng = np.random.default_rng(seed)
         h = LSTMPoolHead(6, srng)
         vs = [srng.normal(size=6) for _ in range(4)]
-        fwd = lstm_pool(trace_of(*vs), h).data
-        rev = lstm_pool(trace_of(*vs[::-1]), h).data
+        fwd = h.pool(trace_of(*vs)).data
+        rev = h.pool(trace_of(*vs[::-1])).data
         if np.abs(fwd - rev).max() > 1e-8:
             hits += 1
     if hits < 19:

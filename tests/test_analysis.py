@@ -9,7 +9,7 @@ from clspool.analysis import (DegenerateDataError, LayerDump, Projection2D,
                               cluster_score, dump_filename, dump_trace,
                               pca_project, project_dump_dir, read_dump,
                               write_dump)
-from clspool.data import pack_dataset, synth_generate, vocab_for_examples
+from clspool.data import DataError, pack_dataset, synth_generate, vocab_for_examples
 from clspool.encoder import EncoderConfig
 from clspool.model import PooledClassifier
 
@@ -173,6 +173,27 @@ class TestDumpFiles:
         path = write_dump(dump, str(tmp_path))
         header = open(path).readline().strip()
         assert header == "example_id,label,v0,v1,v2,v3"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_state_not_written(self, tmp_path, bad):
+        vectors = np.ones((3, 2))
+        vectors[1, 0] = bad
+        with pytest.raises(ValueError, match="epoch 1, layer 1: non-finite .* example 1"):
+            write_dump(make_dump(vectors, labels=[0, 1, 0]), str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
+    def test_bad_header_names_line_1(self, tmp_path):
+        path = tmp_path / "cls_epoch1_layer1.csv"
+        path.write_text("id,label,v0\n0,0,1.0\n")
+        with pytest.raises(DataError, match=f"{path}:1: expected header"):
+            read_dump(str(path))
+
+    def test_explicit_epoch_and_layer_skip_the_file_name(self, tmp_path):
+        path = tmp_path / "any.csv"
+        path.write_text("example_id,label,v0\n0,1,2.5\n\n")
+        back = read_dump(str(path), epoch=4, layer=2)
+        assert (back.epoch, back.layer) == (4, 2)
+        npt.assert_array_equal(back.vectors, [[2.5]])
 
 
 def trained_tiny_model():

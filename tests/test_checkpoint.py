@@ -1,4 +1,5 @@
 import os
+import re
 import struct
 import tempfile
 
@@ -84,6 +85,33 @@ class TestFormat:
         buf = open(path, "rb").read()
         assert buf.index(b"aa") < buf.index(b"zz")
 
+    @pytest.mark.parametrize("bad", [1e300, np.nan, -np.inf])
+    def test_non_finite_parameter_not_saved(self, tmp_path, bad):
+        path = tmp_path / "c.ckpt"
+        w = np.ones((2, 3))
+        w[1, 2] = bad
+        with pytest.raises(ValueError, match=re.escape(f"parameter 'w' element 5 is {bad!r}, "
+                                                       f"not a finite float32")):
+            save_checkpoint(str(path), {}, {"a": np.zeros(2), "w": w})
+        assert os.listdir(tmp_path) == []
+
+    def test_float32_max_still_saved(self, tmp_path):
+        path = str(tmp_path / "c.ckpt")
+        top = float(np.finfo(np.float32).max)
+        save_checkpoint(path, {}, {"w": np.array([top, -top])})
+        npt.assert_array_equal(load_checkpoint(path)[1]["w"], [top, -top])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_blob_names_parameter_and_offset(self, tmp_path, bad):
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), {}, {"a": np.zeros(2), "w": np.ones(3)})
+        payload = path.read_bytes()
+        at = len(payload) - 8  # the middle value of 'w', the last blob
+        path.write_bytes(payload[:at] + np.float32(bad).tobytes() + payload[at + 4:])
+        with pytest.raises(ValueError, match=f"non-finite value {bad} in parameter 'w' "
+                                             f"at offset {at}$"):
+            load_checkpoint(str(path))
+
     def test_rewrite_bit_identical(self, tmp_path):
         params = {"w": np.linspace(0, 1, 12).reshape(3, 4)}
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
@@ -141,6 +169,15 @@ class TestModelPersistence:
             back, meta = PooledClassifier.load(path)
             assert meta["pooling"] == kind
             assert set(back.parameters()) == set(model.parameters())
+
+
+def test_predict_rejects_non_finite_logits():
+    cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=6, p_drop=0.1)
+    model = PooledClassifier(cfg, "last", 3, R.rng_for(5, 0))
+    model.parameters()["embed/token"].data[5] = np.nan  # only the second row uses token 5
+    ids = np.array([[2, 4, 3, 4, 3], [2, 5, 3, 4, 3]])
+    with pytest.raises(ValueError, match="non-finite logits .* in row 1$"):
+        model.predict(ids, np.zeros((2, 5), dtype=int), np.ones((2, 5), dtype=int))
 
 
 def lstm_checkpoint_bytes():

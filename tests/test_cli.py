@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -317,3 +319,104 @@ class TestDataErrors:
         rc = run(["train", "--data", str(path), "--folds", "2", "--epochs", "1"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestNoTraceback:
+    """Bad paths, flags, input lines and non-finite values end in exit 1 or 2
+    with a message that says where the fault is."""
+
+    @pytest.fixture()
+    def paths(self, tmp_path):
+        (tmp_path / "adir").mkdir()
+        (tmp_path / "afile").write_text("")
+        return str(tmp_path / "adir"), str(tmp_path / "afile")
+
+    @pytest.mark.parametrize("argv, expect", [
+        (["train", "--config", "{dir}"], "Is a directory: '{dir}'"),
+        (["train", "--data", "{dir}"], "Is a directory: '{dir}'"),
+        (["eval", "--checkpoint", "{dir}", "--data", "{data}"], "Is a directory: '{dir}'"),
+        (["train", "--data", "{data}", "--out", "{file}"], "File exists: '{file}'"),
+        (["project", "--dumps", "{file}", "--out", "{dir}/p"], "Not a directory: '{file}'"),
+    ])
+    def test_os_errors_exit_1(self, paths, dataset, capsys, argv, expect):
+        names = {"dir": paths[0], "file": paths[1], "data": dataset}
+        assert run([a.format(**names) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expect.format(**names) in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("classes", ["0", "4", "5", "-1"])
+    def test_synth_classes_outside_1_to_3_exit_2(self, tmp_path, capsys, classes):
+        out = tmp_path / "x.jsonl"
+        assert run(["synth", "--n", "10", "--classes", classes, "--out", str(out)]) == 2
+        assert "--classes: invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("classes", ["1", "2", "3"])
+    def test_synth_classes_1_to_3_accepted(self, tmp_path, classes):
+        out = str(tmp_path / "x.jsonl")
+        assert run(["synth", "--n", "10", "--classes", classes, "--out", out]) == 0
+        assert {e.label for e in load_jsonl(out, "absa")} == set(range(int(classes)))
+
+    @pytest.mark.parametrize("line, kind", [("5", "int"), ("null", "NoneType"),
+                                            ('"a b c"', "str"), ("[1, 2]", "list")])
+    def test_jsonl_line_not_an_object_exit_1(self, tmp_path, capsys, line, kind):
+        path = tmp_path / "bad.jsonl"
+        good = json.dumps({"text": "a b", "aspect": "a", "label": "positive"})
+        path.write_text(good + "\n" + line + "\n")
+        assert run(["train", "--data", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {path}:2: expected a JSON object, got {kind}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, body, where", [
+        ("cls_epoch1_layer1.csv", "0,0,1.0,2.0\nx,1,1.0,2.0\n", ":3: "),
+        ("cls_epoch1_layer1.csv", "0,0,1.0,2.0\n1,one,1.0,2.0\n", ":3: "),
+        ("cls_epoch1_layer1.csv", "0,0.5,1.0,2.0\n1,1,1.0,2.0\n", ":2: "),
+        ("cls_epoch1_layer1.csv", "0,0,1.0,2.0\n1,1,1.0\n", ":3: expected 4 fields, got 3"),
+        ("cls_epoch1_layer1.csv", "0,0,1.0,2.0,3.0\n", ":2: expected 4 fields, got 5"),
+        ("cls_epoch1_layer1.csv", "", ":2: no data rows"),
+        ("cls_epoch1_layer1.csv", "0,0,1.0,2.0\n1,1,nan,2.0\n", ":3: non-finite value"),
+        ("cls_epoch1_layer1.csv", "0,0,-inf,2.0\n1,1,1.0,2.0\n", ":2: non-finite value"),
+        ("cls_epochA_layer1.csv", "0,0,1.0,2.0\n1,1,1.0,2.0\n", ": file name does not match"),
+        ("cls_epoch1_layer.csv", "0,0,1.0,2.0\n1,1,1.0,2.0\n", ": file name does not match"),
+    ])
+    def test_malformed_dump_names_file_and_line(self, tmp_path, capsys, name, body, where):
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        (dumps / name).write_text("example_id,label,v0,v1\n" + body)
+        assert run(["project", "--dumps", str(dumps), "--out", str(tmp_path / "p")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {dumps / name}{where}" in err
+        assert "Traceback" not in err
+
+    def test_diverging_run_prints_one_line(self, dataset, tmp_path):
+        # The weights overflow in the first step; nothing is scored or saved,
+        # and no numpy warning reaches stderr.
+        out = tmp_path / "run"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "clspool.cli", "train", "--data", dataset,
+                               "--epochs", "1", "--folds", "2", "--lr", "1e300",
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 1
+        lines = done.stderr.splitlines()
+        assert len(lines) == 1, done.stderr
+        assert lines[0].startswith("error: ") and "non-finite logits" in lines[0]
+        assert not (out / "model.ckpt").exists()
+
+    def test_eval_non_finite_checkpoint_exit_1(self, dataset, tmp_path, capsys):
+        cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+        path = tmp_path / "inf.ckpt"
+        model = PooledClassifier(cfg, "last", 3, R.rng_for(0, 0))
+        model.save(str(path), extra_meta={"vocab": ["w1", "w2"]})
+        payload = path.read_bytes()
+        offset = len(payload) - 4  # the last element of the last blob
+        path.write_bytes(payload[:offset] + np.float32(np.inf).tobytes())
+        assert run(["eval", "--checkpoint", str(path), "--data", dataset]) == 1
+        err = capsys.readouterr().err
+        last_name = max(model.parameters())  # blobs are stored in name order
+        assert f"non-finite value inf in parameter '{last_name}' at offset {offset}" in err
+        assert "Traceback" not in err

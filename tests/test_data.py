@@ -165,6 +165,15 @@ class TestJsonl:
         with pytest.raises(DataError, match=":1"):
             load_jsonl(str(path), "absa")
 
+    @pytest.mark.parametrize("line, kind", [("5", "int"), ("null", "NoneType"),
+                                            ('"a b c"', "str"), ("[]", "list"), ("true", "bool")])
+    def test_non_object_line_names_line_and_type(self, tmp_path, line, kind):
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps({"text": "x", "aspect": "y", "label": "positive"})
+                        + "\n" + line + "\n")
+        with pytest.raises(DataError, match=f"{path}:2: expected a JSON object, got {kind}$"):
+            load_jsonl(str(path), "absa")
+
 
 class TestSynth:
     def test_class_balance(self):
@@ -194,6 +203,11 @@ class TestSynth:
     def test_n_too_small(self):
         with pytest.raises(ValueError):
             synth_generate(2, classes=3)
+
+    @pytest.mark.parametrize("classes", [0, -1])
+    def test_classes_below_1_rejected(self, classes):
+        with pytest.raises(ValueError, match=f"need classes >= 1, got {classes}"):
+            synth_generate(10, classes=classes)
 
 
 class TestPackDataset:

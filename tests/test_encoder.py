@@ -140,11 +140,11 @@ class TestEncode:
 
 class TestGradientFlow:
     def test_every_layer_gets_gradient_through_trace(self):
-        from clspool.pooling import AttentionPoolHead, attention_pool
+        from clspool.pooling import AttentionPoolHead
         enc = MiniEncoder(small_config(L=3), R.rng_for(9, 0))
         head = AttentionPoolHead(8, R.rng_for(9, 1))
         _, trace = enc.forward_batch(*make_packed([2, 5, 9, 3]))
-        o = attention_pool(trace, head)
+        o = head.pool(trace)
         T.tsum(T.mul(o, o)).backward()
         for name, p in enc.params.items():
             assert p.grad is not None, name

@@ -4,8 +4,10 @@ import pytest
 from scipy.special import softmax
 
 from clspool import rng as R
-from clspool.pooling import (AttentionPoolHead, ClassifierHead, LSTMPoolHead,
-                             attention_pool, classify, last_cls_pool, lstm_pool)
+from clspool.encoder import EncoderConfig
+from clspool.model import PooledClassifier
+from clspool.pooling import (HEAD_KINDS, HEADS, AttentionPoolHead, ClassifierHead, LastPoolHead,
+                             LSTMPoolHead, classify)
 from clspool.tensor import Tensor
 
 
@@ -59,22 +61,22 @@ def reference_attention(vectors, head):
 class TestLastPool:
     def test_definition(self):
         t = trace_of([1.0, 2.0], [3.0, 4.0], [5.0, 6.0])
-        npt.assert_array_equal(last_cls_pool(t).data, [[5.0, 6.0]])
+        npt.assert_array_equal(LastPoolHead(2, None).pool(t).data, [[5.0, 6.0]])
 
     def test_singleton(self):
         t = trace_of([7.0, 8.0])
-        npt.assert_array_equal(last_cls_pool(t).data, [[7.0, 8.0]])
+        npt.assert_array_equal(LastPoolHead(2, None).pool(t).data, [[7.0, 8.0]])
 
     def test_empty_trace(self):
         with pytest.raises(ValueError, match="nonempty"):
-            last_cls_pool([])
+            LastPoolHead(2, None).pool([])
 
     def test_matches_attention_with_identity_when_single_layer(self):
         rng = np.random.default_rng(0)
         head = AttentionPoolHead(4, rng)
         head.params["attnpool/W_h"].data = np.eye(4)
         t = random_trace(rng, 1, 4)
-        npt.assert_allclose(attention_pool(t, head).data, last_cls_pool(t).data,
+        npt.assert_allclose(head.pool(t).data, LastPoolHead(4, None).pool(t).data,
                             atol=1e-12)
 
 
@@ -84,13 +86,13 @@ class TestLSTMPool:
         for p in head.params.values():
             p.data[:] = 0.0
         t = trace_of([1.0, -2.0, 3.0, 0.5], [4.0, 4.0, 4.0, 4.0])
-        npt.assert_array_equal(lstm_pool(t, head).data, np.zeros((1, 4)))
+        npt.assert_array_equal(head.pool(t).data, np.zeros((1, 4)))
 
     def test_single_step_matches_reference_cell(self):
         rng = np.random.default_rng(1)
         head = LSTMPoolHead(5, rng)
         v = rng.normal(size=5)
-        npt.assert_allclose(lstm_pool(trace_of(v), head).data,
+        npt.assert_allclose(head.pool(trace_of(v)).data,
                             [reference_lstm([v], head)], atol=1e-12)
 
     def test_matches_reference_over_trace(self):
@@ -100,15 +102,15 @@ class TestLSTMPool:
             H = int(rng.integers(2, 12))
             head = LSTMPoolHead(H, rng)
             vectors = [rng.normal(size=H) for _ in range(L)]
-            npt.assert_allclose(lstm_pool(trace_of(*vectors), head).data,
+            npt.assert_allclose(head.pool(trace_of(*vectors)).data,
                                 [reference_lstm(vectors, head)], atol=1e-10)
 
     def test_reversal_changes_output(self):
         rng = np.random.default_rng(3)
         head = LSTMPoolHead(6, rng)
         vectors = [rng.normal(size=6) for _ in range(4)]
-        fwd = lstm_pool(trace_of(*vectors), head).data
-        rev = lstm_pool(trace_of(*vectors[::-1]), head).data
+        fwd = head.pool(trace_of(*vectors)).data
+        rev = head.pool(trace_of(*vectors[::-1])).data
         assert np.abs(fwd - rev).max() > 1e-6
 
     def test_order_sensitivity_across_seeds(self):
@@ -117,8 +119,8 @@ class TestLSTMPool:
             rng = np.random.default_rng(seed)
             head = LSTMPoolHead(6, rng)
             vectors = [rng.normal(size=6) for _ in range(4)]
-            fwd = lstm_pool(trace_of(*vectors), head).data
-            rev = lstm_pool(trace_of(*vectors[::-1]), head).data
+            fwd = head.pool(trace_of(*vectors)).data
+            rev = head.pool(trace_of(*vectors[::-1])).data
             if np.abs(fwd - rev).max() > 1e-8:
                 hits += 1
         assert hits >= 19
@@ -126,7 +128,7 @@ class TestLSTMPool:
     def test_empty_trace(self):
         head = LSTMPoolHead(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="nonempty"):
-            lstm_pool([], head)
+            head.pool([])
 
 
 class TestAttentionPool:
@@ -134,7 +136,7 @@ class TestAttentionPool:
         rng = np.random.default_rng(4)
         head = AttentionPoolHead(3, rng)
         v = rng.normal(size=3)
-        o, w = attention_pool(trace_of(v), head, return_weights=True)
+        o, w = head.pool(trace_of(v), return_weights=True)
         npt.assert_allclose(w.data, [[1.0]], atol=1e-15)
         npt.assert_allclose(o.data, [head.params["attnpool/W_h"].data.T @ v], atol=1e-12)
 
@@ -143,7 +145,7 @@ class TestAttentionPool:
         head = AttentionPoolHead(3, rng)
         head.params["attnpool/q"].data[:] = 0.0
         vectors = [rng.normal(size=3) for _ in range(4)]
-        o, w = attention_pool(trace_of(*vectors), head, return_weights=True)
+        o, w = head.pool(trace_of(*vectors), return_weights=True)
         npt.assert_allclose(w.data, 0.25, atol=1e-15)
         npt.assert_allclose(o.data,
                             [head.params["attnpool/W_h"].data.T @ np.mean(vectors, axis=0)],
@@ -154,7 +156,7 @@ class TestAttentionPool:
         head.params["attnpool/q"].data = np.array([1.0, 0.0])
         head.params["attnpool/W_h"].data = np.eye(2)
         t = trace_of([0.0, 4.0], [np.log(3.0), 0.0])
-        o, w = attention_pool(t, head, return_weights=True)
+        o, w = head.pool(t, return_weights=True)
         npt.assert_allclose(w.data, [[0.25, 0.75]], atol=1e-12)
         npt.assert_allclose(o.data, [[0.75 * np.log(3.0), 1.0]], atol=1e-12)
 
@@ -165,7 +167,7 @@ class TestAttentionPool:
             H = int(rng.integers(2, 17))
             head = AttentionPoolHead(H, rng)
             vectors = [rng.normal(size=H) for _ in range(L)]
-            o = attention_pool(trace_of(*vectors), head).data
+            o = head.pool(trace_of(*vectors)).data
             expect, _ = reference_attention(vectors, head)
             npt.assert_allclose(o, [expect], atol=1e-10)
 
@@ -173,10 +175,10 @@ class TestAttentionPool:
         rng = np.random.default_rng(7)
         head = AttentionPoolHead(5, rng)
         vectors = [rng.normal(size=5) for _ in range(6)]
-        base = attention_pool(trace_of(*vectors), head).data
+        base = head.pool(trace_of(*vectors)).data
         for _ in range(5):
             perm = rng.permutation(6)
-            out = attention_pool(trace_of(*[vectors[i] for i in perm]), head).data
+            out = head.pool(trace_of(*[vectors[i] for i in perm])).data
             npt.assert_allclose(out, base, atol=1e-10)
 
     def test_query_scaling_preserves_argmax(self):
@@ -184,11 +186,11 @@ class TestAttentionPool:
         for seed in range(10):
             head = AttentionPoolHead(4, np.random.default_rng(seed))
             vectors = [rng.normal(size=4) for _ in range(5)]
-            _, w = attention_pool(trace_of(*vectors), head, return_weights=True)
+            _, w = head.pool(trace_of(*vectors), return_weights=True)
             base = int(np.argmax(w.data))
             for c in (0.1, 2.0, 17.0):
                 head.params["attnpool/q"].data *= c
-                _, w2 = attention_pool(trace_of(*vectors), head, return_weights=True)
+                _, w2 = head.pool(trace_of(*vectors), return_weights=True)
                 assert int(np.argmax(w2.data)) == base
                 head.params["attnpool/q"].data /= c
 
@@ -197,7 +199,7 @@ class TestAttentionPool:
         head = AttentionPoolHead(4, rng)
         head.params["attnpool/W_h"].data = np.eye(4)
         vectors = [rng.normal(size=4) for _ in range(5)]
-        o = attention_pool(trace_of(*vectors), head).data
+        o = head.pool(trace_of(*vectors)).data
         stacked = np.stack(vectors)
         assert np.all(o >= stacked.min(axis=0) - 1e-12)
         assert np.all(o <= stacked.max(axis=0) + 1e-12)
@@ -205,7 +207,7 @@ class TestAttentionPool:
     def test_empty_trace(self):
         head = AttentionPoolHead(3, np.random.default_rng(0))
         with pytest.raises(ValueError, match="nonempty"):
-            attention_pool([], head)
+            head.pool([])
 
 
 class TestClassifier:
@@ -241,8 +243,37 @@ class TestClassifier:
         assert not np.allclose(train_y, eval_y)
 
 
+class TestHeadsTable:
+    def test_kinds_are_the_table_keys(self):
+        assert HEAD_KINDS == tuple(HEADS) == ("last", "lstm", "attention")
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_head_pools_a_batch_and_decays_only_its_own_params(self, kind):
+        rng = np.random.default_rng(12)
+        head = HEADS[kind](5, rng)
+        assert head.decay <= set(head.params)
+        trace = [Tensor(rng.normal(size=(3, 5))) for _ in range(4)]
+        assert head.pool(trace).data.shape == (3, 5)
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_model_merges_the_table_head(self, kind):
+        cfg = EncoderConfig(L=2, H=4, A=2, F=4, V=8, S_max=6)
+        model = PooledClassifier(cfg, kind, 3, R.rng_for(0, 0))
+        assert type(model.pool_head) is HEADS[kind]
+        params = model.parameters()
+        assert list(params) == [*model.encoder.params, *model.pool_head.params,
+                                *model.classifier.params]
+        assert model.decay_names() == (model.encoder.decay | model.pool_head.decay
+                                       | model.classifier.decay)
+
+
 class TestGradients:
     def test_head_parameters_pass_finite_difference(self):
         from clspool.gradcheck import run_gradcheck
         ok, results = run_gradcheck(seeds=3, coords_per_param=1)
         assert ok, results
+
+    def test_a_model_scenario_for_every_head(self):
+        from clspool.gradcheck import SCENARIOS
+        assert [k for k in SCENARIOS if k.startswith("encoder_")] == [
+            f"encoder_{kind}_pool" for kind in HEAD_KINDS]
