@@ -179,23 +179,27 @@ def project_dump_dir(dumps_dir, out_dir, k=2):
 
     Writes ``proj_epoch{e}_layer{l}.csv`` files (example_id, label, x, y)
     and ``cluster_scores.csv`` (epoch, layer, cluster_score,
-    explained_var0, explained_var1).
+    explained_var0, explained_var1). Every dump is read, projected and
+    scored before any file is written, so a bad dump leaves ``out_dir`` as
+    it was.
     """
-    os.makedirs(out_dir, exist_ok=True)
     names = sorted(n for n in os.listdir(dumps_dir)
                    if n.startswith("cls_epoch") and n.endswith(".csv"))
     if not names:
         raise FileNotFoundError(f"no dump CSVs found in {dumps_dir}")
-    score_rows = []
+    projections = []
     for name in names:
         dump = read_dump(os.path.join(dumps_dir, name))
         proj = pca_project(dump, k=k)
+        projections.append((dump, proj, cluster_score(proj)))
+    os.makedirs(out_dir, exist_ok=True)
+    score_rows = []
+    for dump, proj, score in projections:
         lines = ["example_id,label," + ",".join(f"p{i}" for i in range(k))]
         for eid, lab, pt in zip(proj.example_ids, proj.labels, proj.points):
             lines.append(f"{int(eid)},{int(lab)}," + ",".join(repr(float(v)) for v in pt))
         out = os.path.join(out_dir, f"proj_epoch{dump.epoch}_layer{dump.layer}.csv")
         atomic_write_bytes(out, ("\n".join(lines) + "\n").encode("utf-8"))
-        score = cluster_score(proj)
         score_rows.append((dump.epoch, dump.layer, score,
                            proj.explained_variance[0],
                            proj.explained_variance[1] if k > 1 else 0.0))

@@ -57,6 +57,37 @@ def _train_keys():
 
 
 _TRAIN_KEYS = _train_keys()
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
+
+
+def _check_train_value(key, value):
+    """Raise TrainConfig's ValueError if it rejects ``value`` for the field ``key``."""
+    if key in _TRAIN_FIELDS:
+        TrainConfig(**{key: value})
+
+
+def _flag_type(key, kind):
+    """The argparse type of a `train` flag: ``kind``, then TrainConfig's check."""
+    def parse(text):
+        value = kind(text)
+        try:
+            _check_train_value(key, value)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(str(e)) from None
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _int_at_least(low):
+    """The argparse type of an integer flag that must be >= ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"
+    return parse
 
 
 def _read_config_file(path):
@@ -78,6 +109,10 @@ def _read_config_file(path):
             except ValueError:
                 raise DataError(f"{path}:{lineno}: {key}: expected {kind.__name__}, "
                                 f"got {val!r}") from None
+            try:
+                _check_train_value(key, values[key])
+            except ValueError as e:
+                raise DataError(f"{path}:{lineno}: {key}: {e}") from None
             if key in _CHOICES and values[key] not in _CHOICES[key]:
                 raise DataError(f"{path}:{lineno}: {key}: expected one of {_CHOICES[key]}, "
                                 f"got {val!r}")
@@ -184,7 +219,7 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic sentence-pair dataset")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--classes", type=int, default=3,
                    choices=range(1, len(SCHEMAS["absa"][1]) + 1))
     p.add_argument("--out", required=True)
@@ -193,7 +228,7 @@ def build_parser():
     p = sub.add_parser("train", help="cross-validated training")
     p.add_argument("--config", help="key=value file; flags override it")
     for key, (kind, default) in _TRAIN_KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=kind,
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(key, kind),
                        choices=_CHOICES.get(key),
                        help=_HELP.get(key, f"default: {default}"))
     p.set_defaults(func=_cmd_train)
@@ -209,7 +244,7 @@ def build_parser():
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seeds", type=int, default=20)
+    p.add_argument("--seeds", type=_int_at_least(1), default=20)
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

@@ -1,12 +1,14 @@
 """A desk-scale BERT-shaped transformer encoder.
 
 The encoder is a stack of post-layer-norm transformer blocks over
-token + segment + learned-position embeddings. Beyond the usual final
-hidden states it exposes the hidden state of the leading classification
-token ([CLS]) from *every* layer, ordered from the embedding-adjacent
-layer up to the last one; downstream pooling heads consume that trace.
+token + segment + learned-position embeddings. Its output is the hidden
+state of the leading classification token ([CLS]) from *every* layer,
+ordered from the embedding-adjacent layer up to the last one; downstream
+pooling heads consume that trace. Nothing reads the other positions of
+the last layer, so that block computes the [CLS] rows alone.
 
-For speed, a batch of sequences is packed into one long (B*S)×H matrix.
+For speed, a batch of sequences is packed into one long (B*S)×H matrix,
+after cutting the trailing padding columns that no example of the batch uses.
 The fused attention op views it as (B, A, S, d_h), so each example
 attends only to its own unmasked positions and per-example results match
 running examples one at a time.
@@ -110,39 +112,56 @@ class MiniEncoder:
 
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None,
                       attn_out=None):
-        """Encode a batch; returns ((B*S)×H final hidden states, trace).
+        """Encode a batch; returns (B×H last-layer [CLS] states, trace).
 
         The trace is a list of L B×H tensors, the [CLS] row of each layer,
-        embedding-adjacent layer first.
+        embedding-adjacent layer first; the first element of the pair is
+        ``trace[-1]``. No caller reads the other positions of the last
+        layer, so its block computes the [CLS] rows alone: only its keys
+        and values cover every position.
 
         ``token_ids``, ``segment_ids`` and ``mask`` are integer arrays of
         shape (B, S); all sequences in a batch share the padded length S,
         and every row of ``mask`` needs at least one valid (1) position.
-        If ``attn_out`` is a list, each layer appends its (B, A, S, S)
-        attention probabilities to it.
+        The columns after the last one that any row marks valid are cut
+        before encoding, so the batch runs at its own longest length S'.
+        If ``attn_out`` is a list, each layer appends its attention
+        probabilities to it: (B, A, S', S') for every layer but the last,
+        (B, A, 1, S') for the last.
         """
         c = self.config
         B, S = token_ids.shape
         if mask.shape != (B, S):
             raise ShapeError(f"mask shape {mask.shape} does not match token_ids shape {(B, S)}")
-        empty = np.flatnonzero(~(mask == 1).any(axis=1))
+        valid = mask == 1
+        empty = np.flatnonzero(~valid.any(axis=1))
         if empty.size:
             raise ValueError(f"mask rows {empty.tolist()} have no valid position")
+        S = int(np.flatnonzero(valid.any(axis=0))[-1]) + 1
+        token_ids, segment_ids, mask = token_ids[:, :S], segment_ids[:, :S], mask[:, :S]
         x = self.embed_batch(token_ids, segment_ids, training=training, rng=rng)
 
         trace = []
         cls_rows = np.arange(B) * S
-        for i in range(c.L):
-            x = self._block(x, mask, i, training, rng, attn_out=attn_out)
+        for i in range(c.L - 1):
+            x = self._block(x, x, mask, i, training, rng, attn_out=attn_out)
             trace.append(T.gather_rows(x, cls_rows))
-        return x, trace
+        cls = self._block(x, T.gather_rows(x, cls_rows), mask, c.L - 1, training, rng,
+                          attn_out=attn_out)
+        trace.append(cls)
+        return cls, trace
 
-    def _block(self, x, mask, i, training, rng, attn_out=None):
+    def _block(self, x, rows, mask, i, training, rng, attn_out=None):
+        """Block ``i`` for the query rows ``rows`` (all of ``x``, or its [CLS] rows).
+
+        Keys and values come from every row of ``x``; the output has the
+        rows of ``rows``.
+        """
         c = self.config
         p = self.params
         pre = f"layer{i}"
 
-        q = T.add(T.matmul(x, p[f"{pre}/attn/Wq"]), p[f"{pre}/attn/bq"])
+        q = T.add(T.matmul(rows, p[f"{pre}/attn/Wq"]), p[f"{pre}/attn/bq"])
         k = T.add(T.matmul(x, p[f"{pre}/attn/Wk"]), p[f"{pre}/attn/bk"])
         v = T.add(T.matmul(x, p[f"{pre}/attn/Wv"]), p[f"{pre}/attn/bv"])
 
@@ -151,7 +170,7 @@ class MiniEncoder:
             attn_out.append(probs)
         out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
         out = T.dropout(out, c.p_drop, rng, training)
-        x = T.layer_norm(T.add(x, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
+        x = T.layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
 
         h = T.gelu(T.add(T.matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
         h = T.add(T.matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])

@@ -143,6 +143,11 @@ SCENARIOS = {
     "fused_attention": _op_scenario(
         94, {name: (ATTENTION_MASK.size, 6) for name in "qkv"},
         lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
+    # The same with one query per example (the last block's [CLS] rows).
+    "fused_cls_attention": _op_scenario(
+        98, {"q": (len(ATTENTION_MASK), 6), "k": (ATTENTION_MASK.size, 6),
+             "v": (ATTENTION_MASK.size, 6)},
+        lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
     # Fused LSTM: 3 steps of B=3 rows, H=4; the rows and all 12 gate tensors.
     "fused_lstm": _op_scenario(
         95, {**{f"x{t}": (3, 4) for t in range(3)},
@@ -162,8 +167,11 @@ def run_gradcheck(seeds=20, coords_per_param=2, tol=REL_TOL, report=None):
     """Run every scenario over the given number of seeds.
 
     Returns (all_passed, results) where results maps scenario name to the
-    worst relative error observed.
+    worst relative error observed. Fewer than one seed checks nothing and
+    raises ValueError.
     """
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds}")
     results = {}
     for name, build in SCENARIOS.items():
         worst = 0.0

@@ -8,13 +8,14 @@ and then clears the tape so a graph can only be differentiated once.
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
 the rows of a matrix (``add``). Five fused ops record one tape node each
-and carry a hand-derived backward: ``attention`` (multi-head self-attention
-on packed (B*S)×H matrices, (B, A, S, d_h) views inside),
-``layer_attention`` (a softmax-weighted sum of L B×H rows, for the
-attention pooling head), ``lstm`` (an LSTM over a list of B×H rows, its
-four gates computed as one H×4H block), ``sum_squares`` (the sum of
-squares of several tensors, for the L2 penalty) and
-``softmax_cross_entropy`` (the classifier loss on logits).
+and carry a hand-derived backward: ``attention`` (multi-head attention
+over packed (B*S)×H keys and values, with one query per position or one
+per example, (B, A, S, d_h) views inside), ``layer_attention`` (a
+softmax-weighted sum of L B×H rows, for the attention pooling head),
+``lstm`` (an LSTM over a list of B×H rows, its four gates computed as one
+H×4H block), ``sum_squares`` (the sum of squares of several tensors, for
+the L2 penalty) and ``softmax_cross_entropy`` (the classifier loss on
+logits).
 """
 
 from __future__ import annotations
@@ -291,25 +292,28 @@ def _merge_heads(x):
 
 
 def attention(q, k, v, mask, heads):
-    """Fused scaled dot-product multi-head self-attention over a packed batch.
+    """Fused scaled dot-product multi-head attention over a packed batch.
 
-    ``q``, ``k`` and ``v`` are (B*S)×H with rows in example-major order;
-    ``mask`` is a (B, S) 0/1 array, and each example attends only to its
-    own positions whose mask is 1. Returns ``(out, probs)``: the (B*S)×H
-    context as one tape node with parents (q, k, v), and the (B, A, S, S)
-    attention probabilities, which the backward reuses.
+    ``k`` and ``v`` are (B*S)×H with rows in example-major order; ``mask``
+    is a (B, S) 0/1 array, and each example attends only to its own
+    positions whose mask is 1. ``q`` is either (B*S)×H, one query per
+    position (self-attention), or B×H, one query per example. Returns
+    ``(out, probs)``: the context, with as many rows as ``q``, as one tape
+    node with parents (q, k, v), and the attention probabilities, (B, A, S, S)
+    or (B, A, 1, S), which the backward reuses.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ShapeError(f"attention: mask must be (B, S), got shape {mask.shape}")
     B, S = mask.shape
     H = q.shape[-1]
-    if (any(t.shape != (B * S, H) for t in (q, k, v))
+    if (q.shape not in ((B * S, H), (B, H)) or any(t.shape != (B * S, H) for t in (k, v))
             or heads < 1 or H % heads != 0):
         raise ShapeError(f"attention: q/k/v {q.shape}/{k.shape}/{v.shape} do not fit "
                          f"mask {mask.shape} with {heads} heads")
     c = 1.0 / math.sqrt(H // heads)
-    Q, K, V = (_split_heads(t.data, B, S, heads) for t in (q, k, v))
+    Q = _split_heads(q.data, B, q.shape[0] // B, heads)
+    K, V = (_split_heads(t.data, B, S, heads) for t in (k, v))
     bias = np.where(mask == 1, 0.0, -1e9)[:, None, None, :]
     scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -317,7 +321,7 @@ def attention(q, k, v, mask, heads):
     out = Tensor(_merge_heads(np.matmul(P, V)), _parents=(q, k, v))
 
     def bwd(g):
-        G = _split_heads(g, B, S, heads)
+        G = _split_heads(g, B, Q.shape[2], heads)
         _accumulate(v, _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G)))
         dP = np.matmul(G, V.transpose(0, 1, 3, 2))
         dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c

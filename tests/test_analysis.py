@@ -268,3 +268,20 @@ class TestProjectDumpDir:
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             project_dump_dir(str(tmp_path), str(tmp_path / "out"))
+
+    def test_bad_dump_writes_nothing(self, tmp_path):
+        # The good layer-1 dump sorts first; the short row in layer 2 must
+        # stop the run before its projection is written.
+        model, arrays = trained_tiny_model()
+        dumps = tmp_path / "dumps"
+        out = tmp_path / "proj"
+        dump_trace(model, arrays, epoch=1, layers=[1, 2], out_dir=str(dumps))
+        bad = dumps / "cls_epoch1_layer2.csv"
+        bad.write_text(bad.read_text() + "7,1,0.5\n")
+        with pytest.raises(DataError, match=f"{bad}:"):
+            project_dump_dir(str(dumps), str(out))
+        assert not out.exists()
+        out.mkdir()
+        with pytest.raises(DataError):
+            project_dump_dir(str(dumps), str(out))
+        assert list(out.iterdir()) == []

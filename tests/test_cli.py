@@ -302,6 +302,42 @@ class TestGradcheck:
         assert run(["gradcheck", "--seeds", "1"]) == 0
         assert "composite_graph" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_fewer_than_one_seed_exit_2(self, capsys, seeds):
+        assert run(["gradcheck", "--seeds", seeds]) == 2
+        out, err = capsys.readouterr()
+        assert f"argument --seeds: must be >= 1, got {seeds}" in err
+        assert "[ok]" not in out
+
+    def test_run_gradcheck_rejects_zero_seeds(self):
+        from clspool.gradcheck import run_gradcheck
+        with pytest.raises(ValueError, match="seeds must be >= 1, got 0"):
+            run_gradcheck(seeds=0)
+
+
+class TestNegativeSeed:
+    def test_synth_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.jsonl"
+        assert run(["synth", "--n", "10", "--seed", "-3", "--out", str(out)]) == 2
+        assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_train_flag_exit_2(self, dataset, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--seed", "-1", "--out", str(out)]) == 2
+        assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_names_file_and_line(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text(TINY_MODEL + "seed=-1\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", str(cfg),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:6: seed: seed must be >= 0, got -1" in err
+        assert "Traceback" not in err and not out.exists()
+
 
 class TestUsage:
     def test_no_command_exit_2(self):

@@ -5,6 +5,7 @@ import pytest
 from clspool import rng as R
 from clspool import tensor as T
 from clspool.encoder import EncoderConfig, MiniEncoder
+from clspool.pooling import HEAD_KINDS
 from clspool.tensor import ShapeError
 
 
@@ -14,12 +15,11 @@ def small_config(**overrides):
     return EncoderConfig(**base)
 
 
-def make_packed(ids, segs=None, mask=None):
-    """A batch of one sequence: (token_ids, segment_ids, mask), each (1, S)."""
+def make_packed(ids, segs=None):
+    """A batch of one unpadded sequence: (token_ids, segment_ids, mask), each (1, S)."""
     ids = np.asarray(ids)[None, :]
     segs = np.zeros_like(ids) if segs is None else np.asarray(segs)[None, :]
-    mask = np.ones_like(ids) if mask is None else np.asarray(mask)[None, :]
-    return ids, segs, mask
+    return ids, segs, np.ones_like(ids)
 
 
 class TestConfig:
@@ -64,18 +64,26 @@ class TestEmbed:
 
 class TestSelfAttention:
     def test_uniform_weights_when_projections_zero(self):
-        enc = MiniEncoder(small_config(L=1), R.rng_for(1, 0))
-        enc.params["layer0/attn/Wq"].data[:] = 0.0
-        enc.params["layer0/attn/Wk"].data[:] = 0.0
-        mask = np.array([[1, 1, 1, 0]])
+        # Layer 0 is not the last, so every position queries; the second,
+        # unpadded example keeps column 3 from being trimmed.
+        enc = MiniEncoder(small_config(L=2), R.rng_for(1, 0))
+        for i in range(2):
+            enc.params[f"layer{i}/attn/Wq"].data[:] = 0.0
+            enc.params[f"layer{i}/attn/Wk"].data[:] = 0.0
+        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
         attn = []
-        enc.forward_batch(np.array([[2, 5, 6, 0]]), np.zeros((1, 4), dtype=int),
+        enc.forward_batch(np.array([[2, 5, 6, 0], [2, 5, 6, 7]]), np.zeros((2, 4), dtype=int),
                           mask, attn_out=attn)
-        assert attn[0].shape == (1, 2, 4, 4)
+        assert attn[0].shape == (2, 2, 4, 4)
         for head in attn[0][0]:
             # Uniform over the 3 unmasked positions, zero on the masked one.
             npt.assert_allclose(head[:3, :3], 1 / 3, atol=1e-12)
             npt.assert_allclose(head[:3, 3], 0.0, atol=1e-30)
+        # The last layer queries from the [CLS] row alone.
+        assert attn[1].shape == (2, 2, 1, 4)
+        for head in attn[1][0]:
+            npt.assert_allclose(head[0, :3], 1 / 3, atol=1e-12)
+            npt.assert_allclose(head[0, 3], 0.0, atol=1e-30)
 
     def test_singleton_weight_is_one(self):
         enc = MiniEncoder(small_config(L=1), R.rng_for(2, 0))
@@ -93,8 +101,8 @@ class TestSelfAttention:
         mask[0, -1] = 0
         attn = []
         enc.forward_batch(ids, np.zeros((2, 6), dtype=int), mask, attn_out=attn)
+        assert [layer.shape for layer in attn] == [(2, 2, 6, 6), (2, 2, 1, 6)]
         for layer in attn:
-            assert layer.shape == (2, 2, 6, 6)
             npt.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -127,13 +135,13 @@ class TestEncode:
         npt.assert_array_equal(trace[len(trace) - 1].data, final.data[:1])
 
     def test_masked_token_does_not_leak(self):
+        # The second, unpadded example keeps the masked column from being trimmed.
         enc = MiniEncoder(small_config(), R.rng_for(8, 0))
-        mask = np.array([1, 1, 1, 0])
-        a = make_packed([2, 5, 3, 7], mask=mask)
-        b = make_packed([2, 5, 3, 12], mask=mask)
-        fa, ta = enc.forward_batch(*a)
-        fb, tb = enc.forward_batch(*b)
-        npt.assert_array_equal(fa.data[:3], fb.data[:3])
+        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
+        segs = np.zeros((2, 4), dtype=int)
+        fa, ta = enc.forward_batch(np.array([[2, 5, 3, 7], [2, 5, 3, 9]]), segs, mask)
+        fb, tb = enc.forward_batch(np.array([[2, 5, 3, 12], [2, 5, 3, 9]]), segs, mask)
+        npt.assert_array_equal(fa.data, fb.data)
         for va, vb in zip(ta, tb):
             npt.assert_array_equal(va.data, vb.data)
 
@@ -174,10 +182,10 @@ class TestBatching:
         mask[::2, 40:] = 0
         attn = []
         final, trace = enc.forward_batch(ids, np.zeros_like(ids), mask, attn_out=attn)
-        assert final.shape == (128 * 64, 32)
+        assert final.shape == (128, 32)
         assert len(trace) == len(attn) == 4
+        assert [probs.shape for probs in attn] == [(128, 4, 64, 64)] * 3 + [(128, 4, 1, 64)]
         for probs in attn:
-            assert probs.shape == (128, 4, 64, 64)
             assert not np.any(probs[::2, :, :, 40:])
 
 
@@ -198,3 +206,67 @@ class TestMaskValidation:
         mask[1] = 0
         with pytest.raises(ValueError, match=r"mask rows \[1\] have no valid position"):
             enc.forward_batch(ids, np.zeros_like(ids), mask)
+
+
+def full_trace(enc, ids, segs, mask):
+    """Reference: every block over every position of the untrimmed batch,
+    then each layer's [CLS] rows."""
+    B, S = ids.shape
+    x = enc.embed_batch(ids, segs)
+    trace = []
+    for i in range(enc.config.L):
+        x = enc._block(x, x, mask, i, False, None)
+        trace.append(T.gather_rows(x, np.arange(B) * S))
+    return trace
+
+
+def padded_batch(S):
+    """Three examples of lengths 5, 3 and 4, padded to S <= 8 columns; the
+    first columns of the token ids do not depend on S."""
+    ids = np.random.default_rng(14).integers(4, 16, size=(3, 8))[:, :S]
+    ids[:, 0] = 2
+    segs = np.zeros((3, S), dtype=int)
+    segs[:, 2:] = 1
+    mask = (np.arange(S) < np.array([[5], [3], [4]])).astype(int)
+    return ids, segs, mask
+
+
+class TestClsRowsAndTrim:
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_logits_and_gradients_equal_the_full_computation(self, kind):
+        from clspool.model import PooledClassifier
+        from clspool.pooling import classify
+        model = PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3, R.rng_for(15, 0))
+        ids, segs, mask = padded_batch(7)
+        labels = np.array([0, 2, 1])
+        params = model.parameters()
+
+        def run(logits_fn):
+            logits = logits_fn()
+            T.softmax_cross_entropy(logits, labels).backward()
+            grads = {name: p.grad for name, p in params.items()}
+            for p in params.values():
+                p.grad = None
+            return logits.data, grads
+
+        logits, grads = run(lambda: model.forward_batch(ids, segs, mask))
+        ref_logits, ref_grads = run(
+            lambda: classify(model.pool(full_trace(model.encoder, ids, segs, mask)),
+                             model.classifier, p_drop=0.0))
+        npt.assert_allclose(logits, ref_logits, rtol=1e-12, atol=0)
+        # Relative to the largest gradient entry: some (the key biases) are
+        # zero in exact arithmetic, so both sides hold only rounding there.
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            npt.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    def test_trailing_padding_columns_change_nothing(self):
+        from clspool.model import PooledClassifier
+        model = PooledClassifier(small_config(p_drop=0.0), "lstm", 3, R.rng_for(16, 0))
+        ids, segs, mask = padded_batch(5)
+        padded = padded_batch(8)
+        logits = model.forward_batch(ids, segs, mask).data
+        npt.assert_allclose(model.forward_batch(*padded).data, logits, rtol=1e-12, atol=0)
+        attn = []
+        model.encoder.forward_batch(*padded, attn_out=attn)
+        assert [probs.shape for probs in attn] == [(3, 2, 5, 5), (3, 2, 1, 5)]

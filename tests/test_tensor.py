@@ -244,6 +244,37 @@ class TestAttention:
                 assert np.all(params[name].grad[padded] == 0.0), name
                 assert np.all(params[name].grad[~padded] != 0.0), name
 
+    @settings(max_examples=150, deadline=None)
+    @given(attention_cases())
+    def test_one_query_per_example_equals_the_full_ops_cls_rows(self, case):
+        q, k, v, mask, heads = case
+        B, S = mask.shape
+        cls_rows = np.arange(B) * S
+        w = np.random.default_rng(B * S).normal(size=(B, q.shape[1]))
+        w_full = np.zeros_like(q)
+        w_full[cls_rows] = w
+
+        def run(query, weights):
+            ts = [Tensor(a, requires_grad=True) for a in (query, k, v)]
+            out, probs = T.attention(*ts, mask, heads)
+            T.tsum(T.mul(out, Tensor(weights))).backward()
+            return out.data, probs, [t.grad for t in ts]
+
+        out, probs, (dq, dk, dv) = run(q[cls_rows], w)
+        full_out, full_probs, (full_dq, full_dk, full_dv) = run(q, w_full)
+        assert out.shape == (B, q.shape[1]) and probs.shape == (B, heads, 1, S)
+        npt.assert_allclose(out, full_out[cls_rows], rtol=0, atol=1e-12)
+        npt.assert_allclose(probs, full_probs[:, :, :1], rtol=0, atol=1e-12)
+        npt.assert_allclose(dq, full_dq[cls_rows], rtol=0, atol=1e-12)
+        npt.assert_allclose(dk, full_dk, rtol=0, atol=1e-12)
+        npt.assert_allclose(dv, full_dv, rtol=0, atol=1e-12)
+
+    def test_query_rows_must_be_one_per_position_or_per_example(self):
+        kv = Tensor(np.zeros((8, 4)))
+        for rows in (1, 3, 5):
+            with pytest.raises(ShapeError, match=rf"\({rows}, 4\)"):
+                T.attention(Tensor(np.zeros((rows, 4))), kv, kv, np.ones((2, 4)), 2)
+
     def test_shapes_rejected(self):
         x = Tensor(np.zeros((8, 4)))
         with pytest.raises(ShapeError):

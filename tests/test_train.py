@@ -86,6 +86,11 @@ class TestTrainConfig:
             with pytest.raises(ValueError, match="batch_size"):
                 TrainConfig(batch_size=batch_size)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
+
     def test_dropout_is_not_a_train_setting(self):
         # The dropout rate has one home: EncoderConfig.p_drop.
         with pytest.raises(TypeError):
