@@ -61,13 +61,16 @@ _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def _check_train_value(key, value):
-    """Raise TrainConfig's ValueError if it rejects ``value`` for the field ``key``."""
+    """Raise the ValueError of TrainConfig or EncoderConfig if it rejects ``value``
+    for the setting ``key`` on its own."""
     if key in _TRAIN_FIELDS:
         TrainConfig(**{key: value})
+    elif key in _ENCODER_KEYS:
+        EncoderConfig.check_field(_ENCODER_KEYS[key], value)
 
 
 def _flag_type(key, kind):
-    """The argparse type of a `train` flag: ``kind``, then TrainConfig's check."""
+    """The argparse type of a `train` flag: ``kind``, then its config's check."""
     def parse(text):
         value = kind(text)
         try:

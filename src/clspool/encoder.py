@@ -7,11 +7,16 @@ ordered from the embedding-adjacent layer up to the last one; downstream
 pooling heads consume that trace. Nothing reads the other positions of
 the last layer, so that block computes the [CLS] rows alone.
 
-For speed, a batch of sequences is packed into one long (B*S)×H matrix,
-after cutting the trailing padding columns that no example of the batch uses.
-The fused attention op views it as (B, A, S, d_h), so each example
-attends only to its own unmasked positions and per-example results match
-running examples one at a time.
+For speed, the encoder carries only the valid positions of a batch: the
+N positions its mask marks valid, as one N×H matrix in example-major
+order, from the embedding to the last block. Embeddings, projections,
+layer norms, the feed-forward network and dropout run on those N rows
+alone. Only the fused attention op scatters them into a padded
+(B, A, S', d_h) view, S' the batch's longest pair (the trailing columns
+that no example uses are cut first), so each example attends only to
+its own valid positions and per-example results match running examples
+one at a time. Every example's [CLS] column 0 must be valid; its row is
+the first of the example's rows.
 """
 
 from __future__ import annotations
@@ -42,13 +47,19 @@ class EncoderConfig:
     p_drop: float = 0.1
 
     def __post_init__(self):
-        for name in ("L", "H", "A", "F", "V", "S_max"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("L", "H", "A", "F", "V", "S_max", "p_drop"):
+            self.check_field(name, getattr(self, name))
         if self.H % self.A != 0:
-            raise ValueError(f"hidden size {self.H} not divisible by head count {self.A}")
-        if not 0.0 <= self.p_drop < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.p_drop}")
+            raise ValueError(f"hidden size H={self.H} not divisible by head count A={self.A}")
+
+    @staticmethod
+    def check_field(name, value):
+        """Raise ValueError if ``value`` is out of range for the field ``name`` on its own."""
+        if name == "p_drop":
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"dropout rate must be in [0, 1), got {value}")
+        elif value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def init_normal(rng, shape):
@@ -92,20 +103,23 @@ class MiniEncoder:
 
     # -- forward ------------------------------------------------------------
 
-    def embed_batch(self, token_ids, segment_ids, training=False, rng=None):
+    def embed_batch(self, token_ids, segment_ids, positions, training=False, rng=None):
         """Token + segment + learned-position embeddings, layer-norm, dropout.
 
-        Returns a (B*S)×H tensor, rows in example-major order.
+        ``token_ids``, ``segment_ids`` and ``positions`` are integer arrays
+        of one shape, one entry per position to embed; ``positions`` holds
+        each one's column in its sequence. Returns an N×H tensor, N the
+        number of entries, rows in the arrays' (row-major) order.
         """
         c = self.config
-        B, S = token_ids.shape
-        if S > c.S_max:
-            raise ValueError(f"sequence length {S} exceeds S_max={c.S_max}")
+        positions = np.asarray(positions).reshape(-1)
+        if positions.size and positions.max() >= c.S_max:
+            raise ValueError(f"sequence length {positions.max() + 1} exceeds S_max={c.S_max}")
         p = self.params
         x = T.add(
-            T.add(T.embedding(p["embed/token"], token_ids.reshape(-1)),
-                  T.embedding(p["embed/segment"], segment_ids.reshape(-1))),
-            T.gather_rows(p["embed/position"], np.tile(np.arange(S), B)),
+            T.add(T.embedding(p["embed/token"], np.reshape(token_ids, -1)),
+                  T.embedding(p["embed/segment"], np.reshape(segment_ids, -1))),
+            T.gather_rows(p["embed/position"], positions),
         )
         x = T.layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
         return T.dropout(x, c.p_drop, rng, training)
@@ -121,13 +135,16 @@ class MiniEncoder:
         and values cover every position.
 
         ``token_ids``, ``segment_ids`` and ``mask`` are integer arrays of
-        shape (B, S); all sequences in a batch share the padded length S,
-        and every row of ``mask`` needs at least one valid (1) position.
-        The columns after the last one that any row marks valid are cut
-        before encoding, so the batch runs at its own longest length S'.
-        If ``attn_out`` is a list, each layer appends its attention
-        probabilities to it: (B, A, S', S') for every layer but the last,
-        (B, A, 1, S') for the last.
+        shape (B, S); all sequences in a batch share the padded length S.
+        Every row of ``mask`` needs a valid (1) [CLS] column 0; a row with
+        no valid position, or with column 0 masked, raises ValueError. The
+        encoder carries only the N valid positions, as one N×H matrix in
+        example-major order, each example's [CLS] row first; only the
+        attention op lays them out padded. The columns after the last one
+        that any row marks valid are cut first, so that layout has the
+        batch's own longest length S'. If ``attn_out`` is a list, each
+        layer appends its attention probabilities to it: (B, A, S', S') for
+        every layer but the last, (B, A, 1, S') for the last.
         """
         c = self.config
         B, S = token_ids.shape
@@ -137,16 +154,20 @@ class MiniEncoder:
         empty = np.flatnonzero(~valid.any(axis=1))
         if empty.size:
             raise ValueError(f"mask rows {empty.tolist()} have no valid position")
-        S = int(np.flatnonzero(valid.any(axis=0))[-1]) + 1
-        token_ids, segment_ids, mask = token_ids[:, :S], segment_ids[:, :S], mask[:, :S]
-        x = self.embed_batch(token_ids, segment_ids, training=training, rng=rng)
+        no_cls = np.flatnonzero(~valid[:, 0])
+        if no_cls.size:
+            raise ValueError(f"mask rows {no_cls.tolist()} do not mark the [CLS] column 0 valid")
+        valid = valid[:, :int(np.flatnonzero(valid.any(axis=0))[-1]) + 1]
+        rows, cols = np.nonzero(valid)
+        x = self.embed_batch(token_ids[rows, cols], segment_ids[rows, cols], cols,
+                             training=training, rng=rng)
 
         trace = []
-        cls_rows = np.arange(B) * S
+        cls_rows = np.flatnonzero(cols == 0)
         for i in range(c.L - 1):
-            x = self._block(x, x, mask, i, training, rng, attn_out=attn_out)
+            x = self._block(x, x, valid, i, training, rng, attn_out=attn_out)
             trace.append(T.gather_rows(x, cls_rows))
-        cls = self._block(x, T.gather_rows(x, cls_rows), mask, c.L - 1, training, rng,
+        cls = self._block(x, T.gather_rows(x, cls_rows), valid, c.L - 1, training, rng,
                           attn_out=attn_out)
         trace.append(cls)
         return cls, trace
@@ -154,8 +175,9 @@ class MiniEncoder:
     def _block(self, x, rows, mask, i, training, rng, attn_out=None):
         """Block ``i`` for the query rows ``rows`` (all of ``x``, or its [CLS] rows).
 
-        Keys and values come from every row of ``x``; the output has the
-        rows of ``rows``.
+        ``x`` holds the valid positions of the (B, S) ``mask``, one row
+        each; keys and values come from every row of ``x``, and the output
+        has the rows of ``rows``.
         """
         c = self.config
         p = self.params

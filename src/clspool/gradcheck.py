@@ -139,14 +139,14 @@ def _model_scenario(seed, pooling):
 
 SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
-    # Fused attention: random q/k/v, A=2 heads of width 3.
+    # Fused attention: random q/k/v at the 12 valid positions, A=2 heads of width 3.
     "fused_attention": _op_scenario(
-        94, {name: (ATTENTION_MASK.size, 6) for name in "qkv"},
+        94, {name: (ATTENTION_MASK.sum(), 6) for name in "qkv"},
         lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
     # The same with one query per example (the last block's [CLS] rows).
     "fused_cls_attention": _op_scenario(
-        98, {"q": (len(ATTENTION_MASK), 6), "k": (ATTENTION_MASK.size, 6),
-             "v": (ATTENTION_MASK.size, 6)},
+        98, {"q": (len(ATTENTION_MASK), 6), "k": (ATTENTION_MASK.sum(), 6),
+             "v": (ATTENTION_MASK.sum(), 6)},
         lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
     # Fused LSTM: 3 steps of B=3 rows, H=4; the rows and all 12 gate tensors.
     "fused_lstm": _op_scenario(

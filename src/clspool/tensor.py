@@ -9,8 +9,9 @@ Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
 the rows of a matrix (``add``). Five fused ops record one tape node each
 and carry a hand-derived backward: ``attention`` (multi-head attention
-over packed (B*S)×H keys and values, with one query per position or one
-per example, (B, A, S, d_h) views inside), ``layer_attention`` (a
+over the N valid positions of a batch, given as N×H keys and values, with
+one query per valid position or one per example; only inside it are the
+rows laid out as padded (B, A, S, d_h) views), ``layer_attention`` (a
 softmax-weighted sum of L B×H rows, for the attention pooling head),
 ``lstm`` (an LSTM over a list of B×H rows, its four gates computed as one
 H×4H block), ``sum_squares`` (the sum of squares of several tensors, for
@@ -280,53 +281,77 @@ def gelu(a):
     return out
 
 
-def _split_heads(x, B, S, heads):
-    """(B*S)×H -> (B, A, S, d_h) view."""
+def _split_heads(x, B, S, heads, valid=None):
+    """Rows of ``x`` -> (B, A, S, d_h).
+
+    With ``valid`` None, ``x`` has B*S rows and the result is a view of it.
+    Otherwise ``x`` has one row per True entry of the (B, S) ``valid``, in
+    row-major order, and is scattered into zeros at the other positions.
+    """
+    if valid is not None:
+        padded = np.zeros((B, S, x.shape[1]))
+        padded[valid] = x
+        x = padded
     return x.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(x):
-    """(B, A, S, d_h) -> (B*S)×H copy."""
+def _merge_heads(x, valid=None):
+    """(B, A, S, d_h) -> its B*S rows, or only the rows at the True entries of ``valid``."""
     B, A, S, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(B * S, A * dh)
+    x = x.transpose(0, 2, 1, 3)
+    return x.reshape(B * S, A * dh) if valid is None else x[valid].reshape(-1, A * dh)
 
 
 def attention(q, k, v, mask, heads):
-    """Fused scaled dot-product multi-head attention over a packed batch.
+    """Fused scaled dot-product multi-head attention over the valid positions of a batch.
 
-    ``k`` and ``v`` are (B*S)×H with rows in example-major order; ``mask``
-    is a (B, S) 0/1 array, and each example attends only to its own
-    positions whose mask is 1. ``q`` is either (B*S)×H, one query per
-    position (self-attention), or B×H, one query per example. Returns
-    ``(out, probs)``: the context, with as many rows as ``q``, as one tape
-    node with parents (q, k, v), and the attention probabilities, (B, A, S, S)
-    or (B, A, 1, S), which the backward reuses.
+    ``mask`` is a (B, S) 0/1 array; its N ones are the valid positions.
+    ``k`` and ``v`` are N×H, one row per valid position in example-major
+    order. ``q`` is either N×H, one query per valid position
+    (self-attention), or B×H, one query per example; B rows are read the
+    second way even when N == B, where each example has one valid
+    position and both readings give the same output rows. Each example
+    attends only to its own valid positions. Inside, the rows are
+    scattered into zero-filled (B, A, S, d_h) arrays, and the rows of the
+    valid positions are gathered from the output and the gradients; when
+    every position is valid, nothing is scattered or gathered and the
+    inputs are only viewed as (B, A, S, d_h).
+
+    Returns ``(out, probs)``: the context, with as many rows as ``q``, as
+    one tape node with parents (q, k, v), and the attention probabilities,
+    (B, A, S, S) or (B, A, 1, S), which the backward reuses. The
+    probability rows of masked query positions come from zero queries and
+    belong to no output row.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
         raise ShapeError(f"attention: mask must be (B, S), got shape {mask.shape}")
     B, S = mask.shape
+    valid = mask == 1
+    N = int(np.count_nonzero(valid))
     H = q.shape[-1]
-    if (q.shape not in ((B * S, H), (B, H)) or any(t.shape != (B * S, H) for t in (k, v))
+    if (q.shape not in ((N, H), (B, H)) or any(t.shape != (N, H) for t in (k, v))
             or heads < 1 or H % heads != 0):
         raise ShapeError(f"attention: q/k/v {q.shape}/{k.shape}/{v.shape} do not fit "
-                         f"mask {mask.shape} with {heads} heads")
+                         f"mask {mask.shape} ({N} valid positions) with {heads} heads")
+    holes = None if N == B * S else valid
+    Sq, q_holes = (1, None) if q.shape[0] == B else (S, holes)
     c = 1.0 / math.sqrt(H // heads)
-    Q = _split_heads(q.data, B, q.shape[0] // B, heads)
-    K, V = (_split_heads(t.data, B, S, heads) for t in (k, v))
-    bias = np.where(mask == 1, 0.0, -1e9)[:, None, None, :]
+    Q = _split_heads(q.data, B, Sq, heads, q_holes)
+    K, V = (_split_heads(t.data, B, S, heads, holes) for t in (k, v))
+    bias = np.where(valid, 0.0, -1e9)[:, None, None, :]
     scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     P = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(_merge_heads(np.matmul(P, V)), _parents=(q, k, v))
+    out = Tensor(_merge_heads(np.matmul(P, V), q_holes), _parents=(q, k, v))
 
     def bwd(g):
-        G = _split_heads(g, B, Q.shape[2], heads)
-        _accumulate(v, _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G)))
+        G = _split_heads(g, B, Sq, heads, q_holes)
+        _accumulate(v, _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G), holes))
         dP = np.matmul(G, V.transpose(0, 1, 3, 2))
         dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
-        _accumulate(q, _merge_heads(np.matmul(dS, K)))
-        _accumulate(k, _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q)))
+        _accumulate(q, _merge_heads(np.matmul(dS, K), q_holes))
+        _accumulate(k, _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes))
 
     out._backward = bwd
     return out, P

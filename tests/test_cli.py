@@ -339,6 +339,83 @@ class TestNegativeSeed:
         assert "Traceback" not in err and not out.exists()
 
 
+class TestEncoderSettings:
+    @pytest.mark.parametrize("flags, message", [
+        (["--L", "0"], "argument --L: L must be >= 1, got 0"),
+        (["--A", "-2"], "argument --A: A must be >= 1, got -2"),
+        (["--s-max", "0"], "argument --s-max: S_max must be >= 1, got 0"),
+        (["--p-drop", "1.0"], "argument --p-drop: dropout rate must be in [0, 1), got 1.0"),
+    ])
+    def test_flag_exit_2_names_the_flag(self, dataset, tmp_path, capsys, flags, message):
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_names_file_and_line(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("H=8\nL=0\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", str(cfg),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:2: L: L must be >= 1, got 0" in err
+        assert "Traceback" not in err and not out.exists()
+
+    @pytest.mark.parametrize("source", ["flags", "file"])
+    def test_head_count_mismatch_names_both_keys(self, dataset, tmp_path, capsys, source):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("H=10\nA=4\n")
+        settings = ["--H", "10", "--A", "4"] if source == "flags" else ["--config", str(cfg)]
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, *settings, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "error: hidden size H=10 not divisible by head count A=4" in err
+        assert not out.exists()
+
+
+class TestPaddedData:
+    """Texts of 1 to 15 tokens, so every batch pads and masks (ROADMAP aim 3)."""
+
+    @pytest.fixture()
+    def padded_dataset(self, tmp_path):
+        rng = np.random.default_rng(5)
+        labels = ["negative", "neutral", "positive"]
+        path = tmp_path / "padded.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for i in range(24):
+                n = 1 + i % 15
+                label = int(rng.integers(3))
+                words = [f"w{int(w)}" for w in rng.integers(12, size=n)]
+                words[int(rng.integers(n))] = labels[label]
+                f.write(json.dumps({"text": " ".join(words), "aspect": f"a{i % 3}",
+                                    "label": labels[label]}) + "\n")
+        return str(path)
+
+    def test_rerun_and_one_at_a_time_predictions(self, padded_dataset, tiny_cfg, tmp_path):
+        outs = [str(tmp_path / name) for name in ("a", "b")]
+        for out in outs:
+            assert run(["train", "--data", padded_dataset, "--config", tiny_cfg, "--L", "2",
+                        "--pooling", "attention", "--folds", "2", "--epochs", "1",
+                        "--batch-size", "8", "--seed", "4", "--out", out]) == 0
+        for name in ("results.csv", "model.ckpt"):
+            with open(os.path.join(outs[0], name), "rb") as a, \
+                    open(os.path.join(outs[1], name), "rb") as b:
+                assert a.read() == b.read(), name
+
+        model, meta = PooledClassifier.load(os.path.join(outs[0], "model.ckpt"))
+        tok, seg, mask, _ = data.pack_dataset(load_jsonl(padded_dataset, "absa"),
+                                              data.Vocab(meta["vocab"]), model.config.S_max)
+        lengths = mask.sum(axis=1)
+        assert lengths.min() < lengths.max() == tok.shape[1]   # the batch really pads
+        logits = model.forward_batch(tok, seg, mask).data
+        alone = np.vstack([model.forward_batch(tok[i:i + 1, :n], seg[i:i + 1, :n],
+                                               mask[i:i + 1, :n]).data
+                           for i, n in enumerate(lengths)])
+        np.testing.assert_allclose(logits, alone, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(model.predict(tok, seg, mask), alone.argmax(axis=1))
+
+
 class TestUsage:
     def test_no_command_exit_2(self):
         assert run([]) == 2

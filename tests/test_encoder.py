@@ -36,30 +36,49 @@ class TestConfig:
             small_config(p_drop=1.0)
 
 
+def embed_sequence(enc, ids):
+    """``embed_batch`` on the positions 0, 1, ... of one segment-0 sequence."""
+    return enc.embed_batch(np.asarray(ids), np.zeros(len(ids), dtype=int), np.arange(len(ids)))
+
+
 class TestEmbed:
     def test_zero_tables_give_zero_rows(self):
         enc = MiniEncoder(small_config(), R.rng_for(0, 0))
         for name in ("embed/token", "embed/segment", "embed/position"):
             enc.params[name].data[:] = 0.0
-        out = enc.embed_batch(*make_packed([2, 5, 3])[:2])
+        out = embed_sequence(enc, [2, 5, 3])
         npt.assert_array_equal(out.data, np.zeros((3, 8)))
 
     def test_eval_determinism(self):
         enc = MiniEncoder(small_config(), R.rng_for(0, 0))
-        packed = make_packed([2, 5, 7, 3])
-        a = enc.embed_batch(*packed[:2]).data
-        b = enc.embed_batch(*packed[:2]).data
+        a = embed_sequence(enc, [2, 5, 7, 3]).data
+        b = embed_sequence(enc, [2, 5, 7, 3]).data
         assert np.array_equal(a, b)
 
     def test_length_error(self):
         enc = MiniEncoder(small_config(S_max=4), R.rng_for(0, 0))
-        with pytest.raises(ValueError, match="exceeds"):
-            enc.embed_batch(*make_packed([2, 5, 7, 6, 3])[:2])
+        with pytest.raises(ValueError, match="sequence length 5 exceeds"):
+            embed_sequence(enc, [2, 5, 7, 6, 3])
 
     def test_id_out_of_vocab(self):
         enc = MiniEncoder(small_config(V=8), R.rng_for(0, 0))
         with pytest.raises(IndexError):
-            enc.embed_batch(*make_packed([2, 8, 3])[:2])
+            embed_sequence(enc, [2, 8, 3])
+
+    def test_each_row_embeds_its_own_token_segment_and_position(self):
+        # The valid positions of a batch with holes, example-major.
+        enc = MiniEncoder(small_config(), R.rng_for(0, 1))
+        p = {name: enc.params[name].data for name in enc.params}
+        p["embed/ln_g"][:] = np.linspace(0.5, 1.5, 8)
+        p["embed/ln_b"][:] = np.linspace(-1.0, 1.0, 8)
+        ids = np.array([2, 5, 7, 2, 9])
+        segs = np.array([0, 1, 1, 0, 1])
+        positions = np.array([0, 1, 3, 0, 2])
+        out = enc.embed_batch(ids, segs, positions).data
+        for row, (t, g, pos) in enumerate(zip(ids, segs, positions)):
+            x = p["embed/token"][t] + p["embed/segment"][g] + p["embed/position"][pos]
+            ref = (x - x.mean()) / np.sqrt(x.var() + 1e-12) * p["embed/ln_g"] + p["embed/ln_b"]
+            npt.assert_allclose(out[row], ref, rtol=0, atol=1e-12)
 
 
 class TestSelfAttention:
@@ -207,16 +226,28 @@ class TestMaskValidation:
         with pytest.raises(ValueError, match=r"mask rows \[1\] have no valid position"):
             enc.forward_batch(ids, np.zeros_like(ids), mask)
 
+    def test_row_with_masked_cls_column_is_rejected(self):
+        enc = MiniEncoder(small_config(), R.rng_for(13, 1))
+        ids = np.array([[2, 5, 6, 3], [2, 7, 8, 3], [2, 9, 3, 0]])
+        mask = np.ones((3, 4), dtype=int)
+        mask[0, 0] = mask[2, 0] = 0
+        with pytest.raises(ValueError, match=r"mask rows \[0, 2\] do not mark the \[CLS\] column"):
+            enc.forward_batch(ids, np.zeros_like(ids), mask)
+        # A row with no valid position at all keeps its own message.
+        mask[2] = 0
+        with pytest.raises(ValueError, match=r"mask rows \[2\] have no valid position"):
+            enc.forward_batch(ids, np.zeros_like(ids), mask)
+
 
 def full_trace(enc, ids, segs, mask):
-    """Reference: every block over every position of the untrimmed batch,
-    then each layer's [CLS] rows."""
-    B, S = ids.shape
-    x = enc.embed_batch(ids, segs)
+    """Reference: every block over every valid position of the untrimmed
+    batch, then each layer's [CLS] rows."""
+    rows, cols = np.nonzero(mask)
+    x = enc.embed_batch(ids[rows, cols], segs[rows, cols], cols)
     trace = []
     for i in range(enc.config.L):
         x = enc._block(x, x, mask, i, False, None)
-        trace.append(T.gather_rows(x, np.arange(B) * S))
+        trace.append(T.gather_rows(x, np.flatnonzero(cols == 0)))
     return trace
 
 
@@ -270,3 +301,44 @@ class TestClsRowsAndTrim:
         attn = []
         model.encoder.forward_batch(*padded, attn_out=attn)
         assert [probs.shape for probs in attn] == [(3, 2, 5, 5), (3, 2, 1, 5)]
+
+
+class TestValidRowsOnly:
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_padded_batch_equals_each_example_alone(self, kind):
+        # Lengths 5, 3 and 4 in 8 columns, and a hole in the first example.
+        from clspool.model import PooledClassifier
+        model = PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3, R.rng_for(17, 0))
+        ids, segs, mask = padded_batch(8)
+        mask[0, 2] = 0
+        labels = np.array([0, 2, 1])
+        params = model.parameters()
+
+        def run(b):
+            batch = slice(None) if b is None else slice(b, b + 1)
+            logits = model.forward_batch(ids[batch], segs[batch], mask[batch])
+            T.softmax_cross_entropy(logits, labels[batch]).backward()
+            grads = {name: np.zeros_like(p.data) if p.grad is None else p.grad
+                     for name, p in params.items()}
+            for p in params.values():
+                p.grad = None
+            return logits.data, grads
+
+        logits, grads = run(None)
+        alone = [run(b) for b in range(3)]
+        npt.assert_allclose(logits, np.vstack([a[0] for a in alone]), rtol=1e-12, atol=0)
+        # The batch loss is the mean of the three examples' losses.
+        ref_grads = {name: sum(a[1][name] for a in alone) / 3 for name in params}
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            npt.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+    def test_a_masked_interior_column_keeps_the_later_positions(self):
+        # The token after a hole keeps its own column as its position; the
+        # reference embeds every valid position at its column.
+        enc = MiniEncoder(small_config(p_drop=0.0), R.rng_for(18, 0))
+        ids, segs, mask = padded_batch(6)
+        mask[:, 2] = 0
+        _, trace = enc.forward_batch(ids, segs, mask)
+        for got, ref in zip(trace, full_trace(enc, ids, segs, mask)):
+            npt.assert_allclose(got.data, ref.data, rtol=1e-12, atol=0)

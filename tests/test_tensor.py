@@ -188,27 +188,74 @@ class TestBackward:
 
 
 def naive_attention(q, k, v, mask, heads):
-    """Loop oracle: per example and head, a softmax over the valid keys only."""
+    """Loop oracle: per example and head, a softmax over the valid keys only.
+
+    ``k`` and ``v`` hold one row per valid position of the (B, S) ``mask``,
+    example-major; ``q`` holds the same rows (one query per valid position).
+    The probabilities are filled on the valid query rows only.
+    """
     B, S = mask.shape
     dh = q.shape[1] // heads
+    starts = np.concatenate(([0], np.cumsum(mask.sum(axis=1))))
     out = np.zeros_like(q)
     probs = np.zeros((B, heads, S, S))
     for b in range(B):
-        rows = slice(b * S, (b + 1) * S)
+        rows = slice(starts[b], starts[b + 1])
         valid = np.flatnonzero(mask[b] == 1)
         for a in range(heads):
             cols = slice(a * dh, (a + 1) * dh)
-            kh, vh = k[rows, cols][valid], v[rows, cols][valid]
-            s = q[rows, cols] @ kh.T / math.sqrt(dh)
+            s = q[rows, cols] @ k[rows, cols].T / math.sqrt(dh)
             e = np.exp(s - s.max(axis=1, keepdims=True))
             p = e / e.sum(axis=1, keepdims=True)
-            probs[b, a][:, valid] = p
-            out[rows, cols] = p @ vh
+            probs[b, a][np.ix_(valid, valid)] = p
+            out[rows, cols] = p @ v[rows, cols]
     return out, probs
+
+
+def padded_attention(q, k, v, mask, heads, w, fill):
+    """The padded computation: the valid rows of q, k and v scattered to
+    all B*S positions, ``fill`` (B*S rows) at the masked ones, then dense
+    (B, A, S, d_h) attention with a -1e9 score bias on masked keys and the
+    gradients of sum(out * w), w one row per position. Returns (out, dq,
+    dk, dv), each with B*S rows."""
+    B, S = mask.shape
+    valid = (mask == 1).reshape(-1)
+    dh = q.shape[1] // heads
+
+    def heads_view(x):
+        return x.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
+
+    def rows_of(x):
+        return x.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
+
+    def padded(x):
+        rows = fill.copy()
+        rows[valid] = x
+        return heads_view(rows)
+
+    Q, K, V = padded(q), padded(k), padded(v)
+    bias = np.where(mask == 1, 0.0, -1e9)[:, None, None, :]
+    scores = Q @ K.transpose(0, 1, 3, 2) / math.sqrt(dh) + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    P = e / e.sum(axis=-1, keepdims=True)
+    G = heads_view(w)
+    dP = G @ V.transpose(0, 1, 3, 2)
+    dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) / math.sqrt(dh)
+    return (rows_of(P @ V), rows_of(dS @ K), rows_of(dS.transpose(0, 1, 3, 2) @ Q),
+            rows_of(P.transpose(0, 1, 3, 2) @ G))
+
+
+def weighted_attention_grads(q, k, v, mask, heads, w):
+    """The op's output and its q, k and v gradients for the loss sum(out * w)."""
+    ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
+    out, _ = T.attention(*ts, mask, heads)
+    T.tsum(T.mul(out, Tensor(w))).backward()
+    return out.data, [t.grad for t in ts]
 
 
 @st.composite
 def attention_cases(draw):
+    """Random masks with holes (column 0 always valid) and q/k/v at the valid positions."""
     B = draw(st.integers(1, 6))
     S = draw(st.integers(1, 12))
     heads = draw(st.sampled_from([1, 2, 4]))
@@ -217,7 +264,7 @@ def attention_cases(draw):
                                   min_size=B, max_size=B)))
     mask[:, 0] = 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q, k, v = (rng.normal(size=(B * S, heads * dh)) for _ in range(3))
+    q, k, v = (rng.normal(size=(mask.sum(), heads * dh)) for _ in range(3))
     return q, k, v, mask, heads
 
 
@@ -228,28 +275,57 @@ class TestAttention:
         q, k, v, mask, heads = case
         out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
         ref_out, ref_probs = naive_attention(q, k, v, mask, heads)
+        B, S = mask.shape
+        valid = mask == 1
+        if len(q) == B:
+            # One valid position per example, column 0: read as one query per example.
+            valid, ref_probs = valid[:, :1], ref_probs[:, :, :1]
+        assert out.shape == q.shape and probs.shape == (B, heads, len(valid[0]), S)
         npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
-        npt.assert_allclose(probs, ref_probs, rtol=0, atol=1e-12)
-        masked = np.broadcast_to((mask == 0)[:, None, None, :], probs.shape)
+        query_rows = np.broadcast_to(valid[:, None, :, None], probs.shape)
+        npt.assert_allclose(probs[query_rows], ref_probs[query_rows], rtol=0, atol=1e-12)
+        masked = np.broadcast_to(mask[:, None, None, :] == 0, probs.shape)
         assert np.all(probs[masked] == 0.0)
         npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(attention_cases())
+    def test_gradients_equal_the_padded_computations_valid_rows(self, case):
+        q, k, v, mask, heads = case
+        valid = (mask == 1).reshape(-1)
+        rng = np.random.default_rng(q.size)
+        w, fill = rng.normal(size=(2, valid.size, q.shape[1]))
+        w[~valid] = 0.0   # the loss reads the valid rows only
+        out, grads = weighted_attention_grads(q, k, v, mask, heads, w[valid])
+        ref_out, *ref_grads = padded_attention(q, k, v, mask, heads, w, fill)
+        npt.assert_allclose(out, ref_out[valid], rtol=0, atol=1e-12)
+        for g, ref in zip(grads, ref_grads):
+            npt.assert_allclose(g, ref[valid], rtol=0, atol=1e-12)
+
     def test_padded_key_value_rows_get_exactly_zero_gradient(self):
-        from clspool.gradcheck import ATTENTION_MASK, SCENARIOS
-        padded = (ATTENTION_MASK == 0).reshape(-1)
+        # The op receives only the valid rows. In the padded computation the
+        # masked key and value rows, whatever they hold, get exactly zero
+        # gradient; every valid row gets some, and the op's gradients equal them.
+        from clspool.gradcheck import ATTENTION_MASK
+        valid = (ATTENTION_MASK == 1).reshape(-1)
         for seed in range(3):
-            loss_fn, params = SCENARIOS["fused_attention"](seed)
-            loss_fn().backward()
-            for name in ("k", "v"):
-                assert np.all(params[name].grad[padded] == 0.0), name
-                assert np.all(params[name].grad[~padded] != 0.0), name
+            rng = np.random.default_rng(seed)
+            q, k, v = rng.normal(size=(3, valid.sum(), 6))
+            w, fill = rng.normal(size=(2, valid.size, 6))
+            w[~valid] = 0.0
+            _, (_, dk, dv) = weighted_attention_grads(q, k, v, ATTENTION_MASK, 2, w[valid])
+            _, _, ref_dk, ref_dv = padded_attention(q, k, v, ATTENTION_MASK, 2, w, fill)
+            for g, ref in ((dk, ref_dk), (dv, ref_dv)):
+                assert np.all(ref[~valid] == 0.0)
+                assert np.all(g != 0.0)
+                npt.assert_allclose(g, ref[valid], rtol=0, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(attention_cases())
     def test_one_query_per_example_equals_the_full_ops_cls_rows(self, case):
         q, k, v, mask, heads = case
         B, S = mask.shape
-        cls_rows = np.arange(B) * S
+        cls_rows = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[:-1]))
         w = np.random.default_rng(B * S).normal(size=(B, q.shape[1]))
         w_full = np.zeros_like(q)
         w_full[cls_rows] = w
