@@ -17,6 +17,7 @@ import numpy as np
 
 from .checkpoint import atomic_write_bytes
 from .data import DataError
+from .train import EVAL_BATCH
 
 
 class DegenerateDataError(ValueError):
@@ -111,16 +112,15 @@ def write_dump(dump: LayerDump, out_dir):
     return path
 
 
-def read_dump(path, epoch=None, layer=None):
-    """Read a dump CSV; epoch and layer default to the ones in its file name.
+def read_dump(path):
+    """Read a dump CSV; its epoch and layer come from its file name.
 
     A bad file name, header or row raises DataError naming the file and line.
     """
-    if epoch is None or layer is None:
-        m = re.fullmatch(r"cls_epoch(\d+)_layer(\d+)\.csv", os.path.basename(path))
-        if m is None:
-            raise DataError(f"{path}: file name does not match cls_epoch<E>_layer<L>.csv")
-        epoch, layer = int(m[1]), int(m[2])
+    m = re.fullmatch(r"cls_epoch(\d+)_layer(\d+)\.csv", os.path.basename(path))
+    if m is None:
+        raise DataError(f"{path}: file name does not match cls_epoch<E>_layer<L>.csv")
+    epoch, layer = int(m[1]), int(m[2])
     ids, labels, vectors = [], [], []
     with open(path, encoding="utf-8") as f:
         header = f.readline().strip().split(",")
@@ -147,9 +147,10 @@ def read_dump(path, epoch=None, layer=None):
                      labels=np.array(labels), vectors=np.array(vectors))
 
 
-def dump_trace(model, arrays, epoch, layers, out_dir, batch_size=64):
+def dump_trace(model, arrays, epoch, layers, out_dir):
     """Dump the eval-mode [CLS] state of every example at the given layers.
 
+    The examples run in batches of ``EVAL_BATCH``, like ``evaluate``.
     Layers are 1-based; requesting a layer above the model's count errors.
     Returns the written paths.
     """
@@ -160,8 +161,8 @@ def dump_trace(model, arrays, epoch, layers, out_dir, batch_size=64):
     tok, seg, mask, labels = arrays
     n = len(labels)
     per_layer = [np.empty((n, model.config.H)) for _ in range(L)]
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for lo in range(0, n, EVAL_BATCH):
+        hi = min(lo + EVAL_BATCH, n)
         for li, block in enumerate(model.trace_batch(tok[lo:hi], seg[lo:hi], mask[lo:hi])):
             per_layer[li][lo:hi] = block
     os.makedirs(out_dir, exist_ok=True)
@@ -174,14 +175,14 @@ def dump_trace(model, arrays, epoch, layers, out_dir, batch_size=64):
     return paths
 
 
-def project_dump_dir(dumps_dir, out_dir, k=2):
-    """Project every dump CSV in a directory; emit point CSVs + a score table.
+def project_dump_dir(dumps_dir, out_dir):
+    """Project every dump CSV in a directory to 2-D; emit point CSVs + a score table.
 
-    Writes ``proj_epoch{e}_layer{l}.csv`` files (example_id, label, x, y)
+    Writes ``proj_epoch{e}_layer{l}.csv`` files (example_id, label, p0, p1)
     and ``cluster_scores.csv`` (epoch, layer, cluster_score,
     explained_var0, explained_var1). Every dump is read, projected and
     scored before any file is written, so a bad dump leaves ``out_dir`` as
-    it was.
+    it was; the DataError it raises starts with the dump's path.
     """
     names = sorted(n for n in os.listdir(dumps_dir)
                    if n.startswith("cls_epoch") and n.endswith(".csv"))
@@ -189,20 +190,22 @@ def project_dump_dir(dumps_dir, out_dir, k=2):
         raise FileNotFoundError(f"no dump CSVs found in {dumps_dir}")
     projections = []
     for name in names:
-        dump = read_dump(os.path.join(dumps_dir, name))
-        proj = pca_project(dump, k=k)
-        projections.append((dump, proj, cluster_score(proj)))
+        path = os.path.join(dumps_dir, name)
+        dump = read_dump(path)
+        try:
+            proj = pca_project(dump)
+            projections.append((dump, proj, cluster_score(proj)))
+        except ValueError as e:
+            raise DataError(f"{path}: {e}") from None
     os.makedirs(out_dir, exist_ok=True)
     score_rows = []
     for dump, proj, score in projections:
-        lines = ["example_id,label," + ",".join(f"p{i}" for i in range(k))]
+        lines = ["example_id,label,p0,p1"]
         for eid, lab, pt in zip(proj.example_ids, proj.labels, proj.points):
             lines.append(f"{int(eid)},{int(lab)}," + ",".join(repr(float(v)) for v in pt))
         out = os.path.join(out_dir, f"proj_epoch{dump.epoch}_layer{dump.layer}.csv")
         atomic_write_bytes(out, ("\n".join(lines) + "\n").encode("utf-8"))
-        score_rows.append((dump.epoch, dump.layer, score,
-                           proj.explained_variance[0],
-                           proj.explained_variance[1] if k > 1 else 0.0))
+        score_rows.append((dump.epoch, dump.layer, score, *proj.explained_variance))
     lines = ["epoch,layer,cluster_score,explained_var0,explained_var1"]
     for e, l, s, v0, v1 in sorted(score_rows):
         lines.append(f"{e},{l},{repr(s)},{repr(float(v0))},{repr(float(v1))}")

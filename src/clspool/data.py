@@ -69,8 +69,8 @@ class Vocab:
         return [tok for tok, i in inv if i >= len(RESERVED)]
 
 
-def build_vocab(corpus, min_count=1):
-    """Vocabulary over lowercased whitespace tokens with count >= min_count.
+def build_vocab(corpus):
+    """Vocabulary over every lowercased whitespace token of the corpus.
 
     Order is deterministic: count descending, then lexicographic.
     """
@@ -79,13 +79,11 @@ def build_vocab(corpus, min_count=1):
         counts.update(tokenize(text))
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    kept = sorted((t for t, c in counts.items() if c >= min_count),
-                  key=lambda t: (-counts[t], t))
-    return Vocab(kept)
+    return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
-def vocab_for_examples(examples, min_count=1):
-    return build_vocab([ex.text_a + " " + ex.text_b for ex in examples], min_count)
+def vocab_for_examples(examples):
+    return build_vocab([ex.text_a + " " + ex.text_b for ex in examples])
 
 
 def pack_pair(ex: PairExample, vocab: Vocab, s_max):

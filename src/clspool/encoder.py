@@ -117,15 +117,14 @@ class MiniEncoder:
             raise ValueError(f"sequence length {positions.max() + 1} exceeds S_max={c.S_max}")
         p = self.params
         x = T.add(
-            T.add(T.embedding(p["embed/token"], np.reshape(token_ids, -1)),
-                  T.embedding(p["embed/segment"], np.reshape(segment_ids, -1))),
+            T.add(T.gather_rows(p["embed/token"], np.reshape(token_ids, -1)),
+                  T.gather_rows(p["embed/segment"], np.reshape(segment_ids, -1))),
             T.gather_rows(p["embed/position"], positions),
         )
         x = T.layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
         return T.dropout(x, c.p_drop, rng, training)
 
-    def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None,
-                      attn_out=None):
+    def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None):
         """Encode a batch; returns (B×H last-layer [CLS] states, trace).
 
         The trace is a list of L B×H tensors, the [CLS] row of each layer,
@@ -136,20 +135,21 @@ class MiniEncoder:
 
         ``token_ids``, ``segment_ids`` and ``mask`` are integer arrays of
         shape (B, S); all sequences in a batch share the padded length S.
-        Every row of ``mask`` needs a valid (1) [CLS] column 0; a row with
-        no valid position, or with column 0 masked, raises ValueError. The
-        encoder carries only the N valid positions, as one N×H matrix in
-        example-major order, each example's [CLS] row first; only the
-        attention op lays them out padded. The columns after the last one
-        that any row marks valid are cut first, so that layout has the
-        batch's own longest length S'. If ``attn_out`` is a list, each
-        layer appends its attention probabilities to it: (B, A, S', S') for
-        every layer but the last, (B, A, 1, S') for the last.
+        Every row of ``mask`` needs a valid (1) [CLS] column 0; an empty
+        batch (B = 0), or a row with no valid position or with column 0
+        masked, raises ValueError. The encoder carries only the N valid
+        positions, as one N×H matrix in example-major order, each example's
+        [CLS] row first; only the attention op lays them out padded. The
+        columns after the last one that any row marks valid are cut first,
+        so that layout has the batch's own longest length S'. Each layer
+        calls ``T.attention`` once, looked up on the module.
         """
         c = self.config
         B, S = token_ids.shape
         if mask.shape != (B, S):
             raise ShapeError(f"mask shape {mask.shape} does not match token_ids shape {(B, S)}")
+        if B == 0:
+            raise ValueError("empty batch: no examples to encode")
         valid = mask == 1
         empty = np.flatnonzero(~valid.any(axis=1))
         if empty.size:
@@ -165,14 +165,13 @@ class MiniEncoder:
         trace = []
         cls_rows = np.flatnonzero(cols == 0)
         for i in range(c.L - 1):
-            x = self._block(x, x, valid, i, training, rng, attn_out=attn_out)
+            x = self._block(x, x, valid, i, training, rng)
             trace.append(T.gather_rows(x, cls_rows))
-        cls = self._block(x, T.gather_rows(x, cls_rows), valid, c.L - 1, training, rng,
-                          attn_out=attn_out)
+        cls = self._block(x, T.gather_rows(x, cls_rows), valid, c.L - 1, training, rng)
         trace.append(cls)
         return cls, trace
 
-    def _block(self, x, rows, mask, i, training, rng, attn_out=None):
+    def _block(self, x, rows, mask, i, training, rng):
         """Block ``i`` for the query rows ``rows`` (all of ``x``, or its [CLS] rows).
 
         ``x`` holds the valid positions of the (B, S) ``mask``, one row
@@ -187,9 +186,7 @@ class MiniEncoder:
         k = T.add(T.matmul(x, p[f"{pre}/attn/Wk"]), p[f"{pre}/attn/bk"])
         v = T.add(T.matmul(x, p[f"{pre}/attn/Wv"]), p[f"{pre}/attn/bv"])
 
-        ctx, probs = T.attention(q, k, v, mask, c.A)
-        if attn_out is not None:
-            attn_out.append(probs)
+        ctx, _ = T.attention(q, k, v, mask, c.A)
         out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
         out = T.dropout(out, c.p_drop, rng, training)
         x = T.layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])

@@ -45,7 +45,6 @@ class LSTMPoolHead:
     """Single-layer LSTM over the trace; input and hidden size both H."""
 
     def __init__(self, H, rng):
-        self.H = H
         self.params = {}
         self.decay = set()
         for gate in _GATES:
@@ -67,7 +66,6 @@ class AttentionPoolHead:
     """Learned query q and square projection W_h; no bias terms."""
 
     def __init__(self, H, rng):
-        self.H = H
         self.params = {
             "attnpool/W_h": Tensor(init_normal(rng, (H, H)), requires_grad=True),
             "attnpool/q": Tensor(init_normal(rng, (H,)), requires_grad=True),
@@ -91,7 +89,6 @@ class ClassifierHead:
     """Affine map to C class logits."""
 
     def __init__(self, H, C, rng):
-        self.H, self.C = H, C
         self.params = {
             "classifier/W_o": Tensor(init_normal(rng, (H, C)), requires_grad=True),
             "classifier/b_o": Tensor(np.zeros(C), requires_grad=True),

@@ -48,10 +48,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(()))
 
@@ -220,8 +216,11 @@ def sum_squares(tensors):
 
 
 def gather_rows(a, indices):
-    """Select rows of a matrix; gradient scatter-adds back."""
+    """Select rows of a matrix, each index in [0, rows); gradient scatter-adds back."""
     idx = np.asarray(indices, dtype=np.intp)
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise IndexError(f"gather_rows: indices span [{idx.min()}, {idx.max()}], "
+                         f"matrix has {a.shape[0]} rows")
     out = Tensor(a.data[idx], _parents=(a,))
 
     def bwd(g):
@@ -232,17 +231,6 @@ def gather_rows(a, indices):
 
     out._backward = bwd
     return out
-
-
-def embedding(table, ids):
-    """Row lookup into an embedding table with id range checking."""
-    idx = np.asarray(ids, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise IndexError(
-            f"embedding id out of range: ids span [{idx.min()}, {idx.max()}], "
-            f"table has {table.shape[0]} rows"
-        )
-    return gather_rows(table, idx)
 
 
 # ---------------------------------------------------------------------------

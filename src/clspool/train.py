@@ -4,8 +4,8 @@ Defaults: L2 coefficient 1e-5, Adam, 10-fold cross-validation with
 per-fold averaging; dropout is the model's ``EncoderConfig.p_drop``. The
 conventional fine-tuning learning rate 2e-5 presumes a pre-trained
 initialization; training the desk-scale encoder from scratch stalls
-there, so the working default is 1e-3 and the fine-tuning value is kept
-as ``FINE_TUNE_LR``.
+there, so the working default is 1e-3. Adam updates every parameter on
+every step, and a parameter that gets no gradient is an error.
 
 ``cross_validated_train`` builds the vocabulary, packs the data and
 splits the folds once, and returns the prepared data on ``CVResult``.
@@ -29,8 +29,9 @@ from .checkpoint import atomic_write_bytes
 from .encoder import EncoderConfig
 from .model import PooledClassifier
 
-FINE_TUNE_LR = 2e-5  # conventional rate for pre-trained initializations
 DESK_LR = 1e-3
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
+EVAL_BATCH = 64  # examples per eval-mode forward pass (evaluate, analysis.dump_trace)
 
 
 @dataclass
@@ -70,63 +71,48 @@ def regularized_loss(logits, labels, params, decay_names, lam):
 
 
 class Adam:
-    """Adam with bias correction (beta1=0.9, beta2=0.999, eps=1e-8).
+    """Adam with bias correction over a model's name -> parameter dict.
 
     The moments of all parameters live in two flat vectors, and a step
-    updates every parameter that has a gradient with one pass of vector
-    ops; the update is elementwise, so it equals a per-parameter loop bit
-    for bit. Parameters whose ``grad`` is None are left untouched. A shape
-    mismatch or a non-finite gradient raises ``ValueError`` before anything
-    moves; the message names the parameter (its key, or its index in a list).
+    updates every parameter with one pass of vector ops; the update is
+    elementwise, so it equals a per-parameter loop bit for bit. A None
+    gradient (a parameter cut off from the loss), a shape mismatch or a
+    non-finite gradient raises ``ValueError`` naming the parameter before
+    anything moves.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-        if not isinstance(params, dict):
-            params = dict(enumerate(params))
-        self.names, self.params = list(params), list(params.values())
+    def __init__(self, params, lr):
+        self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self._offsets = np.cumsum([0] + [p.data.size for p in self.params])
+        self._offsets = np.cumsum([0] + [p.data.size for p in self.params.values()])
         self.m = np.zeros(self._offsets[-1])
         self.v = np.zeros(self._offsets[-1])
 
     def step(self):
-        live = [i for i, p in enumerate(self.params) if p.grad is not None]
-        for i in live:
-            p = self.params[i]
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ValueError(f"parameter {name} has no gradient")
             if p.grad.shape != p.data.shape:
-                raise ValueError(f"gradient shape {p.grad.shape} != parameter shape {p.data.shape}")
-        if not live:
-            self.t += 1
-            return
-        g = np.concatenate([self.params[i].grad.ravel() for i in live])
+                raise ValueError(f"parameter {name}: gradient shape {p.grad.shape} "
+                                 f"!= parameter shape {p.data.shape}")
+        params = self.params.values()
+        g = np.concatenate([p.grad.ravel() for p in params])
         if not np.isfinite(g).all():
-            bad = next(i for i in live if not np.isfinite(self.params[i].grad).all())
-            raise ValueError(f"non-finite gradient in parameter {self.names[bad]}")
+            bad = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
+            raise ValueError(f"non-finite gradient in parameter {bad}")
         self.t += 1
-        off = self._offsets
-        if len(live) == len(self.params):
-            sel = slice(None)
-        else:
-            sel = np.concatenate([np.arange(off[i], off[i + 1]) for i in live])
-        theta = np.concatenate([self.params[i].data.ravel() for i in live])
-        b1, b2 = self.beta1, self.beta2
-        m = b1 * self.m[sel] + (1 - b1) * g
-        v = b2 * self.v[sel] + (1 - b2) * g * g
-        self.m[sel] = m
-        self.v[sel] = v
-        m_hat = m / (1 - b1 ** self.t)
-        v_hat = v / (1 - b2 ** self.t)
-        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-        lo = 0
-        for i in live:
-            p = self.params[i]
-            p.data = theta[lo:lo + p.data.size].reshape(p.data.shape)
-            lo += p.data.size
+        theta = np.concatenate([p.data.ravel() for p in params])
+        self.m = BETA1 * self.m + (1 - BETA1) * g
+        self.v = BETA2 * self.v + (1 - BETA2) * g * g
+        m_hat = self.m / (1 - BETA1 ** self.t)
+        v_hat = self.v / (1 - BETA2 ** self.t)
+        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        for p, lo, hi in zip(params, self._offsets[:-1], self._offsets[1:]):
+            p.data = theta[lo:hi].reshape(p.data.shape)
 
     def zero_grad(self):
-        for p in self.params:
+        for p in self.params.values():
             p.grad = None
 
 
@@ -200,7 +186,7 @@ def _keep_freed_memory():
     mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: 1 GiB
 
 
-def evaluate(model, arrays, batch_size=64):
+def evaluate(model, arrays, batch_size=EVAL_BATCH):
     """Eval-mode metrics for a packed dataset (tok, seg, mask, labels)."""
     _keep_freed_memory()
     tok, seg, mask, labels = arrays

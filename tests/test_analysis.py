@@ -162,6 +162,8 @@ class TestDumpFiles:
         dump = make_dump(rng.normal(size=(5, 3)), labels=[0, 1, 2, 1, 0],
                          epoch=3, layer=2)
         path = write_dump(dump, str(tmp_path))
+        with open(path, "a") as f:
+            f.write("\n")  # blank lines are skipped
         back = read_dump(path)
         assert (back.epoch, back.layer) == (3, 2)
         npt.assert_array_equal(back.example_ids, dump.example_ids)
@@ -187,13 +189,6 @@ class TestDumpFiles:
         path.write_text("id,label,v0\n0,0,1.0\n")
         with pytest.raises(DataError, match=f"{path}:1: expected header"):
             read_dump(str(path))
-
-    def test_explicit_epoch_and_layer_skip_the_file_name(self, tmp_path):
-        path = tmp_path / "any.csv"
-        path.write_text("example_id,label,v0\n0,1,2.5\n\n")
-        back = read_dump(str(path), epoch=4, layer=2)
-        assert (back.epoch, back.layer) == (4, 2)
-        npt.assert_array_equal(back.vectors, [[2.5]])
 
 
 def trained_tiny_model():
@@ -232,14 +227,12 @@ class TestDumpTrace:
 
     def test_batched_dump_matches_batch_size_one(self, tmp_path):
         model, arrays = trained_tiny_model()
-        a_dir, b_dir = tmp_path / "a", tmp_path / "b"
-        dump_trace(model, arrays, epoch=1, layers=[3], out_dir=str(a_dir),
-                   batch_size=64)
-        dump_trace(model, arrays, epoch=1, layers=[3], out_dir=str(b_dir),
-                   batch_size=1)
-        va = read_dump(str(a_dir / "cls_epoch1_layer3.csv")).vectors
-        vb = read_dump(str(b_dir / "cls_epoch1_layer3.csv")).vectors
-        npt.assert_allclose(va, vb, rtol=0, atol=1e-6)
+        dump_trace(model, arrays, epoch=1, layers=[3], out_dir=str(tmp_path))
+        dumped = read_dump(str(tmp_path / "cls_epoch1_layer3.csv")).vectors
+        tok, seg, mask, _ = arrays
+        alone = np.vstack([model.trace_batch(tok[i:i + 1], seg[i:i + 1], mask[i:i + 1])[2]
+                           for i in range(len(tok))])
+        npt.assert_allclose(dumped, alone, rtol=0, atol=1e-6)
 
 
 class TestProjectDumpDir:

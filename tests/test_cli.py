@@ -297,6 +297,47 @@ class TestEvalAndProject:
                     "--out", str(tmp_path / "o")]) == 1
 
 
+class TestProjectNamesTheBadDump:
+    """A dump that cannot be projected or scored exits 1 with a message that
+    starts with its path, and nothing is written to --out."""
+
+    def project_error(self, dumps, tmp_path, capsys):
+        capsys.readouterr()
+        out = tmp_path / "proj"
+        assert run(["project", "--dumps", str(dumps), "--out", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        return err
+
+    def test_one_dimensional_states(self, dataset, tmp_path, capsys):
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--L", "1", "--H", "1", "--A", "1", "--F", "2",
+                    "--folds", "2", "--epochs", "1", "--dump-epochs", "1",
+                    "--out", str(run_dir)]) == 0
+        dump = run_dir / "dumps" / "cls_epoch1_layer1.csv"
+        err = self.project_error(run_dir / "dumps", tmp_path, capsys)
+        assert err == f"error: {dump}: k=2 exceeds dimensionality 1\n"
+
+    def test_held_out_set_with_one_class(self, tiny_cfg, tmp_path, capsys):
+        data_path = str(tmp_path / "one_class.jsonl")
+        assert run(["synth", "--n", "30", "--classes", "1", "--out", data_path]) == 0
+        run_dir = tmp_path / "run"
+        assert run(["train", "--data", data_path, "--config", tiny_cfg, "--folds", "2",
+                    "--epochs", "1", "--dump-epochs", "1", "--out", str(run_dir)]) == 0
+        dump = run_dir / "dumps" / "cls_epoch1_layer1.csv"
+        err = self.project_error(run_dir / "dumps", tmp_path, capsys)
+        assert err == f"error: {dump}: cluster score needs at least 2 classes present\n"
+
+    def test_identical_vectors(self, tmp_path, capsys):
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        dump = dumps / "cls_epoch1_layer1.csv"
+        dump.write_text("example_id,label,v0,v1\n0,0,1.0,2.0\n1,1,1.0,2.0\n2,2,1.0,2.0\n")
+        err = self.project_error(dumps, tmp_path, capsys)
+        assert err.startswith(f"error: {dump}: all vectors are identical")
+
+
 class TestGradcheck:
     def test_single_seed(self, capsys):
         assert run(["gradcheck", "--seeds", "1"]) == 0

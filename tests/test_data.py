@@ -13,15 +13,11 @@ from clspool.data import (CLS_ID, DataError, PAD_ID, PairExample, SEP_ID, UNK_ID
 
 
 class TestVocab:
-    def test_min_count(self):
-        v = build_vocab(["a a b"], min_count=2)
-        assert "a" in v.token_to_id
-        assert "b" not in v.token_to_id
-
     def test_unknown_maps_to_unk(self):
-        v = build_vocab(["a a b"], min_count=2)
-        assert v.id("b") == UNK_ID
+        v = build_vocab(["a a b"])
+        assert v.id("b") != UNK_ID
         assert v.id("zzz") == UNK_ID
+        assert v.encode("a zzz") == [v.id("a"), UNK_ID]
 
     def test_deterministic(self):
         corpus = ["red green blue", "green blue blue"]

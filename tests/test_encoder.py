@@ -15,6 +15,21 @@ def small_config(**overrides):
     return EncoderConfig(**base)
 
 
+@pytest.fixture()
+def attention_probs(monkeypatch):
+    """The probabilities of every ``T.attention`` call, in call order."""
+    probs = []
+    attention = T.attention
+
+    def spy(*args):
+        out, p = attention(*args)
+        probs.append(p)
+        return out, p
+
+    monkeypatch.setattr(T, "attention", spy)
+    return probs
+
+
 def make_packed(ids, segs=None):
     """A batch of one unpadded sequence: (token_ids, segment_ids, mask), each (1, S)."""
     ids = np.asarray(ids)[None, :]
@@ -82,7 +97,7 @@ class TestEmbed:
 
 
 class TestSelfAttention:
-    def test_uniform_weights_when_projections_zero(self):
+    def test_uniform_weights_when_projections_zero(self, attention_probs):
         # Layer 0 is not the last, so every position queries; the second,
         # unpadded example keeps column 3 from being trimmed.
         enc = MiniEncoder(small_config(L=2), R.rng_for(1, 0))
@@ -90,9 +105,9 @@ class TestSelfAttention:
             enc.params[f"layer{i}/attn/Wq"].data[:] = 0.0
             enc.params[f"layer{i}/attn/Wk"].data[:] = 0.0
         mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
-        attn = []
         enc.forward_batch(np.array([[2, 5, 6, 0], [2, 5, 6, 7]]), np.zeros((2, 4), dtype=int),
-                          mask, attn_out=attn)
+                          mask)
+        attn = attention_probs
         assert attn[0].shape == (2, 2, 4, 4)
         for head in attn[0][0]:
             # Uniform over the 3 unmasked positions, zero on the masked one.
@@ -104,24 +119,22 @@ class TestSelfAttention:
             npt.assert_allclose(head[0, :3], 1 / 3, atol=1e-12)
             npt.assert_allclose(head[0, 3], 0.0, atol=1e-30)
 
-    def test_singleton_weight_is_one(self):
+    def test_singleton_weight_is_one(self, attention_probs):
         enc = MiniEncoder(small_config(L=1), R.rng_for(2, 0))
-        attn = []
         enc.forward_batch(np.array([[2]]), np.zeros((1, 1), dtype=int),
-                          np.ones((1, 1), dtype=int), attn_out=attn)
-        for head in attn[0][0]:
+                          np.ones((1, 1), dtype=int))
+        for head in attention_probs[0][0]:
             npt.assert_allclose(head, [[1.0]], atol=1e-15)
 
-    def test_rows_sum_to_one(self):
+    def test_rows_sum_to_one(self, attention_probs):
         enc = MiniEncoder(small_config(), R.rng_for(3, 0))
         rng = np.random.default_rng(0)
         ids = rng.integers(4, 16, size=(2, 6))
         mask = np.ones((2, 6), dtype=int)
         mask[0, -1] = 0
-        attn = []
-        enc.forward_batch(ids, np.zeros((2, 6), dtype=int), mask, attn_out=attn)
-        assert [layer.shape for layer in attn] == [(2, 2, 6, 6), (2, 2, 1, 6)]
-        for layer in attn:
+        enc.forward_batch(ids, np.zeros((2, 6), dtype=int), mask)
+        assert [layer.shape for layer in attention_probs] == [(2, 2, 6, 6), (2, 2, 1, 6)]
+        for layer in attention_probs:
             npt.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
 
 
@@ -193,14 +206,14 @@ class TestBatching:
                 npt.assert_allclose(batch_trace[li].data[b], single[li].data[0],
                                     rtol=0, atol=1e-6)
 
-    def test_sweep_point_b128_s64_runs_in_eval(self):
+    def test_sweep_point_b128_s64_runs_in_eval(self, attention_probs):
         enc = MiniEncoder(EncoderConfig(), R.rng_for(11, 0))
         rng = np.random.default_rng(2)
         ids = rng.integers(4, 100, size=(128, 64))
         mask = np.ones((128, 64), dtype=int)
         mask[::2, 40:] = 0
-        attn = []
-        final, trace = enc.forward_batch(ids, np.zeros_like(ids), mask, attn_out=attn)
+        final, trace = enc.forward_batch(ids, np.zeros_like(ids), mask)
+        attn = attention_probs
         assert final.shape == (128, 32)
         assert len(trace) == len(attn) == 4
         assert [probs.shape for probs in attn] == [(128, 4, 64, 64)] * 3 + [(128, 4, 1, 64)]
@@ -209,6 +222,12 @@ class TestBatching:
 
 
 class TestMaskValidation:
+    def test_empty_batch_is_rejected(self):
+        enc = MiniEncoder(small_config(), R.rng_for(12, 1))
+        empty = np.zeros((0, 5), dtype=int)
+        with pytest.raises(ValueError, match="empty batch"):
+            enc.forward_batch(empty, empty, empty)
+
     def test_mask_shape_must_match_token_ids(self):
         enc = MiniEncoder(small_config(), R.rng_for(12, 0))
         ids = np.array([[2, 5, 6, 3]])
@@ -291,16 +310,16 @@ class TestClsRowsAndTrim:
         for name, g in ref_grads.items():
             npt.assert_allclose(grads[name], g, rtol=0, atol=1e-12 * scale, err_msg=name)
 
-    def test_trailing_padding_columns_change_nothing(self):
+    def test_trailing_padding_columns_change_nothing(self, attention_probs):
         from clspool.model import PooledClassifier
         model = PooledClassifier(small_config(p_drop=0.0), "lstm", 3, R.rng_for(16, 0))
         ids, segs, mask = padded_batch(5)
         padded = padded_batch(8)
         logits = model.forward_batch(ids, segs, mask).data
         npt.assert_allclose(model.forward_batch(*padded).data, logits, rtol=1e-12, atol=0)
-        attn = []
-        model.encoder.forward_batch(*padded, attn_out=attn)
-        assert [probs.shape for probs in attn] == [(3, 2, 5, 5), (3, 2, 1, 5)]
+        attention_probs.clear()
+        model.encoder.forward_batch(*padded)
+        assert [probs.shape for probs in attention_probs] == [(3, 2, 5, 5), (3, 2, 1, 5)]
 
 
 class TestValidRowsOnly:

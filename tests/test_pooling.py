@@ -31,7 +31,7 @@ def sigmoid(x):
 def reference_lstm(vectors, head):
     """Step-by-step scalar-level LSTM cell oracle."""
     p = {k: v.data for k, v in head.params.items()}
-    H = head.H
+    H = len(p["lstm/b_i"])
     h = np.zeros(H)
     c = np.zeros(H)
     for x in vectors:

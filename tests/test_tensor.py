@@ -519,6 +519,25 @@ class TestSumSquares:
             assert np.array_equal(g, ref)
 
 
+class TestGatherRows:
+    def test_rows_and_scatter_added_gradient(self):
+        table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        out = T.gather_rows(table, [2, 0, 2])
+        npt.assert_array_equal(out.data, table.data[[2, 0, 2]])
+        T.tsum(out).backward()
+        npt.assert_array_equal(table.grad, [[1.0] * 3, [0.0] * 3, [2.0] * 3, [0.0] * 3])
+
+    def test_no_indices_give_no_rows(self):
+        out = T.gather_rows(Tensor(np.ones((4, 3))), np.array([], dtype=int))
+        assert out.shape == (0, 3)
+
+    @pytest.mark.parametrize("indices, span", [([0, -1, 2], r"\[-1, 2\]"),
+                                               ([3, 4], r"\[3, 4\]")])
+    def test_out_of_range_indices_are_rejected(self, indices, span):
+        with pytest.raises(IndexError, match=f"indices span {span}, matrix has 4 rows"):
+            T.gather_rows(Tensor(np.ones((4, 3))), indices)
+
+
 class TestShapeDiscipline:
     def test_bias_broadcast_allowed(self):
         out = T.add(Tensor(np.zeros((2, 3))), Tensor([1.0, 2.0, 3.0]))

@@ -10,6 +10,7 @@ from clspool import tensor as T
 from clspool.data import PairExample, pack_dataset, synth_generate, vocab_for_examples
 from clspool.encoder import EncoderConfig
 from clspool.model import PooledClassifier
+from clspool.pooling import HEAD_KINDS
 from clspool.tensor import Tensor
 from clspool.train import (Adam, TrainConfig, confusion_matrix, cross_validated_train,
                            evaluate, fit, kfold_split, metrics_from_confusion,
@@ -44,8 +45,6 @@ class LoopAdam:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
             g = p.grad
             self.m[i] = b1 * self.m[i] + (1 - b1) * g
             self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
@@ -199,31 +198,78 @@ class TestAdam:
             opt.step()
         assert opt.t == 0 and not opt.m.any() and not opt.v.any()
         npt.assert_array_equal(params["a"].data, np.ones(3))
-        with pytest.raises(ValueError, match="parameter 1"):
-            Adam(list(params.values()), lr=0.1).step()
+
+    def test_missing_gradient_names_the_parameter_and_moves_nothing(self):
+        params = {"a": Tensor(np.ones(3), requires_grad=True),
+                  "b": Tensor(np.ones((2, 2)), requires_grad=True),
+                  "c": Tensor(np.ones(2), requires_grad=True)}
+        opt = Adam(params, lr=0.1)
+        for p in params.values():
+            p.grad = np.ones(p.shape)
+        opt.step()
+        before = {name: p.data.copy() for name, p in params.items()}
+        m, v = opt.m.copy(), opt.v.copy()
+        params["a"].grad = np.full(3, 2.0)
+        params["b"].grad = None
+        with pytest.raises(ValueError, match="parameter b has no gradient"):
+            opt.step()
+        assert opt.t == 1
+        npt.assert_array_equal(opt.m, m)
+        npt.assert_array_equal(opt.v, v)
+        for name, p in params.items():
+            npt.assert_array_equal(p.data, before[name])
 
     def test_flat_update_bit_identical_to_per_parameter_loop(self):
         rng = np.random.default_rng(7)
         shapes = [(3, 4), (5,), (1,), (2, 2), (6, 1), (4,), (1, 7), (3,), (2, 3), (8,)]
         init = [rng.normal(size=s) for s in shapes]
-        flat = [Tensor(d.copy(), requires_grad=True) for d in init]
+        flat = {f"p{i}": Tensor(d.copy(), requires_grad=True) for i, d in enumerate(init)}
         loop = [Tensor(d.copy(), requires_grad=True) for d in init]
         opt, ref = Adam(flat, lr=0.01), LoopAdam(loop, lr=0.01)
-        skipped = 0
         for _ in range(50):
-            for p, q in zip(flat, loop):
-                if rng.random() < 0.2:
-                    p.grad = q.grad = None
-                    skipped += 1
-                else:
-                    p.grad = rng.normal(size=p.shape)
-                    q.grad = p.grad.copy()
+            for p, q in zip(flat.values(), loop):
+                p.grad = rng.normal(size=p.shape)
+                q.grad = p.grad.copy()
             opt.step()
             ref.step()
-            for p, q in zip(flat, loop):
+            for p, q in zip(flat.values(), loop):
                 assert np.array_equal(p.data, q.data)
         assert opt.t == ref.t == 50
-        assert skipped > 0
+
+
+class TestEveryParameterGetsAGradient:
+    """Adam has one update path because every parameter reaches the loss."""
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    @pytest.mark.parametrize("L", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 1e-5])
+    def test_one_training_step(self, kind, L, lam):
+        # Lengths 6, 4 and 5 in 6 columns; the first example has a hole.
+        cfg = EncoderConfig(L=L, H=8, A=2, F=12, V=16, S_max=8, p_drop=0.1)
+        model = PooledClassifier(cfg, kind, 3, R.rng_for(L, R.INIT))
+        rng = np.random.default_rng(L)
+        tok = rng.integers(4, 16, size=(3, 6))
+        tok[:, 0] = 2
+        seg = np.zeros((3, 6), dtype=int)
+        seg[:, 3:] = 1
+        mask = (np.arange(6) < np.array([[6], [4], [5]])).astype(int)
+        mask[0, 2] = 0
+        params = model.parameters()
+        logits = model.forward_batch(tok, seg, mask, training=True, rng=R.rng_for(L, R.DROPOUT))
+        regularized_loss(logits, np.array([0, 2, 1]), params, model.decay_names(),
+                         lam).backward()
+        assert [name for name, p in params.items() if p.grad is None] == []
+        Adam(params, lr=1e-3).step()
+
+    def test_a_parameter_cut_off_from_the_loss_stops_training(self):
+        ex = toy_separable_examples(16)
+        vocab = vocab_for_examples(ex)
+        m = PooledClassifier(replace(TOY_ENC, V=len(vocab)), "attention", 3, R.rng_for(0, 0))
+        m.pool_head.params["attnpool/unused"] = Tensor(np.zeros(2), requires_grad=True)
+        config = TrainConfig(epochs=1, lr=1e-2, folds=2, seed=0, batch_size=8)
+        with pytest.raises(ValueError, match="epoch 1, step 1: parameter attnpool/unused "
+                                             "has no gradient"):
+            train_model(m, pack_dataset(ex, vocab, 8), config, R.rng_for(0, 1), R.rng_for(0, 2))
 
 
 class TestKFold:
