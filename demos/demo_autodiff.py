@@ -18,7 +18,7 @@ b1 = Tensor(np.zeros(5), requires_grad=True)
 W2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 labels = np.array([0, 1, 1, 0])
 
-hidden = T.gelu(T.add(T.matmul(x, W1), b1))
+hidden = T.tanh(T.add(T.matmul(x, W1), b1))
 logits = T.matmul(hidden, W2)
 loss = T.softmax_cross_entropy(logits, labels)
 print(f"loss = {loss.item():.6f}")
@@ -34,7 +34,7 @@ h = 1e-6
 
 def loss_at(w):
     W2_probe = Tensor(w)
-    hid = T.gelu(T.add(T.matmul(x, W1), b1))
+    hid = T.tanh(T.add(T.matmul(x, W1), b1))
     return T.softmax_cross_entropy(T.matmul(hid, W2_probe), labels).item()
 
 

@@ -52,11 +52,11 @@ def pca_project(dump: LayerDump, k=2):
     n, h = X.shape
     if k > h:
         raise ValueError(f"k={k} exceeds dimensionality {h}")
+    if n < 2:
+        raise ValueError(f"PCA needs at least 2 points, got {n}")
     Xc = X - X.mean(axis=0)
     if np.allclose(Xc, 0.0):
         raise DegenerateDataError("all vectors are identical; PCA is undefined")
-    if n < 2:
-        raise ValueError("PCA needs at least 2 points")
     _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     components = Vt[:k].copy()
     for i in range(k):

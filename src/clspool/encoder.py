@@ -7,16 +7,18 @@ ordered from the embedding-adjacent layer up to the last one; downstream
 pooling heads consume that trace. Nothing reads the other positions of
 the last layer, so that block computes the [CLS] rows alone.
 
-For speed, the encoder carries only the valid positions of a batch: the
-N positions its mask marks valid, as one N×H matrix in example-major
-order, from the embedding to the last block. Embeddings, projections,
-layer norms, the feed-forward network and dropout run on those N rows
-alone. Only the fused attention op scatters them into a padded
-(B, A, S', d_h) view, S' the batch's longest pair (the trailing columns
-that no example uses are cut first), so each example attends only to
-its own valid positions and per-example results match running examples
-one at a time. Every example's [CLS] column 0 must be valid; its row is
-the first of the example's rows.
+For speed, each block is two fused tape nodes (its attention and its
+feed-forward sublayer), and the encoder carries only the valid
+positions of a batch: the N positions its mask marks valid, as one N×H
+matrix in example-major order, from the embedding to the last block.
+Embeddings, projections, layer norms, the feed-forward network and
+dropout run on those N rows alone. Only the attention inside the
+attention sublayer scatters them into a padded (B, A, S', d_h) view,
+S' the batch's longest pair (the trailing columns that no example uses
+are cut first), so each example attends only to its own valid positions
+and per-example results match running examples one at a time. Every
+example's [CLS] column 0 must be valid; its row is the first of the
+example's rows.
 """
 
 from __future__ import annotations
@@ -139,10 +141,11 @@ class MiniEncoder:
         batch (B = 0), or a row with no valid position or with column 0
         masked, raises ValueError. The encoder carries only the N valid
         positions, as one N×H matrix in example-major order, each example's
-        [CLS] row first; only the attention op lays them out padded. The
-        columns after the last one that any row marks valid are cut first,
-        so that layout has the batch's own longest length S'. Each layer
-        calls ``T.attention`` once, looked up on the module.
+        [CLS] row first; only the attention sublayer lays them out padded.
+        The columns after the last one that any row marks valid are cut
+        first, so that layout has the batch's own longest length S'. Each
+        block is two fused tape nodes, ``T.attention_sublayer`` and
+        ``T.ffn_sublayer``, looked up on the module.
         """
         c = self.config
         B, S = token_ids.shape
@@ -165,33 +168,28 @@ class MiniEncoder:
         trace = []
         cls_rows = np.flatnonzero(cols == 0)
         for i in range(c.L - 1):
-            x = self._block(x, x, valid, i, training, rng)
+            x = self._block(x, valid, i, training, rng)
             trace.append(T.gather_rows(x, cls_rows))
-        cls = self._block(x, T.gather_rows(x, cls_rows), valid, c.L - 1, training, rng)
+        cls = self._block(x, valid, c.L - 1, training, rng, cls_only=True)
         trace.append(cls)
         return cls, trace
 
-    def _block(self, x, rows, mask, i, training, rng):
-        """Block ``i`` for the query rows ``rows`` (all of ``x``, or its [CLS] rows).
+    def _block(self, x, mask, i, training, rng, cls_only=False):
+        """Block ``i``: two fused tape nodes, the attention and the feed-forward sublayer.
 
         ``x`` holds the valid positions of the (B, S) ``mask``, one row
-        each; keys and values come from every row of ``x``, and the output
-        has the rows of ``rows``.
+        each; keys and values come from every row of ``x``. The output
+        has a row for each row of ``x``, or with ``cls_only`` only for
+        each example's [CLS] row, its first. Dropout draws for the
+        attention output first, then for the feed-forward output.
         """
         c = self.config
         p = self.params
         pre = f"layer{i}"
-
-        q = T.add(T.matmul(rows, p[f"{pre}/attn/Wq"]), p[f"{pre}/attn/bq"])
-        k = T.add(T.matmul(x, p[f"{pre}/attn/Wk"]), p[f"{pre}/attn/bk"])
-        v = T.add(T.matmul(x, p[f"{pre}/attn/Wv"]), p[f"{pre}/attn/bv"])
-
-        ctx, _ = T.attention(q, k, v, mask, c.A)
-        out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
-        out = T.dropout(out, c.p_drop, rng, training)
-        x = T.layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
-
-        h = T.gelu(T.add(T.matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
-        h = T.add(T.matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
-        h = T.dropout(h, c.p_drop, rng, training)
-        return T.layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
+        attn = [p[f"{pre}/{name}"] for name in ("attn/Wq", "attn/bq", "attn/Wk", "attn/bk",
+                                                "attn/Wv", "attn/bv", "attn/Wo", "attn/bo",
+                                                "ln1_g", "ln1_b")]
+        x, _ = T.attention_sublayer(x, attn, mask, c.A, cls_only, c.p_drop, rng, training)
+        ffn = [p[f"{pre}/{name}"] for name in ("ffn/W1", "ffn/b1", "ffn/W2", "ffn/b2",
+                                               "ln2_g", "ln2_b")]
+        return T.ffn_sublayer(x, ffn, c.p_drop, rng, training)

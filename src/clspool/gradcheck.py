@@ -80,7 +80,7 @@ def _composite_graph_scenario(seed):
 
     def loss_fn():
         h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
-        h = T.layer_norm(T.gelu(h), params["g"], params["v"])
+        h = T.layer_norm(T.tanh(h), params["g"], params["v"])
         # A fresh generator per call: every finite-difference pass draws the same mask.
         h = T.dropout(T.sigmoid(h), 0.3, rng_mod.rng_for(seed, 96))
         logits = T.matmul(T.tanh(h), params["W2"])
@@ -97,20 +97,36 @@ ATTENTION_MASK = np.array([[1, 1, 1, 0, 0],
 
 
 def _op_scenario(stream, shapes, op):
-    """``op`` (params dict -> tensor) alone: inputs drawn from ``stream`` in ``shapes``
-    order, then a fixed weighting of the output; the loss is their dot product."""
+    """``op`` (params dict, dropout generator -> tensor) alone: inputs drawn from
+    ``stream`` in ``shapes`` order, then a fixed weighting of the output; the
+    loss is their dot product. Each call gets a fresh dropout generator, so
+    every finite-difference pass draws the same dropout mask."""
     def build(seed):
         rng = rng_mod.rng_for(seed, stream)
         params = {name: T.Tensor(rng.normal(size=shape), requires_grad=True)
                   for name, shape in shapes.items()}
-        weights = T.Tensor(rng.normal(size=op(params).shape))
+
+        def output():
+            return op(params, rng_mod.rng_for(seed, 96))
+
+        weights = T.Tensor(rng.normal(size=output().shape))
 
         def loss_fn():
-            return T.tsum(T.mul(op(params), weights))
+            return T.tsum(T.mul(output(), weights))
 
         return loss_fn, params
 
     return build
+
+
+def _attention_sublayer_scenario(stream, cls_only):
+    """The attention sublayer at the 12 valid positions of ``ATTENTION_MASK``,
+    H=6 in A=2 heads, dropout 0.3 on; x and all ten weights."""
+    names = ("Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo", "gamma", "beta")
+    shapes = {"x": (ATTENTION_MASK.sum(), 6),
+              **{name: (6, 6) if name[0] == "W" else (6,) for name in names}}
+    return _op_scenario(stream, shapes, lambda p, drop: T.attention_sublayer(
+        p["x"], [p[name] for name in names], ATTENTION_MASK, 2, cls_only, 0.3, drop)[0])
 
 
 def _model_scenario(seed, pooling):
@@ -139,26 +155,27 @@ def _model_scenario(seed, pooling):
 
 SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
-    # Fused attention: random q/k/v at the 12 valid positions, A=2 heads of width 3.
-    "fused_attention": _op_scenario(
-        94, {name: (ATTENTION_MASK.sum(), 6) for name in "qkv"},
-        lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
-    # The same with one query per example (the last block's [CLS] rows).
-    "fused_cls_attention": _op_scenario(
-        98, {"q": (len(ATTENTION_MASK), 6), "k": (ATTENTION_MASK.sum(), 6),
-             "v": (ATTENTION_MASK.sum(), 6)},
-        lambda p: T.attention(p["q"], p["k"], p["v"], ATTENTION_MASK, 2)[0]),
+    # The attention sublayer with one query per valid position, and with one
+    # per example (the last block's [CLS] rows).
+    "fused_attention_sublayer": _attention_sublayer_scenario(94, cls_only=False),
+    "fused_cls_attention_sublayer": _attention_sublayer_scenario(98, cls_only=True),
+    # The feed-forward sublayer: 4 rows, H=6, F=8, dropout 0.3 on; x and all six weights.
+    "fused_ffn_sublayer": _op_scenario(
+        99, {"x": (4, 6), "W1": (6, 8), "b1": (8,), "W2": (8, 6), "b2": (6,),
+             "gamma": (6,), "beta": (6,)},
+        lambda p, drop: T.ffn_sublayer(
+            p["x"], [p[name] for name in ("W1", "b1", "W2", "b2", "gamma", "beta")], 0.3, drop)),
     # Fused LSTM: 3 steps of B=3 rows, H=4; the rows and all 12 gate tensors.
     "fused_lstm": _op_scenario(
         95, {**{f"x{t}": (3, 4) for t in range(3)},
              **{f"{kind}_{gate}": (4,) if kind == "b" else (4, 4)
                 for kind in "WUb" for gate in "ifgo"}},
-        lambda p: T.lstm([p[f"x{t}"] for t in range(3)],
-                         *([p[f"{kind}_{gate}"] for gate in "ifgo"] for kind in "WUb"))),
+        lambda p, _: T.lstm([p[f"x{t}"] for t in range(3)],
+                            *([p[f"{kind}_{gate}"] for gate in "ifgo"] for kind in "WUb"))),
     # Fused layer attention: L=3 layers of B=3 rows, H=4; the rows and the query.
     "fused_layer_attention": _op_scenario(
         97, {**{f"x{l}": (3, 4) for l in range(3)}, "q": (4,)},
-        lambda p: T.layer_attention([p[f"x{l}"] for l in range(3)], p["q"])[0]),
+        lambda p, _: T.layer_attention([p[f"x{l}"] for l in range(3)], p["q"])[0]),
     **{f"encoder_{kind}_pool": partial(_model_scenario, pooling=kind) for kind in HEAD_KINDS},
 }
 

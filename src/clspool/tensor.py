@@ -7,16 +7,28 @@ and then clears the tape so a graph can only be differentiated once.
 
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
-the rows of a matrix (``add``). Five fused ops record one tape node each
-and carry a hand-derived backward: ``attention`` (multi-head attention
-over the N valid positions of a batch, given as N×H keys and values, with
-one query per valid position or one per example; only inside it are the
-rows laid out as padded (B, A, S, d_h) views), ``layer_attention`` (a
-softmax-weighted sum of L B×H rows, for the attention pooling head),
-``lstm`` (an LSTM over a list of B×H rows, its four gates computed as one
-H×4H block), ``sum_squares`` (the sum of squares of several tensors, for
-the L2 penalty) and ``softmax_cross_entropy`` (the classifier loss on
-logits).
+the rows of a matrix (``add``). Six fused ops record one tape node each
+and carry a hand-derived backward:
+
+- ``attention_sublayer``, one transformer block's post-layer-norm
+  multi-head self-attention sublayer (projections, attention, output
+  projection, dropout, residual and layer norm) over the N valid
+  positions of a batch, given as one N×H matrix, with one query per
+  valid position or one per example; only inside it are the rows laid
+  out as padded (B, A, S, d_h) views;
+- ``ffn_sublayer``, the block's feed-forward sublayer (GELU network,
+  dropout, residual and layer norm);
+- ``layer_attention``, a softmax-weighted sum of L B×H rows, for the
+  attention pooling head;
+- ``lstm``, an LSTM over a list of B×H rows, its four gates computed as
+  one H×4H block;
+- ``sum_squares``, the sum of squares of several tensors, for the L2
+  penalty;
+- ``softmax_cross_entropy``, the classifier loss on logits.
+
+Layer norm and dropout are each one private forward/backward pair on
+arrays, which the public ``layer_norm`` and ``dropout`` ops and both
+sublayers share.
 """
 
 from __future__ import annotations
@@ -225,12 +237,23 @@ def gather_rows(a, indices):
 
     def bwd(g):
         if a.requires_grad:
-            buf = np.zeros_like(a.data)
-            np.add.at(buf, idx, g)
-            _accumulate(a, buf)
+            _accumulate(a, _scatter_add_rows(g, idx, a.shape[0]))
 
     out._backward = bwd
     return out
+
+
+def _scatter_add_rows(g, idx, rows):
+    """A ``rows``-row zero matrix with row i of ``g`` added at row ``idx[i]``.
+
+    Repeated indices accumulate in index order, as ``np.add.at`` does, so
+    the sums are the same to the bit; one ``bincount`` over the flattened
+    (row, column) bins is several times faster.
+    """
+    width = g.shape[1]
+    bins = (idx[:, None] * width + np.arange(width)).reshape(-1)
+    return np.bincount(bins, weights=g.reshape(-1),
+                       minlength=rows * width).reshape(rows, width)
 
 
 # ---------------------------------------------------------------------------
@@ -251,22 +274,87 @@ def sigmoid(a):
     return out
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# ---------------------------------------------------------------------------
+# layer norm and dropout
+#
+# Each is a forward/backward pair on arrays, shared by the public op and the
+# two fused sublayers.
 
 
-def gelu(a):
-    """Exact (erf-based) GELU."""
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor(x * cdf, _parents=(a,))
+def _layer_norm_fwd(s, gamma, beta, eps=1e-12):
+    """Per-row layer norm of the matrix ``s``; returns (output, xhat, inv).
+
+    ``xhat`` is the normalized ``s`` and ``inv`` the per-row 1/sqrt(var + eps)
+    column, which ``_layer_norm_bwd`` reuses. The mean and the variance are
+    row sums divided by the width, which is what ``np.mean`` and ``np.var``
+    compute, to the bit, with one pass fewer over ``s``.
+    """
+    n = s.shape[1]
+    xhat = s - s.sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / n + eps)
+    xhat *= inv
+    return xhat * gamma + beta, xhat, inv
+
+
+def _layer_norm_bwd(g, xhat, inv, gamma):
+    """Gradients (d gamma, d beta, d s) of ``_layer_norm_fwd`` for the output gradient ``g``."""
+    n = g.shape[1]
+    gg = g * gamma
+    m1 = gg.sum(axis=1, keepdims=True) / n
+    m2 = (gg * xhat).sum(axis=1, keepdims=True) / n
+    return (g * xhat).sum(axis=0), g.sum(axis=0), (gg - m1 - xhat * m2) * inv
+
+
+def _dropout_fwd(x, p, rng, training):
+    """Inverted dropout of the array ``x``; returns (output, keep).
+
+    ``keep`` is the 0 or 1/(1-p) multiplier drawn from ``rng``, or None
+    when dropout is off (eval, or p = 0), in which case ``x`` is returned.
+    """
+    if not training or p == 0.0:
+        return x, None
+    if rng is None:
+        raise ValueError("dropout in training mode requires a generator")
+    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    return x * keep, keep
+
+
+def _dropout_bwd(g, keep):
+    return g if keep is None else g * keep
+
+
+def layer_norm(x, gamma, beta, eps=1e-12):
+    """Per-row layer normalization of a matrix."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"layer_norm expects a matrix, got shape {x.shape}")
+    h = x.shape[1]
+    if gamma.shape != (h,) or beta.shape != (h,):
+        raise ShapeError(f"layer_norm: gamma/beta shape {gamma.shape}/{beta.shape} vs width {h}")
+    y, xhat, inv = _layer_norm_fwd(x.data, gamma.data, beta.data, eps)
+    out = Tensor(y, _parents=(x, gamma, beta))
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        _accumulate(a, g * (cdf + x * pdf))
+        dgamma, dbeta, dx = _layer_norm_bwd(g, xhat, inv, gamma.data)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        _accumulate(x, dx)
 
     out._backward = bwd
     return out
+
+
+def dropout(x, p, rng, training=True):
+    """Inverted dropout: scale by 1/(1-p) at train time, identity at eval."""
+    y, keep = _dropout_fwd(x.data, p, rng, training)
+    if keep is None:
+        return x
+    out = Tensor(y, _parents=(x,))
+    out._backward = lambda g: _accumulate(x, _dropout_bwd(g, keep))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# transformer sublayers
 
 
 def _split_heads(x, B, S, heads, valid=None):
@@ -290,59 +378,150 @@ def _merge_heads(x, valid=None):
     return x.reshape(B * S, A * dh) if valid is None else x[valid].reshape(-1, A * dh)
 
 
-def attention(q, k, v, mask, heads):
-    """Fused scaled dot-product multi-head attention over the valid positions of a batch.
+def _check_weights(op, weights, shapes):
+    """Raise ShapeError unless ``weights`` has exactly the shapes ``shapes``, in order."""
+    got = [w.shape for w in weights]
+    if got != shapes:
+        raise ShapeError(f"{op}: weight shapes {got}, expected {shapes}")
 
-    ``mask`` is a (B, S) 0/1 array; its N ones are the valid positions.
-    ``k`` and ``v`` are N×H, one row per valid position in example-major
-    order. ``q`` is either N×H, one query per valid position
-    (self-attention), or B×H, one query per example; B rows are read the
-    second way even when N == B, where each example has one valid
-    position and both readings give the same output rows. Each example
-    attends only to its own valid positions. Inside, the rows are
-    scattered into zero-filled (B, A, S, d_h) arrays, and the rows of the
-    valid positions are gathered from the output and the gradients; when
-    every position is valid, nothing is scattered or gathered and the
-    inputs are only viewed as (B, A, S, d_h).
 
-    Returns ``(out, probs)``: the context, with as many rows as ``q``, as
-    one tape node with parents (q, k, v), and the attention probabilities,
-    (B, A, S, S) or (B, A, 1, S), which the backward reuses. The
-    probability rows of masked query positions come from zero queries and
-    belong to no output row.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None, training=True):
+    """Fused post-layer-norm multi-head self-attention sublayer over the valid positions of a batch.
+
+    Computes LN(r + dropout(attend(r·Wq+bq, x·Wk+bk, x·Wv+bv)·Wo+bo)) as
+    one tape node with parents (x, *weights), where ``weights`` is
+    (Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta) and r, the query rows,
+    is ``x``, or with ``cls_only`` the first row of each example (its
+    [CLS] row). ``mask`` is a (B, S) 0/1 array; its N ones are the valid
+    positions, and ``x`` is N×H, one row per valid position in
+    example-major order. Each example attends only to its own valid
+    positions, with ``heads`` heads. Only inside the attention are the
+    rows scattered into zero-filled (B, A, S, d_h) arrays; when every
+    position is valid, nothing is scattered or gathered. Dropout with
+    rate ``p`` draws its mask from ``rng`` when ``training``.
+
+    Returns ``(out, probs)``: the output, with as many rows as r, and the
+    attention probabilities, (B, A, S, S) or (B, A, 1, S), which the
+    backward reuses. The probability rows of masked query positions come
+    from zero queries and belong to no output row.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
-        raise ShapeError(f"attention: mask must be (B, S), got shape {mask.shape}")
+        raise ShapeError(f"attention_sublayer: mask must be (B, S), got shape {mask.shape}")
     B, S = mask.shape
     valid = mask == 1
     N = int(np.count_nonzero(valid))
-    H = q.shape[-1]
-    if (q.shape not in ((N, H), (B, H)) or any(t.shape != (N, H) for t in (k, v))
-            or heads < 1 or H % heads != 0):
-        raise ShapeError(f"attention: q/k/v {q.shape}/{k.shape}/{v.shape} do not fit "
-                         f"mask {mask.shape} ({N} valid positions) with {heads} heads")
+    H = x.shape[-1]
+    if x.shape != (N, H) or heads < 1 or H % heads != 0:
+        raise ShapeError(f"attention_sublayer: x {x.shape} does not fit mask {mask.shape} "
+                         f"({N} valid positions) with {heads} heads")
+    weights = tuple(weights)
+    _check_weights("attention_sublayer", weights, [(H, H), (H,)] * 4 + [(H,), (H,)])
+    Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta = weights
     holes = None if N == B * S else valid
-    Sq, q_holes = (1, None) if q.shape[0] == B else (S, holes)
+    xd = x.data
+    if cls_only:
+        cls_rows = np.concatenate(([0], np.cumsum(valid.sum(axis=1))[:-1]))
+        r, Sq, q_holes = xd[cls_rows], 1, None
+    else:
+        cls_rows, r, Sq, q_holes = None, xd, S, holes
     c = 1.0 / math.sqrt(H // heads)
-    Q = _split_heads(q.data, B, Sq, heads, q_holes)
-    K, V = (_split_heads(t.data, B, S, heads, holes) for t in (k, v))
-    bias = np.where(valid, 0.0, -1e9)[:, None, None, :]
-    scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    P = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(_merge_heads(np.matmul(P, V), q_holes), _parents=(q, k, v))
+    Q = _split_heads(_matmul_data(r, Wq.data) + bq.data, B, Sq, heads, q_holes)
+    K, V = (_split_heads(_matmul_data(xd, W.data) + b.data, B, S, heads, holes)
+            for W, b in ((Wk, bk), (Wv, bv)))
+    # The softmax runs in place: one (B, A, S', S) array for all its steps.
+    P = np.matmul(Q, K.transpose(0, 1, 3, 2))
+    P *= c
+    P += np.where(valid, 0.0, -1e9)[:, None, None, :]
+    P -= P.max(axis=-1, keepdims=True)
+    np.exp(P, out=P)
+    P /= P.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(np.matmul(P, V), q_holes)
+    o, keep = _dropout_fwd(_matmul_data(ctx, Wo.data) + bo.data, p, rng, training)
+    y, xhat, inv = _layer_norm_fwd(r + o, gamma.data, beta.data)
+    out = Tensor(y, _parents=(x, *weights))
 
     def bwd(g):
-        G = _split_heads(g, B, Sq, heads, q_holes)
-        _accumulate(v, _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G), holes))
-        dP = np.matmul(G, V.transpose(0, 1, 3, 2))
-        dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
-        _accumulate(q, _merge_heads(np.matmul(dS, K), q_holes))
-        _accumulate(k, _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes))
+        dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        do = _dropout_bwd(ds, keep)
+        _accumulate(bo, do.sum(axis=0))
+        _accumulate(Wo, ctx.T @ do)
+        G = _split_heads(do @ Wo.data.T, B, Sq, heads, q_holes)
+        dv = _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G), holes)
+        dS = np.matmul(G, V.transpose(0, 1, 3, 2))
+        dS -= (dS * P).sum(axis=-1, keepdims=True)
+        dS *= P
+        dS *= c
+        dq = _merge_heads(np.matmul(dS, K), q_holes)
+        dk = _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes)
+        for W, b, a, d in ((Wq, bq, r, dq), (Wk, bk, xd, dk), (Wv, bv, xd, dv)):
+            _accumulate(b, d.sum(axis=0))
+            _accumulate(W, a.T @ d)
+        if not x.requires_grad:
+            return
+        # Into x: the residual, then the query, key and value paths, one sum
+        # each, in the order the unfused block's tape added them, so every
+        # sum is the same to the bit.
+        if cls_only:
+            _accumulate(x, _scatter_add_rows(ds + dq @ Wq.data.T, cls_rows, N))
+        else:
+            _accumulate(x, ds)
+            _accumulate(x, dq @ Wq.data.T)
+        _accumulate(x, dk @ Wk.data.T)
+        _accumulate(x, dv @ Wv.data.T)
 
     out._backward = bwd
     return out, P
+
+
+def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
+    """Fused post-layer-norm feed-forward sublayer: LN(x + dropout(gelu(x·W1+b1)·W2+b2)).
+
+    ``x`` is N×H and ``weights`` is (W1, b1, W2, b2, gamma, beta), W1 H×F
+    and W2 F×H; GELU is the exact (erf-based) one. Dropout with rate ``p``
+    draws its mask from ``rng`` when ``training``. Returns one N×H tape
+    node with parents (x, *weights).
+    """
+    if x.data.ndim != 2:
+        raise ShapeError(f"ffn_sublayer expects a matrix, got shape {x.shape}")
+    H = x.shape[1]
+    weights = tuple(weights)
+    F = weights[0].shape[-1] if weights else 0
+    _check_weights("ffn_sublayer", weights, [(H, F), (F,), (F, H), (H,), (H,), (H,)])
+    W1, b1, W2, b2, gamma, beta = weights
+    xd = x.data
+    h = _matmul_data(xd, W1.data) + b1.data
+    cdf = 0.5 * (1.0 + erf(h * _INV_SQRT2))
+    a = h * cdf
+    o, keep = _dropout_fwd(_matmul_data(a, W2.data) + b2.data, p, rng, training)
+    y, xhat, inv = _layer_norm_fwd(xd + o, gamma.data, beta.data)
+    out = Tensor(y, _parents=(x, *weights))
+
+    def bwd(g):
+        dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        do = _dropout_bwd(ds, keep)
+        _accumulate(b2, do.sum(axis=0))
+        _accumulate(W2, a.T @ do)
+        dh = (do @ W2.data.T) * (cdf + h * (np.exp(-0.5 * h * h) * _INV_SQRT_2PI))
+        _accumulate(b1, dh.sum(axis=0))
+        _accumulate(W1, xd.T @ dh)
+        _accumulate(x, ds)
+        _accumulate(x, dh @ W1.data.T)
+
+    out._backward = bwd
+    return out
+
+
+# ---------------------------------------------------------------------------
+# pooling heads
 
 
 def layer_attention(rows, q):
@@ -460,44 +639,6 @@ def lstm(xs, W, U, b):
                 _accumulate(x, dX[t * B:(t + 1) * B])
 
     out._backward = bwd
-    return out
-
-
-def layer_norm(x, gamma, beta, eps=1e-12):
-    """Per-row layer normalization of a matrix."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm expects a matrix, got shape {x.shape}")
-    h = x.shape[1]
-    if gamma.shape != (h,) or beta.shape != (h,):
-        raise ShapeError(f"layer_norm: gamma/beta shape {gamma.shape}/{beta.shape} vs width {h}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = Tensor(xhat * gamma.data + beta.data, _parents=(x, gamma, beta))
-
-    def bwd(g):
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
-        if x.requires_grad:
-            gg = g * gamma.data
-            m1 = gg.mean(axis=1, keepdims=True)
-            m2 = (gg * xhat).mean(axis=1, keepdims=True)
-            _accumulate(x, (gg - m1 - xhat * m2) * inv)
-
-    out._backward = bwd
-    return out
-
-
-def dropout(x, p, rng, training=True):
-    """Inverted dropout: scale by 1/(1-p) at train time, identity at eval."""
-    if not training or p == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("dropout in training mode requires a generator")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * keep, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, g * keep)
     return out
 
 

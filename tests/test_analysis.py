@@ -96,6 +96,12 @@ class TestPCA:
         with pytest.raises(DegenerateDataError):
             pca_project(make_dump(X), k=2)
 
+    def test_one_point_names_the_count(self):
+        # One point always centres to zero; the count, not "identical", is the fault.
+        with pytest.raises(ValueError, match="at least 2 points, got 1") as err:
+            pca_project(make_dump([[0.5, -1.0, 2.0]]), k=2)
+        assert not isinstance(err.value, DegenerateDataError)
+
     def test_k_exceeds_dim(self):
         with pytest.raises(ValueError, match="exceeds"):
             pca_project(make_dump(np.eye(3)[:, :2]), k=3)

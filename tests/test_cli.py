@@ -464,6 +464,17 @@ class TestUsage:
     def test_unknown_command_exit_2(self):
         assert run(["frobnicate"]) == 2
 
+    def test_python_m_clspool_help_exit_0(self):
+        # ``python -m clspool`` runs the CLI from a source checkout, no install needed.
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [os.path.dirname(os.path.dirname(cli.__file__)),
+                          os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "clspool", "--help"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: clspool")
+        assert "gradcheck" in done.stdout
+
 
 class TestDataErrors:
     def test_malformed_jsonl_exit_1(self, tmp_path, capsys):

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import erf
 
 from clspool import rng as R
 from clspool import tensor as T
@@ -17,16 +22,16 @@ def small_config(**overrides):
 
 @pytest.fixture()
 def attention_probs(monkeypatch):
-    """The probabilities of every ``T.attention`` call, in call order."""
+    """The probabilities of every ``T.attention_sublayer`` call, in call order."""
     probs = []
-    attention = T.attention
+    sublayer = T.attention_sublayer
 
-    def spy(*args):
-        out, p = attention(*args)
+    def spy(*args, **kwargs):
+        out, p = sublayer(*args, **kwargs)
         probs.append(p)
         return out, p
 
-    monkeypatch.setattr(T, "attention", spy)
+    monkeypatch.setattr(T, "attention_sublayer", spy)
     return probs
 
 
@@ -265,7 +270,7 @@ def full_trace(enc, ids, segs, mask):
     x = enc.embed_batch(ids[rows, cols], segs[rows, cols], cols)
     trace = []
     for i in range(enc.config.L):
-        x = enc._block(x, x, mask, i, False, None)
+        x = enc._block(x, mask, i, False, None)
         trace.append(T.gather_rows(x, np.flatnonzero(cols == 0)))
     return trace
 
@@ -361,3 +366,125 @@ class TestValidRowsOnly:
         _, trace = enc.forward_batch(ids, segs, mask)
         for got, ref in zip(trace, full_trace(enc, ids, segs, mask)):
             npt.assert_allclose(got.data, ref.data, rtol=1e-12, atol=0)
+
+
+# The unfused encoder block, eighteen tape nodes of public ops and these two
+# op closures: the reference that the fused sublayers must equal to the bit.
+
+
+def reference_gelu(a):
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    out = T.Tensor(x * cdf, _parents=(a,))
+
+    def bwd(g):
+        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+        T._accumulate(a, g * (cdf + x * pdf))
+
+    out._backward = bwd
+    return out
+
+
+def reference_attention(q, k, v, mask, heads):
+    B, S = mask.shape
+    valid = mask == 1
+    N = int(np.count_nonzero(valid))
+    H = q.shape[-1]
+    holes = None if N == B * S else valid
+    Sq, q_holes = (1, None) if q.shape[0] == B else (S, holes)
+    c = 1.0 / math.sqrt(H // heads)
+    Q = T._split_heads(q.data, B, Sq, heads, q_holes)
+    K, V = (T._split_heads(t.data, B, S, heads, holes) for t in (k, v))
+    bias = np.where(valid, 0.0, -1e9)[:, None, None, :]
+    scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    P = e / e.sum(axis=-1, keepdims=True)
+    out = T.Tensor(T._merge_heads(np.matmul(P, V), q_holes), _parents=(q, k, v))
+
+    def bwd(g):
+        G = T._split_heads(g, B, Sq, heads, q_holes)
+        T._accumulate(v, T._merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G), holes))
+        dP = np.matmul(G, V.transpose(0, 1, 3, 2))
+        dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
+        T._accumulate(q, T._merge_heads(np.matmul(dS, K), q_holes))
+        T._accumulate(k, T._merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes))
+
+    out._backward = bwd
+    return out, P
+
+
+def reference_block(enc, x, rows, mask, i, training, rng):
+    c = enc.config
+    p = enc.params
+    pre = f"layer{i}"
+
+    q = T.add(T.matmul(rows, p[f"{pre}/attn/Wq"]), p[f"{pre}/attn/bq"])
+    k = T.add(T.matmul(x, p[f"{pre}/attn/Wk"]), p[f"{pre}/attn/bk"])
+    v = T.add(T.matmul(x, p[f"{pre}/attn/Wv"]), p[f"{pre}/attn/bv"])
+
+    ctx, _ = reference_attention(q, k, v, mask, c.A)
+    out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
+    out = T.dropout(out, c.p_drop, rng, training)
+    x = T.layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
+
+    h = reference_gelu(T.add(T.matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
+    h = T.add(T.matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
+    h = T.dropout(h, c.p_drop, rng, training)
+    return T.layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
+
+
+@st.composite
+def block_cases(draw):
+    """A mask with holes (column 0 always valid), an encoder config and a seed."""
+    B = draw(st.integers(1, 5))
+    S = draw(st.integers(1, 10))
+    mask = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=S, max_size=S),
+                                  min_size=B, max_size=B)))
+    mask[:, 0] = 1
+    A = draw(st.sampled_from([1, 2, 4]))
+    config = small_config(L=1, H=A * draw(st.integers(1, 4)), A=A, F=draw(st.integers(1, 12)),
+                          p_drop=draw(st.sampled_from([0.0, 0.3])))
+    return mask, config, draw(st.integers(0, 2**32 - 1))
+
+
+class TestFusedBlock:
+    @settings(max_examples=150, deadline=None)
+    @given(block_cases(), st.booleans(), st.booleans())
+    def test_bit_identical_to_the_eighteen_node_block(self, case, cls_only, training):
+        mask, config, seed = case
+        enc = MiniEncoder(config, R.rng_for(seed, 0))
+        data_rng = np.random.default_rng(seed)
+        x_data = data_rng.normal(size=(mask.sum(), config.H))
+        w = data_rng.normal(size=(len(mask) if cls_only else mask.sum(), config.H))
+        cls_rows = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[:-1]))
+
+        def run(fused):
+            x = T.Tensor(x_data, requires_grad=True)
+            rng = R.rng_for(seed, 1)
+            if fused:
+                out = enc._block(x, mask, 0, training, rng, cls_only)
+            else:
+                rows = T.gather_rows(x, cls_rows) if cls_only else x
+                out = reference_block(enc, x, rows, mask, 0, training, rng)
+            T.tsum(T.mul(out, T.Tensor(w))).backward()
+            grads = {name: p.grad for name, p in enc.params.items() if name.startswith("layer0")}
+            for p in enc.params.values():
+                p.grad = None
+            return out.data, x.grad, grads
+
+        out, dx, grads = run(True)
+        ref_out, ref_dx, ref_grads = run(False)
+        assert np.array_equal(out, ref_out)
+        assert dx.shape == x_data.shape and np.array_equal(dx, ref_dx)
+        assert grads.keys() == ref_grads.keys() and len(grads) == 16
+        for name, g in ref_grads.items():
+            assert np.array_equal(grads[name], g), name
+
+    def test_two_tape_nodes_per_block(self):
+        enc = MiniEncoder(small_config(L=1), R.rng_for(19, 0))
+        x = T.Tensor(np.ones((3, 8)), requires_grad=True)
+        out = enc._block(x, np.ones((1, 3)), 0, True, R.rng_for(19, 1))
+        attn, *ffn_weights = out._parents
+        assert attn._parents[0] is x
+        assert len(attn._parents) == 11 and len(ffn_weights) == 6
+        assert all(t._parents == () for t in (*attn._parents[1:], *ffn_weights))

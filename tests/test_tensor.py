@@ -6,6 +6,7 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from clspool import tensor as T
 from clspool.tensor import ShapeError, Tensor
@@ -212,155 +213,257 @@ def naive_attention(q, k, v, mask, heads):
     return out, probs
 
 
-def padded_attention(q, k, v, mask, heads, w, fill):
-    """The padded computation: the valid rows of q, k and v scattered to
-    all B*S positions, ``fill`` (B*S rows) at the masked ones, then dense
-    (B, A, S, d_h) attention with a -1e9 score bias on masked keys and the
-    gradients of sum(out * w), w one row per position. Returns (out, dq,
-    dk, dv), each with B*S rows."""
+def numpy_layer_norm(s, gamma, beta, eps=1e-12):
+    return (s - s.mean(axis=1, keepdims=True)) / np.sqrt(s.var(axis=1, keepdims=True) + eps) \
+        * gamma + beta
+
+
+def rounding_scale(s):
+    """How much a layer norm over the rows of ``s`` can magnify rounding
+    in them: the largest 1/std of a row, at least 1. Outputs can move by
+    this times the rounding in ``s``, gradients by its square."""
+    return max(1.0, 1.0 / np.sqrt(s.var(axis=1).min() + 1e-12))
+
+
+def cls_rows_of(mask):
+    """Each example's first row among the valid positions of ``mask`` (its [CLS] row)."""
+    return np.concatenate(([0], np.cumsum(mask.sum(axis=1))[:-1]))
+
+
+def padded_sublayer(x, weights, mask, heads, w, fill):
+    """The attention sublayer computed densely: the valid rows of ``x``
+    scattered to all B*S positions, ``fill`` (B*S rows) at the masked ones,
+    then (B, A, S, d_h) attention with a -1e9 score bias on masked keys,
+    the output projection, the residual and the layer norm, and the
+    gradients of sum(out * w), ``w`` one row per position, written out by
+    hand. Returns (out, dx, weight gradients, s), s the layer norm's input;
+    out, dx and s have B*S rows."""
+    Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta = weights
     B, S = mask.shape
     valid = (mask == 1).reshape(-1)
-    dh = q.shape[1] // heads
+    dh = x.shape[1] // heads
 
-    def heads_view(x):
-        return x.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
+    def heads_view(a):
+        return a.reshape(B, S, heads, dh).transpose(0, 2, 1, 3)
 
-    def rows_of(x):
-        return x.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
+    def rows_of(a):
+        return a.transpose(0, 2, 1, 3).reshape(B * S, heads * dh)
 
-    def padded(x):
-        rows = fill.copy()
-        rows[valid] = x
-        return heads_view(rows)
-
-    Q, K, V = padded(q), padded(k), padded(v)
+    X = fill.copy()
+    X[valid] = x
+    Q, K, V = (heads_view(X @ W + b) for W, b in ((Wq, bq), (Wk, bk), (Wv, bv)))
     bias = np.where(mask == 1, 0.0, -1e9)[:, None, None, :]
     scores = Q @ K.transpose(0, 1, 3, 2) / math.sqrt(dh) + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     P = e / e.sum(axis=-1, keepdims=True)
-    G = heads_view(w)
+    ctx = rows_of(P @ V)
+    s = X + ctx @ Wo + bo
+    sd = np.sqrt(s.var(axis=1, keepdims=True) + 1e-12)
+    xhat = (s - s.mean(axis=1, keepdims=True)) / sd
+    gg = w * gamma
+    ds = (gg - gg.mean(axis=1, keepdims=True) - xhat * (gg * xhat).mean(axis=1, keepdims=True)) / sd
+    G = heads_view(ds @ Wo.T)
     dP = G @ V.transpose(0, 1, 3, 2)
     dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) / math.sqrt(dh)
-    return (rows_of(P @ V), rows_of(dS @ K), rows_of(dS.transpose(0, 1, 3, 2) @ Q),
-            rows_of(P.transpose(0, 1, 3, 2) @ G))
+    dq = rows_of(dS @ K)
+    dk = rows_of(dS.transpose(0, 1, 3, 2) @ Q)
+    dv = rows_of(P.transpose(0, 1, 3, 2) @ G)
+    dx = ds + dq @ Wq.T + dk @ Wk.T + dv @ Wv.T
+    dweights = [X.T @ dq, dq.sum(axis=0), X.T @ dk, dk.sum(axis=0), X.T @ dv, dv.sum(axis=0),
+                ctx.T @ ds, ds.sum(axis=0), (w * xhat).sum(axis=0), w.sum(axis=0)]
+    return xhat * gamma + beta, dx, dweights, s
 
 
-def weighted_attention_grads(q, k, v, mask, heads, w):
-    """The op's output and its q, k and v gradients for the loss sum(out * w)."""
-    ts = [Tensor(a, requires_grad=True) for a in (q, k, v)]
-    out, _ = T.attention(*ts, mask, heads)
+def weighted_sublayer_grads(x, weights, mask, heads, w, cls_only=False):
+    """The sublayer's output, probabilities, and x and weight gradients for the loss sum(out * w)."""
+    xt = Tensor(x, requires_grad=True)
+    wt = [Tensor(a, requires_grad=True) for a in weights]
+    out, probs = T.attention_sublayer(xt, wt, mask, heads, cls_only)
     T.tsum(T.mul(out, Tensor(w))).backward()
-    return out.data, [t.grad for t in ts]
+    return out.data, probs, xt.grad, [t.grad for t in wt]
 
 
 @st.composite
 def attention_cases(draw):
-    """Random masks with holes (column 0 always valid) and q/k/v at the valid positions."""
+    """Random masks with holes (column 0 always valid), x at the valid
+    positions, and the sublayer's ten weights."""
     B = draw(st.integers(1, 6))
     S = draw(st.integers(1, 12))
     heads = draw(st.sampled_from([1, 2, 4]))
-    dh = draw(st.integers(1, 4))
+    H = heads * draw(st.integers(1, 4))
     mask = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=S, max_size=S),
                                   min_size=B, max_size=B)))
     mask[:, 0] = 1
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    q, k, v = (rng.normal(size=(mask.sum(), heads * dh)) for _ in range(3))
-    return q, k, v, mask, heads
+    weights = [rng.normal(size=(H, H) if i < 8 and i % 2 == 0 else H) for i in range(10)]
+    return rng.normal(size=(mask.sum(), H)), weights, mask, heads
 
 
 class TestAttention:
+    """The fused attention sublayer, in both query forms."""
+
     @settings(max_examples=150, deadline=None)
     @given(attention_cases())
     def test_matches_per_example_per_head_loop(self, case):
-        q, k, v, mask, heads = case
-        out, probs = T.attention(Tensor(q), Tensor(k), Tensor(v), mask, heads)
-        ref_out, ref_probs = naive_attention(q, k, v, mask, heads)
+        x, weights, mask, heads = case
+        Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta = weights
+        ctx, ref_probs = naive_attention(x @ Wq + bq, x @ Wk + bk, x @ Wv + bv, mask, heads)
         B, S = mask.shape
-        valid = mask == 1
-        if len(q) == B:
-            # One valid position per example, column 0: read as one query per example.
-            valid, ref_probs = valid[:, :1], ref_probs[:, :, :1]
-        assert out.shape == q.shape and probs.shape == (B, heads, len(valid[0]), S)
-        npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
-        query_rows = np.broadcast_to(valid[:, None, :, None], probs.shape)
-        npt.assert_allclose(probs[query_rows], ref_probs[query_rows], rtol=0, atol=1e-12)
-        masked = np.broadcast_to(mask[:, None, None, :] == 0, probs.shape)
-        assert np.all(probs[masked] == 0.0)
-        npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+        for cls_only in (False, True):
+            out, probs = T.attention_sublayer(Tensor(x), [Tensor(a) for a in weights], mask,
+                                              heads, cls_only)
+            rows = cls_rows_of(mask) if cls_only else slice(None)
+            ref_s = x[rows] + ctx[rows] @ Wo + bo
+            ref_out = numpy_layer_norm(ref_s, gamma, beta)
+            valid, ref_p = (mask[:, :1] == 1, ref_probs[:, :, :1]) if cls_only else (mask == 1,
+                                                                                     ref_probs)
+            assert out.shape == ref_out.shape and probs.shape == (B, heads, len(valid[0]), S)
+            npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12 * rounding_scale(ref_s))
+            query_rows = np.broadcast_to(valid[:, None, :, None], probs.shape)
+            npt.assert_allclose(probs[query_rows], ref_p[query_rows], rtol=0, atol=1e-12)
+            masked = np.broadcast_to(mask[:, None, None, :] == 0, probs.shape)
+            assert np.all(probs[masked] == 0.0)
+            npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
     @given(attention_cases())
     def test_gradients_equal_the_padded_computations_valid_rows(self, case):
-        q, k, v, mask, heads = case
+        x, weights, mask, heads = case
         valid = (mask == 1).reshape(-1)
-        rng = np.random.default_rng(q.size)
-        w, fill = rng.normal(size=(2, valid.size, q.shape[1]))
+        rng = np.random.default_rng(x.size)
+        w, fill = rng.normal(size=(2, valid.size, x.shape[1]))
         w[~valid] = 0.0   # the loss reads the valid rows only
-        out, grads = weighted_attention_grads(q, k, v, mask, heads, w[valid])
-        ref_out, *ref_grads = padded_attention(q, k, v, mask, heads, w, fill)
-        npt.assert_allclose(out, ref_out[valid], rtol=0, atol=1e-12)
-        for g, ref in zip(grads, ref_grads):
-            npt.assert_allclose(g, ref[valid], rtol=0, atol=1e-12)
+        out, _, dx, dweights = weighted_sublayer_grads(x, weights, mask, heads, w[valid])
+        ref_out, ref_dx, ref_dweights, ref_s = padded_sublayer(x, weights, mask, heads, w, fill)
+        k = rounding_scale(ref_s[valid])
+        npt.assert_allclose(out, ref_out[valid], rtol=0, atol=1e-12 * k)
+        npt.assert_allclose(dx, ref_dx[valid], rtol=0, atol=1e-10 * k**2)
+        for g, ref in zip(dweights, ref_dweights):
+            npt.assert_allclose(g, ref, rtol=0, atol=1e-10 * k**2)
 
     def test_padded_key_value_rows_get_exactly_zero_gradient(self):
         # The op receives only the valid rows. In the padded computation the
-        # masked key and value rows, whatever they hold, get exactly zero
-        # gradient; every valid row gets some, and the op's gradients equal them.
+        # masked rows, whatever they hold, get exactly zero gradient; every
+        # valid row gets some, and the op's gradients equal them.
         from clspool.gradcheck import ATTENTION_MASK
         valid = (ATTENTION_MASK == 1).reshape(-1)
         for seed in range(3):
             rng = np.random.default_rng(seed)
-            q, k, v = rng.normal(size=(3, valid.sum(), 6))
+            x = rng.normal(size=(valid.sum(), 6))
+            weights = [rng.normal(size=(6, 6) if i < 8 and i % 2 == 0 else 6) for i in range(10)]
             w, fill = rng.normal(size=(2, valid.size, 6))
             w[~valid] = 0.0
-            _, (_, dk, dv) = weighted_attention_grads(q, k, v, ATTENTION_MASK, 2, w[valid])
-            _, _, ref_dk, ref_dv = padded_attention(q, k, v, ATTENTION_MASK, 2, w, fill)
-            for g, ref in ((dk, ref_dk), (dv, ref_dv)):
-                assert np.all(ref[~valid] == 0.0)
-                assert np.all(g != 0.0)
-                npt.assert_allclose(g, ref[valid], rtol=0, atol=1e-12)
+            _, _, dx, _ = weighted_sublayer_grads(x, weights, ATTENTION_MASK, 2, w[valid])
+            _, ref_dx, _, _ = padded_sublayer(x, weights, ATTENTION_MASK, 2, w, fill)
+            assert np.all(ref_dx[~valid] == 0.0)
+            assert np.all(dx != 0.0)
+            npt.assert_allclose(dx, ref_dx[valid], rtol=0, atol=1e-10)
 
     @settings(max_examples=150, deadline=None)
     @given(attention_cases())
     def test_one_query_per_example_equals_the_full_ops_cls_rows(self, case):
-        q, k, v, mask, heads = case
+        x, weights, mask, heads = case
         B, S = mask.shape
-        cls_rows = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[:-1]))
-        w = np.random.default_rng(B * S).normal(size=(B, q.shape[1]))
-        w_full = np.zeros_like(q)
+        cls_rows = cls_rows_of(mask)
+        w = np.random.default_rng(B * S).normal(size=(B, x.shape[1]))
+        w_full = np.zeros_like(x)
         w_full[cls_rows] = w
-
-        def run(query, weights):
-            ts = [Tensor(a, requires_grad=True) for a in (query, k, v)]
-            out, probs = T.attention(*ts, mask, heads)
-            T.tsum(T.mul(out, Tensor(weights))).backward()
-            return out.data, probs, [t.grad for t in ts]
-
-        out, probs, (dq, dk, dv) = run(q[cls_rows], w)
-        full_out, full_probs, (full_dq, full_dk, full_dv) = run(q, w_full)
-        assert out.shape == (B, q.shape[1]) and probs.shape == (B, heads, 1, S)
-        npt.assert_allclose(out, full_out[cls_rows], rtol=0, atol=1e-12)
+        out, probs, dx, dweights = weighted_sublayer_grads(x, weights, mask, heads, w, True)
+        full_out, full_probs, full_dx, full_dweights = weighted_sublayer_grads(
+            x, weights, mask, heads, w_full)
+        assert out.shape == (B, x.shape[1]) and probs.shape == (B, heads, 1, S)
+        ref_s = padded_sublayer(x, weights, mask, heads, np.zeros((B * S, x.shape[1])),
+                                np.zeros((B * S, x.shape[1])))[3]
+        k = rounding_scale(ref_s[(mask == 1).reshape(-1)][cls_rows])
+        npt.assert_allclose(out, full_out[cls_rows], rtol=0, atol=1e-12 * k)
         npt.assert_allclose(probs, full_probs[:, :, :1], rtol=0, atol=1e-12)
-        npt.assert_allclose(dq, full_dq[cls_rows], rtol=0, atol=1e-12)
-        npt.assert_allclose(dk, full_dk, rtol=0, atol=1e-12)
-        npt.assert_allclose(dv, full_dv, rtol=0, atol=1e-12)
+        npt.assert_allclose(dx, full_dx, rtol=0, atol=1e-10 * k**2)
+        for g, ref in zip(dweights, full_dweights):
+            npt.assert_allclose(g, ref, rtol=0, atol=1e-10 * k**2)
 
     def test_query_rows_must_be_one_per_position_or_per_example(self):
-        kv = Tensor(np.zeros((8, 4)))
-        for rows in (1, 3, 5):
+        weights = [Tensor(np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4)) for i in range(10)]
+        mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
+        x = Tensor(np.random.default_rng(0).normal(size=(7, 4)))
+        assert T.attention_sublayer(x, weights, mask, 2)[0].shape == (7, 4)
+        assert T.attention_sublayer(x, weights, mask, 2, cls_only=True)[0].shape == (2, 4)
+        for rows in (2, 6, 8):
             with pytest.raises(ShapeError, match=rf"\({rows}, 4\)"):
-                T.attention(Tensor(np.zeros((rows, 4))), kv, kv, np.ones((2, 4)), 2)
+                T.attention_sublayer(Tensor(np.zeros((rows, 4))), weights, mask, 2)
 
     def test_shapes_rejected(self):
         x = Tensor(np.zeros((8, 4)))
+        weights = [Tensor(np.zeros((4, 4) if i < 8 and i % 2 == 0 else 4)) for i in range(10)]
         with pytest.raises(ShapeError):
-            T.attention(x, x, x, np.ones((2, 3)), 2)
+            T.attention_sublayer(x, weights, np.ones((2, 3)), 2)
         with pytest.raises(ShapeError):
-            T.attention(x, x, x, np.ones((2, 4)), 3)
+            T.attention_sublayer(x, weights, np.ones((2, 4)), 3)
         with pytest.raises(ShapeError):
-            T.attention(x, Tensor(np.zeros((8, 2))), x, np.ones((2, 4)), 2)
-        with pytest.raises(ShapeError):
-            T.attention(x, x, x, np.ones(8), 2)
+            T.attention_sublayer(x, weights, np.ones(8), 2)
+        with pytest.raises(ShapeError, match="weight shapes"):
+            T.attention_sublayer(x, weights[:9], np.ones((2, 4)), 2)
+        with pytest.raises(ShapeError, match="weight shapes"):
+            T.attention_sublayer(x, weights[:6] + [Tensor(np.zeros((4, 3)))] + weights[7:],
+                                 np.ones((2, 4)), 2)
+
+    def test_one_tape_node(self):
+        weights = [Tensor(np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4), requires_grad=True)
+                   for i in range(10)]
+        x = Tensor(np.ones((8, 4)), requires_grad=True)
+        out, _ = T.attention_sublayer(x, weights, np.ones((2, 4)), 2)
+        assert out._parents == (x, *weights)
+
+
+def ffn_weights(rng, H, F):
+    return [rng.normal(size=shape) for shape in ((H, F), (F,), (F, H), (H,), (H,), (H,))]
+
+
+def numpy_ffn_sublayer(x, weights, w):
+    """LN(x + gelu(x·W1+b1)·W2+b2) and, for the loss sum(out * w), the
+    gradients of x and the six weights, written out by hand; last, the
+    layer norm's input."""
+    W1, b1, W2, b2, gamma, beta = weights
+    h = x @ W1 + b1
+    cdf = 0.5 * (1.0 + erf(h / math.sqrt(2.0)))
+    a = h * cdf
+    s = x + a @ W2 + b2
+    sd = np.sqrt(s.var(axis=1, keepdims=True) + 1e-12)
+    xhat = (s - s.mean(axis=1, keepdims=True)) / sd
+    gg = w * gamma
+    ds = (gg - gg.mean(axis=1, keepdims=True) - xhat * (gg * xhat).mean(axis=1, keepdims=True)) / sd
+    dh = (ds @ W2.T) * (cdf + h * np.exp(-h * h / 2) / math.sqrt(2 * math.pi))
+    return xhat * gamma + beta, ds + dh @ W1.T, [x.T @ dh, dh.sum(axis=0), a.T @ ds,
+                                                  ds.sum(axis=0), (w * xhat).sum(axis=0),
+                                                  w.sum(axis=0)], s
+
+
+class TestFFNSublayer:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 8), st.integers(1, 6), st.integers(1, 8), st.integers(0, 2**32 - 1))
+    def test_matches_numpy_reference(self, n, H, F, seed):
+        rng = np.random.default_rng(seed)
+        x, w = rng.normal(size=(2, n, H))
+        weights = ffn_weights(rng, H, F)
+        xt = Tensor(x, requires_grad=True)
+        wt = [Tensor(a, requires_grad=True) for a in weights]
+        out = T.ffn_sublayer(xt, wt)
+        assert out._parents == (xt, *wt)
+        T.tsum(T.mul(out, Tensor(w))).backward()
+        ref_out, ref_dx, ref_dweights, ref_s = numpy_ffn_sublayer(x, weights, w)
+        k = rounding_scale(ref_s)
+        npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12 * k)
+        npt.assert_allclose(xt.grad, ref_dx, rtol=0, atol=1e-10 * k**2)
+        for t, ref in zip(wt, ref_dweights):
+            npt.assert_allclose(t.grad, ref, rtol=0, atol=1e-10 * k**2)
+
+    def test_shapes_rejected(self):
+        weights = [Tensor(a) for a in ffn_weights(np.random.default_rng(0), 4, 6)]
+        with pytest.raises(ShapeError, match="matrix"):
+            T.ffn_sublayer(Tensor(np.zeros(4)), weights)
+        with pytest.raises(ShapeError, match="weight shapes"):
+            T.ffn_sublayer(Tensor(np.zeros((3, 5))), weights)
+        with pytest.raises(ShapeError, match="weight shapes"):
+            T.ffn_sublayer(Tensor(np.zeros((3, 4))), weights[:5])
 
 
 def per_gate_lstm(xs, W, U, b):
@@ -527,6 +630,17 @@ class TestGatherRows:
         T.tsum(out).backward()
         npt.assert_array_equal(table.grad, [[1.0] * 3, [0.0] * 3, [2.0] * 3, [0.0] * 3])
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 5), st.lists(st.integers(0, 5), max_size=40),
+           st.integers(0, 2**32 - 1))
+    def test_scatter_add_equals_add_at_bit_for_bit(self, rows, width, indices, seed):
+        # Repeated indices: both sum in index order, so the results are equal to the bit.
+        idx = np.array([i % rows for i in indices], dtype=np.intp)
+        g = np.random.default_rng(seed).normal(scale=1e3, size=(len(idx), width))
+        ref = np.zeros((rows, width))
+        np.add.at(ref, idx, g)
+        assert np.array_equal(T._scatter_add_rows(g, idx, rows), ref)
+
     def test_no_indices_give_no_rows(self):
         out = T.gather_rows(Tensor(np.ones((4, 3))), np.array([], dtype=int))
         assert out.shape == (0, 3)
@@ -552,7 +666,8 @@ class TestShapeDiscipline:
     def test_finite_after_ops(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(scale=50, size=(3, 5)))
-        y = T.softmax_cross_entropy(T.gelu(T.tanh(x)), [0, 4, 2])
+        weights = [Tensor(a) for a in ffn_weights(rng, 5, 4)]
+        y = T.softmax_cross_entropy(T.ffn_sublayer(T.tanh(x), weights), [0, 4, 2])
         assert np.all(np.isfinite(y.data))
 
 
@@ -585,9 +700,12 @@ class TestLayerNormAndActivations:
         npt.assert_allclose(y.var(axis=1), 1.0, atol=1e-9)
 
     def test_gelu_reference_values(self):
-        # gelu(0) = 0; gelu is ~x for large x, ~0 for large negative x.
-        y = T.gelu(Tensor([0.0, 10.0, -10.0])).data
-        npt.assert_allclose(y, [0.0, 10.0, 0.0], atol=1e-9)
+        # gelu(0) = 0; gelu is ~x for large x, ~0 for large negative x. With
+        # identity projections the feed-forward sublayer is LN(x + gelu(x)).
+        x = np.array([[0.0, 10.0, -10.0]])
+        eye, zero, one = np.eye(3), np.zeros(3), np.ones(3)
+        y = T.ffn_sublayer(Tensor(x), [Tensor(a) for a in (eye, zero, eye, zero, one, zero)]).data
+        npt.assert_allclose(y, numpy_layer_norm(x + [[0.0, 10.0, 0.0]], one, zero), atol=1e-9)
 
     def test_sigmoid_tanh_values(self):
         npt.assert_allclose(T.sigmoid(Tensor([0.0])).data, [0.5])
