@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import atomic_write_bytes
 from .data import DataError
-from .train import EVAL_BATCH
+from .train import eval_batches
 
 
 class DegenerateDataError(ValueError):
@@ -106,7 +106,7 @@ def write_dump(dump: LayerDump, out_dir):
     header = "example_id,label," + ",".join(f"v{i}" for i in range(h))
     lines = [header]
     for eid, lab, vec in zip(dump.example_ids, dump.labels, dump.vectors):
-        lines.append(f"{int(eid)},{int(lab)}," + ",".join(repr(float(v)) for v in vec))
+        lines.append(f"{int(eid)},{int(lab)}," + ",".join(map(repr, vec.tolist())))
     path = os.path.join(out_dir, dump_filename(dump.epoch, dump.layer))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
@@ -136,7 +136,7 @@ def read_dump(path):
             try:
                 ids.append(int(row[0]))
                 labels.append(int(row[1]))
-                vectors.append([float(v) for v in row[2:]])
+                vectors.append(list(map(float, row[2:])))
             except ValueError as e:
                 raise DataError(f"{path}:{lineno}: {e}") from None
             if not all(map(math.isfinite, vectors[-1])):
@@ -150,21 +150,21 @@ def read_dump(path):
 def dump_trace(model, arrays, epoch, layers, out_dir):
     """Dump the eval-mode [CLS] state of every example at the given layers.
 
-    The examples run in batches of ``EVAL_BATCH``, like ``evaluate``.
-    Layers are 1-based; requesting a layer above the model's count errors.
-    Returns the written paths.
+    The examples run through ``model.trace_batch`` in the length-ordered
+    batches of ``train.eval_batches``, as in ``evaluate``; the rows are
+    written in dataset order. Layers are 1-based; requesting a layer
+    above the model's count errors. Returns the written paths.
     """
     L = model.config.L
     for layer in layers:
         if not 1 <= layer <= L:
             raise ValueError(f"layer {layer} out of range 1..{L}")
-    tok, seg, mask, labels = arrays
+    labels = arrays[3]
     n = len(labels)
     per_layer = [np.empty((n, model.config.H)) for _ in range(L)]
-    for lo in range(0, n, EVAL_BATCH):
-        hi = min(lo + EVAL_BATCH, n)
-        for li, block in enumerate(model.trace_batch(tok[lo:hi], seg[lo:hi], mask[lo:hi])):
-            per_layer[li][lo:hi] = block
+    for idx, tok, seg, mask in eval_batches(arrays):
+        for li, block in enumerate(model.trace_batch(tok, seg, mask)):
+            per_layer[li][idx] = block
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     ids = np.arange(n)
@@ -202,7 +202,7 @@ def project_dump_dir(dumps_dir, out_dir):
     for dump, proj, score in projections:
         lines = ["example_id,label,p0,p1"]
         for eid, lab, pt in zip(proj.example_ids, proj.labels, proj.points):
-            lines.append(f"{int(eid)},{int(lab)}," + ",".join(repr(float(v)) for v in pt))
+            lines.append(f"{int(eid)},{int(lab)}," + ",".join(map(repr, pt.tolist())))
         out = os.path.join(out_dir, f"proj_epoch{dump.epoch}_layer{dump.layer}.csv")
         atomic_write_bytes(out, ("\n".join(lines) + "\n").encode("utf-8"))
         score_rows.append((dump.epoch, dump.layer, score, *proj.explained_variance))

@@ -6,9 +6,18 @@ from dataclasses import fields
 
 import numpy as np
 
+from . import tensor as T
 from .encoder import EncoderConfig, MiniEncoder
 from .pooling import HEAD_KINDS, HEADS, ClassifierHead, classify
 from .checkpoint import load_checkpoint, save_checkpoint
+
+
+class NonFiniteLogitsError(ValueError):
+    """``predict`` met non-finite logits; ``row`` is the first such row of the batch."""
+
+    def __init__(self, logits, row):
+        super().__init__(f"non-finite logits {logits} in row {row}")
+        self.row = row
 
 
 class PooledClassifier:
@@ -46,16 +55,25 @@ class PooledClassifier:
                         rng=rng, training=training)
 
     def trace_batch(self, token_ids, segment_ids, mask):
-        """Eval-mode CLS trace for a batch, as plain arrays (one B×H per layer)."""
-        _, trace = self.encoder.forward_batch(token_ids, segment_ids, mask)
+        """Eval-mode CLS trace for a batch, as plain arrays (one B×H per layer).
+
+        The forward runs in ``T.no_grad()``, so it keeps no tape.
+        """
+        with T.no_grad():
+            _, trace = self.encoder.forward_batch(token_ids, segment_ids, mask)
         return [v.data for v in trace]
 
     def predict(self, token_ids, segment_ids, mask):
-        """Eval-mode hard labels (argmax ties break low); non-finite logits raise."""
-        logits = self.forward_batch(token_ids, segment_ids, mask).data
+        """Eval-mode hard labels (argmax ties break low).
+
+        The forward runs in ``T.no_grad()``, so it keeps no tape. Non-finite
+        logits raise ``NonFiniteLogitsError`` naming the first such row.
+        """
+        with T.no_grad():
+            logits = self.forward_batch(token_ids, segment_ids, mask).data
         bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
         if bad.size:
-            raise ValueError(f"non-finite logits {logits[bad[0]]} in row {bad[0]}")
+            raise NonFiniteLogitsError(logits[bad[0]], bad[0])
         return np.argmax(logits, axis=1)
 
     # -- persistence -----------------------------------------------------------

@@ -29,11 +29,21 @@ and carry a hand-derived backward:
 Layer norm and dropout are each one private forward/backward pair on
 arrays, which the public ``layer_norm`` and ``dropout`` ops and both
 sublayers share.
+
+Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
+keeps no parents and no backward closure, so none of the arrays a
+closure would hold outlive the op, and it requires a gradient only if it
+is a leaf created with ``requires_grad=True``. The ops build their
+closures as always; ``Tensor`` keeps none on a node without parents, so
+the scope is honoured in that one place. The eval-mode forwards,
+``PooledClassifier.predict`` and ``trace_batch``, run in the scope;
+training never does.
 """
 
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 
 import numpy as np
 from scipy.special import erf
@@ -43,18 +53,43 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not satisfy an op's contract."""
 
 
+_recording = ContextVar("clspool_tape_recording", default=True)
+
+
+class no_grad:
+    """``with no_grad():`` records no tape node; recording resumes on exit, also on error."""
+
+    def __enter__(self):
+        self._token = _recording.set(False)
+
+    def __exit__(self, *exc):
+        _recording.reset(self._token)
+
+
 class Tensor:
     """A dense float64 array that participates in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_closure", "_consumed")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
+        if not _recording.get():
+            _parents = ()
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents
         self._backward = _backward
         self._consumed = False
+
+    @property
+    def _backward(self):
+        return self._closure
+
+    @_backward.setter
+    def _backward(self, fn):
+        # A node without parents has nothing to pass a gradient to, so it
+        # keeps no closure, nor the arrays the closure holds.
+        self._closure = fn if self._parents else None
 
     @property
     def shape(self):

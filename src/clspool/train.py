@@ -27,11 +27,13 @@ from . import rng as rng_mod
 from . import tensor as T
 from .checkpoint import atomic_write_bytes
 from .encoder import EncoderConfig
-from .model import PooledClassifier
+from .model import NonFiniteLogitsError, PooledClassifier
 
 DESK_LR = 1e-3
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator floor
-EVAL_BATCH = 64  # examples per eval-mode forward pass (evaluate, analysis.dump_trace)
+# Examples per eval-mode forward pass: the batches of ``eval_batches``, which
+# serves ``evaluate`` and ``analysis.dump_trace``.
+EVAL_BATCH = 64
 
 
 @dataclass
@@ -167,9 +169,9 @@ def metrics_from_confusion(cm):
 def _keep_freed_memory():
     """Have glibc malloc keep freed memory for reuse instead of returning it.
 
-    Every training step and eval batch allocates and frees its whole tape,
-    and a 512×32 float64 array is exactly glibc's default 128 KiB mmap
-    threshold. Depending on heap layout, each step then unmaps (or trims)
+    Every training step allocates and frees its whole tape, and every eval
+    batch its forward's arrays, and a 512×32 float64 array is exactly
+    glibc's default 128 KiB mmap threshold. Depending on heap layout, each step then unmaps (or trims)
     those blocks and page-faults them back in on the next step, which costs
     thousands of minor faults per step. Raising the mmap and trim
     thresholds keeps the freed blocks in the heap. Idempotent; a no-op off
@@ -186,10 +188,31 @@ def _keep_freed_memory():
     mallopt(-1, 1 << 30)   # M_TRIM_THRESHOLD: 1 GiB
 
 
+def eval_batches(arrays, batch_size=EVAL_BATCH):
+    """Yield ``(idx, tok, seg, mask)`` batches of a packed dataset, in length order.
+
+    The examples are sorted by packed length (``mask`` row sums), stably,
+    so equal lengths keep dataset order, and the order is cut into batches
+    of ``batch_size``; ``idx`` holds each batch row's dataset index. Like
+    lengths then share a batch and pad little. This is the one eval
+    batching loop: callers write each batch's results back at ``idx``.
+    """
+    tok, seg, mask = arrays[:3]
+    order = np.argsort(mask.sum(axis=1), kind="stable")
+    for lo in range(0, len(order), batch_size):
+        idx = order[lo:lo + batch_size]
+        yield idx, tok[idx], seg[idx], mask[idx]
+
+
 def evaluate(model, arrays, batch_size=EVAL_BATCH):
-    """Eval-mode metrics for a packed dataset (tok, seg, mask, labels)."""
+    """Eval-mode metrics for a packed dataset (tok, seg, mask, labels).
+
+    The examples run through ``model.predict`` in the length-ordered
+    batches of ``eval_batches``. Non-finite logits raise a ValueError that
+    names the example's dataset index.
+    """
     _keep_freed_memory()
-    tok, seg, mask, labels = arrays
+    labels = arrays[3]
     n = len(labels)
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
@@ -198,12 +221,14 @@ def evaluate(model, arrays, batch_size=EVAL_BATCH):
         raise ValueError(f"example {bad[0]} has label {labels[bad[0]]}, but the model "
                          f"has only {model.n_classes} classes")
     preds = np.empty(n, dtype=int)
-    for lo in range(0, n, batch_size):
-        hi = min(lo + batch_size, n)
+    for idx, tok, seg, mask in eval_batches(arrays, batch_size):
         try:
-            preds[lo:hi] = model.predict(tok[lo:hi], seg[lo:hi], mask[lo:hi])
+            preds[idx] = model.predict(tok, seg, mask)
+        except NonFiniteLogitsError as e:
+            raise ValueError(f"evaluating example {idx[e.row]}: {e} of its batch") from None
         except ValueError as e:
-            raise ValueError(f"evaluating examples {lo}..{hi - 1}: {e}") from None
+            raise ValueError(f"evaluating examples {idx.tolist()} (batch row order): "
+                             f"{e}") from None
     cm = confusion_matrix(labels, preds, model.n_classes)
     return metrics_from_confusion(cm)
 

@@ -9,7 +9,8 @@ from clspool.analysis import (DegenerateDataError, LayerDump, Projection2D,
                               cluster_score, dump_filename, dump_trace,
                               pca_project, project_dump_dir, read_dump,
                               write_dump)
-from clspool.data import DataError, pack_dataset, synth_generate, vocab_for_examples
+from clspool.data import (DataError, PairExample, pack_dataset, synth_generate,
+                          vocab_for_examples)
 from clspool.encoder import EncoderConfig
 from clspool.model import PooledClassifier
 
@@ -197,8 +198,8 @@ class TestDumpFiles:
             read_dump(str(path))
 
 
-def trained_tiny_model():
-    ex = synth_generate(24, seed=0)
+def trained_tiny_model(ex=None):
+    ex = synth_generate(24, seed=0) if ex is None else ex
     vocab = vocab_for_examples(ex)
     cfg = EncoderConfig(L=3, H=8, A=2, F=12, V=len(vocab), S_max=64, p_drop=0.1)
     arrays = pack_dataset(ex, vocab, 64)
@@ -232,13 +233,22 @@ class TestDumpTrace:
             dump_trace(model, arrays, epoch=1, layers=[0], out_dir=str(tmp_path))
 
     def test_batched_dump_matches_batch_size_one(self, tmp_path):
-        model, arrays = trained_tiny_model()
-        dump_trace(model, arrays, epoch=1, layers=[3], out_dir=str(tmp_path))
-        dumped = read_dump(str(tmp_path / "cls_epoch1_layer3.csv")).vectors
-        tok, seg, mask, _ = arrays
-        alone = np.vstack([model.trace_batch(tok[i:i + 1], seg[i:i + 1], mask[i:i + 1])[2]
-                           for i in range(len(tok))])
-        npt.assert_allclose(dumped, alone, rtol=0, atol=1e-6)
+        # Fixed-length synthetic pairs, and 70 texts of 1 to 15 tokens, which
+        # the eval batches take in length order; rows stay in dataset order.
+        rng = np.random.default_rng(4)
+        varied = [PairExample(" ".join(f"w{int(w)}" for w in rng.integers(12, size=1 + i % 15)),
+                              f"a{i % 3}", i % 3) for i in rng.permutation(70)]
+        for k, ex in enumerate((None, varied)):
+            model, arrays = trained_tiny_model(ex)
+            out = tmp_path / str(k)
+            dump_trace(model, arrays, epoch=1, layers=[3], out_dir=str(out))
+            dumped = read_dump(str(out / "cls_epoch1_layer3.csv"))
+            tok, seg, mask, labels = arrays
+            alone = np.vstack([model.trace_batch(tok[i:i + 1], seg[i:i + 1], mask[i:i + 1])[2]
+                               for i in range(len(tok))])
+            npt.assert_array_equal(dumped.example_ids, np.arange(len(tok)))
+            npt.assert_array_equal(dumped.labels, labels)
+            npt.assert_allclose(dumped.vectors, alone, rtol=0, atol=1e-6)
 
 
 class TestProjectDumpDir:

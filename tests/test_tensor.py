@@ -188,6 +188,58 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
 
+class TestNoGrad:
+    @staticmethod
+    def graph(rng):
+        """A scalar through a fused sublayer and a few plain ops, and its parameters."""
+        params = [Tensor(rng.normal(size=s), requires_grad=True)
+                  for s in ((3, 4), (4,), (4, 3), (3,), (3,), (3,))]
+        x = Tensor(rng.normal(size=(5, 3)))
+        h = T.ffn_sublayer(x, params)
+        nodes = [h, T.tanh(h), T.matmul(h, Tensor(np.ones((3, 1))))]
+        nodes.append(T.softmax_cross_entropy(T.add(h, T.sigmoid(h)), [0, 1, 2, 0, 1]))
+        return nodes, params
+
+    def test_records_nothing_and_backward_moves_no_parameter(self):
+        with T.no_grad():
+            nodes, params = self.graph(np.random.default_rng(0))
+        for node in nodes:
+            assert node._parents == () and node._backward is None
+            assert not node.requires_grad
+        nodes[-1].backward()
+        assert all(p.grad is None for p in params)
+
+    def test_same_values_as_recorded(self):
+        with T.no_grad():
+            off, _ = self.graph(np.random.default_rng(1))
+        on, params = self.graph(np.random.default_rng(1))
+        for a, b in zip(off, on):
+            npt.assert_array_equal(a.data, b.data)
+        assert all(node._parents and node._backward is not None for node in on)
+        on[-1].backward()
+        assert all(p.grad is not None for p in params)
+
+    def test_leaf_keeps_requires_grad(self):
+        with T.no_grad():
+            w = Tensor(np.ones(2), requires_grad=True)
+        assert w.requires_grad and w._parents == ()
+        T.tsum(T.mul(w, w)).backward()
+        npt.assert_array_equal(w.grad, [2.0, 2.0])
+
+    def test_recording_resumes_after_exit_and_after_error(self):
+        x = Tensor([1.0], requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.tanh(x)._parents == ()   # the inner exit leaves the outer scope off
+        assert T.tanh(x)._parents == (x,)
+        with pytest.raises(RuntimeError, match="inside"):
+            with T.no_grad():
+                raise RuntimeError("inside")
+        y = T.tanh(x)
+        assert y._parents == (x,) and y._backward is not None
+
+
 def naive_attention(q, k, v, mask, heads):
     """Loop oracle: per example and head, a softmax over the valid keys only.
 
