@@ -213,12 +213,11 @@ _MATMUL_EXACT_LIMIT = 512
 def _matmul_data(a, b):
     m, k = a.shape
     n = b.shape[1]
-    if m * k * n > _MATMUL_EXACT_LIMIT:
+    if k == 0 or m * k * n > _MATMUL_EXACT_LIMIT:
         return a @ b
-    out = np.zeros((m, n))
-    for kk in range(k):
-        out += a[:, kk:kk + 1] * b[kk, :]
-    return out
+    # np.add.accumulate sums over k in order, as the loop from zeros does;
+    # the added +0.0 turns an all-zero sum of -0.0 terms into the loop's +0.0.
+    return np.add.accumulate(a[:, :, None] * b[None, :, :], axis=1)[:, -1] + 0.0
 
 
 def matmul(a, b):

@@ -485,6 +485,22 @@ class TestDataErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["", "\n  \n"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_empty_data_file_named_exit_1(self, tmp_path, capsys, command, content):
+        path = tmp_path / "empty.jsonl"
+        path.write_text(content)
+        if command == "train":
+            argv = ["train", "--data", str(path), "--out", str(tmp_path / "run")]
+        else:
+            cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+            model = PooledClassifier(cfg, "last", 3, R.rng_for(0, 0))
+            ckpt = str(tmp_path / "m.ckpt")
+            model.save(ckpt, extra_meta={"vocab": ["w1", "w2"], "schema": "absa"})
+            argv = ["eval", "--checkpoint", ckpt, "--data", str(path)]
+        assert run(argv) == 1
+        assert capsys.readouterr().err == f"error: {path}: no examples\n"
+
 
 class TestNoTraceback:
     """Bad paths, flags, input lines and non-finite values end in exit 1 or 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from clspool.data import (CLS_ID, DataError, PAD_ID, PairExample, SEP_ID, UNK_ID,
                           Vocab, build_vocab, load_jsonl, pack_dataset, pack_pair,
                           save_jsonl, synth_generate, synth_label_function,
-                          unigram_baseline_accuracy)
+                          unigram_baseline_accuracy, vocab_for_examples)
 
 
 class TestVocab:
@@ -155,6 +155,13 @@ class TestJsonl:
         ex = load_jsonl(str(path), "nli")[0]
         assert (ex.text_a, ex.text_b, ex.label) == ("p", "h", 2)
 
+    @pytest.mark.parametrize("content", ["", "\n \n"])
+    def test_no_examples_names_file(self, tmp_path, content):
+        path = tmp_path / "d.jsonl"
+        path.write_text(content)
+        with pytest.raises(DataError, match=f"^{path}: no examples$"):
+            load_jsonl(str(path), "absa")
+
     def test_invalid_json_names_line(self, tmp_path):
         path = tmp_path / "d.jsonl"
         path.write_text("{not json\n")
@@ -206,10 +213,91 @@ class TestSynth:
             synth_generate(10, classes=classes)
 
 
+def reference_pack_pair(ex, vocab, s_max):
+    """The per-pair packer that ``pack_dataset`` replaced, kept as the oracle."""
+    a = vocab.encode(ex.text_a)
+    b = vocab.encode(ex.text_b)
+    while len(a) + len(b) + 3 > s_max:
+        if len(a) >= len(b) and a:
+            a.pop()
+        else:
+            b.pop()
+    ids = [CLS_ID] + a + [SEP_ID] + b + [SEP_ID]
+    segments = [0] * (len(a) + 2) + [1] * (len(b) + 1)
+    mask = [1] * len(ids)
+    pad = s_max - len(ids)
+    return (np.array(ids + [PAD_ID] * pad), np.array(segments + [0] * pad),
+            np.array(mask + [0] * pad))
+
+
+def reference_pack_dataset(examples, vocab, s_max):
+    tok, seg, mask = (np.stack(a) for a in zip(*(reference_pack_pair(ex, vocab, s_max)
+                                                 for ex in examples)))
+    longest = int(mask.sum(axis=1).max())
+    return (tok[:, :longest], seg[:, :longest], mask[:, :longest],
+            np.array([ex.label for ex in examples]))
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+side = st.lists(st.sampled_from(["a", "B", "c", "zz", "[UNK]"]), max_size=30)
+
+
+@st.composite
+def pair_examples(draw):
+    """Random pairs; each side may be empty, hold unknown tokens ("zz",
+    "[UNK]") or upper case, and about a third of the pairs have sides of
+    equal length, so that truncation ties."""
+    a = draw(side)
+    if draw(st.integers(0, 2)) == 0:
+        b = draw(st.lists(st.sampled_from(["a", "c", "zz"]), min_size=len(a),
+                          max_size=len(a)))
+    else:
+        b = draw(side)
+    return PairExample(" ".join(a), " ".join(b), draw(st.integers(0, 2)))
+
+
 class TestPackDataset:
+    VOCAB = build_vocab(["a b c"])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(pair_examples(), min_size=1, max_size=8), st.integers(4, 40))
+    def test_equals_stacked_per_pair_packer(self, examples, s_max):
+        assert_same_arrays(pack_dataset(examples, self.VOCAB, s_max),
+                           reference_pack_dataset(examples, self.VOCAB, s_max))
+
+    @settings(max_examples=200, deadline=None)
+    @given(pair_examples(), st.integers(4, 40))
+    def test_pack_pair_is_the_padded_one_row_case(self, ex, s_max):
+        tok, seg, mask, _ = pack_dataset([ex], self.VOCAB, s_max)
+        pad = ((0, 0), (0, s_max - tok.shape[1]))
+        one_row = tuple(np.pad(a, pad)[0] for a in (tok, seg, mask))
+        assert_same_arrays(pack_pair(ex, self.VOCAB, s_max), one_row)
+        assert_same_arrays(one_row, reference_pack_pair(ex, self.VOCAB, s_max))
+
+    def test_synth_equals_stacked_per_pair_packer(self):
+        ex = synth_generate(3000, seed=0)
+        v = vocab_for_examples(ex)
+        for s_max in (4, 5, 12, 64):
+            assert_same_arrays(pack_dataset(ex, v, s_max), reference_pack_dataset(ex, v, s_max))
+
+    def test_no_examples(self):
+        with pytest.raises(DataError, match="no examples"):
+            pack_dataset([], self.VOCAB, 8)
+
+    @pytest.mark.parametrize("pack", [pack_pair, lambda ex, v, s: pack_dataset([ex], v, s)])
+    def test_s_max_below_4(self, pack):
+        with pytest.raises(ValueError, match="s_max=3 cannot hold"):
+            pack(PairExample("a", "b", 0), self.VOCAB, 3)
+
     def test_trims_to_longest_sequence(self):
         ex = synth_generate(20, seed=0)
-        from clspool.data import vocab_for_examples
         v = vocab_for_examples(ex)
         tok, seg, mask, labels = pack_dataset(ex, v, 64)
         assert tok.shape[1] < 64

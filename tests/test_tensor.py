@@ -26,7 +26,42 @@ def triple_loop_matmul(a, b):
     return out
 
 
+def k_loop_matmul(a, b):
+    """The exact small-product path as it was: k-slices added in order to zeros."""
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for kk in range(a.shape[1]):
+        out += a[:, kk:kk + 1] * b[kk, :]
+    return out
+
+
+@st.composite
+def exact_path_operands(draw):
+    """Two matrices with m*k*n within the exact path's limit; about half the
+    entries are signed zeros or small integers (exact cancellations), the rest
+    floats of a drawn magnitude."""
+    m = draw(st.integers(1, 16))
+    k = draw(st.integers(0, T._MATMUL_EXACT_LIMIT // m))
+    n = draw(st.integers(1, T._MATMUL_EXACT_LIMIT // max(1, m * k)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    special = np.array([0.0, -0.0, 1.0, -1.0, 2.0])
+
+    def matrix(shape):
+        floats = rng.normal(scale=10.0 ** rng.integers(-6, 7), size=shape)
+        return np.where(rng.random(shape) < 0.5, rng.choice(special, shape), floats)
+
+    return matrix((m, k)), matrix((k, n))
+
+
 class TestMatmul:
+    @settings(max_examples=300, deadline=None)
+    @given(exact_path_operands())
+    def test_exact_path_bit_identical_to_k_loop(self, operands):
+        a, b = operands
+        got = T.matmul(Tensor(a), Tensor(b)).data
+        want = k_loop_matmul(a, b)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = T.matmul(Tensor(np.eye(2)), Tensor(a))
