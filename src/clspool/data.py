@@ -142,6 +142,11 @@ def pack_dataset(examples, vocab, s_max):
 # JSONL ingestion
 
 
+# The JSON name of each non-string type that ``json.loads`` produces.
+_JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
+               list: "array", dict: "object"}
+
+
 def load_jsonl(path, schema):
     """Load PairExamples from a JSON-lines file; labels are matched case-insensitively."""
     if schema not in SCHEMAS:
@@ -163,11 +168,15 @@ def load_jsonl(path, schema):
             for field in (field_a, field_b, "label"):
                 if field not in obj:
                     raise DataError(f"{path}:{lineno}: missing field {field!r}")
+            for field in (field_a, field_b):
+                if not isinstance(obj[field], str):
+                    raise DataError(f"{path}:{lineno}: field {field!r} must be a string, "
+                                    f"got {_JSON_TYPES[type(obj[field])]}")
             raw = str(obj["label"]).lower()
             if raw not in label_map:
                 raise DataError(f"{path}:{lineno}: unknown label {obj['label']!r}, "
                                 f"expected one of {sorted(label_map)}")
-            examples.append(PairExample(str(obj[field_a]), str(obj[field_b]), label_map[raw]))
+            examples.append(PairExample(obj[field_a], obj[field_b], label_map[raw]))
     if not examples:
         raise DataError(f"{path}: no examples")
     return examples

@@ -3,7 +3,8 @@
 Every operation records itself on an implicit tape (the graph of Tensor
 nodes); ``backward(loss)`` walks the tape in reverse topological order,
 accumulates gradients into every tensor created with ``requires_grad=True``,
-and then clears the tape so a graph can only be differentiated once.
+and clears each node as soon as its own backward has run, so a graph can
+only be differentiated once.
 
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
@@ -17,7 +18,9 @@ and carry a hand-derived backward:
   valid position or one per example; only inside it are the rows laid
   out as padded (B, A, S, d_h) views;
 - ``ffn_sublayer``, the block's feed-forward sublayer (GELU network,
-  dropout, residual and layer norm);
+  dropout, residual and layer norm); its exact GELU takes erf from the
+  private ``_erf``, Cephes' algorithm in numpy, within 1 ulp of
+  ``scipy.special.erf``, so the runtime imports numpy and nothing else;
 - ``layer_attention``, a softmax-weighted sum of L B×H rows, for the
   attention pooling head;
 - ``lstm``, an LSTM over a list of B×H rows, its four gates computed as
@@ -46,7 +49,6 @@ import math
 from contextvars import ContextVar
 
 import numpy as np
-from scipy.special import erf
 
 
 class ShapeError(ValueError):
@@ -118,8 +120,8 @@ def _accumulate(t, g):
 def backward(loss):
     """Accumulate gradients of a scalar loss into every requires_grad tensor.
 
-    The tape rooted at ``loss`` is cleared afterwards; a second backward on
-    the same graph raises.
+    The tape rooted at ``loss`` is cleared node by node as the walk passes;
+    a second backward on the same graph raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -147,9 +149,9 @@ def backward(loss):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
         node._consumed = True
-    # Clear the tape: drop closures and parent links so memory is released
-    # and a second backward cannot silently re-run.
-    for node in topo:
+        # Every consumer of the node has run, so its closure and parent
+        # links can go now: the arrays they hold are freed during the walk,
+        # and a second backward cannot silently re-run.
         if node._parents:
             node._backward = None
             node._parents = ()
@@ -422,6 +424,73 @@ def _check_weights(op, weights, shapes):
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
+# Cephes' erf (ndtr.c), the algorithm behind scipy.special.erf, highest
+# power first. For |x| <= 1, erf(x) = x·T(x²)/U(x²); otherwise
+# erf(x) = sign(x)·(1 - exp(-x²)·P(|x|)/Q(|x|)). U and Q are monic, and
+# their leading 1 is left out.
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+
+
+def _polevl(x, coef, monic=False):
+    """The polynomial with coefficients ``coef``, highest power first, at ``x``.
+
+    With ``monic`` the leading coefficient is 1 and left out of ``coef``, as
+    in Cephes' ``p1evl``. Horner's rule in place, one pass per multiply and
+    per add, in Cephes' order, so every rounding is the same.
+    """
+    if monic:
+        out = x + coef[0]
+        coef = coef[1:]
+    else:
+        out = x * coef[0]
+        out += coef[1]
+        coef = coef[2:]
+    for c in coef:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x):
+    """The error function of an array, elementwise, within 1 ulp of scipy.special.erf.
+
+    The |x| <= 1 branch is computed over every entry, with the others
+    clipped to ±1, and matches scipy to the bit; the other branch is
+    computed over the remaining entries only (nan included), with |x|
+    clipped at 10, where erf is already ±1, so exp(-x²) never underflows
+    and x² never overflows. It differs from scipy only where numpy's exp
+    rounds differently from the C library's, by at most 1 ulp. Returns a
+    new array of ``x``'s shape.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = x.reshape(-1)
+    # A result or an x² below the normal range underflows gradually, as it
+    # should; that is no error.
+    with np.errstate(under="ignore"):
+        s = np.clip(flat, -1.0, 1.0)
+        z = s * s
+        y = _polevl(z, _ERF_T)
+        y *= s
+        y /= _polevl(z, _ERF_U, monic=True)
+        rest = (s != flat).nonzero()[0]
+        if rest.size:
+            xr = flat[rest]
+            a = np.minimum(np.abs(xr), 10.0)
+            e = np.exp(-(a * a))
+            e *= _polevl(a, _ERF_P)
+            e /= _polevl(a, _ERF_Q, monic=True)
+            y[rest] = np.copysign(1.0 - e, xr)
+    return y.reshape(x.shape)
+
 
 def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None, training=True):
     """Fused post-layer-norm multi-head self-attention sublayer over the valid positions of a batch.
@@ -518,9 +587,10 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
     """Fused post-layer-norm feed-forward sublayer: LN(x + dropout(gelu(x·W1+b1)·W2+b2)).
 
     ``x`` is N×H and ``weights`` is (W1, b1, W2, b2, gamma, beta), W1 H×F
-    and W2 F×H; GELU is the exact (erf-based) one. Dropout with rate ``p``
-    draws its mask from ``rng`` when ``training``. Returns one N×H tape
-    node with parents (x, *weights).
+    and W2 F×H; GELU is the exact (erf-based) one, with erf from ``_erf``,
+    within 1 ulp of scipy's. Dropout with rate ``p`` draws its mask from
+    ``rng`` when ``training``. Returns one N×H tape node with parents
+    (x, *weights).
     """
     if x.data.ndim != 2:
         raise ShapeError(f"ffn_sublayer expects a matrix, got shape {x.shape}")
@@ -531,7 +601,7 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
     W1, b1, W2, b2, gamma, beta = weights
     xd = x.data
     h = _matmul_data(xd, W1.data) + b1.data
-    cdf = 0.5 * (1.0 + erf(h * _INV_SQRT2))
+    cdf = 0.5 * (1.0 + _erf(h * _INV_SQRT2))
     a = h * cdf
     o, keep = _dropout_fwd(_matmul_data(a, W2.data) + b2.data, p, rng, training)
     y, xhat, inv = _layer_norm_fwd(xd + o, gamma.data, beta.data)

@@ -550,6 +550,24 @@ class TestNoTraceback:
         assert f"error: {path}:2: expected a JSON object, got {kind}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_non_string_text_field_names_line_exit_1(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.jsonl"
+        good = {"text": "a b", "aspect": "a", "label": "positive"}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, "text": None}) + "\n")
+        if command == "train":
+            argv = ["train", "--data", str(path), "--out", str(tmp_path / "run")]
+        else:
+            cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+            model = PooledClassifier(cfg, "last", 3, R.rng_for(0, 0))
+            ckpt = str(tmp_path / "m.ckpt")
+            model.save(ckpt, extra_meta={"vocab": ["a", "b"], "schema": "absa"})
+            argv = ["eval", "--checkpoint", ckpt, "--data", str(path)]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: field 'text' must be a string, got null\n"
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("name, body, where", [
         ("cls_epoch1_layer1.csv", "0,0,1.0,2.0\nx,1,1.0,2.0\n", ":3: "),
         ("cls_epoch1_layer1.csv", "0,0,1.0,2.0\n1,one,1.0,2.0\n", ":3: "),

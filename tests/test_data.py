@@ -177,6 +177,22 @@ class TestJsonl:
         with pytest.raises(DataError, match=f"{path}:2: expected a JSON object, got {kind}$"):
             load_jsonl(str(path), "absa")
 
+    @pytest.mark.parametrize("schema, field", [("absa", "text"), ("absa", "aspect"),
+                                               ("nli", "premise"), ("nli", "hypothesis")])
+    @pytest.mark.parametrize("value, kind", [(None, "null"), (["a", "b"], "array"),
+                                             (3, "number"), (2.5, "number"),
+                                             (True, "boolean"), ({"a": 1}, "object")])
+    def test_non_string_text_field_names_line_field_and_type(self, tmp_path, schema, field,
+                                                             value, kind):
+        # str() would turn null into the token "none" and a list into "['a',".
+        label = "positive" if schema == "absa" else "entailment"
+        row = {"text": "x", "aspect": "y", "premise": "x", "hypothesis": "y", "label": label}
+        path = tmp_path / "d.jsonl"
+        path.write_text(json.dumps(row) + "\n" + json.dumps({**row, field: value}) + "\n")
+        with pytest.raises(DataError) as err:
+            load_jsonl(str(path), schema)
+        assert str(err.value) == f"{path}:2: field {field!r} must be a string, got {kind}"
+
 
 class TestSynth:
     def test_class_balance(self):

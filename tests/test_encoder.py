@@ -5,7 +5,6 @@ import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import erf
 
 from clspool import rng as R
 from clspool import tensor as T
@@ -370,11 +369,14 @@ class TestValidRowsOnly:
 
 # The unfused encoder block, eighteen tape nodes of public ops and these two
 # op closures: the reference that the fused sublayers must equal to the bit.
+# Its GELU takes erf from T._erf, as the fused sublayer does, so a 1-ulp
+# erf difference cannot decide the comparison; test_tensor.TestErf pins
+# T._erf to scipy's erf.
 
 
 def reference_gelu(a):
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * (1.0 / math.sqrt(2.0))))
+    cdf = 0.5 * (1.0 + T._erf(x * (1.0 / math.sqrt(2.0))))
     out = T.Tensor(x * cdf, _parents=(a,))
 
     def bwd(g):

@@ -203,6 +203,24 @@ class TestBackward:
         with pytest.raises(RuntimeError, match="tape"):
             loss.backward()
 
+    def test_tape_freed_as_the_walk_passes(self):
+        # When an earlier node's backward runs, the later node whose backward
+        # has already run holds no closure and no parents.
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        seen = []
+
+        def bwd(g):
+            seen.append((last._backward, last._parents))
+            T._accumulate(x, g)
+
+        first = Tensor(x.data * 3.0, _parents=(x,), _backward=bwd)
+        last = T.tsum(first)
+        assert last._backward is not None and last._parents == (first,)
+        last.backward()
+        assert seen == [(None, ())]
+        assert first._backward is None and first._parents == ()
+        npt.assert_array_equal(x.grad, [1.0, 1.0])
+
     def test_composite_graph_matches_finite_differences(self):
         # Random 5-parameter graph; h=1e-5, rel err < 1e-4 at 64-bit.
         from clspool.gradcheck import check_gradients, _composite_graph_scenario
@@ -499,6 +517,60 @@ class TestAttention:
         x = Tensor(np.ones((8, 4)), requires_grad=True)
         out, _ = T.attention_sublayer(x, weights, np.ones((2, 4)), 2)
         assert out._parents == (x, *weights)
+
+
+def erf_ulps(got, ref):
+    """Units in the last place between two float64 arrays of equal signs, entrywise."""
+    assert np.array_equal(np.signbit(got), np.signbit(ref))
+    return np.abs(got.view(np.int64) - ref.view(np.int64))
+
+
+def checked_erf(x):
+    """``T._erf(x)`` with every floating-point warning raised as an error."""
+    with np.errstate(all="raise"):
+        return T._erf(x)
+
+
+class TestErf:
+    def test_dense_grid_within_one_ulp(self):
+        x = np.linspace(-12.0, 12.0, 400_001)
+        got, ref = checked_erf(x), erf(x)
+        assert erf_ulps(got, ref).max() <= 1
+        # The |x| <= 1 branch is scipy's arithmetic, step for step.
+        inner = np.abs(x) <= 1.0
+        assert np.array_equal(got[inner].view(np.int64), ref[inner].view(np.int64))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-1e-300, 1e-300),
+                              st.floats(1e154, 1e308), st.floats(-1e308, -1e154)),
+                    min_size=1, max_size=40))
+    def test_floats_within_one_ulp(self, values):
+        # Subnormals, and |x| > 1e154, where x² overflows.
+        x = np.array(values)
+        assert erf_ulps(checked_erf(x), erf(x)).max() <= 1
+
+    def test_special_values_exact(self):
+        x = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1e-310, 1e300, -1e300])
+        got = checked_erf(x)
+        assert np.array_equal(got.view(np.int64), erf(x).view(np.int64))
+        assert np.isnan(checked_erf(np.array([np.nan, -np.nan]))).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), min_size=1, max_size=40))
+    def test_odd_to_the_bit(self, values):
+        x = np.array(values)
+        assert np.array_equal(checked_erf(-x).view(np.int64), (-checked_erf(x)).view(np.int64))
+
+    @pytest.mark.parametrize("x", [np.float64(1.7), np.array(-0.3), np.linspace(-3, 3, 13),
+                                   np.linspace(-3, 3, 40).reshape(5, 8),
+                                   np.linspace(-3, 3, 40).reshape(8, 5).T])
+    def test_shapes_and_layouts(self, x):
+        # The transposed input has entries in both branches, so a write that
+        # lands on a copy of the output leaves entries behind.
+        got = checked_erf(x)
+        assert got.shape == np.shape(x)
+        assert erf_ulps(got, erf(x)).max() <= 1
 
 
 def ffn_weights(rng, H, F):
