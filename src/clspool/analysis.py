@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import atomic_write_bytes
-from .data import DataError
+from .data import DataError, read_lines
 from .train import eval_batches
 
 
@@ -122,25 +122,25 @@ def read_dump(path):
         raise DataError(f"{path}: file name does not match cls_epoch<E>_layer<L>.csv")
     epoch, layer = int(m[1]), int(m[2])
     ids, labels, vectors = [], [], []
-    with open(path, encoding="utf-8") as f:
-        header = f.readline().strip().split(",")
-        if header[:2] != ["example_id", "label"] or len(header) < 3:
-            raise DataError(f"{path}:1: expected header example_id,label,v0,..., "
-                            f"got {','.join(header)!r}")
-        for lineno, line in enumerate(f, start=2):
-            row = line.strip().split(",")
-            if row == [""]:
-                continue
-            if len(row) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
-            try:
-                ids.append(int(row[0]))
-                labels.append(int(row[1]))
-                vectors.append(list(map(float, row[2:])))
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {e}") from None
-            if not all(map(math.isfinite, vectors[-1])):
-                raise DataError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].strip().split(",")
+    if header[:2] != ["example_id", "label"] or len(header) < 3:
+        raise DataError(f"{path}:1: expected header example_id,label,v0,..., "
+                        f"got {','.join(header)!r}")
+    for lineno, line in lines:
+        row = line.strip().split(",")
+        if row == [""]:
+            continue
+        if len(row) != len(header):
+            raise DataError(f"{path}:{lineno}: expected {len(header)} fields, got {len(row)}")
+        try:
+            ids.append(int(row[0]))
+            labels.append(int(row[1]))
+            vectors.append(list(map(float, row[2:])))
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {e}") from None
+        if not all(map(math.isfinite, vectors[-1])):
+            raise DataError(f"{path}:{lineno}: non-finite value in {line.strip()!r}")
     if not ids:
         raise DataError(f"{path}:2: no data rows after the header")
     return LayerDump(epoch=epoch, layer=layer, example_ids=np.array(ids),

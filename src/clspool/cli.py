@@ -25,8 +25,8 @@ from dataclasses import fields
 import numpy as np
 
 from .analysis import dump_trace, project_dump_dir
-from .data import (SCHEMAS, DataError, Vocab, load_jsonl, pack_dataset, save_jsonl,
-                   synth_generate)
+from .data import (SCHEMAS, DataError, Vocab, load_jsonl, pack_dataset, read_lines,
+                   save_jsonl, synth_generate)
 from .encoder import EncoderConfig
 from .gradcheck import run_gradcheck
 from .model import PooledClassifier
@@ -96,29 +96,28 @@ def _int_at_least(low):
 def _read_config_file(path):
     """Typed ``key=value`` settings from a config file."""
     values = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, val = (part.strip() for part in line.partition("="))
-            if key not in _TRAIN_KEYS:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            kind = _TRAIN_KEYS[key][0]
-            try:
-                values[key] = kind(val)
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: {key}: expected {kind.__name__}, "
-                                f"got {val!r}") from None
-            try:
-                _check_train_value(key, values[key])
-            except ValueError as e:
-                raise DataError(f"{path}:{lineno}: {key}: {e}") from None
-            if key in _CHOICES and values[key] not in _CHOICES[key]:
-                raise DataError(f"{path}:{lineno}: {key}: expected one of {_CHOICES[key]}, "
-                                f"got {val!r}")
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, _, val = (part.strip() for part in line.partition("="))
+        if key not in _TRAIN_KEYS:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        kind = _TRAIN_KEYS[key][0]
+        try:
+            values[key] = kind(val)
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: {key}: expected {kind.__name__}, "
+                            f"got {val!r}") from None
+        try:
+            _check_train_value(key, values[key])
+        except ValueError as e:
+            raise DataError(f"{path}:{lineno}: {key}: {e}") from None
+        if key in _CHOICES and values[key] not in _CHOICES[key]:
+            raise DataError(f"{path}:{lineno}: {key}: expected one of {_CHOICES[key]}, "
+                            f"got {val!r}")
     return values
 
 

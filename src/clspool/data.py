@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng as rng_mod
+from .checkpoint import atomic_write_bytes
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 RESERVED = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID}
@@ -142,6 +143,20 @@ def pack_dataset(examples, vocab, s_max):
 # JSONL ingestion
 
 
+def read_lines(path):
+    """Yield ``(line number, line)`` for each line of a UTF-8 text file, from 1.
+
+    Each line is decoded on its own, so a byte that is not UTF-8 raises a
+    DataError that names the file and the line.
+    """
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise DataError(f"{path}:{lineno}: {e}") from None
+
+
 # The JSON name of each non-string type that ``json.loads`` produces.
 _JSON_TYPES = {type(None): "null", bool: "boolean", int: "number", float: "number",
                list: "array", dict: "object"}
@@ -153,30 +168,29 @@ def load_jsonl(path, schema):
         raise DataError(f"unknown schema {schema!r}, expected one of {sorted(SCHEMAS)}")
     (field_a, field_b), label_map = SCHEMAS[schema]
     examples = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(obj, dict):
-                raise DataError(f"{path}:{lineno}: expected a JSON object, "
-                                f"got {type(obj).__name__}")
-            for field in (field_a, field_b, "label"):
-                if field not in obj:
-                    raise DataError(f"{path}:{lineno}: missing field {field!r}")
-            for field in (field_a, field_b):
-                if not isinstance(obj[field], str):
-                    raise DataError(f"{path}:{lineno}: field {field!r} must be a string, "
-                                    f"got {_JSON_TYPES[type(obj[field])]}")
-            raw = str(obj["label"]).lower()
-            if raw not in label_map:
-                raise DataError(f"{path}:{lineno}: unknown label {obj['label']!r}, "
-                                f"expected one of {sorted(label_map)}")
-            examples.append(PairExample(obj[field_a], obj[field_b], label_map[raw]))
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        if not isinstance(obj, dict):
+            raise DataError(f"{path}:{lineno}: expected a JSON object, "
+                            f"got {type(obj).__name__}")
+        for field in (field_a, field_b, "label"):
+            if field not in obj:
+                raise DataError(f"{path}:{lineno}: missing field {field!r}")
+        for field in (field_a, field_b):
+            if not isinstance(obj[field], str):
+                raise DataError(f"{path}:{lineno}: field {field!r} must be a string, "
+                                f"got {_JSON_TYPES[type(obj[field])]}")
+        raw = str(obj["label"]).lower()
+        if raw not in label_map:
+            raise DataError(f"{path}:{lineno}: unknown label {obj['label']!r}, "
+                            f"expected one of {sorted(label_map)}")
+        examples.append(PairExample(obj[field_a], obj[field_b], label_map[raw]))
     if not examples:
         raise DataError(f"{path}: no examples")
     return examples
@@ -190,7 +204,6 @@ def save_jsonl(examples, path, schema):
     lines = [json.dumps({field_a: ex.text_a, field_b: ex.text_b,
                          "label": inverse[ex.label]}, sort_keys=True)
              for ex in examples]
-    from .checkpoint import atomic_write_bytes
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 

@@ -7,6 +7,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import tensor as T
+from .data import SCHEMAS
 from .encoder import EncoderConfig, MiniEncoder
 from .pooling import HEAD_KINDS, HEADS, ClassifierHead, classify
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -102,12 +103,12 @@ class PooledClassifier:
             if params[name].data.shape != arr.shape:
                 raise ValueError(f"checkpoint shape mismatch for {name}: "
                                  f"{arr.shape} vs {params[name].data.shape}")
-            params[name].data = arr.astype(np.float64)
+            params[name].data = arr
         return model, meta
 
 
 def _config_from_meta(meta):
-    """Check the checkpoint metadata keys the model needs; return its EncoderConfig.
+    """Check the checkpoint metadata that the model and ``eval`` read; return its EncoderConfig.
 
     Every fault raises a ValueError that names the key.
     """
@@ -132,6 +133,10 @@ def _config_from_meta(meta):
     n = meta.get("n_classes")
     if isinstance(n, bool) or not isinstance(n, int) or n < 1:
         raise ValueError(f"checkpoint metadata 'n_classes' must be an integer >= 1, got {n!r}")
+    schema = meta.get("schema", "absa")
+    if not isinstance(schema, str) or schema not in SCHEMAS:
+        raise ValueError(f"checkpoint metadata 'schema' must be one of {sorted(SCHEMAS)}, "
+                         f"got {schema!r}")
     vocab = meta.get("vocab", [])
     if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
         raise ValueError("checkpoint metadata 'vocab' must be a list of strings")

@@ -1,9 +1,13 @@
 """Seedable, splittable random number generation.
 
-A single master seed owns every stochastic choice in a run. Components
-(parameter init, dropout, batch shuffling, folds, ...) each get their own
+A single master seed owns every stochastic choice in a run. Each kind of
+draw (parameter init, dropout, batch shuffling, folds, ...) gets its own
 generator derived from the master seed plus an integer stream key, so
-adding draws to one component never perturbs another.
+adding draws of one kind never perturbs another kind. Within one stream
+draws still shift one another: ``PooledClassifier.__init__`` draws the
+encoder, the pooling head and the classifier in turn from one ``INIT``
+generator, so the head's draws move the classifier's initial weights
+(ROADMAP open item 1).
 """
 
 import numpy as np

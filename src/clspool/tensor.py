@@ -8,8 +8,11 @@ only be differentiated once.
 
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
-the rows of a matrix (``add``). Six fused ops record one tape node each
-and carry a hand-derived backward:
+the rows of a matrix (``add``). Every matrix product, forward and
+backward, is one numpy ``@``, so BLAS chooses the summation order. Each op
+builds its backward closure first and passes it to the ``Tensor``
+constructor with the node's parents. Six fused ops record one tape node
+each and carry a hand-derived backward:
 
 - ``attention_sublayer``, one transformer block's post-layer-norm
   multi-head self-attention sublayer (projections, attention, output
@@ -37,10 +40,10 @@ Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
 closure would hold outlive the op, and it requires a gradient only if it
 is a leaf created with ``requires_grad=True``. The ops build their
-closures as always; ``Tensor`` keeps none on a node without parents, so
-the scope is honoured in that one place. The eval-mode forwards,
-``PooledClassifier.predict`` and ``trace_batch``, run in the scope;
-training never does.
+closures as always; ``Tensor.__init__`` keeps none on a node without
+parents, so the scope is honoured in that one place. The eval-mode
+forwards, ``PooledClassifier.predict`` and ``trace_batch``, run in the
+scope; training never does.
 """
 
 from __future__ import annotations
@@ -71,7 +74,7 @@ class no_grad:
 class Tensor:
     """A dense float64 array that participates in the gradient tape."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_closure", "_consumed")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -80,18 +83,10 @@ class Tensor:
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents
-        self._backward = _backward
-        self._consumed = False
-
-    @property
-    def _backward(self):
-        return self._closure
-
-    @_backward.setter
-    def _backward(self, fn):
         # A node without parents has nothing to pass a gradient to, so it
         # keeps no closure, nor the arrays the closure holds.
-        self._closure = fn if self._parents else None
+        self._backward = _backward if _parents else None
+        self._consumed = False
 
     @property
     def shape(self):
@@ -165,23 +160,16 @@ def add(a, b):
     """Elementwise sum; also allows a 1-D bias broadcast over matrix rows."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
-        out = Tensor(a.data + b.data, _parents=(a, b))
-
         def bwd(g):
             _accumulate(a, g)
             _accumulate(b, g)
-
     elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        out = Tensor(a.data + b.data, _parents=(a, b))
-
         def bwd(g):
             _accumulate(a, g)
             _accumulate(b, g.sum(axis=0))
-
     else:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out._backward = bwd
-    return out
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
 
 def mul(a, b):
@@ -189,58 +177,36 @@ def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(a.data * b.data, _parents=(a, b))
 
     def bwd(g):
         _accumulate(a, g * b.data)
         _accumulate(b, g * a.data)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
 
 def scale(a, c):
     """Multiply by a Python scalar constant."""
     c = float(c)
-    out = Tensor(a.data * c, _parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * c)
-    return out
-
-
-# Below this many multiply-adds, matmul accumulates k-slices in order, which
-# is bit-identical to a naive triple loop (BLAS reorders/fuses and is not).
-_MATMUL_EXACT_LIMIT = 512
-
-
-def _matmul_data(a, b):
-    m, k = a.shape
-    n = b.shape[1]
-    if k == 0 or m * k * n > _MATMUL_EXACT_LIMIT:
-        return a @ b
-    # np.add.accumulate sums over k in order, as the loop from zeros does;
-    # the added +0.0 turns an all-zero sum of -0.0 terms into the loop's +0.0.
-    return np.add.accumulate(a[:, :, None] * b[None, :, :], axis=1)[:, -1] + 0.0
+    return Tensor(a.data * c, _parents=(a,), _backward=lambda g: _accumulate(a, g * c))
 
 
 def matmul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    out = Tensor(_matmul_data(a.data, b.data), _parents=(a, b))
 
     def bwd(g):
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
 def tsum(a):
     """Sum of all entries, as a scalar tensor."""
-    out = Tensor(a.data.sum(), _parents=(a,))
-    out._backward = lambda g: _accumulate(a, np.full(a.shape, float(g)))
-    return out
+    return Tensor(a.data.sum(), _parents=(a,),
+                  _backward=lambda g: _accumulate(a, np.full(a.shape, float(g))))
 
 
 def sum_squares(tensors):
@@ -249,14 +215,12 @@ def sum_squares(tensors):
     The per-tensor sums are added left to right in the order given.
     """
     tensors = tuple(tensors)
-    out = Tensor(sum((t.data * t.data).sum() for t in tensors), _parents=tensors)
 
     def bwd(g):
         for t in tensors:
             _accumulate(t, 2.0 * float(g) * t.data)
 
-    out._backward = bwd
-    return out
+    return Tensor(sum((t.data * t.data).sum() for t in tensors), _parents=tensors, _backward=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +233,12 @@ def gather_rows(a, indices):
     if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
         raise IndexError(f"gather_rows: indices span [{idx.min()}, {idx.max()}], "
                          f"matrix has {a.shape[0]} rows")
-    out = Tensor(a.data[idx], _parents=(a,))
 
     def bwd(g):
         if a.requires_grad:
             _accumulate(a, _scatter_add_rows(g, idx, a.shape[0]))
 
-    out._backward = bwd
-    return out
+    return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
 
 
 def _scatter_add_rows(g, idx, rows):
@@ -298,16 +260,16 @@ def _scatter_add_rows(g, idx, rows):
 
 def tanh(a):
     y = np.tanh(a.data)
-    out = Tensor(y, _parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * (1.0 - y * y))
-    return out
+    return Tensor(y, _parents=(a,), _backward=lambda g: _accumulate(a, g * (1.0 - y * y)))
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a):
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y, _parents=(a,))
-    out._backward = lambda g: _accumulate(a, g * y * (1.0 - y))
-    return out
+    y = _sigmoid(a.data)
+    return Tensor(y, _parents=(a,), _backward=lambda g: _accumulate(a, g * y * (1.0 - y)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +329,6 @@ def layer_norm(x, gamma, beta, eps=1e-12):
     if gamma.shape != (h,) or beta.shape != (h,):
         raise ShapeError(f"layer_norm: gamma/beta shape {gamma.shape}/{beta.shape} vs width {h}")
     y, xhat, inv = _layer_norm_fwd(x.data, gamma.data, beta.data, eps)
-    out = Tensor(y, _parents=(x, gamma, beta))
 
     def bwd(g):
         dgamma, dbeta, dx = _layer_norm_bwd(g, xhat, inv, gamma.data)
@@ -375,8 +336,7 @@ def layer_norm(x, gamma, beta, eps=1e-12):
         _accumulate(beta, dbeta)
         _accumulate(x, dx)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x, gamma, beta), _backward=bwd)
 
 
 def dropout(x, p, rng, training=True):
@@ -384,9 +344,7 @@ def dropout(x, p, rng, training=True):
     y, keep = _dropout_fwd(x.data, p, rng, training)
     if keep is None:
         return x
-    out = Tensor(y, _parents=(x,))
-    out._backward = lambda g: _accumulate(x, _dropout_bwd(g, keep))
-    return out
+    return Tensor(y, _parents=(x,), _backward=lambda g: _accumulate(x, _dropout_bwd(g, keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -533,8 +491,8 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     else:
         cls_rows, r, Sq, q_holes = None, xd, S, holes
     c = 1.0 / math.sqrt(H // heads)
-    Q = _split_heads(_matmul_data(r, Wq.data) + bq.data, B, Sq, heads, q_holes)
-    K, V = (_split_heads(_matmul_data(xd, W.data) + b.data, B, S, heads, holes)
+    Q = _split_heads(r @ Wq.data + bq.data, B, Sq, heads, q_holes)
+    K, V = (_split_heads(xd @ W.data + b.data, B, S, heads, holes)
             for W, b in ((Wk, bk), (Wv, bv)))
     # The softmax runs in place: one (B, A, S', S) array for all its steps.
     P = np.matmul(Q, K.transpose(0, 1, 3, 2))
@@ -544,9 +502,8 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     np.exp(P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(np.matmul(P, V), q_holes)
-    o, keep = _dropout_fwd(_matmul_data(ctx, Wo.data) + bo.data, p, rng, training)
+    o, keep = _dropout_fwd(ctx @ Wo.data + bo.data, p, rng, training)
     y, xhat, inv = _layer_norm_fwd(r + o, gamma.data, beta.data)
-    out = Tensor(y, _parents=(x, *weights))
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
@@ -579,8 +536,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
         _accumulate(x, dk @ Wk.data.T)
         _accumulate(x, dv @ Wv.data.T)
 
-    out._backward = bwd
-    return out, P
+    return Tensor(y, _parents=(x, *weights), _backward=bwd), P
 
 
 def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
@@ -600,12 +556,11 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
     _check_weights("ffn_sublayer", weights, [(H, F), (F,), (F, H), (H,), (H,), (H,)])
     W1, b1, W2, b2, gamma, beta = weights
     xd = x.data
-    h = _matmul_data(xd, W1.data) + b1.data
+    h = xd @ W1.data + b1.data
     cdf = 0.5 * (1.0 + _erf(h * _INV_SQRT2))
     a = h * cdf
-    o, keep = _dropout_fwd(_matmul_data(a, W2.data) + b2.data, p, rng, training)
+    o, keep = _dropout_fwd(a @ W2.data + b2.data, p, rng, training)
     y, xhat, inv = _layer_norm_fwd(xd + o, gamma.data, beta.data)
-    out = Tensor(y, _parents=(x, *weights))
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
@@ -620,8 +575,7 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
         _accumulate(x, ds)
         _accumulate(x, dh @ W1.data.T)
 
-    out._backward = bwd
-    return out
+    return Tensor(y, _parents=(x, *weights), _backward=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -644,13 +598,12 @@ def layer_attention(rows, q):
         raise ShapeError(f"layer_attention: rows {[r.shape for r in rows]} "
                          f"do not fit query {q.shape}")
     q_col = q.data.reshape(H, 1)
-    scores = np.concatenate([_matmul_data(r.data, q_col) for r in rows], axis=1)
+    scores = np.concatenate([r.data @ q_col for r in rows], axis=1)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
     P = e / e.sum(axis=1, keepdims=True)
     combined = rows[0].data * P[:, :1]
     for l in range(1, len(rows)):
         combined = combined + rows[l].data * P[:, l:l + 1]
-    out = Tensor(combined, _parents=(*rows, q))
 
     def bwd(g):
         dP = np.stack([(g * r.data).sum(axis=1) for r in rows], axis=1)
@@ -659,12 +612,7 @@ def layer_attention(rows, q):
             _accumulate(r, g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data)
         _accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
 
-    out._backward = bwd
-    return out, P
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    return Tensor(combined, _parents=(*rows, q), _backward=bwd), P
 
 
 def lstm(xs, W, U, b):
@@ -710,7 +658,6 @@ def lstm(xs, W, U, b):
         cs.append(c)
         tcs.append(tc)
         hs.append(h)
-    out = Tensor(h, _parents=(*xs, *W, *U, *b))
 
     def bwd(dh):
         dZ = np.empty((len(xs), B, 4 * H))
@@ -742,8 +689,7 @@ def lstm(xs, W, U, b):
             for t, x in enumerate(xs):
                 _accumulate(x, dX[t * B:(t + 1) * B])
 
-    out._backward = bwd
-    return out
+    return Tensor(h, _parents=(*xs, *W, *U, *b), _backward=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -767,12 +713,11 @@ def softmax_cross_entropy(logits, labels):
     z = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
-    out = Tensor((np.log(total[:, 0]) - z[rows, lab]).sum() / n, _parents=(logits,))
+    loss = (np.log(total[:, 0]) - z[rows, lab]).sum() / n
 
     def bwd(g):
         d = e / total
         d[rows, lab] -= 1.0
         _accumulate(logits, d * (float(g) / n))
 
-    out._backward = bwd
-    return out
+    return Tensor(loss, _parents=(logits,), _backward=bwd)

@@ -262,7 +262,7 @@ class TestEvalAndProject:
     @pytest.mark.parametrize("key, value", [
         ("encoder", None), ("encoder", {"bogus": 1}), ("encoder", {"A": 0}),
         ("pooling", None), ("pooling", "cnn"), ("n_classes", None), ("n_classes", "3"),
-        ("vocab", None), ("vocab", "w1 w2"),
+        ("vocab", None), ("vocab", "w1 w2"), ("schema", ["absa"]), ("schema", "xyz"),
     ])
     def test_eval_bad_checkpoint_metadata_exit_1(self, dataset, tmp_path, capsys, key, value):
         cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
@@ -281,6 +281,13 @@ class TestEvalAndProject:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"'{key}" in err
         assert "Traceback" not in err
+
+    def test_eval_checkpoint_without_schema_reads_absa(self, dataset, tmp_path, capsys):
+        cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+        path = str(tmp_path / "m.ckpt")
+        PooledClassifier(cfg, "last", 3, R.rng_for(0, 0)).save(path, extra_meta={"vocab": ["w1"]})
+        assert run(["eval", "--checkpoint", path, "--data", dataset]) == 0
+        assert "accuracy" in capsys.readouterr().out
 
     def test_project(self, trained, tmp_path, capsys):
         out = str(tmp_path / "proj")
@@ -587,6 +594,23 @@ class TestNoTraceback:
         assert run(["project", "--dumps", str(dumps), "--out", str(tmp_path / "p")]) == 1
         err = capsys.readouterr().err
         assert f"error: {dumps / name}{where}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, name, payload, line", [
+        (["train", "--data", "{bad}"], "d.jsonl",
+         b'{"text": "a", "aspect": "a", "label": "positive"}\n{"text": "\xff"}\n', 2),
+        (["train", "--config", "{bad}"], "c.cfg", b"L=1\nH=\xff8\n", 2),
+        (["project", "--dumps", "{dir}", "--out", "{dir}/p"], "cls_epoch1_layer1.csv",
+         b"example_id,label,v0,v1\n0,0,1.0,2.0\n1,1,\xff,2.0\n", 3),
+    ], ids=["data", "config", "dump"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys, argv, name, payload,
+                                               line):
+        bad = tmp_path / "in" / name
+        bad.parent.mkdir()
+        bad.write_bytes(payload)
+        assert run([a.format(bad=bad, dir=bad.parent) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}:{line}: 'utf-8' codec can't decode byte 0xff")
         assert "Traceback" not in err
 
     def test_diverging_run_prints_one_line(self, dataset, tmp_path):

@@ -377,14 +377,12 @@ class TestValidRowsOnly:
 def reference_gelu(a):
     x = a.data
     cdf = 0.5 * (1.0 + T._erf(x * (1.0 / math.sqrt(2.0))))
-    out = T.Tensor(x * cdf, _parents=(a,))
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
         T._accumulate(a, g * (cdf + x * pdf))
 
-    out._backward = bwd
-    return out
+    return T.Tensor(x * cdf, _parents=(a,), _backward=bwd)
 
 
 def reference_attention(q, k, v, mask, heads):
@@ -401,7 +399,6 @@ def reference_attention(q, k, v, mask, heads):
     scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     P = e / e.sum(axis=-1, keepdims=True)
-    out = T.Tensor(T._merge_heads(np.matmul(P, V), q_holes), _parents=(q, k, v))
 
     def bwd(g):
         G = T._split_heads(g, B, Sq, heads, q_holes)
@@ -411,8 +408,7 @@ def reference_attention(q, k, v, mask, heads):
         T._accumulate(q, T._merge_heads(np.matmul(dS, K), q_holes))
         T._accumulate(k, T._merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes))
 
-    out._backward = bwd
-    return out, P
+    return T.Tensor(T._merge_heads(np.matmul(P, V), q_holes), _parents=(q, k, v), _backward=bwd), P
 
 
 def reference_block(enc, x, rows, mask, i, training, rng):

@@ -26,48 +26,16 @@ def triple_loop_matmul(a, b):
     return out
 
 
-def k_loop_matmul(a, b):
-    """The exact small-product path as it was: k-slices added in order to zeros."""
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for kk in range(a.shape[1]):
-        out += a[:, kk:kk + 1] * b[kk, :]
-    return out
-
-
-@st.composite
-def exact_path_operands(draw):
-    """Two matrices with m*k*n within the exact path's limit; about half the
-    entries are signed zeros or small integers (exact cancellations), the rest
-    floats of a drawn magnitude."""
-    m = draw(st.integers(1, 16))
-    k = draw(st.integers(0, T._MATMUL_EXACT_LIMIT // m))
-    n = draw(st.integers(1, T._MATMUL_EXACT_LIMIT // max(1, m * k)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    special = np.array([0.0, -0.0, 1.0, -1.0, 2.0])
-
-    def matrix(shape):
-        floats = rng.normal(scale=10.0 ** rng.integers(-6, 7), size=shape)
-        return np.where(rng.random(shape) < 0.5, rng.choice(special, shape), floats)
-
-    return matrix((m, k)), matrix((k, n))
-
-
 class TestMatmul:
-    @settings(max_examples=300, deadline=None)
-    @given(exact_path_operands())
-    def test_exact_path_bit_identical_to_k_loop(self, operands):
-        a, b = operands
-        got = T.matmul(Tensor(a), Tensor(b)).data
-        want = k_loop_matmul(a, b)
-        assert got.shape == want.shape and got.flags.c_contiguous
-        npt.assert_array_equal(got.view(np.int64), want.view(np.int64))
-
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = T.matmul(Tensor(np.eye(2)), Tensor(a))
         npt.assert_array_equal(out.data, a)
 
     def test_against_triple_loop_oracle(self):
+        # Integer sums are exact in any order. Otherwise BLAS may add the k
+        # products in any order, and any two orders differ by at most
+        # k·eps·(|a| @ |b|) in each entry.
         npt.assert_array_equal(
             T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]])).data,
             np.array([[17.0], [39.0]]))
@@ -76,8 +44,9 @@ class TestMatmul:
             m, k, n = rng.integers(1, 9, size=3)
             a = rng.normal(size=(m, k))
             b = rng.normal(size=(k, n))
-            npt.assert_array_equal(T.matmul(Tensor(a), Tensor(b)).data,
-                                   triple_loop_matmul(a, b))
+            got = T.matmul(Tensor(a), Tensor(b)).data
+            bound = k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
+            assert np.all(np.abs(got - triple_loop_matmul(a, b)) <= bound)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
@@ -241,6 +210,28 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
 
+def spy_on_public_ops(monkeypatch, made):
+    """Wrap every public op of clspool.tensor so that each call returning a
+    new node appends (op name, whether the node has parents, whether it has
+    a backward) to ``made``, as the op returns it. Returns the set of op names."""
+    ops = {name: f for name, f in vars(T).items()
+           if inspect.isfunction(f) and f.__module__ == T.__name__
+           and not name.startswith("_") and name != "backward"}
+
+    def spy(name, op):
+        def wrapped(*args, **kwargs):
+            out = op(*args, **kwargs)
+            node = out[0] if isinstance(out, tuple) else out
+            if not any(node is a for a in args):
+                made.append((name, bool(node._parents), node._backward is not None))
+            return out
+        return wrapped
+
+    for name, op in ops.items():
+        monkeypatch.setattr(T, name, spy(name, op))
+    return set(ops)
+
+
 class TestNoGrad:
     @staticmethod
     def graph(rng):
@@ -261,6 +252,19 @@ class TestNoGrad:
             assert not node.requires_grad
         nodes[-1].backward()
         assert all(p.grad is None for p in params)
+
+    def test_every_public_op_keeps_no_node_in_the_scope(self, monkeypatch):
+        # Every gradcheck loss, built and run in the scope: each public op's
+        # new output keeps no parents and no backward, and every op is met.
+        from clspool.gradcheck import SCENARIOS
+        made = []
+        ops = spy_on_public_ops(monkeypatch, made)
+        with T.no_grad():
+            for build in SCENARIOS.values():
+                loss_fn, _ = build(0)
+                loss_fn()
+        assert {name for name, _, _ in made} == ops
+        assert [name for name, parents, bwd in made if parents or bwd] == []
 
     def test_same_values_as_recorded(self):
         with T.no_grad():
@@ -876,21 +880,8 @@ class TestGradcheckCoverage:
         # Every public op of clspool.tensor must record at least one new tape
         # node somewhere in the gradcheck suite, or its backward goes unchecked.
         from clspool.gradcheck import run_gradcheck
-        ops = {name: f for name, f in vars(T).items()
-               if inspect.isfunction(f) and f.__module__ == T.__name__
-               and not name.startswith("_") and name != "backward"}
-        recorded = set()
-
-        def spy(name, op):
-            def wrapped(*args, **kwargs):
-                out = op(*args, **kwargs)
-                node = out[0] if isinstance(out, tuple) else out
-                if node._parents and not any(node is a for a in args):
-                    recorded.add(name)
-                return out
-            return wrapped
-
-        for name, op in ops.items():
-            monkeypatch.setattr(T, name, spy(name, op))
+        made = []
+        ops = spy_on_public_ops(monkeypatch, made)
         run_gradcheck(seeds=1, coords_per_param=1)
-        assert sorted(set(ops) - recorded) == []
+        recorded = {name for name, parents, _ in made if parents}
+        assert sorted(ops - recorded) == []
