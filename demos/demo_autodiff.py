@@ -1,7 +1,9 @@
 """Tour of the tiny reverse-mode autodiff engine behind clspool.
 
-Builds a small computation graph by hand, runs backward(), and checks a
-couple of the gradients against central finite differences.
+Builds a small computation graph by hand from the ops a model runs (a
+linear layer, a layer norm, a second linear layer and the cross-entropy
+loss), runs backward(), and checks a gradient against a central finite
+difference.
 """
 
 import numpy as np
@@ -15,10 +17,12 @@ rng = np.random.default_rng(0)
 x = Tensor(rng.normal(size=(4, 3)))
 W1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
 b1 = Tensor(np.zeros(5), requires_grad=True)
+gamma = Tensor(np.ones(5), requires_grad=True)
+beta = Tensor(np.zeros(5), requires_grad=True)
 W2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 labels = np.array([0, 1, 1, 0])
 
-hidden = T.tanh(T.add(T.matmul(x, W1), b1))
+hidden = T.layer_norm(T.add(T.matmul(x, W1), b1), gamma, beta)
 logits = T.matmul(hidden, W2)
 loss = T.softmax_cross_entropy(logits, labels)
 print(f"loss = {loss.item():.6f}")
@@ -34,7 +38,7 @@ h = 1e-6
 
 def loss_at(w):
     W2_probe = Tensor(w)
-    hid = T.tanh(T.add(T.matmul(x, W1), b1))
+    hid = T.layer_norm(T.add(T.matmul(x, W1), b1), gamma, beta)
     return T.softmax_cross_entropy(T.matmul(hid, W2_probe), labels).item()
 
 

@@ -190,7 +190,7 @@ def _cmd_eval(args):
     if "vocab" not in meta:
         raise ValueError("checkpoint metadata has no 'vocab'")
     vocab = Vocab(meta["vocab"])
-    examples = load_jsonl(args.data, meta.get("schema", "absa"))
+    examples = load_jsonl(args.data, meta["schema"])
     arrays = pack_dataset(examples, vocab, model.config.S_max)
     result = evaluate(model, arrays)
     print(f"accuracy {result.accuracy:.4f}")
@@ -220,7 +220,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic sentence-pair dataset")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--classes", type=int, default=3,
                    choices=range(1, len(SCHEMAS["absa"][1]) + 1))

@@ -66,7 +66,8 @@ def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
 
 
 def _composite_graph_scenario(seed):
-    """Random 5-parameter composite graph exercising the core tensor ops."""
+    """Random 5-parameter composite graph of the runtime's plain ops: matmul,
+    add, layer norm, dropout, matmul, cross-entropy, plus a scaled L2 penalty."""
     rng = rng_mod.rng_for(seed, 90)
     params = {
         "W1": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
@@ -80,10 +81,10 @@ def _composite_graph_scenario(seed):
 
     def loss_fn():
         h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
-        h = T.layer_norm(T.tanh(h), params["g"], params["v"])
+        h = T.layer_norm(h, params["g"], params["v"])
         # A fresh generator per call: every finite-difference pass draws the same mask.
-        h = T.dropout(T.sigmoid(h), 0.3, rng_mod.rng_for(seed, 96))
-        logits = T.matmul(T.tanh(h), params["W2"])
+        h = T.dropout(h, 0.3, rng_mod.rng_for(seed, 96))
+        logits = T.matmul(h, params["W2"])
         penalty = T.sum_squares([params["W1"], params["W2"], params["g"]])
         return T.add(T.softmax_cross_entropy(logits, labels), T.scale(penalty, 0.1))
 
@@ -97,10 +98,12 @@ ATTENTION_MASK = np.array([[1, 1, 1, 0, 0],
 
 
 def _op_scenario(stream, shapes, op):
-    """``op`` (params dict, dropout generator -> tensor) alone: inputs drawn from
-    ``stream`` in ``shapes`` order, then a fixed weighting of the output; the
-    loss is their dot product. Each call gets a fresh dropout generator, so
-    every finite-difference pass draws the same dropout mask."""
+    """``op`` (params dict, dropout generator -> N×H tensor) alone: inputs drawn
+    from ``stream`` in ``shapes`` order, then a fixed random H×3 matrix R and
+    N fixed random labels; the loss is the cross-entropy of output·R. Every
+    output entry gets a dense gradient whose rows do not sum to zero. Each
+    call gets a fresh dropout generator, so every finite-difference pass
+    draws the same dropout mask."""
     def build(seed):
         rng = rng_mod.rng_for(seed, stream)
         params = {name: T.Tensor(rng.normal(size=shape), requires_grad=True)
@@ -109,10 +112,12 @@ def _op_scenario(stream, shapes, op):
         def output():
             return op(params, rng_mod.rng_for(seed, 96))
 
-        weights = T.Tensor(rng.normal(size=output().shape))
+        n, width = output().shape
+        R = T.Tensor(rng.normal(size=(width, 3)))
+        labels = rng.integers(3, size=n)
 
         def loss_fn():
-            return T.tsum(T.mul(output(), weights))
+            return T.softmax_cross_entropy(T.matmul(output(), R), labels)
 
         return loss_fn, params
 

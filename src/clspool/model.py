@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import tensor as T
-from .data import SCHEMAS
+from .data import RESERVED, SCHEMAS
 from .encoder import EncoderConfig, MiniEncoder
 from .pooling import HEAD_KINDS, HEADS, ClassifierHead, classify
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -90,9 +90,11 @@ class PooledClassifier:
 
     @classmethod
     def load(cls, path):
+        """The model saved at ``path`` and its metadata, with the checked
+        ``schema`` filled in."""
         meta, blobs = load_checkpoint(path)
-        model = cls(_config_from_meta(meta), meta["pooling"], meta["n_classes"],
-                    np.random.default_rng(0))
+        config, schema = _config_from_meta(meta)
+        model = cls(config, meta["pooling"], meta["n_classes"], np.random.default_rng(0))
         params = model.parameters()
         missing = set(params) - set(blobs)
         extra = set(blobs) - set(params)
@@ -104,13 +106,16 @@ class PooledClassifier:
                 raise ValueError(f"checkpoint shape mismatch for {name}: "
                                  f"{arr.shape} vs {params[name].data.shape}")
             params[name].data = arr
-        return model, meta
+        return model, {**meta, "schema": schema}
 
 
 def _config_from_meta(meta):
-    """Check the checkpoint metadata that the model and ``eval`` read; return its EncoderConfig.
+    """Check the checkpoint metadata that the model and ``eval`` read.
 
-    Every fault raises a ValueError that names the key.
+    Returns its EncoderConfig and its schema, ``"absa"`` when the key is
+    absent. A ``vocab``, when present, must hold exactly V - 4 distinct
+    tokens, none of them reserved, so that every id it gives is a row of
+    the embedding. Every fault raises a ValueError that names the key.
     """
     enc = meta.get("encoder")
     if not isinstance(enc, dict):
@@ -137,7 +142,14 @@ def _config_from_meta(meta):
     if not isinstance(schema, str) or schema not in SCHEMAS:
         raise ValueError(f"checkpoint metadata 'schema' must be one of {sorted(SCHEMAS)}, "
                          f"got {schema!r}")
-    vocab = meta.get("vocab", [])
-    if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
-        raise ValueError("checkpoint metadata 'vocab' must be a list of strings")
-    return config
+    if "vocab" in meta:
+        vocab = meta["vocab"]
+        if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+            raise ValueError("checkpoint metadata 'vocab' must be a list of strings")
+        words = config.V - len(RESERVED)
+        fit = len(set(vocab) - RESERVED.keys())
+        if len(vocab) != words or fit != words:
+            raise ValueError(f"checkpoint metadata 'vocab' must hold V - {len(RESERVED)} = "
+                             f"{words} distinct unreserved tokens, got {len(vocab)} tokens "
+                             f"of which {fit} are distinct and unreserved")
+    return config, schema

@@ -6,6 +6,10 @@ accumulates gradients into every tensor created with ``requires_grad=True``,
 and clears each node as soon as its own backward has run, so a graph can
 only be differentiated once.
 
+The twelve public ops are exactly the ones a model runs: ``add``,
+``scale``, ``matmul``, ``gather_rows``, ``layer_norm``, ``dropout`` and the
+six fused ops below. Each takes Tensors, never raw arrays.
+
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
 the rows of a matrix (``add``). Every matrix product, forward and
@@ -102,10 +106,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def _as_tensor(x):
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def _accumulate(t, g):
     if not t.requires_grad:
         return
@@ -158,7 +158,6 @@ def backward(loss):
 
 def add(a, b):
     """Elementwise sum; also allows a 1-D bias broadcast over matrix rows."""
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.shape == b.shape:
         def bwd(g):
             _accumulate(a, g)
@@ -172,19 +171,6 @@ def add(a, b):
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
 
-def mul(a, b):
-    """Elementwise product of same-shape tensors."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accumulate(a, g * b.data)
-        _accumulate(b, g * a.data)
-
-    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
-
-
 def scale(a, c):
     """Multiply by a Python scalar constant."""
     c = float(c)
@@ -192,7 +178,6 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
 
@@ -201,12 +186,6 @@ def matmul(a, b):
         _accumulate(b, a.data.T @ g)
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
-
-
-def tsum(a):
-    """Sum of all entries, as a scalar tensor."""
-    return Tensor(a.data.sum(), _parents=(a,),
-                  _backward=lambda g: _accumulate(a, np.full(a.shape, float(g))))
 
 
 def sum_squares(tensors):
@@ -252,24 +231,6 @@ def _scatter_add_rows(g, idx, rows):
     bins = (idx[:, None] * width + np.arange(width)).reshape(-1)
     return np.bincount(bins, weights=g.reshape(-1),
                        minlength=rows * width).reshape(rows, width)
-
-
-# ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def tanh(a):
-    y = np.tanh(a.data)
-    return Tensor(y, _parents=(a,), _backward=lambda g: _accumulate(a, g * (1.0 - y * y)))
-
-
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def sigmoid(a):
-    y = _sigmoid(a.data)
-    return Tensor(y, _parents=(a,), _backward=lambda g: _accumulate(a, g * y * (1.0 - y)))
 
 
 # ---------------------------------------------------------------------------
@@ -613,6 +574,10 @@ def layer_attention(rows, q):
         _accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
 
     return Tensor(combined, _parents=(*rows, q), _backward=bwd), P
+
+
+def _sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def lstm(xs, W, U, b):

@@ -144,9 +144,10 @@ class TestModelPersistence:
     def test_extra_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
         model = PooledClassifier(self.CFG, "last", 2, R.rng_for(1, 0))
-        model.save(path, extra_meta={"vocab": ["[PAD]", "[UNK]"], "schema": "absa"})
+        vocab = [f"w{i}" for i in range(self.CFG.V - 4)]
+        model.save(path, extra_meta={"vocab": vocab, "schema": "absa"})
         _, meta = PooledClassifier.load(path)
-        assert meta["vocab"] == ["[PAD]", "[UNK]"]
+        assert meta["vocab"] == vocab
         assert meta["schema"] == "absa"
 
     def test_parameter_mismatch_detected(self, tmp_path):

@@ -263,6 +263,9 @@ class TestEvalAndProject:
         ("encoder", None), ("encoder", {"bogus": 1}), ("encoder", {"A": 0}),
         ("pooling", None), ("pooling", "cnn"), ("n_classes", None), ("n_classes", "3"),
         ("vocab", None), ("vocab", "w1 w2"), ("schema", ["absa"]), ("schema", "xyz"),
+        # V=6 fits exactly 2 distinct non-reserved tokens.
+        ("vocab", ["w1"]), ("vocab", ["w1", "w2", "w3"]), ("vocab", ["w1", "w1"]),
+        ("vocab", ["w1", "[CLS]"]),
     ])
     def test_eval_bad_checkpoint_metadata_exit_1(self, dataset, tmp_path, capsys, key, value):
         cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
@@ -285,7 +288,7 @@ class TestEvalAndProject:
     def test_eval_checkpoint_without_schema_reads_absa(self, dataset, tmp_path, capsys):
         cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
         path = str(tmp_path / "m.ckpt")
-        PooledClassifier(cfg, "last", 3, R.rng_for(0, 0)).save(path, extra_meta={"vocab": ["w1"]})
+        PooledClassifier(cfg, "last", 3, R.rng_for(0, 0)).save(path, extra_meta={"vocab": ["w1", "w2"]})
         assert run(["eval", "--checkpoint", path, "--data", dataset]) == 0
         assert "accuracy" in capsys.readouterr().out
 
@@ -368,6 +371,13 @@ class TestNegativeSeed:
         out = tmp_path / "x.jsonl"
         assert run(["synth", "--n", "10", "--seed", "-3", "--out", str(out)]) == 2
         assert "argument --seed: must be >= 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n", ["-4", "0"])
+    def test_synth_n_below_one_exit_2(self, tmp_path, capsys, n):
+        out = tmp_path / "x.jsonl"
+        assert run(["synth", "--n", n, "--out", str(out)]) == 2
+        assert f"argument --n: must be >= 1, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_train_flag_exit_2(self, dataset, tmp_path, capsys):

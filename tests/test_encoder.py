@@ -12,6 +12,8 @@ from clspool.encoder import EncoderConfig, MiniEncoder
 from clspool.pooling import HEAD_KINDS
 from clspool.tensor import ShapeError
 
+from test_tensor import weighted_sum
+
 
 def small_config(**overrides):
     base = dict(L=2, H=8, A=2, F=12, V=16, S_max=10, p_drop=0.1)
@@ -189,7 +191,7 @@ class TestGradientFlow:
         head = AttentionPoolHead(8, R.rng_for(9, 1))
         _, trace = enc.forward_batch(*make_packed([2, 5, 9, 3]))
         o = head.pool(trace)
-        T.tsum(T.mul(o, o)).backward()
+        T.sum_squares([o]).backward()
         for name, p in enc.params.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0), f"all-zero gradient for {name}"
@@ -464,7 +466,7 @@ class TestFusedBlock:
             else:
                 rows = T.gather_rows(x, cls_rows) if cls_only else x
                 out = reference_block(enc, x, rows, mask, 0, training, rng)
-            T.tsum(T.mul(out, T.Tensor(w))).backward()
+            weighted_sum(out, w).backward()
             grads = {name: p.grad for name, p in enc.params.items() if name.startswith("layer0")}
             for p in enc.params.values():
                 p.grad = None

@@ -9,7 +9,19 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from clspool import tensor as T
+from clspool.data import pack_dataset, synth_generate, vocab_for_examples
+from clspool.encoder import EncoderConfig
+from clspool.pooling import HEAD_KINDS
 from clspool.tensor import ShapeError, Tensor
+from clspool.train import TrainConfig, evaluate, fit
+
+
+def weighted_sum(t, w):
+    """sum(t * w) for a fixed array ``w``, as one tape node; ``t`` gets the
+    gradient g·w, bit-identical to an elementwise product and then a sum."""
+    w = np.asarray(w, dtype=np.float64)
+    return Tensor((t.data * w).sum(), _parents=(t,),
+                  _backward=lambda g: T._accumulate(t, np.full(t.shape, float(g)) * w))
 
 
 def triple_loop_matmul(a, b):
@@ -55,8 +67,8 @@ class TestMatmul:
     def test_gradient_rule(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        T.tsum(T.matmul(a, b)).backward()
         g = np.ones((2, 1))
+        weighted_sum(T.matmul(a, b), g).backward()
         npt.assert_array_equal(a.grad, g @ b.data.T)
         npt.assert_array_equal(b.grad, a.data.T @ g)
 
@@ -150,15 +162,11 @@ class TestCrossEntropy:
 
 
 class TestBackward:
-    def test_sum_gives_ones(self):
-        x = Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
-        T.tsum(x).backward()
-        npt.assert_array_equal(x.grad, np.ones((3, 4)))
-
     def test_square_at_three(self):
+        # A parent used twice gets both gradients: d(2x)²/dx = 8x.
         x = Tensor([3.0], requires_grad=True)
-        T.tsum(T.mul(x, x)).backward()
-        npt.assert_allclose(x.grad, [6.0], atol=1e-14)
+        T.sum_squares([T.add(x, x)]).backward()
+        npt.assert_allclose(x.grad, [24.0], atol=1e-14)
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
@@ -167,7 +175,7 @@ class TestBackward:
 
     def test_one_backward_per_tape(self):
         x = Tensor([2.0], requires_grad=True)
-        loss = T.tsum(T.mul(x, x))
+        loss = T.sum_squares([x])
         loss.backward()
         with pytest.raises(RuntimeError, match="tape"):
             loss.backward()
@@ -183,7 +191,7 @@ class TestBackward:
             T._accumulate(x, g)
 
         first = Tensor(x.data * 3.0, _parents=(x,), _backward=bwd)
-        last = T.tsum(first)
+        last = weighted_sum(first, np.ones(2))
         assert last._backward is not None and last._parents == (first,)
         last.backward()
         assert seen == [(None, ())]
@@ -240,8 +248,9 @@ class TestNoGrad:
                   for s in ((3, 4), (4,), (4, 3), (3,), (3,), (3,))]
         x = Tensor(rng.normal(size=(5, 3)))
         h = T.ffn_sublayer(x, params)
-        nodes = [h, T.tanh(h), T.matmul(h, Tensor(np.ones((3, 1))))]
-        nodes.append(T.softmax_cross_entropy(T.add(h, T.sigmoid(h)), [0, 1, 2, 0, 1]))
+        nodes = [h, T.layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3))),
+                 T.matmul(h, Tensor(np.ones((3, 1))))]
+        nodes.append(T.softmax_cross_entropy(T.add(h, T.scale(h, 0.5)), [0, 1, 2, 0, 1]))
         return nodes, params
 
     def test_records_nothing_and_backward_moves_no_parameter(self):
@@ -280,7 +289,7 @@ class TestNoGrad:
         with T.no_grad():
             w = Tensor(np.ones(2), requires_grad=True)
         assert w.requires_grad and w._parents == ()
-        T.tsum(T.mul(w, w)).backward()
+        T.sum_squares([w]).backward()
         npt.assert_array_equal(w.grad, [2.0, 2.0])
 
     def test_recording_resumes_after_exit_and_after_error(self):
@@ -288,12 +297,12 @@ class TestNoGrad:
         with T.no_grad():
             with T.no_grad():
                 pass
-            assert T.tanh(x)._parents == ()   # the inner exit leaves the outer scope off
-        assert T.tanh(x)._parents == (x,)
+            assert T.scale(x, 2.0)._parents == ()   # the inner exit leaves the outer scope off
+        assert T.scale(x, 2.0)._parents == (x,)
         with pytest.raises(RuntimeError, match="inside"):
             with T.no_grad():
                 raise RuntimeError("inside")
-        y = T.tanh(x)
+        y = T.scale(x, 2.0)
         assert y._parents == (x,) and y._backward is not None
 
 
@@ -388,7 +397,7 @@ def weighted_sublayer_grads(x, weights, mask, heads, w, cls_only=False):
     xt = Tensor(x, requires_grad=True)
     wt = [Tensor(a, requires_grad=True) for a in weights]
     out, probs = T.attention_sublayer(xt, wt, mask, heads, cls_only)
-    T.tsum(T.mul(out, Tensor(w))).backward()
+    weighted_sum(out, w).backward()
     return out.data, probs, xt.grad, [t.grad for t in wt]
 
 
@@ -611,7 +620,7 @@ class TestFFNSublayer:
         wt = [Tensor(a, requires_grad=True) for a in weights]
         out = T.ffn_sublayer(xt, wt)
         assert out._parents == (xt, *wt)
-        T.tsum(T.mul(out, Tensor(w))).backward()
+        weighted_sum(out, w).backward()
         ref_out, ref_dx, ref_dweights, ref_s = numpy_ffn_sublayer(x, weights, w)
         k = rounding_scale(ref_s)
         npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12 * k)
@@ -629,16 +638,36 @@ class TestFFNSublayer:
             T.ffn_sublayer(Tensor(np.zeros((3, 4))), weights[:5])
 
 
+def tape_mul(a, b):
+    """Elementwise product of same-shape tensors, as one tape node."""
+    def bwd(g):
+        T._accumulate(a, g * b.data)
+        T._accumulate(b, g * a.data)
+
+    return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
+
+
+def tape_tanh(a):
+    y = np.tanh(a.data)
+    return Tensor(y, _parents=(a,), _backward=lambda g: T._accumulate(a, g * (1.0 - y * y)))
+
+
+def tape_sigmoid(a):
+    y = 1.0 / (1.0 + np.exp(-a.data))
+    return Tensor(y, _parents=(a,), _backward=lambda g: T._accumulate(a, g * y * (1.0 - y)))
+
+
 def per_gate_lstm(xs, W, U, b):
-    """Loop oracle: the LSTM as a graph of per-gate tape ops (8 matmuls per step)."""
+    """Loop oracle: the LSTM as a graph of per-gate tape ops (8 matmuls per
+    step), its gates and products on the elementwise nodes above."""
     B, H = xs[0].shape[0], U[0].shape[1]
     h = Tensor(np.zeros((B, H)))
     c = Tensor(np.zeros((B, H)))
     for x in xs:
         z = [T.add(T.add(T.matmul(x, W[k]), T.matmul(h, U[k])), b[k]) for k in range(4)]
-        gi, gf, gg, go = T.sigmoid(z[0]), T.sigmoid(z[1]), T.tanh(z[2]), T.sigmoid(z[3])
-        c = T.add(T.mul(gf, c), T.mul(gi, gg))
-        h = T.mul(go, T.tanh(c))
+        gi, gf, gg, go = tape_sigmoid(z[0]), tape_sigmoid(z[1]), tape_tanh(z[2]), tape_sigmoid(z[3])
+        c = T.add(tape_mul(gf, c), tape_mul(gi, gg))
+        h = tape_mul(go, tape_tanh(c))
     return h
 
 
@@ -663,7 +692,7 @@ class TestLSTM:
             rows = [Tensor(x, requires_grad=True) for x in xs]
             W, U, b = ([Tensor(a, requires_grad=True) for a in group] for group in gates)
             h = fn(rows, W, U, b)
-            T.tsum(T.mul(h, Tensor(weights))).backward()
+            weighted_sum(h, weights).backward()
             results.append((h.data, [t.grad for t in (*rows, *W, *U, *b)]))
         (h, grads), (ref_h, ref_grads) = results
         npt.assert_allclose(h, ref_h, rtol=0, atol=1e-12)
@@ -731,7 +760,7 @@ class TestLayerAttention:
         rows = [Tensor(x, requires_grad=True) for x in xs]
         query = Tensor(q, requires_grad=True)
         out, P = T.layer_attention(rows, query)
-        T.tsum(T.mul(out, Tensor(weights))).backward()
+        weighted_sum(out, weights).backward()
         ref_out, ref_P, ref_dxs, ref_dq = per_row_layer_attention(xs, q, weights)
         npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
         npt.assert_allclose(P, ref_P, rtol=0, atol=1e-12)
@@ -763,26 +792,15 @@ class TestLayerAttention:
 
 
 class TestSumSquares:
-    def test_bit_identical_to_mul_tsum_chain(self):
+    def test_bit_identical_to_numpy(self):
         rng = np.random.default_rng(3)
         data = [rng.normal(size=s) for s in ((4, 5), (7,), (3, 3), (2, 6))]
-        results = []
-        for fused in (True, False):
-            ps = [Tensor(d, requires_grad=True) for d in data]
-            if fused:
-                penalty = T.sum_squares(ps)
-            else:
-                penalty = None
-                for p in ps:
-                    sq = T.tsum(T.mul(p, p))
-                    penalty = sq if penalty is None else T.add(penalty, sq)
-            loss = T.scale(penalty, 1e-5)
-            loss.backward()
-            results.append((loss.item(), [p.grad for p in ps]))
-        (value, grads), (ref_value, ref_grads) = results
-        assert value == ref_value
-        for g, ref in zip(grads, ref_grads):
-            assert np.array_equal(g, ref)
+        ps = [Tensor(d, requires_grad=True) for d in data]
+        loss = T.scale(T.sum_squares(ps), 1e-5)
+        loss.backward()
+        assert loss.item() == sum(float((d * d).sum()) for d in data) * 1e-5
+        for p, d in zip(ps, data):
+            assert np.array_equal(p.grad, 2.0 * 1e-5 * d)
 
 
 class TestGatherRows:
@@ -790,7 +808,7 @@ class TestGatherRows:
         table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
         out = T.gather_rows(table, [2, 0, 2])
         npt.assert_array_equal(out.data, table.data[[2, 0, 2]])
-        T.tsum(out).backward()
+        weighted_sum(out, np.ones((3, 3))).backward()
         npt.assert_array_equal(table.grad, [[1.0] * 3, [0.0] * 3, [2.0] * 3, [0.0] * 3])
 
     @settings(max_examples=100, deadline=None)
@@ -823,14 +841,12 @@ class TestShapeDiscipline:
     def test_other_broadcasts_rejected(self):
         with pytest.raises(ShapeError):
             T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1))))
-        with pytest.raises(ShapeError):
-            T.mul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
 
     def test_finite_after_ops(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(scale=50, size=(3, 5)))
         weights = [Tensor(a) for a in ffn_weights(rng, 5, 4)]
-        y = T.softmax_cross_entropy(T.ffn_sublayer(T.tanh(x), weights), [0, 4, 2])
+        y = T.softmax_cross_entropy(T.ffn_sublayer(x, weights), [0, 4, 2])
         assert np.all(np.isfinite(y.data))
 
 
@@ -870,10 +886,6 @@ class TestLayerNormAndActivations:
         y = T.ffn_sublayer(Tensor(x), [Tensor(a) for a in (eye, zero, eye, zero, one, zero)]).data
         npt.assert_allclose(y, numpy_layer_norm(x + [[0.0, 10.0, 0.0]], one, zero), atol=1e-9)
 
-    def test_sigmoid_tanh_values(self):
-        npt.assert_allclose(T.sigmoid(Tensor([0.0])).data, [0.5])
-        npt.assert_allclose(T.tanh(Tensor([0.0])).data, [0.0])
-
 
 class TestGradcheckCoverage:
     def test_every_public_op_records_a_node(self, monkeypatch):
@@ -885,3 +897,21 @@ class TestGradcheckCoverage:
         run_gradcheck(seeds=1, coords_per_param=1)
         recorded = {name for name, parents, _ in made if parents}
         assert sorted(ops - recorded) == []
+
+
+class TestRuntimeCoverage:
+    def test_every_public_op_is_run_by_training_or_evaluation(self, monkeypatch):
+        # The public ops are exactly those that one epoch of training (dropout
+        # and the L2 penalty on) and an evaluation record a node in, over the heads.
+        made = []
+        ops = spy_on_public_ops(monkeypatch, made)
+        examples = synth_generate(12, seed=0)
+        vocab = vocab_for_examples(examples)
+        arrays = pack_dataset(examples, vocab, 16)
+        config = EncoderConfig(L=2, H=8, A=2, F=8, V=len(vocab), S_max=16, p_drop=0.1)
+        for pooling in HEAD_KINDS:
+            model = fit(config, pooling, 3, arrays,
+                        TrainConfig(lam=1e-5, epochs=1, batch_size=6), run=0)
+            evaluate(model, arrays)
+        recorded = {name for name, parents, _ in made if parents}
+        assert sorted(ops ^ recorded) == []

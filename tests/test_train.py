@@ -126,7 +126,8 @@ class TestRegularizedLoss:
         params = {"w1": w1, "w2": w2}
 
         def loss_fn():
-            logits = T.matmul(T.tanh(T.matmul(Tensor(x), w1)), w2)
+            h = T.layer_norm(T.matmul(Tensor(x), w1), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            logits = T.matmul(h, w2)
             return regularized_loss(logits, labels, params, {"w1", "w2"}, lam=1e-5)
 
         assert check_gradients(loss_fn, params, rng, coords_per_param=4) < 1e-4
