@@ -26,6 +26,7 @@ from .checkpoint import atomic_write_bytes
 
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 RESERVED = {"[PAD]": PAD_ID, "[UNK]": UNK_ID, "[CLS]": CLS_ID, "[SEP]": SEP_ID}
+MIN_S_MAX = 4   # the shortest packed pair: [CLS] tok [SEP] [SEP]
 
 ABSA_LABELS = {"negative": 0, "neutral": 1, "positive": 2}
 NLI_LABELS = {"contradiction": 0, "neutral": 1, "entailment": 2}
@@ -109,7 +110,7 @@ def pack_dataset(examples, vocab, s_max):
     packed sequence in the dataset (at most ``s_max``); padding is trailing
     and masked, so outputs at real positions do not depend on it.
     """
-    if s_max < 4:
+    if s_max < MIN_S_MAX:
         raise ValueError(f"s_max={s_max} cannot hold [CLS] tok [SEP] [SEP]")
     if not examples:
         raise DataError("no examples to pack")

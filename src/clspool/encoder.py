@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .data import MIN_S_MAX
 from .tensor import ShapeError, Tensor
 
 # Weight init scale. 0.02 (the usual BERT value) assumes pre-trained scale
@@ -60,8 +61,8 @@ class EncoderConfig:
         if name == "p_drop":
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"dropout rate must be in [0, 1), got {value}")
-        elif value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+        elif value < (low := MIN_S_MAX if name == "S_max" else 1):
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def init_normal(rng, shape):

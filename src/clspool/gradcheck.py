@@ -170,13 +170,10 @@ SCENARIOS = {
              "gamma": (6,), "beta": (6,)},
         lambda p, drop: T.ffn_sublayer(
             p["x"], [p[name] for name in ("W1", "b1", "W2", "b2", "gamma", "beta")], 0.3, drop)),
-    # Fused LSTM: 3 steps of B=3 rows, H=4; the rows and all 12 gate tensors.
+    # Fused LSTM: 3 steps of B=3 rows, H=4; the rows and the three gate blocks.
     "fused_lstm": _op_scenario(
-        95, {**{f"x{t}": (3, 4) for t in range(3)},
-             **{f"{kind}_{gate}": (4,) if kind == "b" else (4, 4)
-                for kind in "WUb" for gate in "ifgo"}},
-        lambda p, _: T.lstm([p[f"x{t}"] for t in range(3)],
-                            *([p[f"{kind}_{gate}"] for gate in "ifgo"] for kind in "WUb"))),
+        95, {**{f"x{t}": (3, 4) for t in range(3)}, "W": (4, 16), "U": (4, 16), "b": (16,)},
+        lambda p, _: T.lstm([p[f"x{t}"] for t in range(3)], p["W"], p["U"], p["b"])),
     # Fused layer attention: L=3 layers of B=3 rows, H=4; the rows and the query.
     "fused_layer_attention": _op_scenario(
         97, {**{f"x{l}": (3, 4) for l in range(3)}, "q": (4,)},

@@ -26,8 +26,6 @@ from . import tensor as T
 from .tensor import Tensor
 from .encoder import init_normal
 
-_GATES = ("i", "f", "g", "o")
-
 
 class LastPoolHead:
     """Canonical pooling: the final layer's [CLS] state, unchanged; no parameters."""
@@ -42,24 +40,28 @@ class LastPoolHead:
 
 
 class LSTMPoolHead:
-    """Single-layer LSTM over the trace; input and hidden size both H."""
+    """Single-layer LSTM over the trace; input and hidden size both H.
+
+    Its parameters are the blocks ``tensor.lstm`` reads: ``lstm/W`` and
+    ``lstm/U`` (H×4H) and ``lstm/b`` (4H), gates (i, f, g, o) in column order.
+    """
 
     def __init__(self, H, rng):
-        self.params = {}
-        self.decay = set()
-        for gate in _GATES:
-            self.params[f"lstm/W_{gate}"] = Tensor(init_normal(rng, (H, H)), requires_grad=True)
-            self.params[f"lstm/U_{gate}"] = Tensor(init_normal(rng, (H, H)), requires_grad=True)
-            self.decay.update({f"lstm/W_{gate}", f"lstm/U_{gate}"})
-            # Forget gate starts open so early gradients reach the whole trace.
-            bias = np.ones(H) if gate == "f" else np.zeros(H)
-            self.params[f"lstm/b_{gate}"] = Tensor(bias, requires_grad=True)
+        # Eight H×H draws: W's then U's block for each gate in turn.
+        draws = [init_normal(rng, (H, H)) for _ in range(8)]
+        b = np.zeros(4 * H)
+        b[H:2 * H] = 1.0   # forget gate starts open so early gradients reach the whole trace
+        self.params = {
+            "lstm/W": Tensor(np.concatenate(draws[0::2], axis=1), requires_grad=True),
+            "lstm/U": Tensor(np.concatenate(draws[1::2], axis=1), requires_grad=True),
+            "lstm/b": Tensor(b, requires_grad=True),
+        }
+        self.decay = {"lstm/W", "lstm/U"}
 
     def pool(self, trace):
         """Run the LSTM over the trace in layer order; return the last hidden state."""
         p = self.params
-        return T.lstm(trace, [p[f"lstm/W_{g}"] for g in _GATES],
-                      [p[f"lstm/U_{g}"] for g in _GATES], [p[f"lstm/b_{g}"] for g in _GATES])
+        return T.lstm(trace, p["lstm/W"], p["lstm/U"], p["lstm/b"])
 
 
 class AttentionPoolHead:

@@ -30,8 +30,9 @@ each and carry a hand-derived backward:
   ``scipy.special.erf``, so the runtime imports numpy and nothing else;
 - ``layer_attention``, a softmax-weighted sum of L B×H rows, for the
   attention pooling head;
-- ``lstm``, an LSTM over a list of B×H rows, its four gates computed as
-  one H×4H block;
+- ``lstm``, an LSTM over a list of B×H rows, its four gates (i, f, g, o)
+  held in column order in W and U (H×4H) and b (4H), so a step is one
+  ``h @ U`` product;
 - ``sum_squares``, the sum of squares of several tensors, for the L2
   penalty;
 - ``softmax_cross_entropy``, the classifier loss on logits.
@@ -583,34 +584,28 @@ def _sigmoid(x):
 def lstm(xs, W, U, b):
     """Fused single-layer LSTM over a sequence of B×D rows; returns the last h.
 
-    ``W`` (D×H), ``U`` (H×H) and ``b`` (H) are lists of four tensors, one
-    per gate in (i, f, g, o) order. They are joined into D×4H and H×4H
-    blocks so each step makes one ``h @ U`` product, and every step's
-    ``x @ W`` is one product over the stacked rows. The state starts at
-    zero. Returns one B×H tape node whose parents are the rows and the 12
-    gate tensors; the backward is hand-derived backpropagation through time
-    from the saved gates and cell states.
+    ``W`` (D×4H), ``U`` (H×4H) and ``b`` (4H) hold the four gates
+    (i, f, g, o) in column order, so each step makes one ``h @ U`` product,
+    and every step's ``x @ W`` is one product over the stacked rows. The
+    state starts at zero. Returns one B×H tape node whose parents are the
+    rows, W, U and b; the backward is hand-derived backpropagation through
+    time from the saved gates and cell states.
     """
-    xs, W, U, b = list(xs), list(W), list(U), list(b)
-    if not xs or len(W) != 4 or len(U) != 4 or len(b) != 4:
-        raise ShapeError(f"lstm: need a nonempty sequence and four gates each, got "
-                         f"{len(xs)} rows and {len(W)}/{len(U)}/{len(b)} gate tensors")
-    B, D, H = xs[0].shape[0], W[0].shape[0], U[0].shape[-1]
-    if (any(x.shape != (B, D) for x in xs)
-            or any(w.shape != (D, H) for w in W) or any(u.shape != (H, H) for u in U)
-            or any(v.shape != (H,) for v in b)):
-        raise ShapeError(f"lstm: rows {[x.shape for x in xs]} do not fit W "
-                         f"{[w.shape for w in W]}, U {[u.shape for u in U]}, b {[v.shape for v in b]}")
-    Wc = np.concatenate([w.data for w in W], axis=1)
-    Uc = np.concatenate([u.data for u in U], axis=1)
-    bc = np.concatenate([v.data for v in b])
+    xs = list(xs)
+    if not xs:
+        raise ShapeError("lstm: need a nonempty sequence")
+    B, D, H = xs[0].shape[0], W.shape[0], U.shape[0]
+    if (any(x.shape != (B, D) for x in xs) or W.shape != (D, 4 * H)
+            or U.shape != (H, 4 * H) or b.shape != (4 * H,)):
+        raise ShapeError(f"lstm: rows {[x.shape for x in xs]} do not fit W {W.shape}, "
+                         f"U {U.shape}, b {b.shape}")
     X = np.stack([x.data for x in xs])                       # (L, B, D)
-    XW = (X.reshape(-1, D) @ Wc).reshape(len(xs), B, 4 * H)
+    XW = (X.reshape(-1, D) @ W.data).reshape(len(xs), B, 4 * H)
     gates, cs, tcs = [], [np.zeros((B, H))], []
     h = np.zeros((B, H))
     hs = [h]
     for t in range(len(xs)):
-        z = XW[t] + h @ Uc + bc if t else XW[t] + bc
+        z = XW[t] + h @ U.data + b.data if t else XW[t] + b.data
         a = np.empty_like(z)
         a[:, :2 * H] = _sigmoid(z[:, :2 * H])
         a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
@@ -639,22 +634,17 @@ def lstm(xs, W, U, b):
             dz[:, 3 * H:] = dh * tc * o * (1.0 - o)
             dc = dc * f
             if t:
-                dh = dz @ Uc.T
+                dh = dz @ U.data.T
         flat = dZ.reshape(-1, 4 * H)
-        dW = X.reshape(-1, D).T @ flat
-        dU = np.stack(hs[:-1]).reshape(-1, H).T @ flat
-        db = flat.sum(axis=0)
-        for k in range(4):
-            cols = slice(k * H, (k + 1) * H)
-            _accumulate(W[k], dW[:, cols])
-            _accumulate(U[k], dU[:, cols])
-            _accumulate(b[k], db[cols])
+        _accumulate(W, X.reshape(-1, D).T @ flat)
+        _accumulate(U, np.stack(hs[:-1]).reshape(-1, H).T @ flat)
+        _accumulate(b, flat.sum(axis=0))
         if any(x.requires_grad for x in xs):
-            dX = flat @ Wc.T
+            dX = flat @ W.data.T
             for t, x in enumerate(xs):
                 _accumulate(x, dX[t * B:(t + 1) * B])
 
-    return Tensor(h, _parents=(*xs, *W, *U, *b), _backward=bwd)
+    return Tensor(h, _parents=(*xs, W, U, b), _backward=bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -163,14 +163,16 @@ def test_criterion_2_pooling_oracles():
         H = int(rng.integers(2, 17))
         head = LSTMPoolHead(H, rng)
         vectors = [rng.normal(size=H) for _ in range(L)]
-        p = {k: v.data for k, v in head.params.items()}
+        # Gate k (i, f, g, o) is column block k of lstm/W, lstm/U and lstm/b.
+        W, U, b = ([head.params[name].data[..., k * H:(k + 1) * H] for k in range(4)]
+                   for name in ("lstm/W", "lstm/U", "lstm/b"))
         h = np.zeros(H)
         c = np.zeros(H)
         for x in vectors:
-            i = sigmoid(x @ p["lstm/W_i"] + h @ p["lstm/U_i"] + p["lstm/b_i"])
-            f = sigmoid(x @ p["lstm/W_f"] + h @ p["lstm/U_f"] + p["lstm/b_f"])
-            g = np.tanh(x @ p["lstm/W_g"] + h @ p["lstm/U_g"] + p["lstm/b_g"])
-            o = sigmoid(x @ p["lstm/W_o"] + h @ p["lstm/U_o"] + p["lstm/b_o"])
+            i = sigmoid(x @ W[0] + h @ U[0] + b[0])
+            f = sigmoid(x @ W[1] + h @ U[1] + b[1])
+            g = np.tanh(x @ W[2] + h @ U[2] + b[2])
+            o = sigmoid(x @ W[3] + h @ U[3] + b[3])
             c = f * c + i * g
             h = o * np.tanh(c)
         got = head.pool(trace_of(*vectors)).data

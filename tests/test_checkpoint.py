@@ -206,7 +206,7 @@ def load_bytes(payload):
 class TestMalformed:
     def test_real_checkpoint_loads(self):
         meta, params = load_bytes(REAL)
-        assert meta["pooling"] == "lstm" and "lstm/W_i" in params
+        assert meta["pooling"] == "lstm" and "lstm/W" in params
 
     @pytest.mark.parametrize("cut", [9, 14, 20, len(REAL) - 1])
     def test_truncation_names_offset(self, cut):

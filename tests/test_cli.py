@@ -292,6 +292,26 @@ class TestEvalAndProject:
         assert run(["eval", "--checkpoint", path, "--data", dataset]) == 0
         assert "accuracy" in capsys.readouterr().out
 
+    def test_eval_per_gate_lstm_checkpoint_exit_1(self, dataset, tmp_path, capsys):
+        """An LSTM checkpoint with twelve per-gate blobs in place of the three
+        joined blocks is refused by the parameter check."""
+        cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+        path = str(tmp_path / "m.ckpt")
+        PooledClassifier(cfg, "lstm", 3, R.rng_for(0, 0)).save(
+            path, extra_meta={"vocab": ["w1", "w2"], "schema": "absa"})
+        meta, blobs = load_checkpoint(path)
+        for kind in "WUb":
+            block = blobs.pop(f"lstm/{kind}")
+            for k, gate in enumerate("ifgo"):
+                blobs[f"lstm/{kind}_{gate}"] = block[..., 4 * k:4 * (k + 1)]
+        save_checkpoint(path, meta, blobs)
+        assert run(["eval", "--checkpoint", path, "--data", dataset]) == 1
+        per_gate = sorted(name for name in blobs if name.startswith("lstm/"))
+        assert len(per_gate) == 12
+        assert capsys.readouterr().err == (
+            "error: checkpoint parameter mismatch: missing=['lstm/U', 'lstm/W', 'lstm/b'], "
+            f"unexpected={per_gate}\n")
+
     def test_project(self, trained, tmp_path, capsys):
         out = str(tmp_path / "proj")
         rc = run(["project", "--dumps", os.path.join(trained, "dumps"),
@@ -401,8 +421,9 @@ class TestEncoderSettings:
     @pytest.mark.parametrize("flags, message", [
         (["--L", "0"], "argument --L: L must be >= 1, got 0"),
         (["--A", "-2"], "argument --A: A must be >= 1, got -2"),
-        (["--s-max", "0"], "argument --s-max: S_max must be >= 1, got 0"),
+        (["--s-max", "0"], "argument --s-max: S_max must be >= 4, got 0"),
         (["--p-drop", "1.0"], "argument --p-drop: dropout rate must be in [0, 1), got 1.0"),
+        (["--s-max", "3"], "argument --s-max: S_max must be >= 4, got 3"),
     ])
     def test_flag_exit_2_names_the_flag(self, dataset, tmp_path, capsys, flags, message):
         out = tmp_path / "run"
@@ -418,6 +439,16 @@ class TestEncoderSettings:
                     "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert f"error: {cfg}:2: L: L must be >= 1, got 0" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_config_file_s_max_below_4_names_file_and_line(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("H=8\ns_max=3\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", str(cfg),
+                    "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {cfg}:2: s_max: S_max must be >= 4, got 3" in err
         assert "Traceback" not in err and not out.exists()
 
     @pytest.mark.parametrize("source", ["flags", "file"])

@@ -4,7 +4,7 @@ import pytest
 from scipy.special import softmax
 
 from clspool import rng as R
-from clspool.encoder import EncoderConfig
+from clspool.encoder import EncoderConfig, init_normal
 from clspool.model import PooledClassifier
 from clspool.pooling import (HEAD_KINDS, HEADS, AttentionPoolHead, ClassifierHead, LastPoolHead,
                              LSTMPoolHead, classify)
@@ -29,16 +29,17 @@ def sigmoid(x):
 
 
 def reference_lstm(vectors, head):
-    """Step-by-step scalar-level LSTM cell oracle."""
-    p = {k: v.data for k, v in head.params.items()}
-    H = len(p["lstm/b_i"])
+    """Step-by-step scalar-level LSTM cell oracle; gate k is column block k."""
+    H = head.params["lstm/b"].shape[0] // 4
+    W, U, b = ([head.params[name].data[..., k * H:(k + 1) * H] for k in range(4)]
+               for name in ("lstm/W", "lstm/U", "lstm/b"))
     h = np.zeros(H)
     c = np.zeros(H)
     for x in vectors:
-        i = sigmoid(x @ p["lstm/W_i"] + h @ p["lstm/U_i"] + p["lstm/b_i"])
-        f = sigmoid(x @ p["lstm/W_f"] + h @ p["lstm/U_f"] + p["lstm/b_f"])
-        g = np.tanh(x @ p["lstm/W_g"] + h @ p["lstm/U_g"] + p["lstm/b_g"])
-        o = sigmoid(x @ p["lstm/W_o"] + h @ p["lstm/U_o"] + p["lstm/b_o"])
+        i = sigmoid(x @ W[0] + h @ U[0] + b[0])
+        f = sigmoid(x @ W[1] + h @ U[1] + b[1])
+        g = np.tanh(x @ W[2] + h @ U[2] + b[2])
+        o = sigmoid(x @ W[3] + h @ U[3] + b[3])
         c = f * c + i * g
         h = o * np.tanh(c)
     return h
@@ -124,6 +125,23 @@ class TestLSTMPool:
             if np.abs(fwd - rev).max() > 1e-8:
                 hits += 1
         assert hits >= 19
+
+    def test_init_joins_the_per_gate_draws_by_column(self):
+        """Eight H×H draws, W then U for each gate in turn, so the generator
+        is left where the per-gate init left it: the classifier's init, drawn
+        next, is unchanged."""
+        H = 5
+        rng = np.random.default_rng(7)
+        head = LSTMPoolHead(H, rng)
+        same = np.random.default_rng(7)
+        draws = [init_normal(same, (H, H)) for _ in range(8)]
+        assert {name: p.shape for name, p in head.params.items()} == {
+            "lstm/W": (H, 4 * H), "lstm/U": (H, 4 * H), "lstm/b": (4 * H,)}
+        npt.assert_array_equal(head.params["lstm/W"].data, np.hstack(draws[0::2]))
+        npt.assert_array_equal(head.params["lstm/U"].data, np.hstack(draws[1::2]))
+        npt.assert_array_equal(head.params["lstm/b"].data,
+                               np.r_[np.zeros(H), np.ones(H), np.zeros(2 * H)])
+        npt.assert_array_equal(init_normal(rng, (H, 3)), init_normal(same, (H, 3)))
 
     def test_empty_trace(self):
         head = LSTMPoolHead(3, np.random.default_rng(0))

@@ -678,48 +678,58 @@ def lstm_cases(draw):
     H = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     xs = [rng.normal(size=(B, H)) for _ in range(steps)]
-    gates = [[rng.normal(size=shape) for _ in range(4)] for shape in ((H, H), (H, H), (H,))]
-    return xs, gates, rng.normal(size=(B, H))
+    blocks = [rng.normal(size=shape) for shape in ((H, 4 * H), (H, 4 * H), (4 * H,))]
+    return xs, blocks, rng.normal(size=(B, H))
+
+
+def gate_views(block):
+    """The four per-gate column slices of a joined W, U or b, as new leaves."""
+    H = block.shape[-1] // 4
+    return [Tensor(block.data[..., k * H:(k + 1) * H].copy(), requires_grad=True)
+            for k in range(4)]
 
 
 class TestLSTM:
     @settings(max_examples=150, deadline=None)
     @given(lstm_cases())
     def test_matches_per_gate_tape_graph(self, case):
-        xs, gates, weights = case
-        results = []
-        for fn in (T.lstm, per_gate_lstm):
-            rows = [Tensor(x, requires_grad=True) for x in xs]
-            W, U, b = ([Tensor(a, requires_grad=True) for a in group] for group in gates)
-            h = fn(rows, W, U, b)
-            weighted_sum(h, weights).backward()
-            results.append((h.data, [t.grad for t in (*rows, *W, *U, *b)]))
-        (h, grads), (ref_h, ref_grads) = results
-        npt.assert_allclose(h, ref_h, rtol=0, atol=1e-12)
-        for g, ref in zip(grads, ref_grads):
-            npt.assert_allclose(g, ref, rtol=0, atol=1e-10)
+        xs, blocks, weights = case
+        rows = [Tensor(x, requires_grad=True) for x in xs]
+        W, U, b = (Tensor(a, requires_grad=True) for a in blocks)
+        h = T.lstm(rows, W, U, b)
+        weighted_sum(h, weights).backward()
+        ref_rows = [Tensor(x, requires_grad=True) for x in xs]
+        views = [gate_views(t) for t in (W, U, b)]
+        ref_h = per_gate_lstm(ref_rows, *views)
+        weighted_sum(ref_h, weights).backward()
+        npt.assert_allclose(h.data, ref_h.data, rtol=0, atol=1e-12)
+        for r, ref in zip(rows, ref_rows):
+            npt.assert_allclose(r.grad, ref.grad, rtol=0, atol=1e-10)
+        for t, gates in zip((W, U, b), views):
+            npt.assert_allclose(t.grad, np.concatenate([g.grad for g in gates], axis=-1),
+                                rtol=0, atol=1e-10)
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(0)
         rows = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
-        W, U, b = ([Tensor(rng.normal(size=s), requires_grad=True) for _ in range(4)]
-                   for s in ((3, 3), (3, 3), (3,)))
+        W, U, b = (Tensor(rng.normal(size=s), requires_grad=True)
+                   for s in ((3, 12), (3, 12), (12,)))
         h = T.lstm(rows, W, U, b)
         assert h.shape == (2, 3)
-        assert h._parents == (*rows, *W, *U, *b)
+        assert h._parents == (*rows, W, U, b)
 
     def test_shapes_rejected(self):
         x = Tensor(np.zeros((2, 3)))
-        W = [Tensor(np.zeros((3, 3)))] * 4
-        b = [Tensor(np.zeros(3))] * 4
+        W = Tensor(np.zeros((3, 12)))
+        b = Tensor(np.zeros(12))
         with pytest.raises(ShapeError):
             T.lstm([], W, W, b)
         with pytest.raises(ShapeError):
-            T.lstm([x], W[:3], W, b)
+            T.lstm([x], Tensor(np.zeros((3, 9))), W, b)
         with pytest.raises(ShapeError):
             T.lstm([x, Tensor(np.zeros((3, 3)))], W, W, b)
         with pytest.raises(ShapeError):
-            T.lstm([x], W, W, [Tensor(np.zeros(2))] * 4)
+            T.lstm([x], W, W, Tensor(np.zeros(8)))
         with pytest.raises(ShapeError):
             T.lstm([Tensor(np.zeros(3))], W, W, b)
 
