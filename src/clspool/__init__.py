@@ -14,7 +14,7 @@ from .model import PooledClassifier
 from .train import (Adam, CVResult, EvalResult, TrainConfig, cross_validated_train,
                     evaluate, kfold_split, regularized_loss, train_model)
 from .data import (DataError, PairExample, Vocab, build_vocab, load_jsonl,
-                   pack_dataset, pack_pair, save_jsonl, synth_generate)
+                   pack_dataset, save_jsonl, synth_generate)
 from .analysis import (LayerDump, Projection2D, cluster_score, dump_trace,
                        pca_project, project_dump_dir)
 from .gradcheck import run_gradcheck

@@ -66,9 +66,6 @@ class Vocab:
     def id(self, token):
         return self.token_to_id.get(token, UNK_ID)
 
-    def encode(self, text):
-        return [self.id(t) for t in tokenize(text)]
-
     def tokens(self):
         """Non-reserved tokens in id order (for serialization)."""
         inv = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
@@ -90,16 +87,6 @@ def build_vocab(corpus):
 
 def vocab_for_examples(examples):
     return build_vocab([ex.text_a + " " + ex.text_b for ex in examples])
-
-
-def pack_pair(ex: PairExample, vocab: Vocab, s_max):
-    """Pack one sentence pair: ``pack_dataset`` of one example, padded to ``s_max``.
-
-    Returns (token_ids, segment_ids, mask), three int64 arrays of length s_max.
-    """
-    tok, seg, mask, _ = pack_dataset([ex], vocab, s_max)
-    pad = ((0, 0), (0, s_max - tok.shape[1]))
-    return tuple(np.pad(a, pad)[0] for a in (tok, seg, mask))
 
 
 def pack_dataset(examples, vocab, s_max):

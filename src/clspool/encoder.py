@@ -86,10 +86,13 @@ class MiniEncoder:
 
         for i in range(c.L):
             p = f"layer{i}"
-            for w in ("Wq", "Wk", "Wv", "Wo"):
-                self._weight(f"{p}/attn/{w}", init_normal(rng, (c.H, c.H)), decay=True)
-            for b in ("bq", "bk", "bv", "bo"):
-                self._weight(f"{p}/attn/{b}", np.zeros(c.H), decay=False)
+            # Four H×H draws, Wq, Wk, Wv, Wo; the first three, joined by
+            # column, are the one Q | K | V block the attention reads.
+            draws = [init_normal(rng, (c.H, c.H)) for _ in range(4)]
+            self._weight(f"{p}/attn/Wqkv", np.concatenate(draws[:3], axis=1), decay=True)
+            self._weight(f"{p}/attn/bqkv", np.zeros(3 * c.H), decay=False)
+            self._weight(f"{p}/attn/Wo", draws[3], decay=True)
+            self._weight(f"{p}/attn/bo", np.zeros(c.H), decay=False)
             self._weight(f"{p}/ln1_g", np.ones(c.H), decay=False)
             self._weight(f"{p}/ln1_b", np.zeros(c.H), decay=False)
             self._weight(f"{p}/ffn/W1", init_normal(rng, (c.H, c.F)), decay=True)
@@ -187,8 +190,7 @@ class MiniEncoder:
         c = self.config
         p = self.params
         pre = f"layer{i}"
-        attn = [p[f"{pre}/{name}"] for name in ("attn/Wq", "attn/bq", "attn/Wk", "attn/bk",
-                                                "attn/Wv", "attn/bv", "attn/Wo", "attn/bo",
+        attn = [p[f"{pre}/{name}"] for name in ("attn/Wqkv", "attn/bqkv", "attn/Wo", "attn/bo",
                                                 "ln1_g", "ln1_b")]
         x, _ = T.attention_sublayer(x, attn, mask, c.A, cls_only, c.p_drop, rng, training)
         ffn = [p[f"{pre}/{name}"] for name in ("ffn/W1", "ffn/b1", "ffn/W2", "ffn/b2",

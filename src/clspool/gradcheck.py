@@ -8,6 +8,7 @@ The relative error measure is |a - fd| / max(1, |a|, |fd|).
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -21,6 +22,7 @@ from .train import regularized_loss
 
 FD_STEP = 1e-5
 REL_TOL = 1e-4
+COORD_BLOCK = 12   # entries per ``coords_per_param`` sampled coordinates
 
 
 def finite_diff(loss_fn, param, index, h=FD_STEP):
@@ -42,8 +44,12 @@ def rel_error(a, b):
 def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
     """Max relative error between analytic and finite-difference gradients.
 
-    ``loss_fn`` must rebuild the graph from the parameters' current data on
-    every call (one tape per forward pass).
+    From each tensor it samples ``coords_per_param`` distinct coordinates
+    for every ``COORD_BLOCK`` entries or part of them (all of them if that
+    is more), so the sample grows with the tensor: several tensors joined
+    into one are sampled about as densely as they were apart. ``loss_fn``
+    must rebuild the graph from the parameters' current data on every call
+    (one tape per forward pass).
     """
     loss = loss_fn()
     loss.backward()
@@ -52,7 +58,7 @@ def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
     worst = 0.0
     for name, p in params.items():
         size = p.data.size
-        k = min(coords_per_param, size)
+        k = min(coords_per_param * math.ceil(size / COORD_BLOCK), size)
         for index in rng.choice(size, size=k, replace=False):
             fd = finite_diff(loss_fn, p, int(index), h=h)
             analytic = grads[name].reshape(-1)[int(index)]
@@ -126,10 +132,10 @@ def _op_scenario(stream, shapes, op):
 
 def _attention_sublayer_scenario(stream, cls_only):
     """The attention sublayer at the 12 valid positions of ``ATTENTION_MASK``,
-    H=6 in A=2 heads, dropout 0.3 on; x and all ten weights."""
-    names = ("Wq", "bq", "Wk", "bk", "Wv", "bv", "Wo", "bo", "gamma", "beta")
-    shapes = {"x": (ATTENTION_MASK.sum(), 6),
-              **{name: (6, 6) if name[0] == "W" else (6,) for name in names}}
+    H=6 in A=2 heads, dropout 0.3 on; x and all six weights."""
+    names = ("Wqkv", "bqkv", "Wo", "bo", "gamma", "beta")
+    shapes = {"x": (ATTENTION_MASK.sum(), 6), "Wqkv": (6, 18), "bqkv": (18,), "Wo": (6, 6),
+              "bo": (6,), "gamma": (6,), "beta": (6,)}
     return _op_scenario(stream, shapes, lambda p, drop: T.attention_sublayer(
         p["x"], [p[name] for name in names], ATTENTION_MASK, 2, cls_only, 0.3, drop)[0])
 

@@ -30,9 +30,12 @@ class PooledClassifier:
         self.config = config
         self.pooling_kind = pooling_kind
         self.n_classes = n_classes
-        self.encoder = MiniEncoder(config, rng)
-        self.pool_head = HEADS[pooling_kind](config.H, rng)
-        self.classifier = ClassifierHead(config.H, n_classes, rng)
+        # One child stream each, so every head starts from the same encoder
+        # and classifier: the design is paired in everything but the head.
+        enc_rng, head_rng, cls_rng = rng.spawn(3)
+        self.encoder = MiniEncoder(config, enc_rng)
+        self.pool_head = HEADS[pooling_kind](config.H, head_rng)
+        self.classifier = ClassifierHead(config.H, n_classes, cls_rng)
 
     # -- parameters -----------------------------------------------------------
 

@@ -47,13 +47,11 @@ class LSTMPoolHead:
     """
 
     def __init__(self, H, rng):
-        # Eight H×H draws: W's then U's block for each gate in turn.
-        draws = [init_normal(rng, (H, H)) for _ in range(8)]
         b = np.zeros(4 * H)
         b[H:2 * H] = 1.0   # forget gate starts open so early gradients reach the whole trace
         self.params = {
-            "lstm/W": Tensor(np.concatenate(draws[0::2], axis=1), requires_grad=True),
-            "lstm/U": Tensor(np.concatenate(draws[1::2], axis=1), requires_grad=True),
+            "lstm/W": Tensor(init_normal(rng, (H, 4 * H)), requires_grad=True),
+            "lstm/U": Tensor(init_normal(rng, (H, 4 * H)), requires_grad=True),
             "lstm/b": Tensor(b, requires_grad=True),
         }
         self.decay = {"lstm/W", "lstm/U"}

@@ -3,11 +3,11 @@
 A single master seed owns every stochastic choice in a run. Each kind of
 draw (parameter init, dropout, batch shuffling, folds, ...) gets its own
 generator derived from the master seed plus an integer stream key, so
-adding draws of one kind never perturbs another kind. Within one stream
-draws still shift one another: ``PooledClassifier.__init__`` draws the
-encoder, the pooling head and the classifier in turn from one ``INIT``
-generator, so the head's draws move the classifier's initial weights
-(ROADMAP open item 1).
+adding draws of one kind never perturbs another kind. Within a stream a
+component may split its generator further: ``PooledClassifier.__init__``
+spawns three children of its ``INIT`` generator, one each for the
+encoder, the pooling head and the classifier, so models built from one
+seed start from the same encoder and classifier whatever their head.
 """
 
 import numpy as np

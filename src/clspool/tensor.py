@@ -22,8 +22,8 @@ each and carry a hand-derived backward:
   multi-head self-attention sublayer (projections, attention, output
   projection, dropout, residual and layer norm) over the N valid
   positions of a batch, given as one N×H matrix, with one query per
-  valid position or one per example; only inside it are the rows laid
-  out as padded (B, A, S, d_h) views;
+  valid position or one per example, from one H×3H query, key and value
+  block; only inside it are the rows laid out as a padded view;
 - ``ffn_sublayer``, the block's feed-forward sublayer (GELU network,
   dropout, residual and layer norm); its exact GELU takes erf from the
   private ``_erf``, Cephes' algorithm in numpy, within 1 ulp of
@@ -415,17 +415,19 @@ def _erf(x):
 def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None, training=True):
     """Fused post-layer-norm multi-head self-attention sublayer over the valid positions of a batch.
 
-    Computes LN(r + dropout(attend(r·Wq+bq, x·Wk+bk, x·Wv+bv)·Wo+bo)) as
-    one tape node with parents (x, *weights), where ``weights`` is
-    (Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta) and r, the query rows,
-    is ``x``, or with ``cls_only`` the first row of each example (its
-    [CLS] row). ``mask`` is a (B, S) 0/1 array; its N ones are the valid
-    positions, and ``x`` is N×H, one row per valid position in
-    example-major order. Each example attends only to its own valid
-    positions, with ``heads`` heads. Only inside the attention are the
-    rows scattered into zero-filled (B, A, S, d_h) arrays; when every
-    position is valid, nothing is scattered or gathered. Dropout with
-    rate ``p`` draws its mask from ``rng`` when ``training``.
+    Computes LN(r + dropout(attend(Q, K, V)·Wo+bo)) as one tape node with
+    parents (x, *weights), where ``weights`` is (Wqkv, bqkv, Wo, bo,
+    gamma, beta) and [Q | K | V] = x·Wqkv+bqkv is one product, Wqkv H×3H
+    and bqkv 3H. r, the query rows, is ``x``, or with ``cls_only`` the
+    first row of each example (its [CLS] row). ``mask`` is a (B, S) 0/1
+    array; its N ones are the valid positions, and ``x`` is N×H, one row
+    per valid position in example-major order. Each example attends only
+    to its own valid positions, with A = ``heads`` heads. Only inside the
+    attention are the rows scattered into one zero-filled (B, 3A, S, d_h)
+    array, its heads Q's, then K's, then V's, and with ``cls_only`` the
+    queries are its column 0; when every position is valid, nothing is
+    scattered or gathered. Dropout with rate ``p`` draws its mask from
+    ``rng`` when ``training``.
 
     Returns ``(out, probs)``: the output, with as many rows as r, and the
     attention probabilities, (B, A, S, S) or (B, A, 1, S), which the
@@ -443,19 +445,16 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
         raise ShapeError(f"attention_sublayer: x {x.shape} does not fit mask {mask.shape} "
                          f"({N} valid positions) with {heads} heads")
     weights = tuple(weights)
-    _check_weights("attention_sublayer", weights, [(H, H), (H,)] * 4 + [(H,), (H,)])
-    Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta = weights
+    _check_weights("attention_sublayer", weights, [(H, 3 * H), (3 * H,), (H, H), (H,), (H,), (H,)])
+    Wqkv, bqkv, Wo, bo, gamma, beta = weights
     holes = None if N == B * S else valid
-    xd = x.data
-    if cls_only:
-        cls_rows = np.concatenate(([0], np.cumsum(valid.sum(axis=1))[:-1]))
-        r, Sq, q_holes = xd[cls_rows], 1, None
-    else:
-        cls_rows, r, Sq, q_holes = None, xd, S, holes
-    c = 1.0 / math.sqrt(H // heads)
-    Q = _split_heads(r @ Wq.data + bq.data, B, Sq, heads, q_holes)
-    K, V = (_split_heads(xd @ W.data + b.data, B, S, heads, holes)
-            for W, b in ((Wk, bk), (Wv, bv)))
+    A, xd = heads, x.data
+    # The query rows: each example's first, or all.
+    rows = np.concatenate(([0], np.cumsum(valid.sum(axis=1))[:-1])) if cls_only else slice(None)
+    Sq, q_holes = (1, None) if cls_only else (S, holes)
+    c = 1.0 / math.sqrt(H // A)
+    QKV = _split_heads(xd @ Wqkv.data + bqkv.data, B, S, 3 * A, holes)
+    Q, K, V = QKV[:, :A, :Sq], QKV[:, A:2 * A], QKV[:, 2 * A:]
     # The softmax runs in place: one (B, A, S', S) array for all its steps.
     P = np.matmul(Q, K.transpose(0, 1, 3, 2))
     P *= c
@@ -465,7 +464,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     P /= P.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(np.matmul(P, V), q_holes)
     o, keep = _dropout_fwd(ctx @ Wo.data + bo.data, p, rng, training)
-    y, xhat, inv = _layer_norm_fwd(r + o, gamma.data, beta.data)
+    y, xhat, inv = _layer_norm_fwd(xd[rows] + o, gamma.data, beta.data)
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
@@ -474,29 +473,24 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
         do = _dropout_bwd(ds, keep)
         _accumulate(bo, do.sum(axis=0))
         _accumulate(Wo, ctx.T @ do)
-        G = _split_heads(do @ Wo.data.T, B, Sq, heads, q_holes)
-        dv = _merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G), holes)
+        G = _split_heads(do @ Wo.data.T, B, Sq, A, q_holes)
         dS = np.matmul(G, V.transpose(0, 1, 3, 2))
         dS -= (dS * P).sum(axis=-1, keepdims=True)
         dS *= P
         dS *= c
-        dq = _merge_heads(np.matmul(dS, K), q_holes)
-        dk = _merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes)
-        for W, b, a, d in ((Wq, bq, r, dq), (Wk, bk, xd, dk), (Wv, bv, xd, dv)):
-            _accumulate(b, d.sum(axis=0))
-            _accumulate(W, a.T @ d)
-        if not x.requires_grad:
-            return
-        # Into x: the residual, then the query, key and value paths, one sum
-        # each, in the order the unfused block's tape added them, so every
-        # sum is the same to the bit.
-        if cls_only:
-            _accumulate(x, _scatter_add_rows(ds + dq @ Wq.data.T, cls_rows, N))
-        else:
-            _accumulate(x, ds)
-            _accumulate(x, dq @ Wq.data.T)
-        _accumulate(x, dk @ Wk.data.T)
-        _accumulate(x, dv @ Wv.data.T)
+        # One gradient for [Q | K | V], laid out as QKV; with ``cls_only``
+        # only the queries' column 0 is nonzero.
+        dQKV = np.zeros(QKV.shape)
+        np.matmul(dS, K, out=dQKV[:, :A, :Sq])
+        np.matmul(dS.transpose(0, 1, 3, 2), Q, out=dQKV[:, A:2 * A])
+        np.matmul(P.transpose(0, 1, 3, 2), G, out=dQKV[:, 2 * A:])
+        dqkv = _merge_heads(dQKV, holes)
+        _accumulate(bqkv, dqkv.sum(axis=0))
+        _accumulate(Wqkv, xd.T @ dqkv)
+        if x.requires_grad:
+            dx = dqkv @ Wqkv.data.T
+            dx[rows] += ds
+            _accumulate(x, dx)
 
     return Tensor(y, _parents=(x, *weights), _backward=bwd), P
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import math
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -46,10 +47,11 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError(f"L2 coefficient must be >= 0, got {self.lam}")
-        if self.lr <= 0:
-            raise ValueError(f"learning rate must be > 0, got {self.lr}")
+        # Every comparison with NaN is false, so these refuse NaN as well as inf.
+        if not 0 <= self.lam < math.inf:
+            raise ValueError(f"L2 coefficient must be finite and >= 0, got {self.lam}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.folds < 2:
             raise ValueError(f"fold count must be >= 2, got {self.folds}")
         if self.epochs < 1:

@@ -312,6 +312,29 @@ class TestEvalAndProject:
             "error: checkpoint parameter mismatch: missing=['lstm/U', 'lstm/W', 'lstm/b'], "
             f"unexpected={per_gate}\n")
 
+    def test_eval_per_projection_attention_checkpoint_exit_1(self, dataset, tmp_path, capsys):
+        """A checkpoint with six per-projection attention blobs (Wq, bq, Wk,
+        bk, Wv, bv) in place of the joined Wqkv and bqkv is refused by the
+        parameter check."""
+        cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+        path = str(tmp_path / "m.ckpt")
+        PooledClassifier(cfg, "last", 3, R.rng_for(0, 0)).save(
+            path, extra_meta={"vocab": ["w1", "w2"], "schema": "absa"})
+        meta, blobs = load_checkpoint(path)
+        per_projection = []
+        for kind in "Wb":
+            block = blobs.pop(f"layer0/attn/{kind}qkv")
+            for k, proj in enumerate("qkv"):
+                per_projection.append(f"layer0/attn/{kind}{proj}")
+                blobs[per_projection[-1]] = block[..., 4 * k:4 * (k + 1)]
+        save_checkpoint(path, meta, blobs)
+        assert run(["eval", "--checkpoint", path, "--data", dataset]) == 1
+        assert len(per_projection) == 6
+        assert capsys.readouterr().err == (
+            "error: checkpoint parameter mismatch: "
+            "missing=['layer0/attn/Wqkv', 'layer0/attn/bqkv'], "
+            f"unexpected={sorted(per_projection)}\n")
+
     def test_project(self, trained, tmp_path, capsys):
         out = str(tmp_path / "proj")
         rc = run(["project", "--dumps", os.path.join(trained, "dumps"),
@@ -400,21 +423,31 @@ class TestNegativeSeed:
         assert f"argument --n: must be >= 1, got {n}" in capsys.readouterr().err
         assert not out.exists()
 
+    # (key, value, message): a negative seed, and a learning rate or an L2
+    # coefficient that is not finite.
+    BAD_SETTINGS = [("seed", "-1", "seed must be >= 0, got -1"),
+                    ("lr", "nan", "learning rate must be finite and > 0, got nan"),
+                    ("lr", "inf", "learning rate must be finite and > 0, got inf"),
+                    ("lam", "nan", "L2 coefficient must be finite and >= 0, got nan"),
+                    ("lam", "inf", "L2 coefficient must be finite and >= 0, got inf")]
+
     def test_train_flag_exit_2(self, dataset, tmp_path, capsys):
         out = tmp_path / "run"
-        assert run(["train", "--data", dataset, "--seed", "-1", "--out", str(out)]) == 2
-        assert "argument --seed: seed must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists()
+        for key, value, message in self.BAD_SETTINGS:
+            assert run(["train", "--data", dataset, f"--{key}", value, "--out", str(out)]) == 2
+            assert f"argument --{key}: {message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_file_names_file_and_line(self, dataset, tmp_path, capsys):
         cfg = tmp_path / "cfg"
-        cfg.write_text(TINY_MODEL + "seed=-1\n")
         out = tmp_path / "run"
-        assert run(["train", "--data", dataset, "--config", str(cfg),
-                    "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert f"error: {cfg}:6: seed: seed must be >= 0, got -1" in err
-        assert "Traceback" not in err and not out.exists()
+        for key, value, message in self.BAD_SETTINGS:
+            cfg.write_text(TINY_MODEL + f"{key}={value}\n")
+            assert run(["train", "--data", dataset, "--config", str(cfg),
+                        "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert f"error: {cfg}:6: {key}: {message}" in err
+            assert "Traceback" not in err and not out.exists()
 
 
 class TestEncoderSettings:

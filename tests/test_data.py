@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clspool.data import (CLS_ID, DataError, PAD_ID, PairExample, SEP_ID, UNK_ID,
-                          Vocab, build_vocab, load_jsonl, pack_dataset, pack_pair,
-                          save_jsonl, synth_generate, synth_label_function,
+                          Vocab, build_vocab, load_jsonl, pack_dataset, save_jsonl,
+                          synth_generate, synth_label_function, tokenize,
                           unigram_baseline_accuracy, vocab_for_examples)
 
 
@@ -17,7 +17,7 @@ class TestVocab:
         v = build_vocab(["a a b"])
         assert v.id("b") != UNK_ID
         assert v.id("zzz") == UNK_ID
-        assert v.encode("a zzz") == [v.id("a"), UNK_ID]
+        assert [v.id(t) for t in tokenize("a zzz")] == [v.id("a"), UNK_ID]
 
     def test_deterministic(self):
         corpus = ["red green blue", "green blue blue"]
@@ -44,20 +44,25 @@ class TestVocab:
         assert Vocab(v.tokens()).token_to_id == v.token_to_id
 
 
+def pack_one(ex, vocab, s_max):
+    """(token_ids, segment_ids, mask) of ``pack_dataset([ex], ...)``, each 1-D."""
+    return tuple(a[0] for a in pack_dataset([ex], vocab, s_max)[:3])
+
+
 class TestPackPair:
     def test_worked_example(self):
         # Tokens with known ids: vocab maps u->7 style via direct construction.
         v = Vocab([])
         v.token_to_id.update({"w7": 7, "w8": 8, "w9": 9})
         # build intermediate ids 4..6 so the map stays dense enough for V
-        ids, segs, mask = pack_pair(PairExample("w7 w8", "w9", 0), v, 8)
-        assert ids.tolist() == [2, 7, 8, 3, 9, 3, 0, 0]
-        assert segs.tolist() == [0, 0, 0, 0, 1, 1, 0, 0]
-        assert mask.tolist() == [1, 1, 1, 1, 1, 1, 0, 0]
+        ids, segs, mask = pack_one(PairExample("w7 w8", "w9", 0), v, 8)
+        assert ids.tolist() == [2, 7, 8, 3, 9, 3]
+        assert segs.tolist() == [0, 0, 0, 0, 1, 1]
+        assert mask.tolist() == [1, 1, 1, 1, 1, 1]
 
     def test_empty_b(self):
         v = build_vocab(["x y"])
-        ids, segs, mask = pack_pair(PairExample("x y", "", 0), v, 8)
+        ids, segs, mask = pack_one(PairExample("x y", "", 0), v, 8)
         assert ids[0] == CLS_ID
         assert ids.tolist().count(SEP_ID) == 2
         # segment-1 block is exactly the trailing [SEP]
@@ -67,7 +72,7 @@ class TestPackPair:
         v = build_vocab(["t"])
         a = " ".join(["t"] * 100)
         b = "t t"
-        ids, _, _ = pack_pair(PairExample(a, b, 0), v, 16)
+        ids, _, _ = pack_one(PairExample(a, b, 0), v, 16)
         seps = np.flatnonzero(ids == SEP_ID)
         n_a = seps[0] - 1
         n_b = seps[1] - seps[0] - 1
@@ -79,17 +84,17 @@ class TestPackPair:
            st.integers(4, 40))
     def test_packing_properties(self, words_a, words_b, s_max):
         v = build_vocab(["a b c"])  # "zz" encodes as [UNK]
-        enc_a, enc_b = v.encode(" ".join(words_a)), v.encode(" ".join(words_b))
-        ids, segs, mask = pack_pair(PairExample(" ".join(words_a), " ".join(words_b), 0),
-                                    v, s_max)
-        assert len(ids) == len(segs) == len(mask) == s_max
-        m = int(mask.sum())
-        assert mask.tolist() == [1] * m + [0] * (s_max - m)
+        enc_a, enc_b = ([v.id(t) for t in words] for words in (words_a, words_b))
+        ids, segs, mask = pack_one(PairExample(" ".join(words_a), " ".join(words_b), 0),
+                                   v, s_max)
+        # One example: the padded length is its own, so no column is padding.
+        m = len(ids)
+        assert len(segs) == len(mask) == m <= s_max
+        assert mask.tolist() == [1] * m
         na = int(np.flatnonzero(ids == SEP_ID)[0]) - 1
         nb = m - na - 3
-        assert ids.tolist() == ([CLS_ID] + enc_a[:na] + [SEP_ID] + enc_b[:nb] + [SEP_ID]
-                                + [PAD_ID] * (s_max - m))
-        assert segs.tolist() == [0] * (na + 2) + [1] * (nb + 1) + [0] * (s_max - m)
+        assert ids.tolist() == [CLS_ID] + enc_a[:na] + [SEP_ID] + enc_b[:nb] + [SEP_ID]
+        assert segs.tolist() == [0] * (na + 2) + [1] * (nb + 1)
         # Longest first, a tie takes from a: a side that lost tokens ends no
         # shorter than the other, except that a may end one token short of b.
         A, B = len(enc_a), len(enc_b)
@@ -107,12 +112,12 @@ class TestPackPair:
             na, nb = rng.integers(0, 30, size=2)
             ex = PairExample(" ".join(rng.choice(list("abcdefg"), na)),
                              " ".join(rng.choice(list("abcdefg"), nb)), 0)
-            ids, segs, mask = pack_pair(ex, v, 12)
+            ids, segs, mask = pack_one(ex, v, 12)
             assert ids[0] == CLS_ID
             assert (ids == SEP_ID).sum() == 2
             assert (ids == CLS_ID).sum() == 1
             assert np.all(np.diff(segs[mask == 1]) >= 0)
-            assert len(ids) == 12
+            assert len(ids) == min(na + nb + 3, 12)
 
 
 class TestJsonl:
@@ -231,8 +236,8 @@ class TestSynth:
 
 def reference_pack_pair(ex, vocab, s_max):
     """The per-pair packer that ``pack_dataset`` replaced, kept as the oracle."""
-    a = vocab.encode(ex.text_a)
-    b = vocab.encode(ex.text_b)
+    a = [vocab.id(t) for t in tokenize(ex.text_a)]
+    b = [vocab.id(t) for t in tokenize(ex.text_b)]
     while len(a) + len(b) + 3 > s_max:
         if len(a) >= len(b) and a:
             a.pop()
@@ -288,15 +293,6 @@ class TestPackDataset:
         assert_same_arrays(pack_dataset(examples, self.VOCAB, s_max),
                            reference_pack_dataset(examples, self.VOCAB, s_max))
 
-    @settings(max_examples=200, deadline=None)
-    @given(pair_examples(), st.integers(4, 40))
-    def test_pack_pair_is_the_padded_one_row_case(self, ex, s_max):
-        tok, seg, mask, _ = pack_dataset([ex], self.VOCAB, s_max)
-        pad = ((0, 0), (0, s_max - tok.shape[1]))
-        one_row = tuple(np.pad(a, pad)[0] for a in (tok, seg, mask))
-        assert_same_arrays(pack_pair(ex, self.VOCAB, s_max), one_row)
-        assert_same_arrays(one_row, reference_pack_pair(ex, self.VOCAB, s_max))
-
     def test_synth_equals_stacked_per_pair_packer(self):
         ex = synth_generate(3000, seed=0)
         v = vocab_for_examples(ex)
@@ -307,10 +303,9 @@ class TestPackDataset:
         with pytest.raises(DataError, match="no examples"):
             pack_dataset([], self.VOCAB, 8)
 
-    @pytest.mark.parametrize("pack", [pack_pair, lambda ex, v, s: pack_dataset([ex], v, s)])
-    def test_s_max_below_4(self, pack):
+    def test_s_max_below_4(self):
         with pytest.raises(ValueError, match="s_max=3 cannot hold"):
-            pack(PairExample("a", "b", 0), self.VOCAB, 3)
+            pack_dataset([PairExample("a", "b", 0)], self.VOCAB, 3)
 
     def test_trims_to_longest_sequence(self):
         ex = synth_generate(20, seed=0)

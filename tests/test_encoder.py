@@ -108,8 +108,7 @@ class TestSelfAttention:
         # unpadded example keeps column 3 from being trimmed.
         enc = MiniEncoder(small_config(L=2), R.rng_for(1, 0))
         for i in range(2):
-            enc.params[f"layer{i}/attn/Wq"].data[:] = 0.0
-            enc.params[f"layer{i}/attn/Wk"].data[:] = 0.0
+            enc.params[f"layer{i}/attn/Wqkv"].data[:, :2 * 8] = 0.0   # the Q and K columns
         mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
         enc.forward_batch(np.array([[2, 5, 6, 0], [2, 5, 6, 7]]), np.zeros((2, 4), dtype=int),
                           mask)
@@ -369,8 +368,10 @@ class TestValidRowsOnly:
             npt.assert_allclose(got.data, ref.data, rtol=1e-12, atol=0)
 
 
-# The unfused encoder block, eighteen tape nodes of public ops and these two
-# op closures: the reference that the fused sublayers must equal to the bit.
+# The unfused encoder block, fourteen tape nodes of public ops besides its
+# dropouts and these two op closures: the reference that the fused sublayers
+# must equal to the bit. (It was eighteen while the query, key and value
+# projections were three products, hence the name of the test that uses it.)
 # Its GELU takes erf from T._erf, as the fused sublayer does, so a 1-ulp
 # erf difference cannot decide the comparison; test_tensor.TestErf pins
 # T._erf to scipy's erf.
@@ -387,16 +388,19 @@ def reference_gelu(a):
     return T.Tensor(x * cdf, _parents=(a,), _backward=bwd)
 
 
-def reference_attention(q, k, v, mask, heads):
+def reference_attention(qkv, mask, heads, cls_only):
+    """Multi-head attention of the N×3H rows [Q | K | V] as one tape node,
+    with queries at every valid position or, with ``cls_only``, at each
+    example's column 0; its core runs on the (B, 3A, S, d_h) view of the rows."""
     B, S = mask.shape
     valid = mask == 1
     N = int(np.count_nonzero(valid))
-    H = q.shape[-1]
+    H = qkv.shape[-1] // 3
     holes = None if N == B * S else valid
-    Sq, q_holes = (1, None) if q.shape[0] == B else (S, holes)
+    Sq, q_holes = (1, None) if cls_only else (S, holes)
     c = 1.0 / math.sqrt(H // heads)
-    Q = T._split_heads(q.data, B, Sq, heads, q_holes)
-    K, V = (T._split_heads(t.data, B, S, heads, holes) for t in (k, v))
+    QKV = T._split_heads(qkv.data, B, S, 3 * heads, holes)
+    Q, K, V = QKV[:, :heads, :Sq], QKV[:, heads:2 * heads], QKV[:, 2 * heads:]
     bias = np.where(valid, 0.0, -1e9)[:, None, None, :]
     scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
@@ -404,13 +408,16 @@ def reference_attention(q, k, v, mask, heads):
 
     def bwd(g):
         G = T._split_heads(g, B, Sq, heads, q_holes)
-        T._accumulate(v, T._merge_heads(np.matmul(P.transpose(0, 1, 3, 2), G), holes))
         dP = np.matmul(G, V.transpose(0, 1, 3, 2))
         dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
-        T._accumulate(q, T._merge_heads(np.matmul(dS, K), q_holes))
-        T._accumulate(k, T._merge_heads(np.matmul(dS.transpose(0, 1, 3, 2), Q), holes))
+        d = np.zeros(QKV.shape)
+        d[:, :heads, :Sq] = np.matmul(dS, K)
+        d[:, heads:2 * heads] = np.matmul(dS.transpose(0, 1, 3, 2), Q)
+        d[:, 2 * heads:] = np.matmul(P.transpose(0, 1, 3, 2), G)
+        T._accumulate(qkv, T._merge_heads(d, holes))
 
-    return T.Tensor(T._merge_heads(np.matmul(P, V), q_holes), _parents=(q, k, v), _backward=bwd), P
+    return T.Tensor(T._merge_heads(np.matmul(P, V), q_holes), _parents=(qkv,),
+                    _backward=bwd), P
 
 
 def reference_block(enc, x, rows, mask, i, training, rng):
@@ -418,11 +425,8 @@ def reference_block(enc, x, rows, mask, i, training, rng):
     p = enc.params
     pre = f"layer{i}"
 
-    q = T.add(T.matmul(rows, p[f"{pre}/attn/Wq"]), p[f"{pre}/attn/bq"])
-    k = T.add(T.matmul(x, p[f"{pre}/attn/Wk"]), p[f"{pre}/attn/bk"])
-    v = T.add(T.matmul(x, p[f"{pre}/attn/Wv"]), p[f"{pre}/attn/bv"])
-
-    ctx, _ = reference_attention(q, k, v, mask, c.A)
+    qkv = T.add(T.matmul(x, p[f"{pre}/attn/Wqkv"]), p[f"{pre}/attn/bqkv"])
+    ctx, _ = reference_attention(qkv, mask, c.A, rows is not x)
     out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
     out = T.dropout(out, c.p_drop, rng, training)
     x = T.layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
@@ -476,7 +480,7 @@ class TestFusedBlock:
         ref_out, ref_dx, ref_grads = run(False)
         assert np.array_equal(out, ref_out)
         assert dx.shape == x_data.shape and np.array_equal(dx, ref_dx)
-        assert grads.keys() == ref_grads.keys() and len(grads) == 16
+        assert grads.keys() == ref_grads.keys() and len(grads) == 12
         for name, g in ref_grads.items():
             assert np.array_equal(grads[name], g), name
 
@@ -486,5 +490,5 @@ class TestFusedBlock:
         out = enc._block(x, np.ones((1, 3)), 0, True, R.rng_for(19, 1))
         attn, *ffn_weights = out._parents
         assert attn._parents[0] is x
-        assert len(attn._parents) == 11 and len(ffn_weights) == 6
+        assert len(attn._parents) == 7 and len(ffn_weights) == 6
         assert all(t._parents == () for t in (*attn._parents[1:], *ffn_weights))

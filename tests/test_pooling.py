@@ -126,22 +126,16 @@ class TestLSTMPool:
                 hits += 1
         assert hits >= 19
 
-    def test_init_joins_the_per_gate_draws_by_column(self):
-        """Eight H×H draws, W then U for each gate in turn, so the generator
-        is left where the per-gate init left it: the classifier's init, drawn
-        next, is unchanged."""
+    def test_init_draws_whole_gate_blocks_and_opens_the_forget_gate(self):
         H = 5
-        rng = np.random.default_rng(7)
-        head = LSTMPoolHead(H, rng)
+        head = LSTMPoolHead(H, np.random.default_rng(7))
         same = np.random.default_rng(7)
-        draws = [init_normal(same, (H, H)) for _ in range(8)]
         assert {name: p.shape for name, p in head.params.items()} == {
             "lstm/W": (H, 4 * H), "lstm/U": (H, 4 * H), "lstm/b": (4 * H,)}
-        npt.assert_array_equal(head.params["lstm/W"].data, np.hstack(draws[0::2]))
-        npt.assert_array_equal(head.params["lstm/U"].data, np.hstack(draws[1::2]))
+        npt.assert_array_equal(head.params["lstm/W"].data, init_normal(same, (H, 4 * H)))
+        npt.assert_array_equal(head.params["lstm/U"].data, init_normal(same, (H, 4 * H)))
         npt.assert_array_equal(head.params["lstm/b"].data,
                                np.r_[np.zeros(H), np.ones(H), np.zeros(2 * H)])
-        npt.assert_array_equal(init_normal(rng, (H, 3)), init_normal(same, (H, 3)))
 
     def test_empty_trace(self):
         head = LSTMPoolHead(3, np.random.default_rng(0))
@@ -283,6 +277,21 @@ class TestHeadsTable:
                                 *model.classifier.params]
         assert model.decay_names() == (model.encoder.decay | model.pool_head.decay
                                        | model.classifier.decay)
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_heads_share_the_encoder_and_classifier_init(self, seed):
+        # Models built from one seed differ in their head alone, so a
+        # comparison of heads is paired in everything else.
+        cfg = EncoderConfig(L=2, H=4, A=2, F=4, V=8, S_max=6)
+        models = [PooledClassifier(cfg, kind, 3, R.rng_for(seed, R.INIT)) for kind in HEAD_KINDS]
+        heads = [set(m.pool_head.params) for m in models]
+        shared = [{name: p.data for name, p in m.parameters().items()
+                   if not any(name in h for h in heads)} for m in models]
+        assert "classifier/W_o" in shared[0] and "layer1/attn/Wqkv" in shared[0]
+        for other in shared[1:]:
+            assert other.keys() == shared[0].keys()
+            for name, a in shared[0].items():
+                assert np.array_equal(other[name], a), name
 
 
 class TestGradients:

@@ -392,19 +392,35 @@ def padded_sublayer(x, weights, mask, heads, w, fill):
     return xhat * gamma + beta, dx, dweights, s
 
 
+def joined(weights):
+    """The sublayer's six weights from the ten per-projection ones
+    (Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta): the query, key and value
+    projections joined by column into Wqkv and bqkv."""
+    return [np.concatenate(weights[0:6:2], axis=-1), np.concatenate(weights[1:6:2]),
+            *weights[6:]]
+
+
+def split(joined_weights):
+    """The ten per-projection arrays of six joined ones, the inverse of ``joined``."""
+    Wqkv, bqkv, *rest = joined_weights
+    return [part for W, b in zip(np.split(Wqkv, 3, axis=-1), np.split(bqkv, 3))
+            for part in (W, b)] + rest
+
+
 def weighted_sublayer_grads(x, weights, mask, heads, w, cls_only=False):
-    """The sublayer's output, probabilities, and x and weight gradients for the loss sum(out * w)."""
+    """The sublayer's output, probabilities, and x and weight gradients for the
+    loss sum(out * w); the weights and their gradients are per projection."""
     xt = Tensor(x, requires_grad=True)
-    wt = [Tensor(a, requires_grad=True) for a in weights]
+    wt = [Tensor(a, requires_grad=True) for a in joined(weights)]
     out, probs = T.attention_sublayer(xt, wt, mask, heads, cls_only)
     weighted_sum(out, w).backward()
-    return out.data, probs, xt.grad, [t.grad for t in wt]
+    return out.data, probs, xt.grad, split([t.grad for t in wt])
 
 
 @st.composite
 def attention_cases(draw):
     """Random masks with holes (column 0 always valid), x at the valid
-    positions, and the sublayer's ten weights."""
+    positions, and the sublayer's ten per-projection weights."""
     B = draw(st.integers(1, 6))
     S = draw(st.integers(1, 12))
     heads = draw(st.sampled_from([1, 2, 4]))
@@ -428,8 +444,8 @@ class TestAttention:
         ctx, ref_probs = naive_attention(x @ Wq + bq, x @ Wk + bk, x @ Wv + bv, mask, heads)
         B, S = mask.shape
         for cls_only in (False, True):
-            out, probs = T.attention_sublayer(Tensor(x), [Tensor(a) for a in weights], mask,
-                                              heads, cls_only)
+            out, probs = T.attention_sublayer(Tensor(x), [Tensor(a) for a in joined(weights)],
+                                              mask, heads, cls_only)
             rows = cls_rows_of(mask) if cls_only else slice(None)
             ref_s = x[rows] + ctx[rows] @ Wo + bo
             ref_out = numpy_layer_norm(ref_s, gamma, beta)
@@ -500,7 +516,8 @@ class TestAttention:
             npt.assert_allclose(g, ref, rtol=0, atol=1e-10 * k**2)
 
     def test_query_rows_must_be_one_per_position_or_per_example(self):
-        weights = [Tensor(np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4)) for i in range(10)]
+        weights = [Tensor(a) for a in joined([np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4)
+                                              for i in range(10)])]
         mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
         x = Tensor(np.random.default_rng(0).normal(size=(7, 4)))
         assert T.attention_sublayer(x, weights, mask, 2)[0].shape == (7, 4)
@@ -511,7 +528,7 @@ class TestAttention:
 
     def test_shapes_rejected(self):
         x = Tensor(np.zeros((8, 4)))
-        weights = [Tensor(np.zeros((4, 4) if i < 8 and i % 2 == 0 else 4)) for i in range(10)]
+        weights = [Tensor(np.zeros(shape)) for shape in ((4, 12), 12, (4, 4), 4, 4, 4)]
         with pytest.raises(ShapeError):
             T.attention_sublayer(x, weights, np.ones((2, 3)), 2)
         with pytest.raises(ShapeError):
@@ -519,17 +536,22 @@ class TestAttention:
         with pytest.raises(ShapeError):
             T.attention_sublayer(x, weights, np.ones(8), 2)
         with pytest.raises(ShapeError, match="weight shapes"):
-            T.attention_sublayer(x, weights[:9], np.ones((2, 4)), 2)
+            T.attention_sublayer(x, weights[:5], np.ones((2, 4)), 2)
         with pytest.raises(ShapeError, match="weight shapes"):
-            T.attention_sublayer(x, weights[:6] + [Tensor(np.zeros((4, 3)))] + weights[7:],
+            T.attention_sublayer(x, weights[:2] + [Tensor(np.zeros((4, 3)))] + weights[3:],
+                                 np.ones((2, 4)), 2)
+        # Ten per-projection weights are not the joined six.
+        with pytest.raises(ShapeError, match="weight shapes"):
+            T.attention_sublayer(x, [Tensor(a) for a in split([w.data for w in weights])],
                                  np.ones((2, 4)), 2)
 
     def test_one_tape_node(self):
-        weights = [Tensor(np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4), requires_grad=True)
-                   for i in range(10)]
+        weights = [Tensor(a, requires_grad=True)
+                   for a in joined([np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4)
+                                    for i in range(10)])]
         x = Tensor(np.ones((8, 4)), requires_grad=True)
         out, _ = T.attention_sublayer(x, weights, np.ones((2, 4)), 2)
-        assert out._parents == (x, *weights)
+        assert len(weights) == 6 and out._parents == (x, *weights)
 
 
 def erf_ulps(got, ref):
