@@ -1,9 +1,9 @@
 """Tour of the tiny reverse-mode autodiff engine behind clspool.
 
-Builds a small computation graph by hand from the ops a model runs (a
-linear layer, a layer norm, a second linear layer and the cross-entropy
-loss), runs backward(), and checks a gradient against a central finite
-difference.
+Builds a small computation graph by hand from the ops a model runs (the
+fused embedding sublayer, a linear layer, a second linear layer, the
+cross-entropy loss and a scaled L2 penalty), runs backward(), and checks
+a gradient against a central finite difference.
 """
 
 import numpy as np
@@ -13,40 +13,43 @@ from clspool.tensor import Tensor
 
 rng = np.random.default_rng(0)
 
-# A two-layer net on a fixed input, ending in a softmax cross-entropy loss.
-x = Tensor(rng.normal(size=(4, 3)))
-W1 = Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+# Four positions of one pair, one (token, segment, position) row each; token
+# 5 occurs twice, so its table row gets the sum of both rows' gradients.
+ids = np.array([[2, 0, 0], [5, 0, 1], [3, 1, 2], [5, 1, 3]])
+embed = [Tensor(rng.normal(size=(6, 5)), requires_grad=True),   # token table
+         Tensor(rng.normal(size=(2, 5)), requires_grad=True),   # segment table
+         Tensor(rng.normal(size=(4, 5)), requires_grad=True),   # position table
+         Tensor(np.ones(5), requires_grad=True),                # layer-norm gain
+         Tensor(np.zeros(5), requires_grad=True)]               # layer-norm bias
+W1 = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
 b1 = Tensor(np.zeros(5), requires_grad=True)
-gamma = Tensor(np.ones(5), requires_grad=True)
-beta = Tensor(np.zeros(5), requires_grad=True)
 W2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
 labels = np.array([0, 1, 1, 0])
 
-hidden = T.layer_norm(T.add(T.matmul(x, W1), b1), gamma, beta)
-logits = T.matmul(hidden, W2)
-loss = T.softmax_cross_entropy(logits, labels)
+
+def loss_with(w2):
+    """Embed, two linear layers, cross-entropy plus 1e-3 times the squared weights."""
+    hidden = T.add(T.matmul(T.embedding_sublayer(ids, embed), W1), b1)
+    loss = T.softmax_cross_entropy(T.matmul(hidden, w2), labels)
+    return T.add(loss, T.sum_squares([W1, w2], 1e-3))
+
+
+loss = loss_with(W2)
 print(f"loss = {loss.item():.6f}")
 
 loss.backward()
 print(f"dL/dW1 norm = {np.linalg.norm(W1.grad):.6f}")
 print(f"dL/db1      = {np.round(b1.grad, 4)}")
+print(f"token rows with a gradient: {np.flatnonzero(np.abs(embed[0].grad).sum(axis=1)).tolist()}")
 
 # Spot-check one coordinate of dL/dW2 with a central difference.
 i, j = 2, 1
 h = 1e-6
-
-
-def loss_at(w):
-    W2_probe = Tensor(w)
-    hid = T.layer_norm(T.add(T.matmul(x, W1), b1), gamma, beta)
-    return T.softmax_cross_entropy(T.matmul(hid, W2_probe), labels).item()
-
-
 wplus = W2.data.copy()
 wplus[i, j] += h
 wminus = W2.data.copy()
 wminus[i, j] -= h
-fd = (loss_at(wplus) - loss_at(wminus)) / (2 * h)
+fd = (loss_with(Tensor(wplus)).item() - loss_with(Tensor(wminus)).item()) / (2 * h)
 print(f"dL/dW2[{i},{j}]: autodiff {W2.grad[i, j]:.8f}  finite-diff {fd:.8f}")
 
 # The tape is consumed by backward(); reusing it is an error.

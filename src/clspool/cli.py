@@ -162,7 +162,6 @@ def _cmd_train(args):
     enc = EncoderConfig(V=4, **{name: opt[key] for key, name in _ENCODER_KEYS.items()})
     dump_epochs = _dump_list(opt, "dump_epochs", "epochs")
     dump_layers = _dump_list(opt, "dump_layers", "L") or list(range(1, enc.L + 1))
-    os.makedirs(opt["out"], exist_ok=True)
 
     def epoch_hook(fold, epoch, model, held_out):
         # Dump the fold-0 held-out set at the requested epochs.

@@ -7,8 +7,8 @@ ordered from the embedding-adjacent layer up to the last one; downstream
 pooling heads consume that trace. Nothing reads the other positions of
 the last layer, so that block computes the [CLS] rows alone.
 
-For speed, each block is two fused tape nodes (its attention and its
-feed-forward sublayer), and the encoder carries only the valid
+The embedding is one fused tape node and each block two (its attention
+and its feed-forward sublayer), and the encoder carries only the valid
 positions of a batch: the N positions its mask marks valid, as one N×H
 matrix in example-major order, from the embedding to the last block.
 Embeddings, projections, layer norms, the feed-forward network and
@@ -109,27 +109,6 @@ class MiniEncoder:
 
     # -- forward ------------------------------------------------------------
 
-    def embed_batch(self, token_ids, segment_ids, positions, training=False, rng=None):
-        """Token + segment + learned-position embeddings, layer-norm, dropout.
-
-        ``token_ids``, ``segment_ids`` and ``positions`` are integer arrays
-        of one shape, one entry per position to embed; ``positions`` holds
-        each one's column in its sequence. Returns an N×H tensor, N the
-        number of entries, rows in the arrays' (row-major) order.
-        """
-        c = self.config
-        positions = np.asarray(positions).reshape(-1)
-        if positions.size and positions.max() >= c.S_max:
-            raise ValueError(f"sequence length {positions.max() + 1} exceeds S_max={c.S_max}")
-        p = self.params
-        x = T.add(
-            T.add(T.gather_rows(p["embed/token"], np.reshape(token_ids, -1)),
-                  T.gather_rows(p["embed/segment"], np.reshape(segment_ids, -1))),
-            T.gather_rows(p["embed/position"], positions),
-        )
-        x = T.layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
-        return T.dropout(x, c.p_drop, rng, training)
-
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None):
         """Encode a batch; returns (B×H last-layer [CLS] states, trace).
 
@@ -147,9 +126,10 @@ class MiniEncoder:
         positions, as one N×H matrix in example-major order, each example's
         [CLS] row first; only the attention sublayer lays them out padded.
         The columns after the last one that any row marks valid are cut
-        first, so that layout has the batch's own longest length S'. Each
-        block is two fused tape nodes, ``T.attention_sublayer`` and
-        ``T.ffn_sublayer``, looked up on the module.
+        first, so that layout has the batch's own longest length S', and an
+        S' above ``S_max`` raises ValueError. The embedding is one fused
+        node, ``T.embedding_sublayer``, and each block two,
+        ``T.attention_sublayer`` and ``T.ffn_sublayer``, looked up on the module.
         """
         c = self.config
         B, S = token_ids.shape
@@ -165,9 +145,13 @@ class MiniEncoder:
         if no_cls.size:
             raise ValueError(f"mask rows {no_cls.tolist()} do not mark the [CLS] column 0 valid")
         valid = valid[:, :int(np.flatnonzero(valid.any(axis=0))[-1]) + 1]
+        if valid.shape[1] > c.S_max:
+            raise ValueError(f"sequence length {valid.shape[1]} exceeds S_max={c.S_max}")
         rows, cols = np.nonzero(valid)
-        x = self.embed_batch(token_ids[rows, cols], segment_ids[rows, cols], cols,
-                             training=training, rng=rng)
+        embed = [self.params[f"embed/{name}"]
+                 for name in ("token", "segment", "position", "ln_g", "ln_b")]
+        ids = np.stack([token_ids[rows, cols], segment_ids[rows, cols], cols], axis=1)
+        x = T.embedding_sublayer(ids, embed, c.p_drop, rng, training)
 
         trace = []
         cls_rows = np.flatnonzero(cols == 0)

@@ -72,27 +72,27 @@ def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
 
 
 def _composite_graph_scenario(seed):
-    """Random 5-parameter composite graph of the runtime's plain ops: matmul,
-    add, layer norm, dropout, matmul, cross-entropy, plus a scaled L2 penalty."""
+    """Random 5-parameter composite graph of the runtime's plain ops: matmul, add,
+    a gather of repeated rows, dropout, matmul, cross-entropy, a scaled L2 penalty."""
     rng = rng_mod.rng_for(seed, 90)
     params = {
         "W1": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         "b1": T.Tensor(rng.normal(size=4), requires_grad=True),
+        "E": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         "W2": T.Tensor(rng.normal(size=(4, 2)), requires_grad=True),
-        "g": T.Tensor(rng.normal(size=4), requires_grad=True),
-        "v": T.Tensor(rng.normal(size=4), requires_grad=True),
+        "b2": T.Tensor(rng.normal(size=2), requires_grad=True),
     }
     x = rng.normal(size=(5, 3))
     labels = rng.integers(2, size=5)
 
     def loss_fn():
         h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
-        h = T.layer_norm(h, params["g"], params["v"])
+        h = T.add(h, T.gather_rows(params["E"], [2, 0, 2, 1, 2]))
         # A fresh generator per call: every finite-difference pass draws the same mask.
         h = T.dropout(h, 0.3, rng_mod.rng_for(seed, 96))
-        logits = T.matmul(h, params["W2"])
-        penalty = T.sum_squares([params["W1"], params["W2"], params["g"]])
-        return T.add(T.softmax_cross_entropy(logits, labels), T.scale(penalty, 0.1))
+        logits = T.add(T.matmul(h, params["W2"]), params["b2"])
+        penalty = T.sum_squares([params["W1"], params["E"], params["W2"]], 0.1)
+        return T.add(T.softmax_cross_entropy(logits, labels), penalty)
 
     return loss_fn, params
 
@@ -166,6 +166,13 @@ def _model_scenario(seed, pooling):
 
 SCENARIOS = {
     "composite_graph": _composite_graph_scenario,
+    # The embedding sublayer: 7 rows of (token, segment, position) ids, each
+    # id repeated, over tables of 5, 2 and 4 rows, H=6, dropout 0.3 on.
+    "fused_embedding_sublayer": _op_scenario(
+        89, {"token": (5, 6), "segment": (2, 6), "position": (4, 6), "gamma": (6,), "beta": (6,)},
+        lambda p, drop: T.embedding_sublayer(
+            [[0, 0, 0], [3, 0, 1], [3, 1, 2], [1, 1, 3], [0, 0, 0], [4, 1, 1], [3, 1, 2]],
+            list(p.values()), 0.3, drop)),
     # The attention sublayer with one query per valid position, and with one
     # per example (the last block's [CLS] rows).
     "fused_attention_sublayer": _attention_sublayer_scenario(94, cls_only=False),

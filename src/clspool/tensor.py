@@ -6,18 +6,20 @@ accumulates gradients into every tensor created with ``requires_grad=True``,
 and clears each node as soon as its own backward has run, so a graph can
 only be differentiated once.
 
-The twelve public ops are exactly the ones a model runs: ``add``,
-``scale``, ``matmul``, ``gather_rows``, ``layer_norm``, ``dropout`` and the
-six fused ops below. Each takes Tensors, never raw arrays.
+The eleven public ops are exactly the ones a model runs: ``add``,
+``matmul``, ``gather_rows``, ``dropout`` and the seven fused ops below.
+Each takes Tensors, never raw arrays.
 
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
 checked explicitly; the only broadcast allowed is a bias vector added over
 the rows of a matrix (``add``). Every matrix product, forward and
 backward, is one numpy ``@``, so BLAS chooses the summation order. Each op
 builds its backward closure first and passes it to the ``Tensor``
-constructor with the node's parents. Six fused ops record one tape node
+constructor with the node's parents. Seven fused ops record one tape node
 each and carry a hand-derived backward:
 
+- ``embedding_sublayer``, the encoder's input stage: token + segment +
+  position rows, layer norm and dropout, over a batch's valid positions;
 - ``attention_sublayer``, one transformer block's post-layer-norm
   multi-head self-attention sublayer (projections, attention, output
   projection, dropout, residual and layer norm) over the N valid
@@ -33,13 +35,12 @@ each and carry a hand-derived backward:
 - ``lstm``, an LSTM over a list of B×H rows, its four gates (i, f, g, o)
   held in column order in W and U (H×4H) and b (4H), so a step is one
   ``h @ U`` product;
-- ``sum_squares``, the sum of squares of several tensors, for the L2
-  penalty;
+- ``sum_squares``, a constant times the sum of squares of several
+  tensors, for the L2 penalty;
 - ``softmax_cross_entropy``, the classifier loss on logits.
 
 Layer norm and dropout are each one private forward/backward pair on
-arrays, which the public ``layer_norm`` and ``dropout`` ops and both
-sublayers share.
+arrays, shared by the three sublayers (and the public ``dropout``).
 
 Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
@@ -172,12 +173,6 @@ def add(a, b):
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
 
-def scale(a, c):
-    """Multiply by a Python scalar constant."""
-    c = float(c)
-    return Tensor(a.data * c, _parents=(a,), _backward=lambda g: _accumulate(a, g * c))
-
-
 def matmul(a, b):
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
@@ -189,18 +184,19 @@ def matmul(a, b):
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
-def sum_squares(tensors):
-    """Sum over ``tensors`` of the sum of their squared entries, as one scalar node.
+def sum_squares(tensors, c):
+    """``c`` times the sum over ``tensors`` of their squared entries, as one scalar node.
 
-    The per-tensor sums are added left to right in the order given.
+    The per-tensor sums are added left to right in the order given, then scaled by ``c``.
     """
-    tensors = tuple(tensors)
+    tensors, c = tuple(tensors), float(c)
 
     def bwd(g):
         for t in tensors:
-            _accumulate(t, 2.0 * float(g) * t.data)
+            _accumulate(t, 2.0 * float(g * c) * t.data)
 
-    return Tensor(sum((t.data * t.data).sum() for t in tensors), _parents=tensors, _backward=bwd)
+    return Tensor(sum((t.data * t.data).sum() for t in tensors) * c, _parents=tensors,
+                  _backward=bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +206,18 @@ def sum_squares(tensors):
 def gather_rows(a, indices):
     """Select rows of a matrix, each index in [0, rows); gradient scatter-adds back."""
     idx = np.asarray(indices, dtype=np.intp)
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise IndexError(f"gather_rows: indices span [{idx.min()}, {idx.max()}], "
-                         f"matrix has {a.shape[0]} rows")
 
     def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _scatter_add_rows(g, idx, a.shape[0]))
+        _accumulate(a, _scatter_add_rows(g, idx, a.shape[0]))
 
-    return Tensor(a.data[idx], _parents=(a,), _backward=bwd)
+    return Tensor(_checked_rows("gather_rows: indices", a.data, idx), _parents=(a,), _backward=bwd)
+
+
+def _checked_rows(what, a, idx):
+    """Rows ``idx`` of the array ``a``; IndexError unless every index is in [0, rows)."""
+    if idx.size and (idx.min() < 0 or idx.max() >= len(a)):
+        raise IndexError(f"{what} span [{idx.min()}, {idx.max()}], matrix has {len(a)} rows")
+    return a[idx]
 
 
 def _scatter_add_rows(g, idx, rows):
@@ -236,9 +235,6 @@ def _scatter_add_rows(g, idx, rows):
 
 # ---------------------------------------------------------------------------
 # layer norm and dropout
-#
-# Each is a forward/backward pair on arrays, shared by the public op and the
-# two fused sublayers.
 
 
 def _layer_norm_fwd(s, gamma, beta, eps=1e-12):
@@ -281,24 +277,6 @@ def _dropout_fwd(x, p, rng, training):
 
 def _dropout_bwd(g, keep):
     return g if keep is None else g * keep
-
-
-def layer_norm(x, gamma, beta, eps=1e-12):
-    """Per-row layer normalization of a matrix."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm expects a matrix, got shape {x.shape}")
-    h = x.shape[1]
-    if gamma.shape != (h,) or beta.shape != (h,):
-        raise ShapeError(f"layer_norm: gamma/beta shape {gamma.shape}/{beta.shape} vs width {h}")
-    y, xhat, inv = _layer_norm_fwd(x.data, gamma.data, beta.data, eps)
-
-    def bwd(g):
-        dgamma, dbeta, dx = _layer_norm_bwd(g, xhat, inv, gamma.data)
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
-        _accumulate(x, dx)
-
-    return Tensor(y, _parents=(x, gamma, beta), _backward=bwd)
 
 
 def dropout(x, p, rng, training=True):
@@ -410,6 +388,38 @@ def _erf(x):
             e /= _polevl(a, _ERF_Q, monic=True)
             y[rest] = np.copysign(1.0 - e, xr)
     return y.reshape(x.shape)
+
+
+def embedding_sublayer(ids, weights, p=0.0, rng=None, training=True):
+    """Fused embedding sublayer: dropout(LN(token[t] + segment[s] + position[j])) for each row.
+
+    ``ids`` is N×3, one row of (t, s, j) per position, each id a row of its
+    table; ``weights`` is (token, segment, position, gamma, beta), the
+    tables H wide and summed (token + segment) + position. Dropout with
+    rate ``p`` draws its N×H mask from ``rng`` when ``training``. Returns
+    one N×H tape node with the five weights as parents.
+    """
+    weights = tuple(weights)
+    H = weights[0].shape[-1] if weights else 0
+    shapes = [(*w.shape[:1], H) for w in weights[:3]] + [(H,), (H,)]
+    _check_weights("embedding_sublayer", weights, shapes)
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.ndim != 2 or ids.shape[1] != 3:
+        raise ShapeError(f"embedding_sublayer: ids must be N×3, got shape {ids.shape}")
+    tables, (gamma, beta) = weights[:3], weights[3:]
+    tok, seg, pos = (_checked_rows(f"embedding_sublayer: {name} ids", t.data, col)
+                     for name, t, col in zip(("token", "segment", "position"), tables, ids.T))
+    y, xhat, inv = _layer_norm_fwd(tok + seg + pos, gamma.data, beta.data)
+    y, keep = _dropout_fwd(y, p, rng, training)
+
+    def bwd(g):
+        dgamma, dbeta, ds = _layer_norm_bwd(_dropout_bwd(g, keep), xhat, inv, gamma.data)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        for t, col in zip(tables, ids.T):
+            _accumulate(t, _scatter_add_rows(ds, col, t.shape[0]))
+
+    return Tensor(y, _parents=weights, _backward=bwd)
 
 
 def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None, training=True):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -69,8 +70,7 @@ def regularized_loss(logits, labels, params, decay_names, lam):
     """
     loss = T.softmax_cross_entropy(logits, labels)
     if lam > 0 and decay_names:
-        penalty = T.sum_squares(params[name] for name in sorted(decay_names))
-        loss = T.add(loss, T.scale(penalty, lam))
+        loss = T.add(loss, T.sum_squares((params[name] for name in sorted(decay_names)), lam))
     return loss
 
 
@@ -255,15 +255,10 @@ def kfold_split(labels, folds, seed):
     for c in sorted(set(labels.tolist())):
         idx = np.flatnonzero(labels == c)
         idx = idx[rng.permutation(len(idx))]
-        for j, i in enumerate(idx):
-            fold_of[i] = (offset + j) % folds
+        fold_of[idx] = (offset + np.arange(len(idx))) % folds
         offset = (offset + len(idx)) % folds
-    splits = []
-    for f in range(folds):
-        test = np.flatnonzero(fold_of == f)
-        train = np.flatnonzero(fold_of != f)
-        splits.append((train, test))
-    return splits
+    return [(np.flatnonzero(fold_of != f), np.flatnonzero(fold_of == f))
+            for f in range(folds)]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +333,8 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     schema's class count so that a class absent from the data still gets
     its column. ``epoch_hook(fold, epoch, model, held_out)`` gets the fold's
     packed held-out arrays. Returns per-fold EvalResults, mean/std
-    aggregates and the prepared data, and optionally writes the results CSV.
+    aggregates and the prepared data, and optionally writes the results CSV;
+    its directory is made once the vocabulary and the folds accept the data.
     """
     vocab = data.vocab_for_examples(examples)
     model_config = replace(enc_config, V=len(vocab))
@@ -346,9 +342,12 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     labels = arrays[3]
     if n_classes is None:
         n_classes = int(labels.max()) + 1
+    splits = kfold_split(labels, config.folds, config.seed)
+    if out_csv is not None:
+        os.makedirs(os.path.dirname(os.path.abspath(out_csv)), exist_ok=True)
 
     fold_results = []
-    for f, (train_idx, test_idx) in enumerate(kfold_split(labels, config.folds, config.seed)):
+    for f, (train_idx, test_idx) in enumerate(splits):
         held_out = tuple(a[test_idx] for a in arrays)
         hook = (lambda e, m: epoch_hook(f, e, m, held_out)) if epoch_hook else None
         model = fit(model_config, pooling, n_classes, tuple(a[train_idx] for a in arrays),

@@ -222,6 +222,29 @@ class TestTrain:
         assert not os.path.exists(os.path.join(out, "results.csv"))
 
 
+class TestUnusableDataLeavesNoOut:
+    """Data that the vocabulary or the folds refuse exits 1 with their message
+    before ``--out`` is made."""
+
+    def test_folds_above_the_dataset_size(self, tmp_path, capsys):
+        path = str(tmp_path / "five.jsonl")
+        assert run(["synth", "--n", "5", "--seed", "0", "--out", path]) == 0
+        capsys.readouterr()
+        out = tmp_path / "run"
+        assert run(["train", "--data", path, "--folds", "10", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: folds=10 exceeds dataset size 5\n"
+        assert not out.exists()
+
+    def test_texts_all_empty(self, tmp_path, capsys):
+        path = tmp_path / "empty_texts.jsonl"
+        path.write_text("".join(json.dumps({"text": text, "aspect": "", "label": label}) + "\n"
+                                for text, label in (("", "positive"), ("  ", "negative"))))
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: cannot build a vocabulary from an empty corpus\n"
+        assert not out.exists()
+
+
 class TestEvalAndProject:
     @pytest.fixture()
     def trained(self, dataset, tmp_path):

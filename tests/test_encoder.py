@@ -57,9 +57,63 @@ class TestConfig:
             small_config(p_drop=1.0)
 
 
+def embed_weights(enc):
+    """The encoder's five embedding weights, in ``T.embedding_sublayer``'s order."""
+    return [enc.params[f"embed/{name}"]
+            for name in ("token", "segment", "position", "ln_g", "ln_b")]
+
+
+def embed_rows(enc, ids, segs, positions, training=False, rng=None):
+    """``T.embedding_sublayer`` on the encoder's weights, one row per (id, segment, position)."""
+    return T.embedding_sublayer(np.stack([ids, segs, positions], axis=1), embed_weights(enc),
+                                enc.config.p_drop, rng, training)
+
+
 def embed_sequence(enc, ids):
-    """``embed_batch`` on the positions 0, 1, ... of one segment-0 sequence."""
-    return enc.embed_batch(np.asarray(ids), np.zeros(len(ids), dtype=int), np.arange(len(ids)))
+    """The embedding of the positions 0, 1, ... of one segment-0 sequence."""
+    return embed_rows(enc, np.asarray(ids), np.zeros(len(ids), dtype=int), np.arange(len(ids)))
+
+
+def tape_layer_norm(x, gamma, beta):
+    """Per-row layer norm of a matrix, as one tape node on the private pair the sublayers share."""
+    y, xhat, inv = T._layer_norm_fwd(x.data, gamma.data, beta.data)
+
+    def bwd(g):
+        dgamma, dbeta, dx = T._layer_norm_bwd(g, xhat, inv, gamma.data)
+        T._accumulate(gamma, dgamma)
+        T._accumulate(beta, dbeta)
+        T._accumulate(x, dx)
+
+    return T.Tensor(y, _parents=(x, gamma, beta), _backward=bwd)
+
+
+def reference_embedding(enc, ids, segs, positions, training, rng):
+    """The unfused embedding, seven tape nodes: three gathers, two adds, a
+    layer norm and a dropout; the reference the fused op must equal to the bit."""
+    p = enc.params
+    x = T.add(T.add(T.gather_rows(p["embed/token"], ids), T.gather_rows(p["embed/segment"], segs)),
+              T.gather_rows(p["embed/position"], positions))
+    x = tape_layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
+    return T.dropout(x, enc.config.p_drop, rng, training)
+
+
+@st.composite
+def embedding_cases(draw):
+    """The valid positions of a mask with holes, each with a token id from a
+    small vocabulary (so ids repeat) and a segment; an encoder config and a seed."""
+    B = draw(st.integers(1, 4))
+    S = draw(st.integers(1, 8))
+    mask = np.array(draw(st.lists(st.lists(st.integers(0, 1), min_size=S, max_size=S),
+                                  min_size=B, max_size=B)))
+    mask[:, 0] = 1
+    _, cols = np.nonzero(mask)
+    V = draw(st.integers(1, 6))
+    ids = np.array(draw(st.lists(st.integers(0, V - 1), min_size=len(cols), max_size=len(cols))))
+    segs = np.array(draw(st.lists(st.integers(0, 1), min_size=len(cols), max_size=len(cols))))
+    config = small_config(L=1, H=draw(st.integers(1, 8)), A=1, V=V,
+                          S_max=draw(st.integers(max(S, 4), 10)),
+                          p_drop=draw(st.sampled_from([0.0, 0.3])))
+    return ids, segs, cols, config, draw(st.integers(0, 2**32 - 1))
 
 
 class TestEmbed:
@@ -77,9 +131,13 @@ class TestEmbed:
         assert np.array_equal(a, b)
 
     def test_length_error(self):
+        # The encoder checks the batch's length after cutting the columns no
+        # row uses, so trailing padding past S_max is no error.
         enc = MiniEncoder(small_config(S_max=4), R.rng_for(0, 0))
-        with pytest.raises(ValueError, match="sequence length 5 exceeds"):
-            embed_sequence(enc, [2, 5, 7, 6, 3])
+        with pytest.raises(ValueError, match="sequence length 5 exceeds S_max=4"):
+            enc.forward_batch(*make_packed([2, 5, 7, 6, 3]))
+        ids, segs, _ = make_packed([2, 5, 7, 6, 0, 0])
+        enc.forward_batch(ids, segs, np.array([[1, 1, 1, 1, 0, 0]]))
 
     def test_id_out_of_vocab(self):
         enc = MiniEncoder(small_config(V=8), R.rng_for(0, 0))
@@ -95,11 +153,66 @@ class TestEmbed:
         ids = np.array([2, 5, 7, 2, 9])
         segs = np.array([0, 1, 1, 0, 1])
         positions = np.array([0, 1, 3, 0, 2])
-        out = enc.embed_batch(ids, segs, positions).data
+        out = embed_rows(enc, ids, segs, positions).data
         for row, (t, g, pos) in enumerate(zip(ids, segs, positions)):
             x = p["embed/token"][t] + p["embed/segment"][g] + p["embed/position"][pos]
             ref = (x - x.mean()) / np.sqrt(x.var() + 1e-12) * p["embed/ln_g"] + p["embed/ln_b"]
             npt.assert_allclose(out[row], ref, rtol=0, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(embedding_cases(), st.booleans())
+    def test_bit_identical_to_the_seven_node_embedding(self, case, training):
+        ids, segs, positions, config, seed = case
+        enc = MiniEncoder(config, R.rng_for(seed, 0))
+        for name in ("embed/ln_g", "embed/ln_b"):   # away from their init values
+            enc.params[name].data += np.random.default_rng(seed).normal(size=config.H)
+        w = np.random.default_rng(seed + 1).normal(size=(len(ids), config.H))
+
+        def run(fused):
+            embed = embed_rows if fused else reference_embedding
+            out = embed(enc, ids, segs, positions, training, R.rng_for(seed, 1))
+            weighted_sum(out, w).backward()
+            grads = [p.grad for p in embed_weights(enc)]
+            for p in enc.params.values():
+                p.grad = None
+            return out.data, grads
+
+        out, grads = run(True)
+        ref_out, ref_grads = run(False)
+        assert np.array_equal(out, ref_out)
+        assert len(grads) == 5
+        for g, ref in zip(grads, ref_grads):
+            assert g.shape == ref.shape and np.array_equal(g, ref)
+
+    def test_one_tape_node_and_none_under_no_grad(self):
+        enc = MiniEncoder(small_config(), R.rng_for(0, 2))
+        out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], True, R.rng_for(0, 3))
+        assert len(out._parents) == 5
+        assert all(a is b for a, b in zip(out._parents, embed_weights(enc)))
+        with T.no_grad():
+            out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], True, R.rng_for(0, 3))
+        assert out._parents == () and out._backward is None and not out.requires_grad
+
+    @pytest.mark.parametrize("column, name", [(0, "token"), (1, "segment"), (2, "position")])
+    def test_out_of_range_ids_are_rejected(self, column, name):
+        enc = MiniEncoder(small_config(V=8, S_max=6), R.rng_for(0, 4))
+        rows = [w.shape[0] for w in embed_weights(enc)[:3]]
+        for bad in (-1, rows[column]):
+            ids = np.array([[2, 0, 0], [3, 1, 1], [4, 1, 2]])
+            ids[1, column] = bad
+            with pytest.raises(IndexError, match=f"{name} ids span .*, matrix has {rows[column]}"):
+                T.embedding_sublayer(ids, embed_weights(enc))
+
+    def test_shapes_rejected(self):
+        enc = MiniEncoder(small_config(), R.rng_for(0, 5))
+        weights = embed_weights(enc)
+        with pytest.raises(ShapeError, match="ids must be N×3"):
+            T.embedding_sublayer(np.zeros((3, 2), dtype=int), weights)
+        with pytest.raises(ShapeError):
+            T.embedding_sublayer(np.zeros((3, 3), dtype=int), weights[:4])
+        with pytest.raises(ShapeError):
+            T.embedding_sublayer(np.zeros((3, 3), dtype=int),
+                                 [*weights[:3], T.Tensor(np.ones(4)), weights[4]])
 
 
 class TestSelfAttention:
@@ -190,7 +303,7 @@ class TestGradientFlow:
         head = AttentionPoolHead(8, R.rng_for(9, 1))
         _, trace = enc.forward_batch(*make_packed([2, 5, 9, 3]))
         o = head.pool(trace)
-        T.sum_squares([o]).backward()
+        T.sum_squares([o], 1.0).backward()
         for name, p in enc.params.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0), f"all-zero gradient for {name}"
@@ -267,7 +380,7 @@ def full_trace(enc, ids, segs, mask):
     """Reference: every block over every valid position of the untrimmed
     batch, then each layer's [CLS] rows."""
     rows, cols = np.nonzero(mask)
-    x = enc.embed_batch(ids[rows, cols], segs[rows, cols], cols)
+    x = embed_rows(enc, ids[rows, cols], segs[rows, cols], cols)
     trace = []
     for i in range(enc.config.L):
         x = enc._block(x, mask, i, False, None)
@@ -368,10 +481,11 @@ class TestValidRowsOnly:
             npt.assert_allclose(got.data, ref.data, rtol=1e-12, atol=0)
 
 
-# The unfused encoder block, fourteen tape nodes of public ops besides its
-# dropouts and these two op closures: the reference that the fused sublayers
-# must equal to the bit. (It was eighteen while the query, key and value
-# projections were three products, hence the name of the test that uses it.)
+# The unfused encoder block, its products, sums and dropouts public ops and
+# its attention, GELU and layer norms test-local nodes: the reference that
+# the fused sublayers must equal to the bit. (It was eighteen nodes while the
+# query, key and value projections were three products and layer norm was a
+# public op, hence the name of the test that uses it.)
 # Its GELU takes erf from T._erf, as the fused sublayer does, so a 1-ulp
 # erf difference cannot decide the comparison; test_tensor.TestErf pins
 # T._erf to scipy's erf.
@@ -429,12 +543,12 @@ def reference_block(enc, x, rows, mask, i, training, rng):
     ctx, _ = reference_attention(qkv, mask, c.A, rows is not x)
     out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
     out = T.dropout(out, c.p_drop, rng, training)
-    x = T.layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
+    x = tape_layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
 
     h = reference_gelu(T.add(T.matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
     h = T.add(T.matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
     h = T.dropout(h, c.p_drop, rng, training)
-    return T.layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
+    return tape_layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
 
 
 @st.composite

@@ -165,7 +165,7 @@ class TestBackward:
     def test_square_at_three(self):
         # A parent used twice gets both gradients: d(2x)²/dx = 8x.
         x = Tensor([3.0], requires_grad=True)
-        T.sum_squares([T.add(x, x)]).backward()
+        T.sum_squares([T.add(x, x)], 1.0).backward()
         npt.assert_allclose(x.grad, [24.0], atol=1e-14)
 
     def test_non_scalar_rejected(self):
@@ -175,7 +175,7 @@ class TestBackward:
 
     def test_one_backward_per_tape(self):
         x = Tensor([2.0], requires_grad=True)
-        loss = T.sum_squares([x])
+        loss = T.sum_squares([x], 1.0)
         loss.backward()
         with pytest.raises(RuntimeError, match="tape"):
             loss.backward()
@@ -248,9 +248,9 @@ class TestNoGrad:
                   for s in ((3, 4), (4,), (4, 3), (3,), (3,), (3,))]
         x = Tensor(rng.normal(size=(5, 3)))
         h = T.ffn_sublayer(x, params)
-        nodes = [h, T.layer_norm(h, Tensor(np.ones(3)), Tensor(np.zeros(3))),
-                 T.matmul(h, Tensor(np.ones((3, 1))))]
-        nodes.append(T.softmax_cross_entropy(T.add(h, T.scale(h, 0.5)), [0, 1, 2, 0, 1]))
+        nodes = [h, T.dropout(h, 0.5, rng), T.matmul(h, Tensor(np.ones((3, 1))))]
+        nodes.append(T.add(T.softmax_cross_entropy(T.add(h, nodes[1]), [0, 1, 2, 0, 1]),
+                           T.sum_squares([h], 0.5)))
         return nodes, params
 
     def test_records_nothing_and_backward_moves_no_parameter(self):
@@ -289,7 +289,7 @@ class TestNoGrad:
         with T.no_grad():
             w = Tensor(np.ones(2), requires_grad=True)
         assert w.requires_grad and w._parents == ()
-        T.sum_squares([w]).backward()
+        T.sum_squares([w], 1.0).backward()
         npt.assert_array_equal(w.grad, [2.0, 2.0])
 
     def test_recording_resumes_after_exit_and_after_error(self):
@@ -297,12 +297,13 @@ class TestNoGrad:
         with T.no_grad():
             with T.no_grad():
                 pass
-            assert T.scale(x, 2.0)._parents == ()   # the inner exit leaves the outer scope off
-        assert T.scale(x, 2.0)._parents == (x,)
+            # The inner exit leaves the outer scope off.
+            assert T.sum_squares([x], 2.0)._parents == ()
+        assert T.sum_squares([x], 2.0)._parents == (x,)
         with pytest.raises(RuntimeError, match="inside"):
             with T.no_grad():
                 raise RuntimeError("inside")
-        y = T.scale(x, 2.0)
+        y = T.sum_squares([x], 2.0)
         assert y._parents == (x,) and y._backward is not None
 
 
@@ -828,7 +829,7 @@ class TestSumSquares:
         rng = np.random.default_rng(3)
         data = [rng.normal(size=s) for s in ((4, 5), (7,), (3, 3), (2, 6))]
         ps = [Tensor(d, requires_grad=True) for d in data]
-        loss = T.scale(T.sum_squares(ps), 1e-5)
+        loss = T.sum_squares(ps, 1e-5)
         loss.backward()
         assert loss.item() == sum(float((d * d).sum()) for d in data) * 1e-5
         for p, d in zip(ps, data):
@@ -902,11 +903,11 @@ class TestDropout:
 
 class TestLayerNormAndActivations:
     def test_layer_norm_rows_standardized(self):
+        # The embedding sublayer with gamma = 1, beta = 0 and dropout off.
         rng = np.random.default_rng(2)
-        x = Tensor(rng.normal(size=(5, 8)))
-        g = Tensor(np.ones(8))
-        b = Tensor(np.zeros(8))
-        y = T.layer_norm(x, g, b).data
+        tables = [Tensor(rng.normal(size=(n, 8))) for n in (6, 2, 5)]
+        ids = np.array([[0, 0, 0], [5, 1, 1], [3, 0, 2], [3, 1, 3], [1, 0, 4]])
+        y = T.embedding_sublayer(ids, [*tables, Tensor(np.ones(8)), Tensor(np.zeros(8))]).data
         npt.assert_allclose(y.mean(axis=1), 0.0, atol=1e-12)
         npt.assert_allclose(y.var(axis=1), 1.0, atol=1e-9)
 

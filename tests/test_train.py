@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clspool import rng as R
 from clspool import tensor as T
@@ -126,7 +128,8 @@ class TestRegularizedLoss:
         params = {"w1": w1, "w2": w2}
 
         def loss_fn():
-            h = T.layer_norm(T.matmul(Tensor(x), w1), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            # A fresh generator per call: every evaluation draws the same mask.
+            h = T.dropout(T.matmul(Tensor(x), w1), 0.3, np.random.default_rng(1))
             logits = T.matmul(h, w2)
             return regularized_loss(logits, labels, params, {"w1", "w2"}, lam=1e-5)
 
@@ -273,7 +276,37 @@ class TestEveryParameterGetsAGradient:
             train_model(m, pack_dataset(ex, vocab, 8), config, R.rng_for(0, 1), R.rng_for(0, 2))
 
 
+@st.composite
+def fold_cases(draw):
+    """Unbalanced labels over a few non-contiguous values, n >= folds, folds in 2..10, a seed."""
+    folds = draw(st.integers(2, 10))
+    values = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True))
+    labels = draw(st.lists(st.sampled_from(values), min_size=folds, max_size=60))
+    return np.array(labels), folds, draw(st.integers(0, 2**32 - 1))
+
+
 class TestKFold:
+    @settings(max_examples=200, deadline=None)
+    @given(fold_cases())
+    def test_laws_on_unbalanced_non_contiguous_labels(self, case):
+        labels, folds, seed = case
+        n = len(labels)
+        splits = kfold_split(labels, folds, seed)
+        tests = [test for _, test in splits]
+        assert len(splits) == folds
+        # Every index is in exactly one test fold, and train is the rest.
+        assert sorted(np.concatenate(tests).tolist()) == list(range(n))
+        for train_idx, test in splits:
+            assert np.array_equal(train_idx, np.setdiff1d(np.arange(n), test))
+        sizes = [len(test) for test in tests]
+        assert max(sizes) - min(sizes) <= 1
+        for c in np.unique(labels):
+            counts = [int((labels[test] == c).sum()) for test in tests]
+            assert max(counts) - min(counts) <= 1, c
+        again = kfold_split(labels, folds, seed)
+        for (ta, sa), (tb, sb) in zip(splits, again):
+            assert np.array_equal(ta, tb) and np.array_equal(sa, sb)
+
     def test_ten_items_ten_folds(self):
         splits = kfold_split(np.zeros(10, dtype=int), 10, seed=0)
         assert all(len(test) == 1 for _, test in splits)
