@@ -1,9 +1,9 @@
 """Tour of the tiny reverse-mode autodiff engine behind clspool.
 
 Builds a small computation graph by hand from the ops a model runs (the
-fused embedding sublayer, a linear layer, a second linear layer, the
-cross-entropy loss and a scaled L2 penalty), runs backward(), and checks
-a gradient against a central finite difference.
+fused embedding sublayer, a linear layer, a second linear layer with
+dropout, and the cross-entropy loss with a scaled L2 penalty), runs
+backward(), and checks a gradient against a central finite difference.
 """
 
 import numpy as np
@@ -24,14 +24,17 @@ embed = [Tensor(rng.normal(size=(6, 5)), requires_grad=True),   # token table
 W1 = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
 b1 = Tensor(np.zeros(5), requires_grad=True)
 W2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
+b2 = Tensor(np.zeros(2), requires_grad=True)
 labels = np.array([0, 1, 1, 0])
 
 
 def loss_with(w2):
-    """Embed, two linear layers, cross-entropy plus 1e-3 times the squared weights."""
-    hidden = T.add(T.matmul(T.embedding_sublayer(ids, embed), W1), b1)
-    loss = T.softmax_cross_entropy(T.matmul(hidden, w2), labels)
-    return T.add(loss, T.sum_squares([W1, w2], 1e-3))
+    """Embed, two linear layers (the second with dropout 0.2), cross-entropy
+    plus 1e-3 times the squared weights."""
+    hidden = T.linear(T.embedding_sublayer(ids, embed), W1, b1)
+    # A fresh generator per call: every evaluation draws the same dropout mask.
+    logits = T.linear(hidden, w2, b2, 0.2, np.random.default_rng(1))
+    return T.softmax_cross_entropy(logits, labels, [W1, w2], 1e-3)
 
 
 loss = loss_with(W2)

@@ -74,7 +74,8 @@ def cluster_score(proj: Projection2D):
     """Mean within-class distance to centroid over mean inter-centroid distance.
 
     Lower is tighter and better separated. Invariant under rigid motions
-    and uniform scaling of the point set.
+    and uniform scaling of the point set. Raises ValueError when fewer than
+    two classes are present or every class centroid coincides.
     """
     labels = np.asarray(proj.labels)
     classes = sorted(set(labels.tolist()))
@@ -84,9 +85,12 @@ def cluster_score(proj: Projection2D):
     centroids = {c: pts[labels == c].mean(axis=0) for c in classes}
     within = np.concatenate([np.linalg.norm(pts[labels == c] - centroids[c], axis=1)
                              for c in classes])
-    inter = [np.linalg.norm(centroids[a] - centroids[b])
-             for i, a in enumerate(classes) for b in classes[i + 1:]]
-    return float(within.mean() / np.mean(inter))
+    inter = np.mean([np.linalg.norm(centroids[a] - centroids[b])
+                     for i, a in enumerate(classes) for b in classes[i + 1:]])
+    if inter == 0.0:
+        raise ValueError("cluster score is undefined: the class centroids coincide "
+                         "(mean inter-centroid distance 0)")
+    return float(within.mean() / inter)
 
 
 # ---------------------------------------------------------------------------

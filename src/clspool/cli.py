@@ -18,6 +18,7 @@ flags given on the command line override the file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 from dataclasses import fields
@@ -80,6 +81,11 @@ def _flag_type(key, kind):
         return value
     parse.__name__ = kind.__name__
     return parse
+
+
+def _default(fn, name):
+    """The default of ``fn``'s parameter ``name``, so a flag states none of its own."""
+    return inspect.signature(fn).parameters[name].default
 
 
 def _int_at_least(low):
@@ -220,8 +226,8 @@ def build_parser():
 
     p = sub.add_parser("synth", help="generate a synthetic sentence-pair dataset")
     p.add_argument("--n", type=_int_at_least(1), required=True)
-    p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--classes", type=int, default=3,
+    p.add_argument("--seed", type=_int_at_least(0), default=_default(synth_generate, "seed"))
+    p.add_argument("--classes", type=int, default=_default(synth_generate, "classes"),
                    choices=range(1, len(SCHEMAS["absa"][1]) + 1))
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_synth)
@@ -245,7 +251,7 @@ def build_parser():
     p.set_defaults(func=_cmd_project)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient suite")
-    p.add_argument("--seeds", type=_int_at_least(1), default=20)
+    p.add_argument("--seeds", type=_int_at_least(1), default=_default(run_gradcheck, "seeds"))
     p.set_defaults(func=_cmd_gradcheck)
     return parser
 

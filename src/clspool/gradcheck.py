@@ -72,27 +72,25 @@ def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
 
 
 def _composite_graph_scenario(seed):
-    """Random 5-parameter composite graph of the runtime's plain ops: matmul, add,
-    a gather of repeated rows, dropout, matmul, cross-entropy, a scaled L2 penalty."""
+    """Random 5-parameter composite graph of the runtime's plain ops: a gather of
+    repeated rows, a linear layer, a linear layer with dropout 0.3, and the
+    cross-entropy with an L2 term at c=0.1."""
     rng = rng_mod.rng_for(seed, 90)
     params = {
+        "E": T.Tensor(rng.normal(size=(3, 3)), requires_grad=True),
         "W1": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         "b1": T.Tensor(rng.normal(size=4), requires_grad=True),
-        "E": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
         "W2": T.Tensor(rng.normal(size=(4, 2)), requires_grad=True),
         "b2": T.Tensor(rng.normal(size=2), requires_grad=True),
     }
-    x = rng.normal(size=(5, 3))
     labels = rng.integers(2, size=5)
 
     def loss_fn():
-        h = T.add(T.matmul(T.Tensor(x), params["W1"]), params["b1"])
-        h = T.add(h, T.gather_rows(params["E"], [2, 0, 2, 1, 2]))
+        h = T.linear(T.gather_rows(params["E"], [2, 0, 2, 1, 2]), params["W1"], params["b1"])
         # A fresh generator per call: every finite-difference pass draws the same mask.
-        h = T.dropout(h, 0.3, rng_mod.rng_for(seed, 96))
-        logits = T.add(T.matmul(h, params["W2"]), params["b2"])
-        penalty = T.sum_squares([params["W1"], params["E"], params["W2"]], 0.1)
-        return T.add(T.softmax_cross_entropy(logits, labels), penalty)
+        logits = T.linear(h, params["W2"], params["b2"], 0.3, rng_mod.rng_for(seed, 96))
+        return T.softmax_cross_entropy(logits, labels,
+                                       [params["W1"], params["E"], params["W2"]], 0.1)
 
     return loss_fn, params
 
@@ -106,10 +104,10 @@ ATTENTION_MASK = np.array([[1, 1, 1, 0, 0],
 def _op_scenario(stream, shapes, op):
     """``op`` (params dict, dropout generator -> N×H tensor) alone: inputs drawn
     from ``stream`` in ``shapes`` order, then a fixed random H×3 matrix R and
-    N fixed random labels; the loss is the cross-entropy of output·R. Every
-    output entry gets a dense gradient whose rows do not sum to zero. Each
-    call gets a fresh dropout generator, so every finite-difference pass
-    draws the same dropout mask."""
+    N fixed random labels; the loss is the cross-entropy of linear(output,
+    R, 0). Every output entry gets a dense gradient whose rows do not sum to
+    zero. Each call gets a fresh dropout generator, so every
+    finite-difference pass draws the same dropout mask."""
     def build(seed):
         rng = rng_mod.rng_for(seed, stream)
         params = {name: T.Tensor(rng.normal(size=shape), requires_grad=True)
@@ -119,11 +117,11 @@ def _op_scenario(stream, shapes, op):
             return op(params, rng_mod.rng_for(seed, 96))
 
         n, width = output().shape
-        R = T.Tensor(rng.normal(size=(width, 3)))
+        R, zero = T.Tensor(rng.normal(size=(width, 3))), T.Tensor(np.zeros(3))
         labels = rng.integers(3, size=n)
 
         def loss_fn():
-            return T.softmax_cross_entropy(T.matmul(output(), R), labels)
+            return T.softmax_cross_entropy(T.linear(output(), R, zero), labels)
 
         return loss_fn, params
 
@@ -187,10 +185,10 @@ SCENARIOS = {
     "fused_lstm": _op_scenario(
         95, {**{f"x{t}": (3, 4) for t in range(3)}, "W": (4, 16), "U": (4, 16), "b": (16,)},
         lambda p, _: T.lstm([p[f"x{t}"] for t in range(3)], p["W"], p["U"], p["b"])),
-    # Fused layer attention: L=3 layers of B=3 rows, H=4; the rows and the query.
+    # Fused layer attention: L=3 layers of B=3 rows, H=4; the rows, the query and W.
     "fused_layer_attention": _op_scenario(
-        97, {**{f"x{l}": (3, 4) for l in range(3)}, "q": (4,)},
-        lambda p, _: T.layer_attention([p[f"x{l}"] for l in range(3)], p["q"])[0]),
+        97, {**{f"x{l}": (3, 4) for l in range(3)}, "q": (4,), "W": (4, 4)},
+        lambda p, _: T.layer_attention([p[f"x{l}"] for l in range(3)], p["q"], p["W"])[0]),
     **{f"encoder_{kind}_pool": partial(_model_scenario, pooling=kind) for kind in HEAD_KINDS},
 }
 

@@ -12,10 +12,11 @@ trace {h^1 ... h^L} of classification-token states to one pooled vector o:
 Every trace entry is a B×H tensor. Each head holds ``params`` and the
 decayed names among them (``decay``); its ``pool(trace)`` returns B×H.
 The LSTM head is one fused ``tensor.lstm`` node; the attention head is one
-fused ``tensor.layer_attention`` node, whose scores are plain dot products
-with no 1/sqrt(H) scaling, followed by the W_h matmul.
-A fully-connected layer then maps o to class logits; the softmax is part
-of the loss (``tensor.softmax_cross_entropy``).
+fused ``tensor.layer_attention`` node, W_h included, whose scores are
+plain dot products with no 1/sqrt(H) scaling.
+A fully-connected layer, one fused ``tensor.linear`` node with its
+dropout, then maps o to class logits; the softmax is part of the loss
+(``tensor.softmax_cross_entropy``).
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ class AttentionPoolHead:
 
     def pool(self, trace, return_weights=False):
         """Softmax-weighted combination of the trace, projected by W_h."""
-        combined, weights = T.layer_attention(trace, self.params["attnpool/q"])
-        o = T.matmul(combined, self.params["attnpool/W_h"])
+        p = self.params
+        o, weights = T.layer_attention(trace, p["attnpool/q"], p["attnpool/W_h"])
         if return_weights:
             return o, Tensor(weights)
         return o
@@ -98,5 +99,5 @@ class ClassifierHead:
 
 def classify(o, head: ClassifierHead, p_drop=0.0, rng=None, training=False):
     """Class logits W_o^T dropout(o) + b_o, shape B×C."""
-    o = T.dropout(o, p_drop, rng, training)
-    return T.add(T.matmul(o, head.params["classifier/W_o"]), head.params["classifier/b_o"])
+    p = head.params
+    return T.linear(o, p["classifier/W_o"], p["classifier/b_o"], p_drop, rng, training)

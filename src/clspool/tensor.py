@@ -6,13 +6,12 @@ accumulates gradients into every tensor created with ``requires_grad=True``,
 and clears each node as soon as its own backward has run, so a graph can
 only be differentiated once.
 
-The eleven public ops are exactly the ones a model runs: ``add``,
-``matmul``, ``gather_rows``, ``dropout`` and the seven fused ops below.
-Each takes Tensors, never raw arrays.
+The eight public ops are exactly the ones a model runs: ``gather_rows``
+and the seven fused ops below. Each takes Tensors, never raw arrays.
 
 Layout is row-major everywhere and every tensor is at most 2-D. Shapes are
-checked explicitly; the only broadcast allowed is a bias vector added over
-the rows of a matrix (``add``). Every matrix product, forward and
+checked explicitly; the only broadcast is a bias vector added over the
+rows of a matrix, inside the ops. Every matrix product, forward and
 backward, is one numpy ``@``, so BLAS chooses the summation order. Each op
 builds its backward closure first and passes it to the ``Tensor``
 constructor with the node's parents. Seven fused ops record one tape node
@@ -30,17 +29,17 @@ each and carry a hand-derived backward:
   dropout, residual and layer norm); its exact GELU takes erf from the
   private ``_erf``, Cephes' algorithm in numpy, within 1 ulp of
   ``scipy.special.erf``, so the runtime imports numpy and nothing else;
-- ``layer_attention``, a softmax-weighted sum of L B×H rows, for the
-  attention pooling head;
+- ``layer_attention``, the attention pooling head: a softmax-weighted
+  sum of L B×H rows, projected by an H×H matrix;
 - ``lstm``, an LSTM over a list of B×H rows, its four gates (i, f, g, o)
   held in column order in W and U (H×4H) and b (4H), so a step is one
   ``h @ U`` product;
-- ``sum_squares``, a constant times the sum of squares of several
-  tensors, for the L2 penalty;
-- ``softmax_cross_entropy``, the classifier loss on logits.
+- ``linear``, the classifier: dropout, then an affine map;
+- ``softmax_cross_entropy``, the classifier loss on logits, plus a
+  constant times the sum of squares of several tensors (the L2 penalty).
 
 Layer norm and dropout are each one private forward/backward pair on
-arrays, shared by the three sublayers (and the public ``dropout``).
+arrays, shared by the three sublayers (and ``linear``, for dropout).
 
 Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
@@ -155,51 +154,6 @@ def backward(loss):
 
 
 # ---------------------------------------------------------------------------
-# arithmetic
-
-
-def add(a, b):
-    """Elementwise sum; also allows a 1-D bias broadcast over matrix rows."""
-    if a.shape == b.shape:
-        def bwd(g):
-            _accumulate(a, g)
-            _accumulate(b, g)
-    elif a.data.ndim == 2 and b.data.ndim == 1 and a.shape[1] == b.shape[0]:
-        def bwd(g):
-            _accumulate(a, g)
-            _accumulate(b, g.sum(axis=0))
-    else:
-        raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
-
-
-def matmul(a, b):
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-
-    def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
-
-
-def sum_squares(tensors, c):
-    """``c`` times the sum over ``tensors`` of their squared entries, as one scalar node.
-
-    The per-tensor sums are added left to right in the order given, then scaled by ``c``.
-    """
-    tensors, c = tuple(tensors), float(c)
-
-    def bwd(g):
-        for t in tensors:
-            _accumulate(t, 2.0 * float(g * c) * t.data)
-
-    return Tensor(sum((t.data * t.data).sum() for t in tensors) * c, _parents=tensors,
-                  _backward=bwd)
-
-
-# ---------------------------------------------------------------------------
 # indexing
 
 
@@ -277,14 +231,6 @@ def _dropout_fwd(x, p, rng, training):
 
 def _dropout_bwd(g, keep):
     return g if keep is None else g * keep
-
-
-def dropout(x, p, rng, training=True):
-    """Inverted dropout: scale by 1/(1-p) at train time, identity at eval."""
-    y, keep = _dropout_fwd(x.data, p, rng, training)
-    if keep is None:
-        return x
-    return Tensor(y, _parents=(x,), _backward=lambda g: _accumulate(x, _dropout_bwd(g, keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -548,21 +494,22 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
 # pooling heads
 
 
-def layer_attention(rows, q):
-    """Fused softmax-weighted sum of L B×H rows, with one weight per row and layer.
+def layer_attention(rows, q, W):
+    """Fused attention pooling: W^T of the softmax-weighted sum of L B×H rows.
 
     Row b of layer l scores ``rows[l][b] · q``; the weights are the softmax
-    of the scores over layers. Returns ``(out, weights)``: the B×H weighted
-    sum as one tape node with parents (*rows, q), and the B×L weights,
-    which the backward reuses.
+    of the scores over layers, one per row and layer, and the weighted sum
+    is multiplied by the H×H ``W``. Returns ``(out, weights)``: the B×H
+    output as one tape node with parents (*rows, q, W), and the B×L
+    weights, which the backward reuses.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("layer_attention requires a nonempty list of rows")
     B, H = rows[0].shape[0], q.data.size
-    if q.shape != (H,) or any(r.shape != (B, H) for r in rows):
+    if q.shape != (H,) or W.shape != (H, H) or any(r.shape != (B, H) for r in rows):
         raise ShapeError(f"layer_attention: rows {[r.shape for r in rows]} "
-                         f"do not fit query {q.shape}")
+                         f"do not fit query {q.shape} and W {W.shape}")
     q_col = q.data.reshape(H, 1)
     scores = np.concatenate([r.data @ q_col for r in rows], axis=1)
     e = np.exp(scores - scores.max(axis=1, keepdims=True))
@@ -572,13 +519,15 @@ def layer_attention(rows, q):
         combined = combined + rows[l].data * P[:, l:l + 1]
 
     def bwd(g):
+        _accumulate(W, combined.T @ g)
+        g = g @ W.data.T
         dP = np.stack([(g * r.data).sum(axis=1) for r in rows], axis=1)
         dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
         for l, r in enumerate(rows):
             _accumulate(r, g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data)
         _accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
 
-    return Tensor(combined, _parents=(*rows, q), _backward=bwd), P
+    return Tensor(combined @ W.data, _parents=(*rows, q, W), _backward=bwd), P
 
 
 def _sigmoid(x):
@@ -652,16 +601,39 @@ def lstm(xs, W, U, b):
 
 
 # ---------------------------------------------------------------------------
-# losses
+# classifier and loss
 
 
-def softmax_cross_entropy(logits, labels):
-    """Mean cross-entropy of integer labels under the row-wise softmax of logits.
+def linear(x, W, b, p=0.0, rng=None, training=True):
+    """Fused classifier layer: dropout(x)·W + b, one tape node with parents (x, W, b).
 
-    One tape node: each row's loss is logsumexp(row) - row[label], computed
-    after subtracting the row max, so no probability is ever clamped. The
-    backward is (softmax - onehot) / n.
+    ``x`` is B×D, ``W`` D×C and ``b`` a C-vector added to every row.
+    Dropout with rate ``p`` draws its B×D mask from ``rng`` when ``training``.
     """
+    if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
+        raise ShapeError(f"linear: x {x.shape} does not fit W {W.shape} and b {b.shape}")
+    xd, keep = _dropout_fwd(x.data, p, rng, training)
+
+    def bwd(g):
+        _accumulate(x, _dropout_bwd(g @ W.data.T, keep))
+        _accumulate(W, xd.T @ g)
+        _accumulate(b, g.sum(axis=0))
+
+    return Tensor(xd @ W.data + b.data, _parents=(x, W, b), _backward=bwd)
+
+
+def softmax_cross_entropy(logits, labels, penalized=(), lam=0.0):
+    """Mean cross-entropy of integer labels under the row-wise softmax of
+    logits, plus ``lam`` times the sum of squares of the ``penalized`` tensors.
+
+    One tape node with parents (logits, *penalized): each row's loss is
+    logsumexp(row) - row[label], computed after subtracting the row max, so
+    no probability is ever clamped. The per-tensor sums of squares are
+    added left to right in the order given, scaled by ``lam`` and added to
+    the mean. The backward is (softmax - onehot) / n for the logits and
+    2·lam·t for each penalized t.
+    """
+    penalized, lam = tuple(penalized), float(lam)
     lab = np.asarray(labels, dtype=np.intp)
     if logits.data.ndim != 2 or lab.ndim != 1 or lab.shape[0] != logits.shape[0]:
         raise ShapeError(f"softmax_cross_entropy: logits {logits.shape} vs labels {lab.shape}")
@@ -673,10 +645,14 @@ def softmax_cross_entropy(logits, labels):
     e = np.exp(z)
     total = e.sum(axis=1, keepdims=True)
     loss = (np.log(total[:, 0]) - z[rows, lab]).sum() / n
+    if penalized:
+        loss = loss + sum((t.data * t.data).sum() for t in penalized) * lam
 
     def bwd(g):
         d = e / total
         d[rows, lab] -= 1.0
         _accumulate(logits, d * (float(g) / n))
+        for t in penalized:
+            _accumulate(t, 2.0 * float(g * lam) * t.data)
 
-    return Tensor(loss, _parents=(logits,), _backward=bwd)
+    return Tensor(loss, _parents=(logits, *penalized), _backward=bwd)

@@ -64,14 +64,13 @@ class TrainConfig:
 
 
 def regularized_loss(logits, labels, params, decay_names, lam):
-    """Softmax cross-entropy on the logits plus lam * sum of squares of the decayed weights.
+    """Softmax cross-entropy on the logits plus lam * sum of squares of the decayed weights,
+    as one tape node.
 
     Biases and layer-norm parameters are excluded via ``decay_names``.
     """
-    loss = T.softmax_cross_entropy(logits, labels)
-    if lam > 0 and decay_names:
-        loss = T.add(loss, T.sum_squares((params[name] for name in sorted(decay_names)), lam))
-    return loss
+    penalized = [params[name] for name in sorted(decay_names)] if lam > 0 else []
+    return T.softmax_cross_entropy(logits, labels, penalized, lam)
 
 
 class Adam:
@@ -134,10 +133,9 @@ class EvalResult:
 
 
 def confusion_matrix(y_true, y_pred, classes):
-    cm = np.zeros((classes, classes), dtype=int)
-    for t, p in zip(np.asarray(y_true), np.asarray(y_pred)):
-        cm[t, p] += 1
-    return cm
+    """Counts of (true, predicted) label pairs: row t, column p."""
+    cells = np.asarray(y_true, dtype=np.intp) * classes + np.asarray(y_pred, dtype=np.intp)
+    return np.bincount(cells, minlength=classes * classes).reshape(classes, classes)
 
 
 def metrics_from_confusion(cm):

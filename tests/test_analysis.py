@@ -127,6 +127,12 @@ class TestClusterScore:
         labels = [0, 0, 1, 1]
         assert cluster_score(self.proj_of(pts, labels)) > 5.0
 
+    def test_coinciding_centroids_rejected(self):
+        # Both class centroids at the origin: the mean inter-centroid distance is 0.
+        pts = [[-1, 0], [1, 0], [0, -1], [0, 1]]
+        with pytest.raises(ValueError, match="centroids coincide"):
+            cluster_score(self.proj_of(pts, [0, 0, 1, 1]))
+
     def test_hand_computed_value(self):
         # class 0 at (0,0)+/-(1,0); class 1 at (10,0)+/-(1,0)
         pts = [[-1, 0], [1, 0], [9, 0], [11, 0]]

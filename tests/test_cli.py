@@ -413,6 +413,17 @@ class TestProjectNamesTheBadDump:
         err = self.project_error(dumps, tmp_path, capsys)
         assert err.startswith(f"error: {dump}: all vectors are identical")
 
+    def test_coinciding_class_centroids(self, tmp_path, capsys):
+        # Class 0 at (±1, 0) and class 1 at (0, ±1): a cluster score of inf, not a number.
+        dumps = tmp_path / "dumps"
+        dumps.mkdir()
+        dump = dumps / "cls_epoch1_layer1.csv"
+        dump.write_text("example_id,label,v0,v1\n0,0,1.0,0.0\n1,0,-1.0,0.0\n"
+                        "2,1,0.0,1.0\n3,1,0.0,-1.0\n")
+        err = self.project_error(dumps, tmp_path, capsys)
+        assert err.startswith(f"error: {dump}: cluster score is undefined: the class centroids "
+                              "coincide")
+
 
 class TestGradcheck:
     def test_single_seed(self, capsys):

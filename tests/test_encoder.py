@@ -12,7 +12,8 @@ from clspool.encoder import EncoderConfig, MiniEncoder
 from clspool.pooling import HEAD_KINDS
 from clspool.tensor import ShapeError
 
-from test_tensor import weighted_sum
+from test_tensor import (tape_add, tape_dropout, tape_matmul, tape_sum_squares,
+                         weighted_sum)
 
 
 def small_config(**overrides):
@@ -91,10 +92,11 @@ def reference_embedding(enc, ids, segs, positions, training, rng):
     """The unfused embedding, seven tape nodes: three gathers, two adds, a
     layer norm and a dropout; the reference the fused op must equal to the bit."""
     p = enc.params
-    x = T.add(T.add(T.gather_rows(p["embed/token"], ids), T.gather_rows(p["embed/segment"], segs)),
-              T.gather_rows(p["embed/position"], positions))
+    x = tape_add(tape_add(T.gather_rows(p["embed/token"], ids),
+                          T.gather_rows(p["embed/segment"], segs)),
+                 T.gather_rows(p["embed/position"], positions))
     x = tape_layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
-    return T.dropout(x, enc.config.p_drop, rng, training)
+    return tape_dropout(x, enc.config.p_drop, rng, training)
 
 
 @st.composite
@@ -303,7 +305,7 @@ class TestGradientFlow:
         head = AttentionPoolHead(8, R.rng_for(9, 1))
         _, trace = enc.forward_batch(*make_packed([2, 5, 9, 3]))
         o = head.pool(trace)
-        T.sum_squares([o], 1.0).backward()
+        tape_sum_squares([o], 1.0).backward()
         for name, p in enc.params.items():
             assert p.grad is not None, name
             assert np.any(p.grad != 0.0), f"all-zero gradient for {name}"
@@ -539,16 +541,16 @@ def reference_block(enc, x, rows, mask, i, training, rng):
     p = enc.params
     pre = f"layer{i}"
 
-    qkv = T.add(T.matmul(x, p[f"{pre}/attn/Wqkv"]), p[f"{pre}/attn/bqkv"])
+    qkv = tape_add(tape_matmul(x, p[f"{pre}/attn/Wqkv"]), p[f"{pre}/attn/bqkv"])
     ctx, _ = reference_attention(qkv, mask, c.A, rows is not x)
-    out = T.add(T.matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
-    out = T.dropout(out, c.p_drop, rng, training)
-    x = tape_layer_norm(T.add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
+    out = tape_add(tape_matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
+    out = tape_dropout(out, c.p_drop, rng, training)
+    x = tape_layer_norm(tape_add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
 
-    h = reference_gelu(T.add(T.matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
-    h = T.add(T.matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
-    h = T.dropout(h, c.p_drop, rng, training)
-    return tape_layer_norm(T.add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
+    h = reference_gelu(tape_add(tape_matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
+    h = tape_add(tape_matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
+    h = tape_dropout(h, c.p_drop, rng, training)
+    return tape_layer_norm(tape_add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
 
 
 @st.composite

@@ -24,6 +24,87 @@ def weighted_sum(t, w):
                   _backward=lambda g: T._accumulate(t, np.full(t.shape, float(g)) * w))
 
 
+# The unfused chains the fused stages after the encoder replace, kept as
+# test-local tape nodes: each fused op must equal its chain to the bit.
+
+
+def tape_add(a, b):
+    """Elementwise sum, or a bias vector added to every row of a matrix, as one tape node."""
+    def bwd(g):
+        T._accumulate(a, g)
+        T._accumulate(b, g if a.shape == b.shape else g.sum(axis=0))
+
+    return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
+
+
+def tape_matmul(a, b):
+    def bwd(g):
+        T._accumulate(a, g @ b.data.T)
+        T._accumulate(b, a.data.T @ g)
+
+    return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
+
+
+def tape_dropout(x, p, rng, training=True):
+    """Inverted dropout on the private pair the fused ops share; ``x`` itself when off."""
+    y, keep = T._dropout_fwd(x.data, p, rng, training)
+    if keep is None:
+        return x
+    return Tensor(y, _parents=(x,), _backward=lambda g: T._accumulate(x, T._dropout_bwd(g, keep)))
+
+
+def tape_sum_squares(tensors, c):
+    """``c`` times the sum over ``tensors`` of their squared entries, as one scalar node."""
+    tensors = tuple(tensors)
+
+    def bwd(g):
+        for t in tensors:
+            T._accumulate(t, 2.0 * float(g * c) * t.data)
+
+    return Tensor(sum((t.data * t.data).sum() for t in tensors) * c, _parents=tensors,
+                  _backward=bwd)
+
+
+def unprojected_layer_attention(rows, q):
+    """The softmax-weighted sum of the rows alone, without W, as one tape node."""
+    H = q.data.size
+    scores = np.concatenate([r.data @ q.data.reshape(H, 1) for r in rows], axis=1)
+    e = np.exp(scores - scores.max(axis=1, keepdims=True))
+    P = e / e.sum(axis=1, keepdims=True)
+    combined = rows[0].data * P[:, :1]
+    for l in range(1, len(rows)):
+        combined = combined + rows[l].data * P[:, l:l + 1]
+
+    def bwd(g):
+        dP = np.stack([(g * r.data).sum(axis=1) for r in rows], axis=1)
+        dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
+        for l, r in enumerate(rows):
+            T._accumulate(r, g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data)
+        T._accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
+
+    return Tensor(combined, _parents=(*rows, q), _backward=bwd)
+
+
+def reference_linear(x, W, b, p=0.0, rng=None, training=True):
+    """``T.linear`` as three nodes: dropout, product, bias add."""
+    return tape_add(tape_matmul(tape_dropout(x, p, rng, training), W), b)
+
+
+def reference_layer_attention(rows, q, W):
+    """``T.layer_attention`` as two nodes: the unprojected sum, then the product."""
+    return tape_matmul(unprojected_layer_attention(rows, q), W)
+
+
+def reference_loss(logits, labels, penalized, lam):
+    """``T.softmax_cross_entropy`` with an L2 term as three nodes: the
+    cross-entropy alone, a sum of squares and an add."""
+    return tape_add(T.softmax_cross_entropy(logits, labels), tape_sum_squares(penalized, lam))
+
+
+def zero_bias(n):
+    return Tensor(np.zeros(n))
+
+
 def triple_loop_matmul(a, b):
     """Independent oracle: naive i-j-k product with in-order accumulation."""
     m, k = a.shape
@@ -39,9 +120,11 @@ def triple_loop_matmul(a, b):
 
 
 class TestMatmul:
+    """The product inside ``T.linear``, with a zero bias and dropout off."""
+
     def test_identity(self):
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = T.matmul(Tensor(np.eye(2)), Tensor(a))
+        out = T.linear(Tensor(np.eye(2)), Tensor(a), zero_bias(2))
         npt.assert_array_equal(out.data, a)
 
     def test_against_triple_loop_oracle(self):
@@ -49,28 +132,30 @@ class TestMatmul:
         # products in any order, and any two orders differ by at most
         # k·eps·(|a| @ |b|) in each entry.
         npt.assert_array_equal(
-            T.matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]])).data,
+            T.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[5.0], [6.0]]), zero_bias(1)).data,
             np.array([[17.0], [39.0]]))
         rng = np.random.default_rng(3)
         for _ in range(20):
             m, k, n = rng.integers(1, 9, size=3)
             a = rng.normal(size=(m, k))
             b = rng.normal(size=(k, n))
-            got = T.matmul(Tensor(a), Tensor(b)).data
+            got = T.linear(Tensor(a), Tensor(b), zero_bias(n)).data
             bound = k * np.finfo(np.float64).eps * (np.abs(a) @ np.abs(b))
             assert np.all(np.abs(got - triple_loop_matmul(a, b)) <= bound)
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
-            T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), zero_bias(2))
 
     def test_gradient_rule(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        g = np.ones((2, 1))
-        weighted_sum(T.matmul(a, b), g).backward()
+        c = Tensor(np.zeros(1), requires_grad=True)
+        g = np.array([[1.0], [-2.0]])
+        weighted_sum(T.linear(a, b, c), g).backward()
         npt.assert_array_equal(a.grad, g @ b.data.T)
         npt.assert_array_equal(b.grad, a.data.T @ g)
+        npt.assert_array_equal(c.grad, g.sum(axis=0))
 
 
 def layer_weights(scores):
@@ -78,7 +163,7 @@ def layer_weights(scores):
     rows are [s_l, 0] and q = e_1, so row b of layer l scores s_l[b]."""
     scores = np.asarray(scores, dtype=float)
     rows = [Tensor(np.stack([s, np.zeros_like(s)], axis=1)) for s in scores.T]
-    return T.layer_attention(rows, Tensor([1.0, 0.0]))[1]
+    return T.layer_attention(rows, Tensor([1.0, 0.0]), Tensor(np.eye(2)))[1]
 
 
 class TestSoftmax:
@@ -165,17 +250,17 @@ class TestBackward:
     def test_square_at_three(self):
         # A parent used twice gets both gradients: d(2x)²/dx = 8x.
         x = Tensor([3.0], requires_grad=True)
-        T.sum_squares([T.add(x, x)], 1.0).backward()
+        tape_sum_squares([tape_add(x, x)], 1.0).backward()
         npt.assert_allclose(x.grad, [24.0], atol=1e-14)
 
     def test_non_scalar_rejected(self):
         x = Tensor(np.zeros((2, 2)), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
-            T.add(x, x).backward()
+            T.gather_rows(x, [0, 1]).backward()
 
     def test_one_backward_per_tape(self):
-        x = Tensor([2.0], requires_grad=True)
-        loss = T.sum_squares([x], 1.0)
+        x = Tensor([[2.0, 1.0]], requires_grad=True)
+        loss = T.softmax_cross_entropy(x, [0])
         loss.backward()
         with pytest.raises(RuntimeError, match="tape"):
             loss.backward()
@@ -212,7 +297,7 @@ class TestBackward:
             rng = np.random.default_rng(11)
             w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
             x = Tensor(rng.normal(size=(2, 4)))
-            T.softmax_cross_entropy(T.matmul(x, w), [0, 2]).backward()
+            T.softmax_cross_entropy(T.linear(x, w, zero_bias(3)), [0, 2]).backward()
             return w.grad
         g1, g2 = run(), run()
         assert np.array_equal(g1, g2)
@@ -243,15 +328,14 @@ def spy_on_public_ops(monkeypatch, made):
 class TestNoGrad:
     @staticmethod
     def graph(rng):
-        """A scalar through a fused sublayer and a few plain ops, and its parameters."""
+        """A scalar through a fused sublayer, a linear layer with dropout and
+        the loss with an L2 term, and its parameters."""
         params = [Tensor(rng.normal(size=s), requires_grad=True)
                   for s in ((3, 4), (4,), (4, 3), (3,), (3,), (3,))]
         x = Tensor(rng.normal(size=(5, 3)))
         h = T.ffn_sublayer(x, params)
-        nodes = [h, T.dropout(h, 0.5, rng), T.matmul(h, Tensor(np.ones((3, 1))))]
-        nodes.append(T.add(T.softmax_cross_entropy(T.add(h, nodes[1]), [0, 1, 2, 0, 1]),
-                           T.sum_squares([h], 0.5)))
-        return nodes, params
+        logits = T.linear(h, Tensor(rng.normal(size=(3, 3))), zero_bias(3), 0.5, rng)
+        return [h, logits, T.softmax_cross_entropy(logits, [0, 1, 2, 0, 1], [h], 0.5)], params
 
     def test_records_nothing_and_backward_moves_no_parameter(self):
         with T.no_grad():
@@ -289,21 +373,21 @@ class TestNoGrad:
         with T.no_grad():
             w = Tensor(np.ones(2), requires_grad=True)
         assert w.requires_grad and w._parents == ()
-        T.sum_squares([w], 1.0).backward()
+        T.softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0], [w], 1.0).backward()
         npt.assert_array_equal(w.grad, [2.0, 2.0])
 
     def test_recording_resumes_after_exit_and_after_error(self):
-        x = Tensor([1.0], requires_grad=True)
+        x = Tensor([[1.0]], requires_grad=True)
         with T.no_grad():
             with T.no_grad():
                 pass
             # The inner exit leaves the outer scope off.
-            assert T.sum_squares([x], 2.0)._parents == ()
-        assert T.sum_squares([x], 2.0)._parents == (x,)
+            assert T.gather_rows(x, [0])._parents == ()
+        assert T.gather_rows(x, [0])._parents == (x,)
         with pytest.raises(RuntimeError, match="inside"):
             with T.no_grad():
                 raise RuntimeError("inside")
-        y = T.sum_squares([x], 2.0)
+        y = T.gather_rows(x, [0])
         assert y._parents == (x,) and y._backward is not None
 
 
@@ -687,9 +771,10 @@ def per_gate_lstm(xs, W, U, b):
     h = Tensor(np.zeros((B, H)))
     c = Tensor(np.zeros((B, H)))
     for x in xs:
-        z = [T.add(T.add(T.matmul(x, W[k]), T.matmul(h, U[k])), b[k]) for k in range(4)]
+        z = [tape_add(tape_add(tape_matmul(x, W[k]), tape_matmul(h, U[k])), b[k])
+             for k in range(4)]
         gi, gf, gg, go = tape_sigmoid(z[0]), tape_sigmoid(z[1]), tape_tanh(z[2]), tape_sigmoid(z[3])
-        c = T.add(tape_mul(gf, c), tape_mul(gi, gg))
+        c = tape_add(tape_mul(gf, c), tape_mul(gi, gg))
         h = tape_mul(go, tape_tanh(c))
     return h
 
@@ -757,22 +842,24 @@ class TestLSTM:
             T.lstm([Tensor(np.zeros(3))], W, W, b)
 
 
-def per_row_layer_attention(xs, q, weights):
+def per_row_layer_attention(xs, q, W, weights):
     """Row-by-row oracle: the output and, for the loss sum(out * weights),
     the gradients, with the softmax Jacobian diag(a) - a a^T written out."""
     B, H = xs[0].shape
-    out, dxs, dq = np.empty((B, H)), np.empty((len(xs), B, H)), np.zeros(H)
+    out, dxs, dq, dW = np.empty((B, H)), np.empty((len(xs), B, H)), np.zeros(H), np.zeros((H, H))
     alphas = np.empty((B, len(xs)))
     for b in range(B):
         R = np.array([x[b] for x in xs])             # L×H
         s = R @ q
         a = np.exp(s - s.max()) / np.exp(s - s.max()).sum()
-        out[b] = a @ R
-        ds = (np.diag(a) - np.outer(a, a)) @ (R @ weights[b])
-        dxs[:, b] = np.outer(a, weights[b]) + np.outer(ds, q)
+        out[b] = W.T @ (a @ R)
+        dW += np.outer(a @ R, weights[b])
+        w = W @ weights[b]                            # the gradient of a @ R
+        ds = (np.diag(a) - np.outer(a, a)) @ (R @ w)
+        dxs[:, b] = np.outer(a, w) + np.outer(ds, q)
         dq += R.T @ ds
         alphas[b] = a
-    return out, alphas, list(dxs), dq
+    return out, alphas, list(dxs), dq, dW
 
 
 @st.composite
@@ -782,58 +869,123 @@ def layer_attention_cases(draw):
     H = draw(st.integers(1, 8))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return ([rng.normal(size=(B, H)) for _ in range(L)], rng.normal(size=H),
-            rng.normal(size=(B, H)))
+            rng.normal(size=(H, H)), rng.normal(size=(B, H)))
 
 
 class TestLayerAttention:
     @settings(max_examples=150, deadline=None)
     @given(layer_attention_cases())
     def test_matches_per_row_oracle(self, case):
-        xs, q, weights = case
+        xs, q, W, weights = case
         rows = [Tensor(x, requires_grad=True) for x in xs]
-        query = Tensor(q, requires_grad=True)
-        out, P = T.layer_attention(rows, query)
+        query, proj = Tensor(q, requires_grad=True), Tensor(W, requires_grad=True)
+        out, P = T.layer_attention(rows, query, proj)
         weighted_sum(out, weights).backward()
-        ref_out, ref_P, ref_dxs, ref_dq = per_row_layer_attention(xs, q, weights)
+        ref_out, ref_P, ref_dxs, ref_dq, ref_dW = per_row_layer_attention(xs, q, W, weights)
         npt.assert_allclose(out.data, ref_out, rtol=0, atol=1e-12)
         npt.assert_allclose(P, ref_P, rtol=0, atol=1e-12)
         npt.assert_allclose(P.sum(axis=1), 1.0, rtol=0, atol=1e-12)
         for r, ref in zip(rows, ref_dxs):
             npt.assert_allclose(r.grad, ref, rtol=0, atol=1e-12)
         npt.assert_allclose(query.grad, ref_dq, rtol=0, atol=1e-12)
+        npt.assert_allclose(proj.grad, ref_dW, rtol=0, atol=1e-12)
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(0)
         rows = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
         q = Tensor(rng.normal(size=3), requires_grad=True)
-        out, P = T.layer_attention(rows, q)
+        W = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        out, P = T.layer_attention(rows, q, W)
         assert out.shape == (2, 3) and P.shape == (2, 4)
-        assert out._parents == (*rows, q)
+        assert out._parents == (*rows, q, W)
 
     def test_empty_rows_rejected(self):
         with pytest.raises(ValueError, match="nonempty"):
-            T.layer_attention([], Tensor(np.zeros(3)))
+            T.layer_attention([], Tensor(np.zeros(3)), Tensor(np.eye(3)))
 
     def test_shapes_rejected(self):
-        x = Tensor(np.zeros((2, 3)))
+        x, W = Tensor(np.zeros((2, 3))), Tensor(np.eye(3))
         with pytest.raises(ShapeError):
-            T.layer_attention([x], Tensor(np.zeros(2)))
+            T.layer_attention([x], Tensor(np.zeros(2)), W)
         with pytest.raises(ShapeError):
-            T.layer_attention([x, Tensor(np.zeros((3, 3)))], Tensor(np.zeros(3)))
+            T.layer_attention([x, Tensor(np.zeros((3, 3)))], Tensor(np.zeros(3)), W)
         with pytest.raises(ShapeError):
-            T.layer_attention([x], Tensor(np.zeros((3, 1))))
+            T.layer_attention([x], Tensor(np.zeros((3, 1))), W)
+        with pytest.raises(ShapeError, match=r"W \(3, 2\)"):
+            T.layer_attention([x], Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
 
 
 class TestSumSquares:
+    """The L2 term of ``T.softmax_cross_entropy``."""
+
     def test_bit_identical_to_numpy(self):
         rng = np.random.default_rng(3)
         data = [rng.normal(size=s) for s in ((4, 5), (7,), (3, 3), (2, 6))]
         ps = [Tensor(d, requires_grad=True) for d in data]
-        loss = T.sum_squares(ps, 1e-5)
+        logits = Tensor(rng.normal(size=(3, 4)))
+        loss = T.softmax_cross_entropy(logits, [0, 3, 1], ps, 1e-5)
+        assert loss._parents == (logits, *ps)
         loss.backward()
-        assert loss.item() == sum(float((d * d).sum()) for d in data) * 1e-5
+        assert loss.item() == (T.softmax_cross_entropy(logits, [0, 3, 1]).item()
+                               + sum(float((d * d).sum()) for d in data) * 1e-5)
         for p, d in zip(ps, data):
             assert np.array_equal(p.grad, 2.0 * 1e-5 * d)
+
+
+@st.composite
+def stage_cases(draw):
+    """Rows, a classifier and labels for the fused stages after the encoder:
+    L B×H rows, a query, an H×H projection, an H×C weight and bias, C-class
+    labels, a dropout rate and a seed."""
+    B, L, H, C = (draw(st.integers(1, n)) for n in (8, 5, 6, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return ([rng.normal(size=(B, H)) for _ in range(L)], rng.normal(size=H),
+            rng.normal(size=(H, H)), rng.normal(size=(H, C)), rng.normal(size=C),
+            rng.integers(C, size=B), draw(st.sampled_from([0.0, 0.3])), draw(st.booleans()))
+
+
+def leaves(*arrays):
+    return [Tensor(a, requires_grad=True) for a in arrays]
+
+
+class TestFusedStagesEqualTheirChains:
+    """Each fused op after the encoder against its unfused chain: the output
+    and every gradient, to the bit."""
+
+    @staticmethod
+    def assert_same(fused, chain, fused_inputs, chain_inputs, w):
+        weighted_sum(fused, w).backward()
+        weighted_sum(chain, w).backward()
+        assert np.array_equal(fused.data, chain.data)
+        for a, b in zip(fused_inputs, chain_inputs):
+            assert a.grad is not None and np.array_equal(a.grad, b.grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_cases())
+    def test_linear(self, case):
+        xs, _, _, W, b, _, p, training = case
+        w = np.random.default_rng(len(xs)).normal(size=(len(xs[0]), len(b)))
+        ins, ref_ins = leaves(xs[0], W, b), leaves(xs[0], W, b)
+        self.assert_same(T.linear(*ins, p, np.random.default_rng(1), training),
+                         reference_linear(*ref_ins, p, np.random.default_rng(1), training),
+                         ins, ref_ins, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_cases())
+    def test_layer_attention(self, case):
+        xs, q, Wh, *_ = case
+        w = np.random.default_rng(len(xs)).normal(size=xs[0].shape)
+        ins, ref_ins = leaves(*xs, q, Wh), leaves(*xs, q, Wh)
+        self.assert_same(T.layer_attention(ins[:-2], *ins[-2:])[0],
+                         reference_layer_attention(ref_ins[:-2], *ref_ins[-2:]), ins, ref_ins, w)
+
+    @settings(max_examples=100, deadline=None)
+    @given(stage_cases())
+    def test_loss_with_an_l2_term(self, case):
+        xs, q, Wh, W, b, labels, _, _ = case
+        ins, ref_ins = leaves(xs[0] @ W, q, Wh, W, b), leaves(xs[0] @ W, q, Wh, W, b)
+        self.assert_same(T.softmax_cross_entropy(ins[0], labels, ins[1:], 0.1),
+                         reference_loss(ref_ins[0], labels, ref_ins[1:], 0.1), ins, ref_ins, 1.0)
 
 
 class TestGatherRows:
@@ -868,12 +1020,15 @@ class TestGatherRows:
 
 class TestShapeDiscipline:
     def test_bias_broadcast_allowed(self):
-        out = T.add(Tensor(np.zeros((2, 3))), Tensor([1.0, 2.0, 3.0]))
+        # ``T.linear`` adds its bias vector to every row.
+        out = T.linear(Tensor(np.zeros((2, 3))), Tensor(np.eye(3)), Tensor([1.0, 2.0, 3.0]))
         npt.assert_array_equal(out.data, [[1, 2, 3], [1, 2, 3]])
 
     def test_other_broadcasts_rejected(self):
-        with pytest.raises(ShapeError):
-            T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 1))))
+        x, W = Tensor(np.zeros((2, 3))), Tensor(np.eye(3))
+        for bias in (np.zeros((2, 1)), np.zeros((1, 3)), np.zeros(2)):
+            with pytest.raises(ShapeError, match="linear"):
+                T.linear(x, W, Tensor(bias))
 
     def test_finite_after_ops(self):
         rng = np.random.default_rng(1)
@@ -884,21 +1039,27 @@ class TestShapeDiscipline:
 
 
 class TestDropout:
+    """The dropout inside ``T.linear``, seen through an identity weight and a zero bias."""
+
     def test_identity_at_eval(self):
-        x = Tensor(np.ones((4, 4)))
-        assert T.dropout(x, 0.5, None, training=False) is x
+        x = Tensor(np.arange(16.0).reshape(4, 4), requires_grad=True)
+        y = T.linear(x, Tensor(np.eye(4)), zero_bias(4), 0.5, None, training=False)
+        npt.assert_array_equal(y.data, x.data)
+        weighted_sum(y, np.ones((4, 4))).backward()
+        npt.assert_array_equal(x.grad, np.ones((4, 4)))
 
     def test_inverted_scaling(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((200, 200)))
-        y = T.dropout(x, 0.25, rng, training=True).data
+        y = T.linear(x, Tensor(np.eye(200)), zero_bias(200), 0.25, rng, training=True).data
         kept = y[y > 0]
         npt.assert_allclose(kept, 1 / 0.75)
         assert abs((y > 0).mean() - 0.75) < 0.01
 
     def test_requires_rng_when_training(self):
         with pytest.raises(ValueError):
-            T.dropout(Tensor(np.ones(3)), 0.5, None, training=True)
+            T.linear(Tensor(np.ones((1, 3))), Tensor(np.eye(3)), zero_bias(3), 0.5, None,
+                     training=True)
 
 
 class TestLayerNormAndActivations:

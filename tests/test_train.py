@@ -19,6 +19,8 @@ from clspool.train import (Adam, TrainConfig, confusion_matrix, cross_validated_
                            read_results_csv, regularized_loss, train_model,
                            write_results_csv)
 
+from test_tensor import tape_add
+
 
 def reference_adam(grads, theta0, lr, beta1=0.9, beta2=0.999, eps=1e-8):
     """Step-by-step scalar Adam oracle."""
@@ -126,11 +128,12 @@ class TestRegularizedLoss:
         x = rng.normal(size=(5, 3))
         labels = rng.integers(2, size=5)
         params = {"w1": w1, "w2": w2}
+        zero4, zero2 = Tensor(np.zeros(4)), Tensor(np.zeros(2))
 
         def loss_fn():
             # A fresh generator per call: every evaluation draws the same mask.
-            h = T.dropout(T.matmul(Tensor(x), w1), 0.3, np.random.default_rng(1))
-            logits = T.matmul(h, w2)
+            h = T.linear(Tensor(x), w1, zero4)
+            logits = T.linear(h, w2, zero2, 0.3, np.random.default_rng(1))
             return regularized_loss(logits, labels, params, {"w1", "w2"}, lam=1e-5)
 
         assert check_gradients(loss_fn, params, rng, coords_per_param=4) < 1e-4
@@ -274,6 +277,39 @@ class TestEveryParameterGetsAGradient:
         with pytest.raises(ValueError, match="epoch 1, step 1: parameter attnpool/unused "
                                              "has no gradient"):
             train_model(m, pack_dataset(ex, vocab, 8), config, R.rng_for(0, 1), R.rng_for(0, 2))
+
+
+def op_nodes(loss):
+    """How many nodes reachable from ``loss`` an op recorded: those with parents."""
+    seen, stack, count = {id(loss)}, [loss], 0
+    while stack:
+        node = stack.pop()
+        count += bool(node._parents)
+        for p in node._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                stack.append(p)
+    return count
+
+
+class TestOneNodePerStage:
+    """After the encoder's 9 nodes (the embedding and two per block), each
+    stage is one node: the head's (with one trace row gather per lower
+    layer), the classifier's and the L2-regularized loss's."""
+
+    @pytest.mark.parametrize("kind, nodes", [("last", 11), ("lstm", 15), ("attention", 15)])
+    def test_op_nodes_of_one_training_step(self, kind, nodes):
+        cfg = EncoderConfig(L=4, H=32, A=4, F=64, V=20, S_max=10, p_drop=0.1)
+        model = PooledClassifier(cfg, kind, 3, R.rng_for(0, R.INIT))
+        rng = np.random.default_rng(0)
+        tok = rng.integers(4, 20, size=(16, 8))
+        tok[:, 0] = 2
+        mask = (np.arange(8) < rng.integers(3, 9, size=(16, 1))).astype(int)
+        logits = model.forward_batch(tok, np.zeros_like(tok), mask, training=True,
+                                     rng=R.rng_for(0, R.DROPOUT))
+        loss = regularized_loss(logits, rng.integers(3, size=16), model.parameters(),
+                                model.decay_names(), 1e-5)
+        assert op_nodes(loss) == nodes
 
 
 @st.composite
@@ -448,16 +484,17 @@ class TestCrossValidation:
             np.mean([rows[str(f)][1] for f in range(3)]), abs=1e-12)
 
     def test_honours_encoder_p_drop(self, monkeypatch):
-        # p_drop=0 in the encoder config means no dropout mask is ever drawn.
+        # p_drop=0 in the encoder config means no dropout mask is ever drawn,
+        # in the encoder or in the classifier.
         rates = []
-        dropout = T.dropout
+        dropout = T._dropout_fwd
 
-        def spy(x, p, rng, training=True):
+        def spy(x, p, rng, training):
             if training:
                 rates.append(p)
             return dropout(x, p, rng, training)
 
-        monkeypatch.setattr(T, "dropout", spy)
+        monkeypatch.setattr(T, "_dropout_fwd", spy)
         config = TrainConfig(epochs=1, lr=1e-2, folds=2, seed=0, batch_size=8)
         cross_validated_train(toy_separable_examples(12), replace(TOY_ENC, p_drop=0.0),
                               "last", config)
@@ -627,7 +664,7 @@ class TestTrainingDynamics:
                 return loss
             nan = Tensor(0.0, _parents=(bias,),
                          _backward=lambda g: T._accumulate(bias, np.full(3, np.nan)))
-            return T.add(loss, nan)
+            return tape_add(loss, nan)
 
         monkeypatch.setattr("clspool.train.regularized_loss", poisoned)
         config = TrainConfig(epochs=2, lr=1e-2, folds=2, seed=0, batch_size=8)
