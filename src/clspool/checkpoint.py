@@ -3,7 +3,7 @@
 Byte layout (all integers little-endian):
 
     magic     8 bytes   b"CLSPOOL1"
-    version   uint32    currently 1
+    version   uint32    currently 2
     meta_len  uint32
     meta      meta_len bytes of UTF-8 JSON (model/config metadata)
     count     uint32    number of parameter blobs
@@ -17,6 +17,10 @@ Byte layout (all integers little-endian):
 Values are stored as 32-bit floats regardless of the in-memory dtype, and
 must be finite: a value that is not (or overflows the cast) is refused on
 save and on load. Writes are atomic (temp file + rename).
+
+Version 1 had the same layout, but its models computed the exact (erf)
+GELU; version 2 models compute its tanh form, so a version 1 file is
+refused rather than read into a network it was not trained for.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import tempfile
 import numpy as np
 
 MAGIC = b"CLSPOOL1"
-VERSION = 1
+VERSION = 2
 
 
 def atomic_write_bytes(path, payload: bytes):
@@ -90,6 +94,9 @@ def load_checkpoint(path):
         return struct.unpack(fmt, take(struct.calcsize(fmt), what))
 
     (version,) = unpack("<I", "version")
+    if version == 1:
+        raise ValueError(f"{path}: checkpoint version 1 predates the tanh GELU; "
+                         f"retrain to get a version {VERSION} checkpoint")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     (meta_len,) = unpack("<I", "metadata length")

@@ -10,7 +10,8 @@ Subcommands:
     gradcheck  run the finite-difference gradient suite
 
 Exit codes: 0 success, 1 data/runtime error (a bad file, a malformed input
-line, an OS error or a non-finite value), 2 usage error.
+line, an OS error, a non-finite value or an allocation that fails), 2 usage
+error.
 A ``--config`` file holds flat ``key=value`` lines mirroring the flags;
 flags given on the command line override the file.
 """
@@ -267,8 +268,8 @@ def main(argv=None):
         # gradient, logits, checkpoint and dump values, not by numpy warnings.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return args.func(args)
-    except (DataError, OSError, ValueError, IndexError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (DataError, OSError, ValueError, IndexError, MemoryError) as e:
+        print(f"error: {str(e) or type(e).__name__}", file=sys.stderr)
         return 1
 
 

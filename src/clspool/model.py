@@ -94,9 +94,12 @@ class PooledClassifier:
     @classmethod
     def load(cls, path):
         """The model saved at ``path`` and its metadata, with the checked
-        ``schema`` filled in."""
+        ``schema`` filled in. The metadata's sizes are checked against the
+        blobs before the model is built, so it allocates nothing the file
+        does not hold."""
         meta, blobs = load_checkpoint(path)
         config, schema = _config_from_meta(meta)
+        _check_sizes(meta, blobs)
         model = cls(config, meta["pooling"], meta["n_classes"], np.random.default_rng(0))
         params = model.parameters()
         missing = set(params) - set(blobs)
@@ -110,6 +113,30 @@ class PooledClassifier:
                                  f"{arr.shape} vs {params[name].data.shape}")
             params[name].data = arr
         return model, {**meta, "schema": schema}
+
+
+# The metadata keys that size the model, each with the blob and axis that hold it.
+_BLOB_SIZES = {"encoder.V": ("embed/token", 0), "encoder.H": ("embed/token", 1),
+               "encoder.S_max": ("embed/position", 0), "encoder.F": ("layer0/ffn/W1", 1),
+               "n_classes": ("classifier/W_o", 1)}
+
+
+def _check_sizes(meta, blobs):
+    """Raise ValueError naming the first metadata key that sizes the model
+    and disagrees with the parameter blobs, so that the model is never
+    built at a size the file does not hold."""
+    enc = meta["encoder"]
+    layers = len({name.split("/")[0] for name in blobs if name.startswith("layer")})
+    if enc["L"] != layers:
+        raise ValueError(f"checkpoint parameter mismatch: metadata 'encoder.L' is {enc['L']}, "
+                         f"but the parameters hold {layers} layers")
+    for key, (name, axis) in _BLOB_SIZES.items():
+        size = meta["n_classes"] if key == "n_classes" else enc[key.split(".")[1]]
+        shape = blobs[name].shape if name in blobs else None
+        if shape is None or len(shape) != 2 or shape[axis] != size:
+            found = "is missing" if shape is None else f"has shape {shape}"
+            raise ValueError(f"checkpoint parameter mismatch: metadata {key!r} is {size}, "
+                             f"but parameter {name!r} {found}")
 
 
 def _config_from_meta(meta):

@@ -26,9 +26,9 @@ each and carry a hand-derived backward:
   valid position or one per example, from one H×3H query, key and value
   block; only inside it are the rows laid out as a padded view;
 - ``ffn_sublayer``, the block's feed-forward sublayer (GELU network,
-  dropout, residual and layer norm); its exact GELU takes erf from the
-  private ``_erf``, Cephes' algorithm in numpy, within 1 ulp of
-  ``scipy.special.erf``, so the runtime imports numpy and nothing else;
+  dropout, residual and layer norm); its GELU is the tanh form of BERT
+  and GPT, within 4.7e-4 of the exact (erf) GELU, so the runtime imports
+  numpy and nothing else;
 - ``layer_attention``, the attention pooling head: a softmax-weighted
   sum of L B×H rows, projected by an H×H matrix;
 - ``lstm``, an LSTM over a list of B×H rows, its four gates (i, f, g, o)
@@ -39,7 +39,8 @@ each and carry a hand-derived backward:
   constant times the sum of squares of several tensors (the L2 penalty).
 
 Layer norm and dropout are each one private forward/backward pair on
-arrays, shared by the three sublayers (and ``linear``, for dropout).
+arrays, shared by the three sublayers (and ``linear``, for dropout); GELU
+is one such pair too, for ``ffn_sublayer``.
 
 Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
@@ -265,75 +266,45 @@ def _check_weights(op, weights, shapes):
         raise ShapeError(f"{op}: weight shapes {got}, expected {shapes}")
 
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-# Cephes' erf (ndtr.c), the algorithm behind scipy.special.erf, highest
-# power first. For |x| <= 1, erf(x) = x·T(x²)/U(x²); otherwise
-# erf(x) = sign(x)·(1 - exp(-x²)·P(|x|)/Q(|x|)). U and Q are monic, and
-# their leading 1 is left out.
-_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
-          7.00332514112805075473e3, 5.55923013010394962768e4)
-_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
-          2.26290000613890934246e4, 4.92673942608635921086e4)
-_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
-          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
-          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
-_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
-          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
-          1.65666309194161350182e3, 5.57535340817727675546e2)
+# GELU in its tanh form: h·½(1 + tanh u), u = √(2/π)(h + 0.044715h³).
+_GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_K = 0.044715
 
 
-def _polevl(x, coef, monic=False):
-    """The polynomial with coefficients ``coef``, highest power first, at ``x``.
+def _gelu_fwd(h):
+    """GELU of the array ``h`` in its tanh form; returns (a, hc, t).
 
-    With ``monic`` the leading coefficient is 1 and left out of ``coef``, as
-    in Cephes' ``p1evl``. Horner's rule in place, one pass per multiply and
-    per add, in Cephes' order, so every rounding is the same.
+    ``hc`` is ``h`` clipped to ±10 and ``t`` is tanh u, u computed from
+    ``hc``; ``_gelu_bwd`` reuses both. From |h| = 10 on, tanh u is ±1 to
+    the last bit, so the clip changes no value, but it keeps h³ finite.
+    There ``a`` = h·½(1 + t) is exactly h or ±0, and since ½(1 + t) is
+    formed first, no finite h overflows.
     """
-    if monic:
-        out = x + coef[0]
-        coef = coef[1:]
-    else:
-        out = x * coef[0]
-        out += coef[1]
-        coef = coef[2:]
-    for c in coef:
-        out *= x
-        out += c
-    return out
+    hc = np.clip(h, -10.0, 10.0)
+    t = hc * hc
+    t *= _GELU_K * _GELU_C
+    t += _GELU_C
+    t *= hc
+    t = np.tanh(t)
+    a = t + 1.0
+    a *= 0.5
+    a *= h
+    return a, hc, t
 
 
-def _erf(x):
-    """The error function of an array, elementwise, within 1 ulp of scipy.special.erf.
-
-    The |x| <= 1 branch is computed over every entry, with the others
-    clipped to ±1, and matches scipy to the bit; the other branch is
-    computed over the remaining entries only (nan included), with |x|
-    clipped at 10, where erf is already ±1, so exp(-x²) never underflows
-    and x² never overflows. It differs from scipy only where numpy's exp
-    rounds differently from the C library's, by at most 1 ulp. Returns a
-    new array of ``x``'s shape.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    flat = x.reshape(-1)
-    # A result or an x² below the normal range underflows gradually, as it
-    # should; that is no error.
-    with np.errstate(under="ignore"):
-        s = np.clip(flat, -1.0, 1.0)
-        z = s * s
-        y = _polevl(z, _ERF_T)
-        y *= s
-        y /= _polevl(z, _ERF_U, monic=True)
-        rest = (s != flat).nonzero()[0]
-        if rest.size:
-            xr = flat[rest]
-            a = np.minimum(np.abs(xr), 10.0)
-            e = np.exp(-(a * a))
-            e *= _polevl(a, _ERF_P)
-            e /= _polevl(a, _ERF_Q, monic=True)
-            y[rest] = np.copysign(1.0 - e, xr)
-    return y.reshape(x.shape)
+def _gelu_bwd(g, hc, t):
+    """The gradient of ``_gelu_fwd`` for the output gradient ``g``:
+    g·(½(1 + t) + ½h(1 − t²)·√(2/π)(1 + 3·0.044715h²)), h read as ``hc``,
+    so the second term is exactly 0, not 0·∞, where t is ±1."""
+    s = hc * hc
+    s *= 3.0 * _GELU_K * _GELU_C
+    s += _GELU_C
+    s *= hc
+    s *= 1.0 - t * t
+    s += 1.0 + t
+    s *= 0.5
+    s *= g
+    return s
 
 
 def embedding_sublayer(ids, weights, p=0.0, rng=None, training=True):
@@ -455,10 +426,9 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
     """Fused post-layer-norm feed-forward sublayer: LN(x + dropout(gelu(x·W1+b1)·W2+b2)).
 
     ``x`` is N×H and ``weights`` is (W1, b1, W2, b2, gamma, beta), W1 H×F
-    and W2 F×H; GELU is the exact (erf-based) one, with erf from ``_erf``,
-    within 1 ulp of scipy's. Dropout with rate ``p`` draws its mask from
-    ``rng`` when ``training``. Returns one N×H tape node with parents
-    (x, *weights).
+    and W2 F×H; GELU is the tanh form, ``_gelu_fwd``. Dropout with rate
+    ``p`` draws its mask from ``rng`` when ``training``. Returns one N×H
+    tape node with parents (x, *weights).
     """
     if x.data.ndim != 2:
         raise ShapeError(f"ffn_sublayer expects a matrix, got shape {x.shape}")
@@ -469,8 +439,7 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
     W1, b1, W2, b2, gamma, beta = weights
     xd = x.data
     h = xd @ W1.data + b1.data
-    cdf = 0.5 * (1.0 + _erf(h * _INV_SQRT2))
-    a = h * cdf
+    a, hc, t = _gelu_fwd(h)
     o, keep = _dropout_fwd(a @ W2.data + b2.data, p, rng, training)
     y, xhat, inv = _layer_norm_fwd(xd + o, gamma.data, beta.data)
 
@@ -481,7 +450,7 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
         do = _dropout_bwd(ds, keep)
         _accumulate(b2, do.sum(axis=0))
         _accumulate(W2, a.T @ do)
-        dh = (do @ W2.data.T) * (cdf + h * (np.exp(-0.5 * h * h) * _INV_SQRT_2PI))
+        dh = _gelu_bwd(do @ W2.data.T, hc, t)
         _accumulate(b1, dh.sum(axis=0))
         _accumulate(W1, xd.T @ dh)
         _accumulate(x, ds)

@@ -79,6 +79,16 @@ class TestFormat:
         with pytest.raises(ValueError, match="version"):
             load_checkpoint(str(tmp_path / "bad.ckpt"))
 
+    def test_version_1_refused(self, tmp_path):
+        # Version 1 has the same layout, but its models used the exact GELU.
+        path = tmp_path / "c.ckpt"
+        save_checkpoint(str(path), {}, {"w": np.zeros(2)})
+        buf = bytearray(path.read_bytes())
+        struct.pack_into("<I", buf, 8, 1)
+        path.write_bytes(bytes(buf))
+        with pytest.raises(ValueError, match="checkpoint version 1 predates the tanh GELU"):
+            load_checkpoint(str(path))
+
     def test_names_sorted_on_disk(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, {}, {"zz": np.zeros(1), "aa": np.zeros(1)})
@@ -160,6 +170,23 @@ class TestModelPersistence:
         params.pop(sorted(params)[0])
         save_checkpoint(path, meta, params)
         with pytest.raises(ValueError, match="mismatch"):
+            PooledClassifier.load(path)
+
+    @pytest.mark.parametrize("key", ["L", "V", "H", "S_max", "F", "n_classes"])
+    def test_oversized_metadata_names_the_key(self, tmp_path, key):
+        # Checked against the blobs before the model is built, so a size of
+        # 10¹² allocates nothing.
+        path = str(tmp_path / "m.ckpt")
+        model = PooledClassifier(self.CFG, "lstm", 3, R.rng_for(2, 0))
+        model.save(path)
+        meta, params = load_checkpoint(path)
+        if key == "n_classes":
+            meta[key] = 10**12
+        else:
+            meta["encoder"][key] = 10**12
+            key = f"encoder.{key}"
+        save_checkpoint(path, meta, params)
+        with pytest.raises(ValueError, match=f"mismatch: metadata '{key}' is 1000000000000, "):
             PooledClassifier.load(path)
 
     def test_all_head_kinds_round_trip(self, tmp_path):

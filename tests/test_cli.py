@@ -641,6 +641,27 @@ class TestNoTraceback:
         assert err.startswith("error: ") and expect.format(**names) in err
         assert "Traceback" not in err
 
+    def test_eval_oversized_class_count_names_the_key(self, dataset, tmp_path, capsys):
+        # Refused by the size check before the model is built: a 10¹²-column
+        # classifier is never allocated.
+        cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
+        path = str(tmp_path / "m.ckpt")
+        PooledClassifier(cfg, "last", 3, R.rng_for(0, 0)).save(
+            path, extra_meta={"vocab": ["w1", "w2"], "n_classes": 10**12})
+        assert run(["eval", "--checkpoint", path, "--data", dataset]) == 1
+        assert capsys.readouterr().err == (
+            "error: checkpoint parameter mismatch: metadata 'n_classes' is 1000000000000, "
+            "but parameter 'classifier/W_o' has shape (4, 3)\n")
+
+    def test_train_allocation_failure_exit_1(self, dataset, tiny_cfg, tmp_path, capsys):
+        # A 10¹²×64 position table, 512 TB, is beyond a 47-bit address space,
+        # so the allocation fails at once and is reported.
+        assert run(["train", "--data", dataset, "--config", tiny_cfg, "--s-max", str(10**12),
+                    "--H", "64", "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(1000000000000, 64)" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("classes", ["0", "4", "5", "-1"])
     def test_synth_classes_outside_1_to_3_exit_2(self, tmp_path, capsys, classes):
         out = tmp_path / "x.jsonl"

@@ -488,20 +488,22 @@ class TestValidRowsOnly:
 # the fused sublayers must equal to the bit. (It was eighteen nodes while the
 # query, key and value projections were three products and layer norm was a
 # public op, hence the name of the test that uses it.)
-# Its GELU takes erf from T._erf, as the fused sublayer does, so a 1-ulp
-# erf difference cannot decide the comparison; test_tensor.TestErf pins
-# T._erf to scipy's erf.
+# Its GELU is the tanh form, written out in the order T._gelu_fwd and
+# T._gelu_bwd compute it, so that the comparison is to the bit;
+# test_tensor.TestGelu pins that pair to the formula and to the exact GELU.
 
 
 def reference_gelu(a):
     x = a.data
-    cdf = 0.5 * (1.0 + T._erf(x * (1.0 / math.sqrt(2.0))))
+    xc = np.clip(x, -10.0, 10.0)
+    c, k = math.sqrt(2.0 / math.pi), 0.044715
+    t = np.tanh((xc * xc * (k * c) + c) * xc)
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
-        T._accumulate(a, g * (cdf + x * pdf))
+        T._accumulate(a, ((xc * xc * (3.0 * k * c) + c) * xc * (1.0 - t * t) + (1.0 + t))
+                      * 0.5 * g)
 
-    return T.Tensor(x * cdf, _parents=(a,), _backward=bwd)
+    return T.Tensor((t + 1.0) * 0.5 * x, _parents=(a,), _backward=bwd)
 
 
 def reference_attention(qkv, mask, heads, cls_only):
