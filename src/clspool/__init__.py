@@ -18,5 +18,9 @@ from .data import (DataError, PairExample, Vocab, build_vocab, load_jsonl,
 from .analysis import (LayerDump, Projection2D, cluster_score, dump_trace,
                        pca_project, project_dump_dir)
 from .gradcheck import run_gradcheck
+from . import train
+
+# glibc keeps freed memory for reuse from here on, whatever entry point runs.
+train._keep_freed_memory()
 
 __version__ = "0.1.0"

@@ -14,9 +14,12 @@ Byte layout (all integers little-endian):
       dims      ndim * uint32
       data      prod(dims) * float32, row-major
 
-Values are stored as 32-bit floats regardless of the in-memory dtype, and
-must be finite: a value that is not (or overflows the cast) is refused on
-save and on load. Writes are atomic (temp file + rename).
+Values are stored as 32-bit floats and must be finite: a value that is
+not (or overflows the cast) is refused on save and on load. A float32
+array, the dtype a model runs in, is stored as it is, so a save and a load
+give back the model bit for bit; a float64 array is rounded to float32.
+``load_checkpoint`` returns float32 arrays. Writes are atomic (temp file +
+rename).
 
 Version 1 had the same layout, but its models computed the exact (erf)
 GELU; version 2 models compute its tanh form, so a version 1 file is
@@ -126,7 +129,7 @@ def load_checkpoint(path):
         if bad.size:
             raise ValueError(f"{path}: non-finite value {arr[bad[0]]} in parameter {name!r} "
                              f"at offset {at + 4 * bad[0]}")
-        params[name] = arr.reshape(dims).astype(np.float64)
+        params[name] = arr.reshape(dims).astype(np.float32)
     if off != len(buf):
         raise ValueError(f"{path}: {len(buf) - off} trailing bytes at offset {off}")
     return meta, params

@@ -4,6 +4,12 @@ For each scenario a small random model is built, the analytic gradient of
 its scalar loss is computed by backward(), and sampled parameter
 coordinates are re-checked against (f(x+h) - f(x-h)) / 2h at 64-bit.
 The relative error measure is |a - fd| / max(1, |a|, |fd|).
+
+The check needs 64 bits: with h = 1e-5 the two losses differ by about
+1e-5·|f'|, and float32's rounding of a loss near 1, about 6e-8, would
+put an error of order 1e-2 into the difference quotient, far above the 1e-4
+tolerance. So every scenario's parameters are float64, the desk model's
+cast from the float32 it trains in, and the ops follow their data.
 """
 
 from __future__ import annotations
@@ -139,9 +145,12 @@ def _attention_sublayer_scenario(stream, cls_only):
 
 
 def _model_scenario(seed, pooling):
-    """Full desk model, tiny config: encoder blocks + head + classifier + L2."""
+    """Full desk model, tiny config: encoder blocks + head + classifier + L2,
+    its parameters cast to float64."""
     config = EncoderConfig(L=2, H=8, A=2, F=12, V=12, S_max=8, p_drop=0.0)
     model = PooledClassifier(config, pooling, 3, rng_mod.rng_for(seed, 91))
+    for p in model.parameters().values():
+        p.data = p.data.astype(np.float64)
     rng = rng_mod.rng_for(seed, 92)
     B, S = 2, 6
     tok = rng.integers(4, 12, size=(B, S))

@@ -22,7 +22,7 @@ class NonFiniteLogitsError(ValueError):
 
 
 class PooledClassifier:
-    """A classifier over the per-layer [CLS] trace of a MiniEncoder."""
+    """A classifier over the per-layer [CLS] trace of a MiniEncoder, in float32."""
 
     def __init__(self, config: EncoderConfig, pooling_kind: str, n_classes: int, rng):
         if pooling_kind not in HEAD_KINDS:
@@ -36,6 +36,10 @@ class PooledClassifier:
         self.encoder = MiniEncoder(config, enc_rng)
         self.pool_head = HEADS[pooling_kind](config.H, head_rng)
         self.classifier = ClassifierHead(config.H, n_classes, cls_rng)
+        # The model runs in single precision: every parameter is drawn in
+        # float64, as the parts draw it, and rounded to float32 once, here.
+        for p in self.parameters().values():
+            p.data = p.data.astype(np.float32)
 
     # -- parameters -----------------------------------------------------------
 

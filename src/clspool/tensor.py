@@ -38,6 +38,14 @@ each and carry a hand-derived backward:
 - ``softmax_cross_entropy``, the classifier loss on logits, plus a
   constant times the sum of squares of several tensors (the L2 penalty).
 
+Every op computes in the dtype of its inputs, float32 or float64: the
+buffers it allocates take that dtype and its constants are Python
+scalars, which do not widen an array, so the model runs in float32 and
+the finite-difference gradient check in float64 through the same code.
+Dropout still draws float64 uniforms and compares them with p, and only
+its 0 or 1/(1-p) mask takes the dtype, so a float32 run draws the same
+masks as a float64 run of the same seed.
+
 Layer norm and dropout are each one private forward/backward pair on
 arrays, shared by the three sublayers (and ``linear``, for dropout); GELU
 is one such pair too, for ``ffn_sublayer``.
@@ -65,6 +73,7 @@ class ShapeError(ValueError):
 
 
 _recording = ContextVar("clspool_tape_recording", default=True)
+_FLOATS = (np.float32, np.float64)
 
 
 class no_grad:
@@ -78,12 +87,16 @@ class no_grad:
 
 
 class Tensor:
-    """A dense float64 array that participates in the gradient tape."""
+    """A dense float32 or float64 array that participates in the gradient tape.
+
+    A float32 or float64 array is kept as it is; anything else becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         if not _recording.get():
             _parents = ()
         self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
@@ -179,13 +192,14 @@ def _scatter_add_rows(g, idx, rows):
     """A ``rows``-row zero matrix with row i of ``g`` added at row ``idx[i]``.
 
     Repeated indices accumulate in index order, as ``np.add.at`` does, so
-    the sums are the same to the bit; one ``bincount`` over the flattened
-    (row, column) bins is several times faster.
+    for a float64 ``g`` the sums are the same to the bit; one ``bincount``
+    over the flattened (row, column) bins is several times faster. It sums
+    in float64, and the result takes ``g``'s dtype.
     """
     width = g.shape[1]
     bins = (idx[:, None] * width + np.arange(width)).reshape(-1)
-    return np.bincount(bins, weights=g.reshape(-1),
-                       minlength=rows * width).reshape(rows, width)
+    sums = np.bincount(bins, weights=g.reshape(-1), minlength=rows * width)
+    return sums.reshape(rows, width).astype(g.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +233,15 @@ def _layer_norm_bwd(g, xhat, inv, gamma):
 def _dropout_fwd(x, p, rng, training):
     """Inverted dropout of the array ``x``; returns (output, keep).
 
-    ``keep`` is the 0 or 1/(1-p) multiplier drawn from ``rng``, or None
-    when dropout is off (eval, or p = 0), in which case ``x`` is returned.
+    ``keep`` is the 0 or 1/(1-p) multiplier in ``x``'s dtype, drawn from
+    ``rng`` as float64 uniforms whatever that dtype, or None when dropout
+    is off (eval, or p = 0), in which case ``x`` is returned.
     """
     if not training or p == 0.0:
         return x, None
     if rng is None:
         raise ValueError("dropout in training mode requires a generator")
-    keep = (rng.random(x.shape) >= p) / (1.0 - p)
+    keep = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype, copy=False)
     return x * keep, keep
 
 
@@ -246,7 +261,7 @@ def _split_heads(x, B, S, heads, valid=None):
     row-major order, and is scattered into zeros at the other positions.
     """
     if valid is not None:
-        padded = np.zeros((B, S, x.shape[1]))
+        padded = np.zeros((B, S, x.shape[1]), x.dtype)
         padded[valid] = x
         x = padded
     return x.reshape(B, S, heads, -1).transpose(0, 2, 1, 3)
@@ -385,7 +400,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     # The softmax runs in place: one (B, A, S', S) array for all its steps.
     P = np.matmul(Q, K.transpose(0, 1, 3, 2))
     P *= c
-    P += np.where(valid, 0.0, -1e9)[:, None, None, :]
+    P += np.where(valid, 0.0, -1e9).astype(P.dtype)[:, None, None, :]
     P -= P.max(axis=-1, keepdims=True)
     np.exp(P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
@@ -407,7 +422,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
         dS *= c
         # One gradient for [Q | K | V], laid out as QKV; with ``cls_only``
         # only the queries' column 0 is nonzero.
-        dQKV = np.zeros(QKV.shape)
+        dQKV = np.zeros(QKV.shape, QKV.dtype)
         np.matmul(dS, K, out=dQKV[:, :A, :Sq])
         np.matmul(dS.transpose(0, 1, 3, 2), Q, out=dQKV[:, A:2 * A])
         np.matmul(P.transpose(0, 1, 3, 2), G, out=dQKV[:, 2 * A:])
@@ -523,8 +538,8 @@ def lstm(xs, W, U, b):
                          f"U {U.shape}, b {b.shape}")
     X = np.stack([x.data for x in xs])                       # (L, B, D)
     XW = (X.reshape(-1, D) @ W.data).reshape(len(xs), B, 4 * H)
-    gates, cs, tcs = [], [np.zeros((B, H))], []
-    h = np.zeros((B, H))
+    h = np.zeros((B, H), XW.dtype)
+    gates, cs, tcs = [], [h], []
     hs = [h]
     for t in range(len(xs)):
         z = XW[t] + h @ U.data + b.data if t else XW[t] + b.data
@@ -542,8 +557,8 @@ def lstm(xs, W, U, b):
         hs.append(h)
 
     def bwd(dh):
-        dZ = np.empty((len(xs), B, 4 * H))
-        dc = np.zeros((B, H))
+        dZ = np.empty_like(XW)
+        dc = np.zeros_like(h)
         for t in reversed(range(len(xs))):
             a = gates[t]
             i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]

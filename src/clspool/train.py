@@ -76,12 +76,12 @@ def regularized_loss(logits, labels, params, decay_names, lam):
 class Adam:
     """Adam with bias correction over a model's name -> parameter dict.
 
-    The moments of all parameters live in two flat vectors, and a step
-    updates every parameter with one pass of vector ops; the update is
-    elementwise, so it equals a per-parameter loop bit for bit. A None
-    gradient (a parameter cut off from the loss), a shape mismatch or a
-    non-finite gradient raises ``ValueError`` naming the parameter before
-    anything moves.
+    The moments of all parameters live in two flat vectors of the
+    parameters' dtype, and a step updates every parameter with one pass of
+    vector ops; the update is elementwise, so it equals a per-parameter
+    loop bit for bit. A None gradient (a parameter cut off from the loss),
+    a shape mismatch or a non-finite gradient raises ``ValueError`` naming
+    the parameter before anything moves.
     """
 
     def __init__(self, params, lr):
@@ -89,8 +89,9 @@ class Adam:
         self.lr = lr
         self.t = 0
         self._offsets = np.cumsum([0] + [p.data.size for p in self.params.values()])
-        self.m = np.zeros(self._offsets[-1])
-        self.v = np.zeros(self._offsets[-1])
+        dtype = np.result_type(*(p.data for p in self.params.values()))
+        self.m = np.zeros(self._offsets[-1], dtype)
+        self.v = np.zeros(self._offsets[-1], dtype)
 
     def step(self):
         for name, p in self.params.items():
@@ -170,12 +171,15 @@ def _keep_freed_memory():
     """Have glibc malloc keep freed memory for reuse instead of returning it.
 
     Every training step allocates and frees its whole tape, and every eval
-    batch its forward's arrays, and a 512×32 float64 array is exactly
-    glibc's default 128 KiB mmap threshold. Depending on heap layout, each step then unmaps (or trims)
-    those blocks and page-faults them back in on the next step, which costs
-    thousands of minor faults per step. Raising the mmap and trim
-    thresholds keeps the freed blocks in the heap. Idempotent; a no-op off
-    Linux or without ``mallopt``.
+    batch its forward's arrays, and a 1024×32 float32 array is exactly
+    glibc's default 128 KiB mmap threshold. Depending on heap layout, each
+    step then unmaps (or trims) those blocks and page-faults them back in
+    on the next step, which costs thousands of minor faults per step.
+    Raising the mmap and trim thresholds keeps the freed blocks in the
+    heap. ``import clspool`` calls it once, so every entry point, training,
+    ``predict``, ``trace_batch``, ``dump_trace`` and ``run_gradcheck``
+    alike, runs with them. Idempotent; a no-op off Linux or without
+    ``mallopt``.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -211,7 +215,6 @@ def evaluate(model, arrays, batch_size=EVAL_BATCH):
     batches of ``eval_batches``. Non-finite logits raise a ValueError that
     names the example's dataset index.
     """
-    _keep_freed_memory()
     labels = arrays[3]
     n = len(labels)
     if n == 0:
@@ -270,7 +273,6 @@ def train_model(model, arrays, config: TrainConfig, shuffle_rng, dropout_rng,
     A non-finite loss or gradient raises ``ValueError`` naming the epoch and
     the 1-based step before any weight of that step moves.
     """
-    _keep_freed_memory()
     tok, seg, mask, labels = arrays
     n = len(labels)
     params = model.parameters()
@@ -332,7 +334,9 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     its column. ``epoch_hook(fold, epoch, model, held_out)`` gets the fold's
     packed held-out arrays. Returns per-fold EvalResults, mean/std
     aggregates and the prepared data, and optionally writes the results CSV;
-    its directory is made once the vocabulary and the folds accept the data.
+    its directory is made once the vocabulary and the folds accept the data,
+    and removed again if it was made here and the run fails, a model that
+    cannot be allocated included, before anything is written in it.
     """
     vocab = data.vocab_for_examples(examples)
     model_config = replace(enc_config, V=len(vocab))
@@ -341,16 +345,24 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     if n_classes is None:
         n_classes = int(labels.max()) + 1
     splits = kfold_split(labels, config.folds, config.seed)
+    made = None
     if out_csv is not None:
-        os.makedirs(os.path.dirname(os.path.abspath(out_csv)), exist_ok=True)
+        out_dir = os.path.dirname(os.path.abspath(out_csv))
+        made = None if os.path.isdir(out_dir) else out_dir
+        os.makedirs(out_dir, exist_ok=True)
 
     fold_results = []
-    for f, (train_idx, test_idx) in enumerate(splits):
-        held_out = tuple(a[test_idx] for a in arrays)
-        hook = (lambda e, m: epoch_hook(f, e, m, held_out)) if epoch_hook else None
-        model = fit(model_config, pooling, n_classes, tuple(a[train_idx] for a in arrays),
-                    config, run=f, epoch_hook=hook)
-        fold_results.append(evaluate(model, held_out))
+    try:
+        for f, (train_idx, test_idx) in enumerate(splits):
+            held_out = tuple(a[test_idx] for a in arrays)
+            hook = (lambda e, m: epoch_hook(f, e, m, held_out)) if epoch_hook else None
+            model = fit(model_config, pooling, n_classes, tuple(a[train_idx] for a in arrays),
+                        config, run=f, epoch_hook=hook)
+            fold_results.append(evaluate(model, held_out))
+    except BaseException:
+        if made is not None and not os.listdir(made):
+            os.rmdir(made)
+        raise
 
     mean, std = _aggregate(fold_results)
     if out_csv is not None:

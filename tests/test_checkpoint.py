@@ -37,22 +37,23 @@ class TestFormat:
     def test_round_trip(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         rng = np.random.default_rng(0)
-        params = {"a/w": rng.normal(size=(3, 4)).astype(np.float32).astype(np.float64),
-                  "a/b": rng.normal(size=4).astype(np.float32).astype(np.float64)}
+        params = {"a/w": rng.normal(size=(3, 4)).astype(np.float32),
+                  "a/b": rng.normal(size=4).astype(np.float32)}
         save_checkpoint(path, {"k": 1}, params)
         meta, back = load_checkpoint(path)
         assert meta == {"k": 1}
         assert set(back) == set(params)
         for name in params:
             npt.assert_array_equal(back[name], params[name])
-            assert back[name].dtype == np.float64
+            assert back[name].dtype == np.float32
+            assert back[name].flags.writeable
 
     def test_float32_quantization(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         exact = np.array([0.1, 1 / 3, np.pi])
         save_checkpoint(path, {}, {"w": exact})
         _, back = load_checkpoint(path)
-        npt.assert_array_equal(back["w"], exact.astype(np.float32).astype(np.float64))
+        npt.assert_array_equal(back["w"], exact.astype(np.float32))
         assert not np.array_equal(back["w"], exact)
 
     def test_header_layout(self, tmp_path):
@@ -134,22 +135,26 @@ class TestModelPersistence:
     CFG = EncoderConfig(L=2, H=8, A=2, F=12, V=16, S_max=10, p_drop=0.1)
 
     def test_save_load_same_predictions(self, tmp_path):
-        path = str(tmp_path / "m.ckpt")
-        model = PooledClassifier(self.CFG, "attention", 3, R.rng_for(0, 0))
-        model.save(path)
-        back, meta = PooledClassifier.load(path)
-        assert meta["pooling"] == "attention"
+        # The model is float32 and so is the file: a round trip loses nothing,
+        # so the loaded model's logits equal the saved one's to the bit.
         rng = np.random.default_rng(1)
         ids = rng.integers(4, 16, size=(4, 6))
         seg = np.zeros((4, 6), dtype=int)
         mask = np.ones((4, 6), dtype=int)
-        # float32 storage: parameters quantized identically, so predictions agree
-        a = model.predict(ids, seg, mask)
-        model2 = back
-        for name, p in model.parameters().items():
-            p.data = p.data.astype(np.float32).astype(np.float64)
-        npt.assert_array_equal(model.predict(ids, seg, mask),
-                               model2.predict(ids, seg, mask))
+        mask[1, 4:] = 0
+        for pooling in ("last", "lstm", "attention"):
+            path = str(tmp_path / f"{pooling}.ckpt")
+            model = PooledClassifier(self.CFG, pooling, 3, R.rng_for(0, 0))
+            model.save(path)
+            back, meta = PooledClassifier.load(path)
+            assert meta["pooling"] == pooling
+            for name, p in back.parameters().items():
+                assert p.data.dtype == np.float32
+                npt.assert_array_equal(p.data, model.parameters()[name].data)
+            logits = model.forward_batch(ids, seg, mask).data
+            assert logits.dtype == np.float32
+            npt.assert_array_equal(back.forward_batch(ids, seg, mask).data, logits)
+            npt.assert_array_equal(back.predict(ids, seg, mask), model.predict(ids, seg, mask))
 
     def test_extra_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "m.ckpt")
@@ -264,4 +269,4 @@ class TestMalformed:
         except ValueError:
             return
         assert isinstance(meta, dict)
-        assert all(a.dtype == np.float64 for a in params.values())
+        assert all(a.dtype == np.float32 for a in params.values())

@@ -14,6 +14,7 @@ from clspool.data import load_jsonl
 from clspool.encoder import EncoderConfig
 from clspool.model import PooledClassifier
 
+from test_encoder import as_float64
 
 TINY_MODEL = "L=1\nH=8\nA=2\nF=8\ns_max=32\n"
 
@@ -224,7 +225,8 @@ class TestTrain:
 
 class TestUnusableDataLeavesNoOut:
     """Data that the vocabulary or the folds refuse exits 1 with their message
-    before ``--out`` is made."""
+    before ``--out`` is made, and a model that cannot be allocated removes
+    the empty ``--out`` that the run made."""
 
     def test_folds_above_the_dataset_size(self, tmp_path, capsys):
         path = str(tmp_path / "five.jsonl")
@@ -234,6 +236,18 @@ class TestUnusableDataLeavesNoOut:
         assert run(["train", "--data", path, "--folds", "10", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: folds=10 exceeds dataset size 5\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_model_that_cannot_be_allocated(self, dataset, tiny_cfg, tmp_path, capsys, existed):
+        # A 10¹²×64 position table, 512 TB, is beyond a 47-bit address space,
+        # so the allocation fails at once; an --out that was there stays.
+        out = tmp_path / "run"
+        if existed:
+            out.mkdir()
+        assert run(["train", "--data", dataset, "--config", tiny_cfg, "--s-max", str(10**12),
+                    "--H", "64", "--out", str(out)]) == 1
+        assert "(1000000000000, 64)" in capsys.readouterr().err
+        assert out.exists() == existed
 
     def test_texts_all_empty(self, tmp_path, capsys):
         path = tmp_path / "empty_texts.jsonl"
@@ -560,6 +574,7 @@ class TestPaddedData:
                 assert a.read() == b.read(), name
 
         model, meta = PooledClassifier.load(os.path.join(outs[0], "model.ckpt"))
+        as_float64(model)   # held to float64 rounding; TestFloat32Model bounds float32's
         tok, seg, mask, _ = data.pack_dataset(load_jsonl(padded_dataset, "absa"),
                                               data.Vocab(meta["vocab"]), model.config.S_max)
         lengths = mask.sum(axis=1)

@@ -390,6 +390,14 @@ def full_trace(enc, ids, segs, mask):
     return trace
 
 
+def as_float64(model):
+    """``model`` with every parameter cast to float64, so that its whole-model
+    comparisons can be held to float64 rounding; returns the model."""
+    for p in model.parameters().values():
+        p.data = p.data.astype(np.float64)
+    return model
+
+
 def padded_batch(S):
     """Three examples of lengths 5, 3 and 4, padded to S <= 8 columns; the
     first columns of the token ids do not depend on S."""
@@ -406,7 +414,8 @@ class TestClsRowsAndTrim:
     def test_logits_and_gradients_equal_the_full_computation(self, kind):
         from clspool.model import PooledClassifier
         from clspool.pooling import classify
-        model = PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3, R.rng_for(15, 0))
+        model = as_float64(PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3,
+                                            R.rng_for(15, 0)))
         ids, segs, mask = padded_batch(7)
         labels = np.array([0, 2, 1])
         params = model.parameters()
@@ -447,7 +456,8 @@ class TestValidRowsOnly:
     def test_padded_batch_equals_each_example_alone(self, kind):
         # Lengths 5, 3 and 4 in 8 columns, and a hole in the first example.
         from clspool.model import PooledClassifier
-        model = PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3, R.rng_for(17, 0))
+        model = as_float64(PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3,
+                                            R.rng_for(17, 0)))
         ids, segs, mask = padded_batch(8)
         mask[0, 2] = 0
         labels = np.array([0, 2, 1])
@@ -481,6 +491,72 @@ class TestValidRowsOnly:
         _, trace = enc.forward_batch(ids, segs, mask)
         for got, ref in zip(trace, full_trace(enc, ids, segs, mask)):
             npt.assert_allclose(got.data, ref.data, rtol=1e-12, atol=0)
+
+
+class TestFloat32Model:
+    """The model runs in float32; the tests above hold its float64 cast to
+    float64 rounding, and these bound the float32 model against that cast."""
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_logits_and_gradients_near_the_float64_cast(self, kind):
+        from clspool.model import PooledClassifier
+
+        def model():
+            return PooledClassifier(small_config(L=3, p_drop=0.0), kind, 3, R.rng_for(17, 0))
+
+        ids, segs, mask = padded_batch(8)
+        mask[0, 2] = 0
+        labels = np.array([0, 2, 1])
+        runs = []
+        for m in (model(), as_float64(model())):
+            logits = m.forward_batch(ids, segs, mask)
+            T.softmax_cross_entropy(logits, labels).backward()
+            runs.append((logits.data, {name: p.grad for name, p in m.parameters().items()}))
+        (logits, grads), (ref_logits, ref_grads) = runs
+        assert logits.dtype == np.float32 and ref_logits.dtype == np.float64
+        # float32's epsilon is 1.2e-7; a few dozen roundings in a row stay far below these.
+        npt.assert_allclose(logits, ref_logits, rtol=0, atol=1e-5 * np.abs(ref_logits).max())
+        scale = max(np.abs(g).max() for g in ref_grads.values())
+        for name, g in ref_grads.items():
+            assert grads[name].dtype == np.float32, name
+            npt.assert_allclose(grads[name], g, rtol=0, atol=1e-4 * scale, err_msg=name)
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_init_is_the_float64_draw_rounded(self, kind):
+        from clspool.model import PooledClassifier
+        from clspool.pooling import HEADS, ClassifierHead
+        cfg = small_config()
+        model = PooledClassifier(cfg, kind, 3, R.rng_for(4, R.INIT))
+        enc_rng, head_rng, cls_rng = R.rng_for(4, R.INIT).spawn(3)
+        drawn = {**MiniEncoder(cfg, enc_rng).params, **HEADS[kind](cfg.H, head_rng).params,
+                 **ClassifierHead(cfg.H, 3, cls_rng).params}
+        assert sorted(drawn) == sorted(model.parameters())
+        for name, p in model.parameters().items():
+            assert p.data.dtype == np.float32 and drawn[name].data.dtype == np.float64
+            npt.assert_array_equal(p.data, drawn[name].data.astype(np.float32), err_msg=name)
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_dropout_masks_equal_the_float64_casts(self, kind, monkeypatch):
+        from clspool.model import PooledClassifier
+        dropout = T._dropout_fwd
+        masks = []
+
+        def spy(*args):
+            out, keep = dropout(*args)
+            masks[-1].append(keep)
+            return out, keep
+
+        monkeypatch.setattr(T, "_dropout_fwd", spy)
+        ids, segs, mask = padded_batch(8)
+        for cast in (lambda m: m, as_float64):
+            masks.append([])
+            m = cast(PooledClassifier(small_config(L=3), kind, 3, R.rng_for(5, R.INIT)))
+            m.forward_batch(ids, segs, mask, training=True, rng=R.rng_for(5, R.DROPOUT))
+        single, double = masks
+        assert len(single) == len(double) == 8   # embedding, two per block, classifier
+        for k32, k64 in zip(single, double):
+            assert k32.dtype == np.float32 and k64.dtype == np.float64
+            npt.assert_array_equal(k32, k64.astype(np.float32))
 
 
 # The unfused encoder block, its products, sums and dropouts public ops and

@@ -303,13 +303,18 @@ class TestBackward:
         assert np.array_equal(g1, g2)
 
 
+def public_ops():
+    """The public ops of clspool.tensor, name -> function."""
+    return {name: f for name, f in vars(T).items()
+            if inspect.isfunction(f) and f.__module__ == T.__name__
+            and not name.startswith("_") and name != "backward"}
+
+
 def spy_on_public_ops(monkeypatch, made):
     """Wrap every public op of clspool.tensor so that each call returning a
     new node appends (op name, whether the node has parents, whether it has
     a backward) to ``made``, as the op returns it. Returns the set of op names."""
-    ops = {name: f for name, f in vars(T).items()
-           if inspect.isfunction(f) and f.__module__ == T.__name__
-           and not name.startswith("_") and name != "backward"}
+    ops = public_ops()
 
     def spy(name, op):
         def wrapped(*args, **kwargs):
@@ -1107,6 +1112,17 @@ class TestDropout:
             T.linear(Tensor(np.ones((1, 3))), Tensor(np.eye(3)), zero_bias(3), 0.5, None,
                      training=True)
 
+    def test_float32_draws_the_float64_mask(self):
+        # The uniforms are float64 whatever the input's dtype; only the mask
+        # is cast, so a float32 run drops the same entries, scaled alike.
+        def dropped(dtype):
+            return T.linear(Tensor(np.ones((50, 40), dtype)), Tensor(np.eye(40, dtype=dtype)),
+                            Tensor(np.zeros(40, dtype)), 0.1, np.random.default_rng(3)).data
+
+        y32 = dropped(np.float32)
+        assert y32.dtype == np.float32
+        npt.assert_array_equal(y32, dropped(np.float64).astype(np.float32))
+
 
 class TestLayerNormAndActivations:
     def test_layer_norm_rows_standardized(self):
@@ -1138,6 +1154,15 @@ class TestGradcheckCoverage:
         recorded = {name for name, parents, _ in made if parents}
         assert sorted(ops - recorded) == []
 
+    def test_every_scenario_runs_in_float64(self):
+        # Finite differences at h = 1e-5 need 64 bits; the desk model's
+        # scenarios cast its float32 parameters, and the ops follow them.
+        from clspool.gradcheck import SCENARIOS
+        for name, build in SCENARIOS.items():
+            loss_fn, params = build(0)
+            assert {p.data.dtype for p in params.values()} == {np.dtype(np.float64)}, name
+            assert loss_fn().data.dtype == np.float64, name
+
 
 class TestRuntimeCoverage:
     def test_every_public_op_is_run_by_training_or_evaluation(self, monkeypatch):
@@ -1155,3 +1180,54 @@ class TestRuntimeCoverage:
             evaluate(model, arrays)
         recorded = {name for name, parents, _ in made if parents}
         assert sorted(ops ^ recorded) == []
+
+
+# Each public op once: the shapes of its Tensor inputs, and the call on them
+# with a dropout generator (dropout on wherever the op has one).
+DTYPE_MASK = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])   # 7 valid positions
+OP_CALLS = {
+    "gather_rows": ([(5, 6)], lambda t, rng: T.gather_rows(t[0], [0, 3, 3])),
+    "embedding_sublayer": (
+        [(5, 6), (2, 6), (4, 6), (6,), (6,)],
+        lambda t, rng: T.embedding_sublayer([[0, 0, 0], [3, 1, 2], [3, 1, 3]], t, 0.3, rng)),
+    "attention_sublayer": (
+        [(7, 6), (6, 18), (18,), (6, 6), (6,), (6,), (6,)],
+        lambda t, rng: T.attention_sublayer(t[0], t[1:], DTYPE_MASK, 2, False, 0.3, rng)[0]),
+    "ffn_sublayer": ([(4, 6), (6, 8), (8,), (8, 6), (6,), (6,), (6,)],
+                     lambda t, rng: T.ffn_sublayer(t[0], t[1:], 0.3, rng)),
+    "layer_attention": ([(3, 6), (3, 6), (6,), (6, 6)],
+                        lambda t, rng: T.layer_attention(t[:2], t[2], t[3])[0]),
+    "lstm": ([(3, 6), (3, 6), (6, 24), (6, 24), (24,)],
+             lambda t, rng: T.lstm(t[:2], t[2], t[3], t[4])),
+    "linear": ([(3, 6), (6, 4), (4,)], lambda t, rng: T.linear(t[0], t[1], t[2], 0.3, rng)),
+    "softmax_cross_entropy": ([(3, 4), (6, 4)], lambda t, rng: T.softmax_cross_entropy(
+        t[0], [0, 3, 1], [t[1]], 0.1)),
+}
+
+
+class TestDtype:
+    """Every op computes in its inputs' dtype, float32 or float64."""
+
+    def test_every_public_op_has_a_call(self):
+        assert sorted(OP_CALLS) == sorted(public_ops())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", sorted(OP_CALLS))
+    def test_output_and_gradients_take_the_inputs_dtype(self, op, dtype):
+        shapes, call = OP_CALLS[op]
+        rng = np.random.default_rng(0)
+        inputs = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                  for shape in shapes]
+        out = call(inputs, np.random.default_rng(1))
+        assert out.data.dtype == dtype
+        if out.data.size > 1:
+            R = Tensor(rng.normal(size=(out.shape[1], 3)).astype(dtype))
+            out = T.softmax_cross_entropy(T.linear(out, R, Tensor(np.zeros(3, dtype))),
+                                          np.arange(out.shape[0]) % 3)
+        assert out.data.dtype == dtype
+        out.backward()
+        assert [t.grad.dtype for t in inputs] == [dtype] * len(inputs)
+
+    @pytest.mark.parametrize("data", [[1, 2], np.arange(3), np.float16([0.5]), True])
+    def test_other_data_becomes_float64(self, data):
+        assert Tensor(data).data.dtype == np.float64

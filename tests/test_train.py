@@ -244,6 +244,19 @@ class TestAdam:
         assert opt.t == ref.t == 50
 
 
+def holey_batch(seed):
+    """Token ids, segments and mask of lengths 6, 4 and 5 in 6 columns; the
+    first example has a hole."""
+    rng = np.random.default_rng(seed)
+    tok = rng.integers(4, 16, size=(3, 6))
+    tok[:, 0] = 2
+    seg = np.zeros((3, 6), dtype=int)
+    seg[:, 3:] = 1
+    mask = (np.arange(6) < np.array([[6], [4], [5]])).astype(int)
+    mask[0, 2] = 0
+    return tok, seg, mask
+
+
 class TestEveryParameterGetsAGradient:
     """Adam has one update path because every parameter reaches the loss."""
 
@@ -251,16 +264,9 @@ class TestEveryParameterGetsAGradient:
     @pytest.mark.parametrize("L", [1, 2])
     @pytest.mark.parametrize("lam", [0.0, 1e-5])
     def test_one_training_step(self, kind, L, lam):
-        # Lengths 6, 4 and 5 in 6 columns; the first example has a hole.
         cfg = EncoderConfig(L=L, H=8, A=2, F=12, V=16, S_max=8, p_drop=0.1)
         model = PooledClassifier(cfg, kind, 3, R.rng_for(L, R.INIT))
-        rng = np.random.default_rng(L)
-        tok = rng.integers(4, 16, size=(3, 6))
-        tok[:, 0] = 2
-        seg = np.zeros((3, 6), dtype=int)
-        seg[:, 3:] = 1
-        mask = (np.arange(6) < np.array([[6], [4], [5]])).astype(int)
-        mask[0, 2] = 0
+        tok, seg, mask = holey_batch(L)
         params = model.parameters()
         logits = model.forward_batch(tok, seg, mask, training=True, rng=R.rng_for(L, R.DROPOUT))
         regularized_loss(logits, np.array([0, 2, 1]), params, model.decay_names(),
@@ -277,6 +283,27 @@ class TestEveryParameterGetsAGradient:
         with pytest.raises(ValueError, match="epoch 1, step 1: parameter attnpool/unused "
                                              "has no gradient"):
             train_model(m, pack_dataset(ex, vocab, 8), config, R.rng_for(0, 1), R.rng_for(0, 2))
+
+
+class TestSinglePrecision:
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_one_training_step_stays_float32(self, kind):
+        cfg = EncoderConfig(L=2, H=8, A=2, F=12, V=16, S_max=8, p_drop=0.1)
+        model = PooledClassifier(cfg, kind, 3, R.rng_for(0, R.INIT))
+        tok, seg, mask = holey_batch(0)
+        params = model.parameters()
+        logits = model.forward_batch(tok, seg, mask, training=True, rng=R.rng_for(0, R.DROPOUT))
+        loss = regularized_loss(logits, np.array([0, 2, 1]), params, model.decay_names(), 1e-5)
+        loss.backward()
+        opt = Adam(params, lr=1e-3)
+        opt.step()
+        arrays = {"logits": logits.data, "loss": loss.data, "Adam m": opt.m, "Adam v": opt.v}
+        for name, p in params.items():
+            arrays[name] = p.data
+            arrays[name + " grad"] = p.grad
+        for layer, rows in enumerate(model.trace_batch(tok, seg, mask), start=1):
+            arrays[f"trace layer {layer}"] = rows
+        assert {name: a.dtype for name, a in arrays.items() if a.dtype != np.float32} == {}
 
 
 def op_nodes(loss):
