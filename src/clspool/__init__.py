@@ -13,8 +13,8 @@ from .pooling import (HEAD_KINDS, HEADS, AttentionPoolHead, ClassifierHead, Last
 from .model import PooledClassifier
 from .train import (Adam, CVResult, EvalResult, TrainConfig, cross_validated_train,
                     evaluate, kfold_split, regularized_loss, train_model)
-from .data import (DataError, PairExample, Vocab, build_vocab, load_jsonl,
-                   pack_dataset, save_jsonl, synth_generate)
+from .data import (DataError, PairExample, Vocab, load_jsonl, pack_dataset, save_jsonl,
+                   synth_generate, vocab_for_examples)
 from .analysis import (LayerDump, Projection2D, cluster_score, dump_trace,
                        pca_project, project_dump_dir)
 from .gradcheck import run_gradcheck

@@ -55,7 +55,8 @@ def pca_project(dump: LayerDump, k=2):
     if n < 2:
         raise ValueError(f"PCA needs at least 2 points, got {n}")
     Xc = X - X.mean(axis=0)
-    if np.allclose(Xc, 0.0):
+    # Centring identical rows leaves a few ulps of |X|; n ulps is no spread at any scale.
+    if np.abs(Xc).max() <= n * np.finfo(float).eps * np.abs(X).max():
         raise DegenerateDataError("all vectors are identical; PCA is undefined")
     _, s, Vt = np.linalg.svd(Xc, full_matrices=False)
     components = Vt[:k].copy()

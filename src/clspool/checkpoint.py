@@ -106,7 +106,8 @@ def load_checkpoint(path):
     at = off
     try:
         meta = json.loads(take(meta_len, "metadata").decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
+        # Bad UTF-8 or JSON, or a decoder limit: nesting too deep, an integer too long.
         raise ValueError(f"{path}: bad metadata at offset {at}: {e}") from None
     if not isinstance(meta, dict):
         raise ValueError(f"{path}: metadata at offset {at} is not a JSON object")

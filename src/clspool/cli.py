@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 data/runtime error (a bad file, a malformed input
 line, an OS error, a non-finite value or an allocation that fails), 2 usage
 error.
 A ``--config`` file holds flat ``key=value`` lines mirroring the flags;
-flags given on the command line override the file.
+flags given on the command line override the file. A flag and a config line
+parse a value by one route, so a bad value gets one reason from either.
 """
 
 from __future__ import annotations
@@ -59,28 +60,33 @@ def _train_keys():
 
 
 _TRAIN_KEYS = _train_keys()
-_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
-def _check_train_value(key, value):
-    """Raise the ValueError of TrainConfig or EncoderConfig if it rejects ``value``
-    for the setting ``key`` on its own."""
-    if key in _TRAIN_FIELDS:
-        TrainConfig(**{key: value})
-    elif key in _ENCODER_KEYS:
-        EncoderConfig.check_field(_ENCODER_KEYS[key], value)
-
-
-def _flag_type(key, kind):
-    """The argparse type of a `train` flag: ``kind``, then its config's check."""
-    def parse(text):
+def _parse_setting(key, text):
+    """The value of the `train` setting ``key`` written as ``text``, for its flag and
+    its config line alike: the key's type, then its choices, then the check of
+    EncoderConfig or TrainConfig. A bad value raises a ValueError with the reason."""
+    kind = _TRAIN_KEYS[key][0]
+    try:
         value = kind(text)
+    except ValueError:
+        raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
+    if key in _CHOICES and value not in _CHOICES[key]:
+        raise ValueError(f"expected one of {_CHOICES[key]}, got {text!r}")
+    if key in _ENCODER_KEYS:
+        EncoderConfig.check_field(_ENCODER_KEYS[key], value)
+    elif key not in _CLI_DEFAULTS:
+        TrainConfig(**{key: value})
+    return value
+
+
+def _flag_type(key):
+    """The argparse type of the `train` flag for ``key``."""
+    def parse(text):
         try:
-            _check_train_value(key, value)
+            return _parse_setting(key, text)
         except ValueError as e:
             raise argparse.ArgumentTypeError(str(e)) from None
-        return value
-    parse.__name__ = kind.__name__
     return parse
 
 
@@ -112,30 +118,18 @@ def _read_config_file(path):
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in _TRAIN_KEYS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-        kind = _TRAIN_KEYS[key][0]
         try:
-            values[key] = kind(val)
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: {key}: expected {kind.__name__}, "
-                            f"got {val!r}") from None
-        try:
-            _check_train_value(key, values[key])
+            values[key] = _parse_setting(key, val)
         except ValueError as e:
             raise DataError(f"{path}:{lineno}: {key}: {e}") from None
-        if key in _CHOICES and values[key] not in _CHOICES[key]:
-            raise DataError(f"{path}:{lineno}: {key}: expected one of {_CHOICES[key]}, "
-                            f"got {val!r}")
     return values
 
 
 def _resolve(args, file_values):
-    """Merge builtin defaults, config-file values, and explicit flags."""
-    merged = {key: default for key, (_, default) in _TRAIN_KEYS.items()}
-    merged.update(file_values)
-    for key in _TRAIN_KEYS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+    """Builtin defaults, overridden by config-file values, overridden by the
+    flags given (a flag not given leaves no attribute on ``args``)."""
+    merged = {**{key: default for key, (_, default) in _TRAIN_KEYS.items()}, **file_values,
+              **{key: value for key, value in vars(args).items() if key in _TRAIN_KEYS}}
     if merged["data"] is None:
         raise DataError("no dataset given: pass --data or set data= in the config file")
     return merged
@@ -235,9 +229,11 @@ def build_parser():
 
     p = sub.add_parser("train", help="cross-validated training")
     p.add_argument("--config", help="key=value file; flags override it")
-    for key, (kind, default) in _TRAIN_KEYS.items():
-        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(key, kind),
-                       choices=_CHOICES.get(key),
+    for key, (_, default) in _TRAIN_KEYS.items():
+        choices = _CHOICES.get(key)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_flag_type(key),
+                       default=argparse.SUPPRESS,
+                       metavar="{" + ",".join(choices) + "}" if choices else None,
                        help=_HELP.get(key, f"default: {default}"))
     p.set_defaults(func=_cmd_train)
 

@@ -67,26 +67,21 @@ class Vocab:
         return self.token_to_id.get(token, UNK_ID)
 
     def tokens(self):
-        """Non-reserved tokens in id order (for serialization)."""
-        inv = sorted(self.token_to_id.items(), key=lambda kv: kv[1])
-        return [tok for tok, i in inv if i >= len(RESERVED)]
+        """Non-reserved tokens in id order (ids follow insertion order), for serialization."""
+        return list(self.token_to_id)[len(RESERVED):]
 
 
-def build_vocab(corpus):
-    """Vocabulary over every lowercased whitespace token of the corpus.
+def vocab_for_examples(examples):
+    """Vocabulary over every lowercased whitespace token of both texts of every example.
 
     Order is deterministic: count descending, then lexicographic.
     """
     counts = Counter()
-    for text in corpus:
-        counts.update(tokenize(text))
+    for ex in examples:
+        counts.update(tokenize(ex.text_a + " " + ex.text_b))
     if not counts:
         raise DataError("cannot build a vocabulary from an empty corpus")
     return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
-
-
-def vocab_for_examples(examples):
-    return build_vocab([ex.text_a + " " + ex.text_b for ex in examples])
 
 
 def pack_dataset(examples, vocab, s_max):
@@ -162,8 +157,9 @@ def load_jsonl(path, schema):
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+        except (ValueError, RecursionError) as e:
+            # Bad JSON, or a decoder limit: nesting too deep, an integer too long.
+            raise DataError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from None
         if not isinstance(obj, dict):
             raise DataError(f"{path}:{lineno}: expected a JSON object, "
                             f"got {type(obj).__name__}")
@@ -247,8 +243,9 @@ def synth_label_function(ex: PairExample):
     raise ValueError(f"no marker for aspect {ex.text_b!r} in {ex.text_a!r}")
 
 
-def unigram_baseline_accuracy(train, test, classes=3, alpha=1.0):
-    """Naive-Bayes unigram classifier over text_a only (ignores text_b).
+def unigram_baseline_accuracy(train, test):
+    """Add-one smoothed Naive-Bayes unigram classifier over text_a only (ignores
+    text_b), over the three classes of the synthetic task.
 
     Serves as the oracle showing the synthetic task cannot be solved
     without relating the two segments.
@@ -257,8 +254,8 @@ def unigram_baseline_accuracy(train, test, classes=3, alpha=1.0):
     for ex in train:
         for t in tokenize(ex.text_a):
             vocab.setdefault(t, len(vocab))
-    counts = np.full((classes, len(vocab)), alpha)
-    prior = np.full(classes, alpha)
+    counts = np.ones((len(ABSA_LABELS), len(vocab)))
+    prior = np.ones(len(ABSA_LABELS))
     for ex in train:
         prior[ex.label] += 1
         for t in tokenize(ex.text_a):

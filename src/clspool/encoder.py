@@ -57,8 +57,14 @@ class EncoderConfig:
 
     @staticmethod
     def check_field(name, value):
-        """Raise ValueError if ``value`` is out of range for the field ``name`` on its own."""
-        if name == "p_drop":
+        """Raise ValueError if ``value`` is of the wrong type or out of range for the
+        field ``name`` on its own. Every field is an int but ``p_drop``, an int or a
+        float; a bool is neither. So JSON-decoded checkpoint metadata needs no other check."""
+        p_drop = name == "p_drop"
+        if isinstance(value, bool) or not isinstance(value, (int, float) if p_drop else int):
+            raise ValueError(f"{name} must be {'a number' if p_drop else 'an integer'}, "
+                             f"got {value!r}")
+        if p_drop:
             if not 0.0 <= value < 1.0:
                 raise ValueError(f"dropout rate must be in [0, 1), got {value}")
         elif value < (low := MIN_S_MAX if name == "S_max" else 1):

@@ -31,23 +31,23 @@ REL_TOL = 1e-4
 COORD_BLOCK = 12   # entries per ``coords_per_param`` sampled coordinates
 
 
-def finite_diff(loss_fn, param, index, h=FD_STEP):
-    """Central difference of loss_fn w.r.t. one coordinate of a parameter."""
+def finite_diff(loss_fn, param, index):
+    """Central difference, at step ``FD_STEP``, of loss_fn w.r.t. one coordinate of a parameter."""
     flat = param.data.reshape(-1)
     orig = flat[index]
-    flat[index] = orig + h
+    flat[index] = orig + FD_STEP
     up = loss_fn().item()
-    flat[index] = orig - h
+    flat[index] = orig - FD_STEP
     down = loss_fn().item()
     flat[index] = orig
-    return (up - down) / (2 * h)
+    return (up - down) / (2 * FD_STEP)
 
 
 def rel_error(a, b):
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
-def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
+def check_gradients(loss_fn, params, rng, coords_per_param=2):
     """Max relative error between analytic and finite-difference gradients.
 
     From each tensor it samples ``coords_per_param`` distinct coordinates
@@ -66,7 +66,7 @@ def check_gradients(loss_fn, params, rng, coords_per_param=2, h=FD_STEP):
         size = p.data.size
         k = min(coords_per_param * math.ceil(size / COORD_BLOCK), size)
         for index in rng.choice(size, size=k, replace=False):
-            fd = finite_diff(loss_fn, p, int(index), h=h)
+            fd = finite_diff(loss_fn, p, int(index))
             analytic = grads[name].reshape(-1)[int(index)]
             worst = max(worst, rel_error(analytic, fd))
         p.grad = None
@@ -202,12 +202,12 @@ SCENARIOS = {
 }
 
 
-def run_gradcheck(seeds=20, coords_per_param=2, tol=REL_TOL, report=None):
+def run_gradcheck(seeds=20, coords_per_param=2, report=None):
     """Run every scenario over the given number of seeds.
 
     Returns (all_passed, results) where results maps scenario name to the
-    worst relative error observed. Fewer than one seed checks nothing and
-    raises ValueError.
+    worst relative error observed; a scenario passes below ``REL_TOL``.
+    Fewer than one seed checks nothing and raises ValueError.
     """
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
@@ -221,6 +221,6 @@ def run_gradcheck(seeds=20, coords_per_param=2, tol=REL_TOL, report=None):
                                                coords_per_param=coords_per_param))
         results[name] = worst
         if report is not None:
-            status = "ok" if worst < tol else "FAIL"
+            status = "ok" if worst < REL_TOL else "FAIL"
             report(f"{name}: max rel err {worst:.3e} [{status}]")
-    return all(v < tol for v in results.values()), results
+    return all(v < REL_TOL for v in results.values()), results

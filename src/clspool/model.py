@@ -158,10 +158,6 @@ def _config_from_meta(meta):
     if set(enc) != names:
         raise ValueError(f"checkpoint metadata 'encoder' has missing keys "
                          f"{sorted(names - set(enc))} and unknown keys {sorted(set(enc) - names)}")
-    for key, value in enc.items():
-        number = (int, float) if key == "p_drop" else int
-        if isinstance(value, bool) or not isinstance(value, number):
-            raise ValueError(f"checkpoint metadata 'encoder.{key}' has bad value {value!r}")
     try:
         config = EncoderConfig(**enc)
     except ValueError as e:

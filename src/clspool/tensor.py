@@ -206,17 +206,17 @@ def _scatter_add_rows(g, idx, rows):
 # layer norm and dropout
 
 
-def _layer_norm_fwd(s, gamma, beta, eps=1e-12):
+def _layer_norm_fwd(s, gamma, beta):
     """Per-row layer norm of the matrix ``s``; returns (output, xhat, inv).
 
-    ``xhat`` is the normalized ``s`` and ``inv`` the per-row 1/sqrt(var + eps)
+    ``xhat`` is the normalized ``s`` and ``inv`` the per-row 1/sqrt(var + 1e-12)
     column, which ``_layer_norm_bwd`` reuses. The mean and the variance are
     row sums divided by the width, which is what ``np.mean`` and ``np.var``
     compute, to the bit, with one pass fewer over ``s``.
     """
     n = s.shape[1]
     xhat = s - s.sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / n + 1e-12)
     xhat *= inv
     return xhat * gamma + beta, xhat, inv
 

@@ -97,6 +97,15 @@ class TestPCA:
         with pytest.raises(DegenerateDataError):
             pca_project(make_dump(X), k=2)
 
+    def test_tiny_distinct_vectors_are_not_identical(self):
+        # The score is invariant under uniform scaling, down to vectors of 1e-9.
+        rng = np.random.default_rng(6)
+        labels = np.arange(30) % 3
+        X = rng.normal(size=(30, 4)) + labels[:, None]
+        scores = [cluster_score(pca_project(make_dump(X * scale, labels=labels)))
+                  for scale in (1.0, 1e-6, 1e-9)]
+        npt.assert_allclose(scores, scores[0], rtol=1e-12)
+
     def test_one_point_names_the_count(self):
         # One point always centres to zero; the count, not "identical", is the fault.
         with pytest.raises(ValueError, match="at least 2 points, got 1") as err:

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -8,7 +9,7 @@ import pytest
 
 from clspool import cli, data, train
 from clspool import rng as R
-from clspool.checkpoint import load_checkpoint, save_checkpoint
+from clspool.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from clspool.cli import main
 from clspool.data import load_jsonl
 from clspool.encoder import EncoderConfig
@@ -303,6 +304,9 @@ class TestEvalAndProject:
         # V=6 fits exactly 2 distinct non-reserved tokens.
         ("vocab", ["w1"]), ("vocab", ["w1", "w2", "w3"]), ("vocab", ["w1", "w1"]),
         ("vocab", ["w1", "[CLS]"]),
+        # Values of the wrong JSON type: EncoderConfig refuses them itself.
+        ("encoder", {"L": "2"}), ("encoder", {"L": True}), ("encoder", {"L": 2.5}),
+        ("encoder", {"p_drop": "0.1"}),
     ])
     def test_eval_bad_checkpoint_metadata_exit_1(self, dataset, tmp_path, capsys, key, value):
         cfg = EncoderConfig(L=1, H=4, A=2, F=4, V=6, S_max=8)
@@ -544,6 +548,52 @@ class TestEncoderSettings:
         assert not out.exists()
 
 
+class TestOneParsePerSetting:
+    """A `train` flag and its config line parse a value by one route."""
+
+    # (key, text): an unparsable int and float, values out of range, bad choices.
+    BAD = [("epochs", "ten"), ("lr", "fast"), ("seed", "-1"), ("L", "0"), ("p_drop", "1.0"),
+           ("pooling", "cnn"), ("schema", "xyz")]
+
+    def test_same_reason_from_flag_and_config_line(self, dataset, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg", tmp_path / "run"
+        for key, text in self.BAD:
+            flag = "--" + key.replace("_", "-")
+            assert run(["train", "--data", dataset, flag, text, "--out", str(out)]) == 2
+            flag_err = capsys.readouterr().err.splitlines()[-1]
+            cfg.write_text(f"{key}={text}\n")
+            assert run(["train", "--data", dataset, "--config", str(cfg), "--out", str(out)]) == 1
+            file_err = capsys.readouterr().err.splitlines()
+            flag_prefix = f"clspool train: error: argument {flag}: "
+            file_prefix = f"error: {cfg}:1: {key}: "
+            assert flag_err.startswith(flag_prefix), flag_err
+            assert len(file_err) == 1 and file_err[0].startswith(file_prefix), file_err
+            reason = flag_err[len(flag_prefix):]
+            assert reason and reason == file_err[0][len(file_prefix):]
+            assert not out.exists()
+
+    def test_every_default_parses_back_by_both_routes(self, tmp_path):
+        # A default written as text must read back as itself, type and all
+        # (a bool setting would not: bool("False") is True).
+        defaults = {key: default for key, (_, default) in cli._TRAIN_KEYS.items()
+                    if key != "data"}
+        flags = [arg for key, default in defaults.items()
+                 for arg in ("--" + key.replace("_", "-"), str(default))]
+        args = cli.build_parser().parse_args(["train", *flags])
+        cfg = tmp_path / "cfg"
+        cfg.write_text("".join(f"{key}={default}\n" for key, default in defaults.items()))
+        typed = {key: (type(value), value) for key, value in defaults.items()}
+        assert {key: (type(value), value) for key, value in vars(args).items()
+                if key in defaults} == typed
+        assert {key: (type(value), value)
+                for key, value in cli._read_config_file(str(cfg)).items()} == typed
+
+    def test_help_lists_the_choices(self, capsys):
+        assert run(["train", "--help"]) == 0
+        out = capsys.readouterr().out
+        assert "--schema {absa,nli}" in out and "--pooling {last,lstm,attention}" in out
+
+
 class TestPaddedData:
     """Texts of 1 to 15 tokens, so every batch pads and masks (ROADMAP aim 3)."""
 
@@ -756,6 +806,33 @@ class TestNoTraceback:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}:{line}: 'utf-8' codec can't decode byte 0xff")
         assert "Traceback" not in err
+
+    # JSON that the decoder refuses for one of its limits, not for its syntax.
+    DECODER_LIMITS = [("[" * 100_000, "maximum recursion depth exceeded"),
+                      ("1" * 5000, "Exceeds the limit (4300 digits)")]
+
+    @pytest.mark.parametrize("value, reason", DECODER_LIMITS, ids=["nested", "digits"])
+    def test_jsonl_beyond_decoder_limits_names_line(self, tmp_path, capsys, value, reason):
+        path = tmp_path / "d.jsonl"
+        good = json.dumps({"text": "a b", "aspect": "a", "label": "positive"})
+        path.write_text(good + "\n" + '{"text": "a", "aspect": "a", "label": ' + value + "}\n")
+        assert run(["train", "--data", str(path), "--folds", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {path}:2: invalid JSON (") and reason in err[0]
+
+    @pytest.mark.parametrize("value, reason", DECODER_LIMITS, ids=["nested", "digits"])
+    def test_checkpoint_metadata_beyond_decoder_limits_names_offset(self, dataset, tmp_path,
+                                                                    capsys, value, reason):
+        meta = ('{"n_classes": ' + value + "}").encode()
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(meta)) + meta
+                         + struct.pack("<I", 0))
+        assert run(["eval", "--checkpoint", str(path), "--data", dataset]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith(f"error: {path}: bad metadata at offset 16: ")
+        assert reason in err[0]
 
     def test_diverging_run_prints_one_line(self, dataset, tmp_path):
         # The weights overflow in the first step; nothing is scored or saved,

@@ -7,40 +7,45 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clspool.data import (CLS_ID, DataError, PAD_ID, PairExample, SEP_ID, UNK_ID,
-                          Vocab, build_vocab, load_jsonl, pack_dataset, save_jsonl,
+                          Vocab, load_jsonl, pack_dataset, save_jsonl,
                           synth_generate, synth_label_function, tokenize,
                           unigram_baseline_accuracy, vocab_for_examples)
 
 
+def vocab_of(*texts):
+    """The vocabulary of one example per text, each with an empty ``text_b``."""
+    return vocab_for_examples([PairExample(text, "", 0) for text in texts])
+
+
 class TestVocab:
     def test_unknown_maps_to_unk(self):
-        v = build_vocab(["a a b"])
+        v = vocab_of("a a b")
         assert v.id("b") != UNK_ID
         assert v.id("zzz") == UNK_ID
         assert [v.id(t) for t in tokenize("a zzz")] == [v.id("a"), UNK_ID]
 
     def test_deterministic(self):
         corpus = ["red green blue", "green blue blue"]
-        assert build_vocab(corpus).token_to_id == build_vocab(corpus).token_to_id
+        assert vocab_of(*corpus).token_to_id == vocab_of(*corpus).token_to_id
 
     def test_ordering_count_then_lexicographic(self):
-        v = build_vocab(["b a b c a b"])
+        v = vocab_of("b a b c a b")
         ids = v.token_to_id
         assert ids["b"] < ids["a"] < ids["c"]
 
     def test_empty_corpus(self):
         with pytest.raises(DataError):
-            build_vocab([])
+            vocab_for_examples([])
 
     def test_reserved_ids_stable(self):
-        v = build_vocab(["x y z"])
+        v = vocab_of("x y z")
         assert v.token_to_id["[PAD]"] == 0
         assert v.token_to_id["[UNK]"] == 1
         assert v.token_to_id["[CLS]"] == 2
         assert v.token_to_id["[SEP]"] == 3
 
     def test_tokens_round_trip(self):
-        v = build_vocab(["red green blue green"])
+        v = vocab_of("red green blue green")
         assert Vocab(v.tokens()).token_to_id == v.token_to_id
 
 
@@ -61,7 +66,7 @@ class TestPackPair:
         assert mask.tolist() == [1, 1, 1, 1, 1, 1]
 
     def test_empty_b(self):
-        v = build_vocab(["x y"])
+        v = vocab_of("x y")
         ids, segs, mask = pack_one(PairExample("x y", "", 0), v, 8)
         assert ids[0] == CLS_ID
         assert ids.tolist().count(SEP_ID) == 2
@@ -69,7 +74,7 @@ class TestPackPair:
         assert segs[mask == 1].tolist() == [0, 0, 0, 0, 1]
 
     def test_longest_first_truncation(self):
-        v = build_vocab(["t"])
+        v = vocab_of("t")
         a = " ".join(["t"] * 100)
         b = "t t"
         ids, _, _ = pack_one(PairExample(a, b, 0), v, 16)
@@ -83,7 +88,7 @@ class TestPackPair:
            st.lists(st.sampled_from(["a", "b", "c", "zz"]), max_size=40),
            st.integers(4, 40))
     def test_packing_properties(self, words_a, words_b, s_max):
-        v = build_vocab(["a b c"])  # "zz" encodes as [UNK]
+        v = vocab_of("a b c")  # "zz" encodes as [UNK]
         enc_a, enc_b = ([v.id(t) for t in words] for words in (words_a, words_b))
         ids, segs, mask = pack_one(PairExample(" ".join(words_a), " ".join(words_b), 0),
                                    v, s_max)
@@ -107,7 +112,7 @@ class TestPackPair:
 
     def test_structure_invariants(self):
         rng = np.random.default_rng(0)
-        v = build_vocab(["a b c d e f g"])
+        v = vocab_of("a b c d e f g")
         for _ in range(50):
             na, nb = rng.integers(0, 30, size=2)
             ex = PairExample(" ".join(rng.choice(list("abcdefg"), na)),
@@ -285,7 +290,7 @@ def pair_examples(draw):
 
 
 class TestPackDataset:
-    VOCAB = build_vocab(["a b c"])
+    VOCAB = vocab_of("a b c")
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(pair_examples(), min_size=1, max_size=8), st.integers(4, 40))

@@ -57,6 +57,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             small_config(p_drop=1.0)
 
+    @pytest.mark.parametrize("field, value", [("L", "2"), ("L", True), ("L", 2.5),
+                                              ("V", np.float64(16)), ("p_drop", "0.1"),
+                                              ("p_drop", False)])
+    def test_field_of_the_wrong_type(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an? (integer|number), got "):
+            small_config(**{field: value})
+
+    def test_integer_dropout_rate(self):
+        assert small_config(p_drop=0).p_drop == 0
+
 
 def embed_weights(enc):
     """The encoder's five embedding weights, in ``T.embedding_sublayer``'s order."""
