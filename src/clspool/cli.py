@@ -15,6 +15,7 @@ error.
 A ``--config`` file holds flat ``key=value`` lines mirroring the flags;
 flags given on the command line override the file. A flag and a config line
 parse a value by one route, so a bad value gets one reason from either.
+Every setting, across keys too, is checked before the data is read.
 """
 
 from __future__ import annotations
@@ -37,11 +38,18 @@ from .pooling import HEAD_KINDS
 from .train import TrainConfig, cross_validated_train, evaluate, fit
 
 
-# The `train` settings the CLI owns, with their defaults. The rest are the
-# TrainConfig fields and the EncoderConfig fields in _ENCODER_KEYS (config
-# key -> field); their types and defaults come from the dataclasses.
-_CLI_DEFAULTS = {"data": None, "schema": "absa", "pooling": "last", "out": "runs",
-                 "dump_epochs": "", "dump_layers": ""}
+def _int_list(text):
+    """The comma-separated integers of ``text`` as a tuple; blank entries are skipped."""
+    return tuple(int(v) for v in text.split(",") if v.strip())
+
+
+_int_list.__name__ = "comma-separated integers"
+
+# The `train` settings the CLI owns, with their types and defaults. The rest
+# are the TrainConfig fields and the EncoderConfig fields in _ENCODER_KEYS
+# (config key -> field); their types and defaults come from the dataclasses.
+_CLI_KEYS = {"data": (str, None), "schema": (str, "absa"), "pooling": (str, "last"),
+             "out": (str, "runs"), "dump_epochs": (_int_list, ()), "dump_layers": (_int_list, ())}
 _ENCODER_KEYS = {"L": "L", "H": "H", "A": "A", "F": "F", "s_max": "S_max", "p_drop": "p_drop"}
 _CHOICES = {"schema": sorted(SCHEMAS), "pooling": list(HEAD_KINDS)}
 _HELP = {"data": "JSONL dataset (here or in the config file)", "out": "output directory",
@@ -51,11 +59,10 @@ _HELP = {"data": "JSONL dataset (here or in the config file)", "out": "output di
 
 def _train_keys():
     """Every `train` key mapped to its (type, default)."""
-    keys = {key: (str, default) for key, default in _CLI_DEFAULTS.items()}
+    keys = dict(_CLI_KEYS)
     keys.update({f.name: (type(f.default), f.default) for f in fields(TrainConfig)})
-    encoder = {f.name: f.default for f in fields(EncoderConfig)}
-    keys.update({key: (type(encoder[name]), encoder[name])
-                 for key, name in _ENCODER_KEYS.items()})
+    encoder = {f.name: (type(f.default), f.default) for f in fields(EncoderConfig)}
+    keys.update({key: encoder[name] for key, name in _ENCODER_KEYS.items()})
     return keys
 
 
@@ -64,8 +71,8 @@ _TRAIN_KEYS = _train_keys()
 
 def _parse_setting(key, text):
     """The value of the `train` setting ``key`` written as ``text``, for its flag and
-    its config line alike: the key's type, then its choices, then the check of
-    EncoderConfig or TrainConfig. A bad value raises a ValueError with the reason."""
+    its config line alike: the key's type, then its choices or bound, then the check
+    of EncoderConfig or TrainConfig. A bad value raises a ValueError with the reason."""
     kind = _TRAIN_KEYS[key][0]
     try:
         value = kind(text)
@@ -73,9 +80,11 @@ def _parse_setting(key, text):
         raise ValueError(f"expected {kind.__name__}, got {text!r}") from None
     if key in _CHOICES and value not in _CHOICES[key]:
         raise ValueError(f"expected one of {_CHOICES[key]}, got {text!r}")
+    if kind is _int_list and min(value, default=1) < 1:
+        raise ValueError(f"expected integers >= 1, got {text!r}")
     if key in _ENCODER_KEYS:
         EncoderConfig.check_field(_ENCODER_KEYS[key], value)
-    elif key not in _CLI_DEFAULTS:
+    elif key not in _CLI_KEYS:
         TrainConfig(**{key: value})
     return value
 
@@ -135,19 +144,6 @@ def _resolve(args, file_values):
     return merged
 
 
-def _dump_list(opt, key, bound):
-    """The comma-separated integers of ``opt[key]``, each checked against 1..opt[bound]."""
-    flag = "--" + key.replace("_", "-")
-    try:
-        values = [int(v) for v in opt[key].split(",") if v.strip()]
-    except ValueError:
-        raise DataError(f"{flag}: expected comma-separated integers, got {opt[key]!r}") from None
-    for v in values:
-        if not 1 <= v <= opt[bound]:
-            raise DataError(f"{flag}: {v} is out of range 1..{opt[bound]} (--{bound})")
-    return values
-
-
 def _cmd_synth(args):
     examples = synth_generate(args.n, classes=args.classes, seed=args.seed)
     save_jsonl(examples, args.out, "absa")
@@ -156,17 +152,21 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    file_values = _read_config_file(args.config) if args.config else {}
-    opt = _resolve(args, file_values)
-    examples = load_jsonl(opt["data"], opt["schema"])
+    opt = _resolve(args, _read_config_file(args.config) if args.config else {})
+    # The checks across keys: H and A, then the dump lists' upper bounds.
     config = TrainConfig(**{f.name: opt[f.name] for f in fields(TrainConfig)})
     enc = EncoderConfig(V=4, **{name: opt[key] for key, name in _ENCODER_KEYS.items()})
-    dump_epochs = _dump_list(opt, "dump_epochs", "epochs")
-    dump_layers = _dump_list(opt, "dump_layers", "L") or list(range(1, enc.L + 1))
+    for key, bound in (("dump_epochs", "epochs"), ("dump_layers", "L")):
+        for v in opt[key]:
+            if v > opt[bound]:
+                raise DataError(f"--{key.replace('_', '-')}: {v} is out of range "
+                                f"1..{opt[bound]} (--{bound})")
+    dump_layers = opt["dump_layers"] or range(1, enc.L + 1)
+    examples = load_jsonl(opt["data"], opt["schema"])
 
     def epoch_hook(fold, epoch, model, held_out):
         # Dump the fold-0 held-out set at the requested epochs.
-        if fold == 0 and epoch in dump_epochs:
+        if fold == 0 and epoch in opt["dump_epochs"]:
             dump_trace(model, held_out, epoch, dump_layers, os.path.join(opt["out"], "dumps"))
 
     n_classes = len(SCHEMAS[opt["schema"]][1])

@@ -136,6 +136,7 @@ class MiniEncoder:
         S' above ``S_max`` raises ValueError. The embedding is one fused
         node, ``T.embedding_sublayer``, and each block two,
         ``T.attention_sublayer`` and ``T.ffn_sublayer``, looked up on the module.
+        Dropout draws from ``rng`` at rate ``p_drop`` with ``training``, else at 0.
         """
         c = self.config
         B, S = token_ids.shape
@@ -157,32 +158,33 @@ class MiniEncoder:
         embed = [self.params[f"embed/{name}"]
                  for name in ("token", "segment", "position", "ln_g", "ln_b")]
         ids = np.stack([token_ids[rows, cols], segment_ids[rows, cols], cols], axis=1)
-        x = T.embedding_sublayer(ids, embed, c.p_drop, rng, training)
+        p = c.p_drop if training else 0.0
+        x = T.embedding_sublayer(ids, embed, p, rng)
 
         trace = []
         cls_rows = np.flatnonzero(cols == 0)
         for i in range(c.L - 1):
-            x = self._block(x, valid, i, training, rng)
+            x = self._block(x, valid, i, p, rng)
             trace.append(T.gather_rows(x, cls_rows))
-        cls = self._block(x, valid, c.L - 1, training, rng, cls_only=True)
+        cls = self._block(x, valid, c.L - 1, p, rng, cls_only=True)
         trace.append(cls)
         return cls, trace
 
-    def _block(self, x, mask, i, training, rng, cls_only=False):
+    def _block(self, x, mask, i, p_drop, rng, cls_only=False):
         """Block ``i``: two fused tape nodes, the attention and the feed-forward sublayer.
 
         ``x`` holds the valid positions of the (B, S) ``mask``, one row
         each; keys and values come from every row of ``x``. The output
         has a row for each row of ``x``, or with ``cls_only`` only for
-        each example's [CLS] row, its first. Dropout draws for the
-        attention output first, then for the feed-forward output.
+        each example's [CLS] row, its first. Dropout at rate ``p_drop`` draws
+        for the attention output first, then for the feed-forward output.
         """
         c = self.config
         p = self.params
         pre = f"layer{i}"
         attn = [p[f"{pre}/{name}"] for name in ("attn/Wqkv", "attn/bqkv", "attn/Wo", "attn/bo",
                                                 "ln1_g", "ln1_b")]
-        x, _ = T.attention_sublayer(x, attn, mask, c.A, cls_only, c.p_drop, rng, training)
+        x, _ = T.attention_sublayer(x, attn, mask, c.A, cls_only, p_drop, rng)
         ffn = [p[f"{pre}/{name}"] for name in ("ffn/W1", "ffn/b1", "ffn/W2", "ffn/b2",
                                                "ln2_g", "ln2_b")]
-        return T.ffn_sublayer(x, ffn, c.p_drop, rng, training)
+        return T.ffn_sublayer(x, ffn, p_drop, rng)

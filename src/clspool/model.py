@@ -56,11 +56,8 @@ class PooledClassifier:
 
     def forward_batch(self, token_ids, segment_ids, mask, training=False, rng=None):
         """Class logits, shape B×C."""
-        _, trace = self.encoder.forward_batch(token_ids, segment_ids, mask,
-                                              training=training, rng=rng)
-        o = self.pool(trace)
-        return classify(o, self.classifier, p_drop=self.config.p_drop,
-                        rng=rng, training=training)
+        _, trace = self.encoder.forward_batch(token_ids, segment_ids, mask, training, rng)
+        return classify(self.pool(trace), self.classifier, self.config.p_drop, rng, training)
 
     def trace_batch(self, token_ids, segment_ids, mask):
         """Eval-mode CLS trace for a batch, as plain arrays (one B×H per layer).

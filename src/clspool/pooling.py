@@ -98,6 +98,6 @@ class ClassifierHead:
 
 
 def classify(o, head: ClassifierHead, p_drop=0.0, rng=None, training=False):
-    """Class logits W_o^T dropout(o) + b_o, shape B×C."""
+    """Class logits W_o^T dropout(o) + b_o, shape B×C; dropout only with ``training``."""
     p = head.params
-    return T.linear(o, p["classifier/W_o"], p["classifier/b_o"], p_drop, rng, training)
+    return T.linear(o, p["classifier/W_o"], p["classifier/b_o"], p_drop if training else 0.0, rng)

@@ -48,7 +48,8 @@ masks as a float64 run of the same seed.
 
 Layer norm and dropout are each one private forward/backward pair on
 arrays, shared by the three sublayers (and ``linear``, for dropout); GELU
-is one such pair too, for ``ffn_sublayer``.
+is one such pair too, for ``ffn_sublayer``. Dropout is its rate ``p``
+alone: at rate 0, as in eval mode, an op drops nothing and needs no ``rng``.
 
 Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
@@ -230,17 +231,17 @@ def _layer_norm_bwd(g, xhat, inv, gamma):
     return (g * xhat).sum(axis=0), g.sum(axis=0), (gg - m1 - xhat * m2) * inv
 
 
-def _dropout_fwd(x, p, rng, training):
-    """Inverted dropout of the array ``x``; returns (output, keep).
+def _dropout_fwd(x, p, rng):
+    """Inverted dropout of the array ``x`` at rate ``p``; returns (output, keep).
 
     ``keep`` is the 0 or 1/(1-p) multiplier in ``x``'s dtype, drawn from
-    ``rng`` as float64 uniforms whatever that dtype, or None when dropout
-    is off (eval, or p = 0), in which case ``x`` is returned.
+    ``rng`` as float64 uniforms whatever that dtype, or None at p = 0, when
+    ``x`` is returned and ``rng`` may be None; p > 0 without ``rng`` raises.
     """
-    if not training or p == 0.0:
+    if p == 0.0:
         return x, None
     if rng is None:
-        raise ValueError("dropout in training mode requires a generator")
+        raise ValueError(f"dropout at rate {p} requires a generator")
     keep = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype, copy=False)
     return x * keep, keep
 
@@ -322,14 +323,14 @@ def _gelu_bwd(g, hc, t):
     return s
 
 
-def embedding_sublayer(ids, weights, p=0.0, rng=None, training=True):
+def embedding_sublayer(ids, weights, p=0.0, rng=None):
     """Fused embedding sublayer: dropout(LN(token[t] + segment[s] + position[j])) for each row.
 
     ``ids`` is N×3, one row of (t, s, j) per position, each id a row of its
     table; ``weights`` is (token, segment, position, gamma, beta), the
-    tables H wide and summed (token + segment) + position. Dropout with
-    rate ``p`` draws its N×H mask from ``rng`` when ``training``. Returns
-    one N×H tape node with the five weights as parents.
+    tables H wide and summed (token + segment) + position. Dropout at
+    rate ``p`` draws its N×H mask from ``rng``. Returns one N×H tape node
+    with the five weights as parents.
     """
     weights = tuple(weights)
     H = weights[0].shape[-1] if weights else 0
@@ -342,7 +343,7 @@ def embedding_sublayer(ids, weights, p=0.0, rng=None, training=True):
     tok, seg, pos = (_checked_rows(f"embedding_sublayer: {name} ids", t.data, col)
                      for name, t, col in zip(("token", "segment", "position"), tables, ids.T))
     y, xhat, inv = _layer_norm_fwd(tok + seg + pos, gamma.data, beta.data)
-    y, keep = _dropout_fwd(y, p, rng, training)
+    y, keep = _dropout_fwd(y, p, rng)
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(_dropout_bwd(g, keep), xhat, inv, gamma.data)
@@ -354,7 +355,7 @@ def embedding_sublayer(ids, weights, p=0.0, rng=None, training=True):
     return Tensor(y, _parents=weights, _backward=bwd)
 
 
-def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None, training=True):
+def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None):
     """Fused post-layer-norm multi-head self-attention sublayer over the valid positions of a batch.
 
     Computes LN(r + dropout(attend(Q, K, V)·Wo+bo)) as one tape node with
@@ -368,8 +369,8 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     attention are the rows scattered into one zero-filled (B, 3A, S, d_h)
     array, its heads Q's, then K's, then V's, and with ``cls_only`` the
     queries are its column 0; when every position is valid, nothing is
-    scattered or gathered. Dropout with rate ``p`` draws its mask from
-    ``rng`` when ``training``.
+    scattered or gathered. Dropout at rate ``p`` draws its mask from
+    ``rng``.
 
     Returns ``(out, probs)``: the output, with as many rows as r, and the
     attention probabilities, (B, A, S, S) or (B, A, 1, S), which the
@@ -405,7 +406,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     np.exp(P, out=P)
     P /= P.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(np.matmul(P, V), q_holes)
-    o, keep = _dropout_fwd(ctx @ Wo.data + bo.data, p, rng, training)
+    o, keep = _dropout_fwd(ctx @ Wo.data + bo.data, p, rng)
     y, xhat, inv = _layer_norm_fwd(xd[rows] + o, gamma.data, beta.data)
 
     def bwd(g):
@@ -437,13 +438,13 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None,
     return Tensor(y, _parents=(x, *weights), _backward=bwd), P
 
 
-def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
+def ffn_sublayer(x, weights, p=0.0, rng=None):
     """Fused post-layer-norm feed-forward sublayer: LN(x + dropout(gelu(x·W1+b1)·W2+b2)).
 
     ``x`` is N×H and ``weights`` is (W1, b1, W2, b2, gamma, beta), W1 H×F
-    and W2 F×H; GELU is the tanh form, ``_gelu_fwd``. Dropout with rate
-    ``p`` draws its mask from ``rng`` when ``training``. Returns one N×H
-    tape node with parents (x, *weights).
+    and W2 F×H; GELU is the tanh form, ``_gelu_fwd``. Dropout at rate
+    ``p`` draws its mask from ``rng``. Returns one N×H tape node with
+    parents (x, *weights).
     """
     if x.data.ndim != 2:
         raise ShapeError(f"ffn_sublayer expects a matrix, got shape {x.shape}")
@@ -455,7 +456,7 @@ def ffn_sublayer(x, weights, p=0.0, rng=None, training=True):
     xd = x.data
     h = xd @ W1.data + b1.data
     a, hc, t = _gelu_fwd(h)
-    o, keep = _dropout_fwd(a @ W2.data + b2.data, p, rng, training)
+    o, keep = _dropout_fwd(a @ W2.data + b2.data, p, rng)
     y, xhat, inv = _layer_norm_fwd(xd + o, gamma.data, beta.data)
 
     def bwd(g):
@@ -588,15 +589,15 @@ def lstm(xs, W, U, b):
 # classifier and loss
 
 
-def linear(x, W, b, p=0.0, rng=None, training=True):
+def linear(x, W, b, p=0.0, rng=None):
     """Fused classifier layer: dropout(x)·W + b, one tape node with parents (x, W, b).
 
     ``x`` is B×D, ``W`` D×C and ``b`` a C-vector added to every row.
-    Dropout with rate ``p`` draws its B×D mask from ``rng`` when ``training``.
+    Dropout at rate ``p`` draws its B×D mask from ``rng``.
     """
     if x.data.ndim != 2 or W.data.ndim != 2 or x.shape[1] != W.shape[0] or b.shape != W.shape[1:]:
         raise ShapeError(f"linear: x {x.shape} does not fit W {W.shape} and b {b.shape}")
-    xd, keep = _dropout_fwd(x.data, p, rng, training)
+    xd, keep = _dropout_fwd(x.data, p, rng)
 
     def bwd(g):
         _accumulate(x, _dropout_bwd(g @ W.data.T, keep))

@@ -158,13 +158,12 @@ class TestTrain:
                     open(os.path.join(outs[1], name), "rb") as b:
                 assert a.read() == b.read(), name
 
+    # A dump list's upper bound is another key's value; an entry that is not
+    # an integer >= 1 is refused by the parse (TestOneParsePerSetting.BAD).
     @pytest.mark.parametrize("flags, message", [
         (["--epochs", "2", "--dump-epochs", "7"], "--dump-epochs: 7 is out of range 1..2 (--epochs)"),
-        (["--epochs", "2", "--dump-epochs", "1,0"], "--dump-epochs: 0 is out of range 1..2"),
         (["--L", "1", "--epochs", "3", "--dump-epochs", "2", "--dump-layers", "5"],
          "--dump-layers: 5 is out of range 1..1 (--L)"),
-        (["--epochs", "2", "--dump-epochs", "1,a"],
-         "--dump-epochs: expected comma-separated integers, got '1,a'"),
     ])
     def test_dump_flags_checked_before_training(self, dataset, tiny_cfg, tmp_path, monkeypatch,
                                                 capsys, flags, message):
@@ -176,6 +175,19 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert trained == []
         assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--H", "10", "--A", "4"], "hidden size H=10 not divisible by head count A=4"),
+        (["--epochs", "2", "--dump-epochs", "7"], "--dump-epochs: 7 is out of range 1..2 (--epochs)"),
+    ])
+    def test_settings_checked_before_the_data_is_read(self, tmp_path, capsys, flags, message):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("{not json\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", str(bad), "--out", str(out)] + flags) == 1
+        err = capsys.readouterr().err
+        assert message in err and "invalid JSON" not in err
+        assert not out.exists()
 
     def test_class_count_from_schema(self, dataset, tiny_cfg, tmp_path):
         # Trained without any `positive` example, the checkpoint still has
@@ -551,9 +563,11 @@ class TestEncoderSettings:
 class TestOneParsePerSetting:
     """A `train` flag and its config line parse a value by one route."""
 
-    # (key, text): an unparsable int and float, values out of range, bad choices.
+    # (key, text): an unparsable int and float, values out of range, bad choices,
+    # a dump list that does not parse and two with an entry below 1.
     BAD = [("epochs", "ten"), ("lr", "fast"), ("seed", "-1"), ("L", "0"), ("p_drop", "1.0"),
-           ("pooling", "cnn"), ("schema", "xyz")]
+           ("pooling", "cnn"), ("schema", "xyz"), ("dump_epochs", "1,a"), ("dump_epochs", "1,0"),
+           ("dump_layers", "0")]
 
     def test_same_reason_from_flag_and_config_line(self, dataset, tmp_path, capsys):
         cfg, out = tmp_path / "cfg", tmp_path / "run"
@@ -574,14 +588,18 @@ class TestOneParsePerSetting:
 
     def test_every_default_parses_back_by_both_routes(self, tmp_path):
         # A default written as text must read back as itself, type and all
-        # (a bool setting would not: bool("False") is True).
+        # (a bool setting would not: bool("False") is True); a tuple, a dump
+        # list, is written as its comma list.
         defaults = {key: default for key, (_, default) in cli._TRAIN_KEYS.items()
                     if key != "data"}
-        flags = [arg for key, default in defaults.items()
-                 for arg in ("--" + key.replace("_", "-"), str(default))]
+        assert {type(d) for d in defaults.values()} == {str, int, float, tuple}
+        texts = {key: ",".join(map(str, d)) if isinstance(d, tuple) else str(d)
+                 for key, d in defaults.items()}
+        flags = [arg for key, text in texts.items()
+                 for arg in ("--" + key.replace("_", "-"), text)]
         args = cli.build_parser().parse_args(["train", *flags])
         cfg = tmp_path / "cfg"
-        cfg.write_text("".join(f"{key}={default}\n" for key, default in defaults.items()))
+        cfg.write_text("".join(f"{key}={text}\n" for key, text in texts.items()))
         typed = {key: (type(value), value) for key, value in defaults.items()}
         assert {key: (type(value), value) for key, value in vars(args).items()
                 if key in defaults} == typed
@@ -592,6 +610,39 @@ class TestOneParsePerSetting:
         assert run(["train", "--help"]) == 0
         out = capsys.readouterr().out
         assert "--schema {absa,nli}" in out and "--pooling {last,lstm,attention}" in out
+
+
+class TestNLI:
+    """The paper's second task, premise/hypothesis pairs, through train and eval."""
+
+    @pytest.fixture()
+    def nli_dataset(self, tmp_path):
+        subjects = ["a man", "a woman", "two kids", "the dog", "an old chef", "the band",
+                    "a cyclist", "three friends"]
+        hypotheses = {"entailment": "{} is outside", "neutral": "{} is on holiday",
+                      "contradiction": "{} is asleep indoors"}
+        path = tmp_path / "nli.jsonl"
+        with open(path, "w", encoding="utf-8") as f:
+            for i, subject in enumerate(subjects):
+                for label, hypothesis in hypotheses.items():
+                    f.write(json.dumps({"premise": f"{subject} walks in the park at {i} pm",
+                                        "hypothesis": hypothesis.format(subject),
+                                        "label": label}) + "\n")
+        return str(path)
+
+    def test_train_and_eval(self, nli_dataset, dataset, tiny_cfg, tmp_path, capsys):
+        assert len(load_jsonl(nli_dataset, "nli")) == 24
+        out = tmp_path / "run"
+        assert run(["train", "--data", nli_dataset, "--schema", "nli", "--config", tiny_cfg,
+                    "--folds", "2", "--epochs", "1", "--out", str(out)]) == 0
+        ckpt = str(out / "model.ckpt")
+        meta, _ = load_checkpoint(ckpt)
+        assert meta["schema"] == "nli"
+        assert run(["eval", "--checkpoint", ckpt, "--data", nli_dataset]) == 0
+        capsys.readouterr()
+        # An absa file has no premise.
+        assert run(["eval", "--checkpoint", ckpt, "--data", dataset]) == 1
+        assert "missing field 'premise'" in capsys.readouterr().err
 
 
 class TestPaddedData:

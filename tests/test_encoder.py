@@ -74,10 +74,11 @@ def embed_weights(enc):
             for name in ("token", "segment", "position", "ln_g", "ln_b")]
 
 
-def embed_rows(enc, ids, segs, positions, training=False, rng=None):
-    """``T.embedding_sublayer`` on the encoder's weights, one row per (id, segment, position)."""
+def embed_rows(enc, ids, segs, positions, p=0.0, rng=None):
+    """``T.embedding_sublayer`` on the encoder's weights, one row per (id, segment, position),
+    with dropout at rate ``p``."""
     return T.embedding_sublayer(np.stack([ids, segs, positions], axis=1), embed_weights(enc),
-                                enc.config.p_drop, rng, training)
+                                p, rng)
 
 
 def embed_sequence(enc, ids):
@@ -98,7 +99,7 @@ def tape_layer_norm(x, gamma, beta):
     return T.Tensor(y, _parents=(x, gamma, beta), _backward=bwd)
 
 
-def reference_embedding(enc, ids, segs, positions, training, rng):
+def reference_embedding(enc, ids, segs, positions, p_drop, rng):
     """The unfused embedding, seven tape nodes: three gathers, two adds, a
     layer norm and a dropout; the reference the fused op must equal to the bit."""
     p = enc.params
@@ -106,7 +107,7 @@ def reference_embedding(enc, ids, segs, positions, training, rng):
                           T.gather_rows(p["embed/segment"], segs)),
                  T.gather_rows(p["embed/position"], positions))
     x = tape_layer_norm(x, p["embed/ln_g"], p["embed/ln_b"])
-    return tape_dropout(x, enc.config.p_drop, rng, training)
+    return tape_dropout(x, p_drop, rng)
 
 
 @st.composite
@@ -172,8 +173,8 @@ class TestEmbed:
             npt.assert_allclose(out[row], ref, rtol=0, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
-    @given(embedding_cases(), st.booleans())
-    def test_bit_identical_to_the_seven_node_embedding(self, case, training):
+    @given(embedding_cases())
+    def test_bit_identical_to_the_seven_node_embedding(self, case):
         ids, segs, positions, config, seed = case
         enc = MiniEncoder(config, R.rng_for(seed, 0))
         for name in ("embed/ln_g", "embed/ln_b"):   # away from their init values
@@ -182,7 +183,7 @@ class TestEmbed:
 
         def run(fused):
             embed = embed_rows if fused else reference_embedding
-            out = embed(enc, ids, segs, positions, training, R.rng_for(seed, 1))
+            out = embed(enc, ids, segs, positions, config.p_drop, R.rng_for(seed, 1))
             weighted_sum(out, w).backward()
             grads = [p.grad for p in embed_weights(enc)]
             for p in enc.params.values():
@@ -198,11 +199,11 @@ class TestEmbed:
 
     def test_one_tape_node_and_none_under_no_grad(self):
         enc = MiniEncoder(small_config(), R.rng_for(0, 2))
-        out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], True, R.rng_for(0, 3))
+        out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], 0.1, R.rng_for(0, 3))
         assert len(out._parents) == 5
         assert all(a is b for a, b in zip(out._parents, embed_weights(enc)))
         with T.no_grad():
-            out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], True, R.rng_for(0, 3))
+            out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], 0.1, R.rng_for(0, 3))
         assert out._parents == () and out._backward is None and not out.requires_grad
 
     @pytest.mark.parametrize("column, name", [(0, "token"), (1, "segment"), (2, "position")])
@@ -395,7 +396,7 @@ def full_trace(enc, ids, segs, mask):
     x = embed_rows(enc, ids[rows, cols], segs[rows, cols], cols)
     trace = []
     for i in range(enc.config.L):
-        x = enc._block(x, mask, i, False, None)
+        x = enc._block(x, mask, i, 0.0, None)
         trace.append(T.gather_rows(x, np.flatnonzero(cols == 0)))
     return trace
 
@@ -568,6 +569,20 @@ class TestFloat32Model:
             assert k32.dtype == np.float32 and k64.dtype == np.float64
             npt.assert_array_equal(k32, k64.astype(np.float32))
 
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_eval_forward_draws_nothing_from_a_given_generator(self, kind):
+        # Out of training every dropout runs at rate 0, so the generator keeps its state.
+        from clspool.model import PooledClassifier
+        model = PooledClassifier(small_config(L=3), kind, 3, R.rng_for(6, R.INIT))
+        ids, segs, mask = padded_batch(8)
+        g = R.rng_for(6, R.DROPOUT)
+        state = g.bit_generator.state
+        logits = model.forward_batch(ids, segs, mask, training=False, rng=g).data
+        assert g.bit_generator.state == state
+        assert np.array_equal(logits, model.forward_batch(ids, segs, mask).data)
+        model.forward_batch(ids, segs, mask, training=True, rng=g)
+        assert g.bit_generator.state != state
+
 
 # The unfused encoder block, its products, sums and dropouts public ops and
 # its attention, GELU and layer norms test-local nodes: the reference that
@@ -624,7 +639,7 @@ def reference_attention(qkv, mask, heads, cls_only):
                     _backward=bwd), P
 
 
-def reference_block(enc, x, rows, mask, i, training, rng):
+def reference_block(enc, x, rows, mask, i, p_drop, rng):
     c = enc.config
     p = enc.params
     pre = f"layer{i}"
@@ -632,12 +647,12 @@ def reference_block(enc, x, rows, mask, i, training, rng):
     qkv = tape_add(tape_matmul(x, p[f"{pre}/attn/Wqkv"]), p[f"{pre}/attn/bqkv"])
     ctx, _ = reference_attention(qkv, mask, c.A, rows is not x)
     out = tape_add(tape_matmul(ctx, p[f"{pre}/attn/Wo"]), p[f"{pre}/attn/bo"])
-    out = tape_dropout(out, c.p_drop, rng, training)
+    out = tape_dropout(out, p_drop, rng)
     x = tape_layer_norm(tape_add(rows, out), p[f"{pre}/ln1_g"], p[f"{pre}/ln1_b"])
 
     h = reference_gelu(tape_add(tape_matmul(x, p[f"{pre}/ffn/W1"]), p[f"{pre}/ffn/b1"]))
     h = tape_add(tape_matmul(h, p[f"{pre}/ffn/W2"]), p[f"{pre}/ffn/b2"])
-    h = tape_dropout(h, c.p_drop, rng, training)
+    h = tape_dropout(h, p_drop, rng)
     return tape_layer_norm(tape_add(x, h), p[f"{pre}/ln2_g"], p[f"{pre}/ln2_b"])
 
 
@@ -657,8 +672,8 @@ def block_cases(draw):
 
 class TestFusedBlock:
     @settings(max_examples=150, deadline=None)
-    @given(block_cases(), st.booleans(), st.booleans())
-    def test_bit_identical_to_the_eighteen_node_block(self, case, cls_only, training):
+    @given(block_cases(), st.booleans())
+    def test_bit_identical_to_the_eighteen_node_block(self, case, cls_only):
         mask, config, seed = case
         enc = MiniEncoder(config, R.rng_for(seed, 0))
         data_rng = np.random.default_rng(seed)
@@ -670,10 +685,10 @@ class TestFusedBlock:
             x = T.Tensor(x_data, requires_grad=True)
             rng = R.rng_for(seed, 1)
             if fused:
-                out = enc._block(x, mask, 0, training, rng, cls_only)
+                out = enc._block(x, mask, 0, config.p_drop, rng, cls_only)
             else:
                 rows = T.gather_rows(x, cls_rows) if cls_only else x
-                out = reference_block(enc, x, rows, mask, 0, training, rng)
+                out = reference_block(enc, x, rows, mask, 0, config.p_drop, rng)
             weighted_sum(out, w).backward()
             grads = {name: p.grad for name, p in enc.params.items() if name.startswith("layer0")}
             for p in enc.params.values():
@@ -691,7 +706,7 @@ class TestFusedBlock:
     def test_two_tape_nodes_per_block(self):
         enc = MiniEncoder(small_config(L=1), R.rng_for(19, 0))
         x = T.Tensor(np.ones((3, 8)), requires_grad=True)
-        out = enc._block(x, np.ones((1, 3)), 0, True, R.rng_for(19, 1))
+        out = enc._block(x, np.ones((1, 3)), 0, 0.1, R.rng_for(19, 1))
         attn, *ffn_weights = out._parents
         assert attn._parents[0] is x
         assert len(attn._parents) == 7 and len(ffn_weights) == 6

@@ -45,9 +45,9 @@ def tape_matmul(a, b):
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
 
-def tape_dropout(x, p, rng, training=True):
-    """Inverted dropout on the private pair the fused ops share; ``x`` itself when off."""
-    y, keep = T._dropout_fwd(x.data, p, rng, training)
+def tape_dropout(x, p, rng):
+    """Inverted dropout on the private pair the fused ops share; ``x`` itself at rate 0."""
+    y, keep = T._dropout_fwd(x.data, p, rng)
     if keep is None:
         return x
     return Tensor(y, _parents=(x,), _backward=lambda g: T._accumulate(x, T._dropout_bwd(g, keep)))
@@ -85,9 +85,9 @@ def unprojected_layer_attention(rows, q):
     return Tensor(combined, _parents=(*rows, q), _backward=bwd)
 
 
-def reference_linear(x, W, b, p=0.0, rng=None, training=True):
+def reference_linear(x, W, b, p=0.0, rng=None):
     """``T.linear`` as three nodes: dropout, product, bias add."""
-    return tape_add(tape_matmul(tape_dropout(x, p, rng, training), W), b)
+    return tape_add(tape_matmul(tape_dropout(x, p, rng), W), b)
 
 
 def reference_layer_attention(rows, q, W):
@@ -992,7 +992,7 @@ def stage_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     return ([rng.normal(size=(B, H)) for _ in range(L)], rng.normal(size=H),
             rng.normal(size=(H, H)), rng.normal(size=(H, C)), rng.normal(size=C),
-            rng.integers(C, size=B), draw(st.sampled_from([0.0, 0.3])), draw(st.booleans()))
+            rng.integers(C, size=B), draw(st.sampled_from([0.0, 0.3])))
 
 
 def leaves(*arrays):
@@ -1014,11 +1014,11 @@ class TestFusedStagesEqualTheirChains:
     @settings(max_examples=100, deadline=None)
     @given(stage_cases())
     def test_linear(self, case):
-        xs, _, _, W, b, _, p, training = case
+        xs, _, _, W, b, _, p = case
         w = np.random.default_rng(len(xs)).normal(size=(len(xs[0]), len(b)))
         ins, ref_ins = leaves(xs[0], W, b), leaves(xs[0], W, b)
-        self.assert_same(T.linear(*ins, p, np.random.default_rng(1), training),
-                         reference_linear(*ref_ins, p, np.random.default_rng(1), training),
+        self.assert_same(T.linear(*ins, p, np.random.default_rng(1)),
+                         reference_linear(*ref_ins, p, np.random.default_rng(1)),
                          ins, ref_ins, w)
 
     @settings(max_examples=100, deadline=None)
@@ -1033,7 +1033,7 @@ class TestFusedStagesEqualTheirChains:
     @settings(max_examples=100, deadline=None)
     @given(stage_cases())
     def test_loss_with_an_l2_term(self, case):
-        xs, q, Wh, W, b, labels, _, _ = case
+        xs, q, Wh, W, b, labels, _ = case
         ins, ref_ins = leaves(xs[0] @ W, q, Wh, W, b), leaves(xs[0] @ W, q, Wh, W, b)
         self.assert_same(T.softmax_cross_entropy(ins[0], labels, ins[1:], 0.1),
                          reference_loss(ref_ins[0], labels, ref_ins[1:], 0.1), ins, ref_ins, 1.0)
@@ -1093,8 +1093,9 @@ class TestDropout:
     """The dropout inside ``T.linear``, seen through an identity weight and a zero bias."""
 
     def test_identity_at_eval(self):
+        # Eval runs at rate 0, which needs no generator.
         x = Tensor(np.arange(16.0).reshape(4, 4), requires_grad=True)
-        y = T.linear(x, Tensor(np.eye(4)), zero_bias(4), 0.5, None, training=False)
+        y = T.linear(x, Tensor(np.eye(4)), zero_bias(4), 0.0, None)
         npt.assert_array_equal(y.data, x.data)
         weighted_sum(y, np.ones((4, 4))).backward()
         npt.assert_array_equal(x.grad, np.ones((4, 4)))
@@ -1102,15 +1103,15 @@ class TestDropout:
     def test_inverted_scaling(self):
         rng = np.random.default_rng(0)
         x = Tensor(np.ones((200, 200)))
-        y = T.linear(x, Tensor(np.eye(200)), zero_bias(200), 0.25, rng, training=True).data
+        y = T.linear(x, Tensor(np.eye(200)), zero_bias(200), 0.25, rng).data
         kept = y[y > 0]
         npt.assert_allclose(kept, 1 / 0.75)
         assert abs((y > 0).mean() - 0.75) < 0.01
 
     def test_requires_rng_when_training(self):
-        with pytest.raises(ValueError):
-            T.linear(Tensor(np.ones((1, 3))), Tensor(np.eye(3)), zero_bias(3), 0.5, None,
-                     training=True)
+        # Training is a rate above 0.
+        with pytest.raises(ValueError, match="dropout at rate 0.5 requires a generator"):
+            T.linear(Tensor(np.ones((1, 3))), Tensor(np.eye(3)), zero_bias(3), 0.5, None)
 
     def test_float32_draws_the_float64_mask(self):
         # The uniforms are float64 whatever the input's dtype; only the mask
@@ -1183,26 +1184,76 @@ class TestRuntimeCoverage:
 
 
 # Each public op once: the shapes of its Tensor inputs, and the call on them
-# with a dropout generator (dropout on wherever the op has one).
+# with a dropout rate p and generator rng, which only the ops in DROPOUT_OPS take.
 DTYPE_MASK = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])   # 7 valid positions
 OP_CALLS = {
-    "gather_rows": ([(5, 6)], lambda t, rng: T.gather_rows(t[0], [0, 3, 3])),
+    "gather_rows": ([(5, 6)], lambda t, p, rng: T.gather_rows(t[0], [0, 3, 3])),
     "embedding_sublayer": (
         [(5, 6), (2, 6), (4, 6), (6,), (6,)],
-        lambda t, rng: T.embedding_sublayer([[0, 0, 0], [3, 1, 2], [3, 1, 3]], t, 0.3, rng)),
+        lambda t, p, rng: T.embedding_sublayer([[0, 0, 0], [3, 1, 2], [3, 1, 3]], t, p, rng)),
     "attention_sublayer": (
         [(7, 6), (6, 18), (18,), (6, 6), (6,), (6,), (6,)],
-        lambda t, rng: T.attention_sublayer(t[0], t[1:], DTYPE_MASK, 2, False, 0.3, rng)[0]),
+        lambda t, p, rng: T.attention_sublayer(t[0], t[1:], DTYPE_MASK, 2, False, p, rng)[0]),
     "ffn_sublayer": ([(4, 6), (6, 8), (8,), (8, 6), (6,), (6,), (6,)],
-                     lambda t, rng: T.ffn_sublayer(t[0], t[1:], 0.3, rng)),
+                     lambda t, p, rng: T.ffn_sublayer(t[0], t[1:], p, rng)),
     "layer_attention": ([(3, 6), (3, 6), (6,), (6, 6)],
-                        lambda t, rng: T.layer_attention(t[:2], t[2], t[3])[0]),
+                        lambda t, p, rng: T.layer_attention(t[:2], t[2], t[3])[0]),
     "lstm": ([(3, 6), (3, 6), (6, 24), (6, 24), (24,)],
-             lambda t, rng: T.lstm(t[:2], t[2], t[3], t[4])),
-    "linear": ([(3, 6), (6, 4), (4,)], lambda t, rng: T.linear(t[0], t[1], t[2], 0.3, rng)),
-    "softmax_cross_entropy": ([(3, 4), (6, 4)], lambda t, rng: T.softmax_cross_entropy(
+             lambda t, p, rng: T.lstm(t[:2], t[2], t[3], t[4])),
+    "linear": ([(3, 6), (6, 4), (4,)], lambda t, p, rng: T.linear(t[0], t[1], t[2], p, rng)),
+    "softmax_cross_entropy": ([(3, 4), (6, 4)], lambda t, p, rng: T.softmax_cross_entropy(
         t[0], [0, 3, 1], [t[1]], 0.1)),
 }
+DROPOUT_OPS = ["attention_sublayer", "embedding_sublayer", "ffn_sublayer", "linear"]
+
+
+def call_op(op, p, rng, dtype=np.float64):
+    """``OP_CALLS[op]`` on inputs drawn from a fixed seed, as leaves that require a
+    gradient; returns (output, inputs)."""
+    shapes, call = OP_CALLS[op]
+    draw = np.random.default_rng(0)
+    inputs = [Tensor(draw.normal(size=shape).astype(dtype), requires_grad=True)
+              for shape in shapes]
+    return call(inputs, p, rng), inputs
+
+
+class TestDropoutRate:
+    """An op drops out at its rate alone: rate 0 is no dropout, needing no
+    generator, and a rate above 0 needs one."""
+
+    def test_only_the_dropout_ops_take_a_rate_and_none_a_training_flag(self):
+        params = {name: inspect.signature(op).parameters for name, op in public_ops().items()}
+        assert sorted(name for name, ps in params.items() if "p" in ps) == DROPOUT_OPS
+        assert not [name for name, ps in params.items() if "training" in ps]
+        assert list(inspect.signature(T._dropout_fwd).parameters) == ["x", "p", "rng"]
+
+    @pytest.mark.parametrize("op", DROPOUT_OPS)
+    def test_rate_zero_returns_the_input_and_keeps_the_generator(self, op, monkeypatch):
+        dropout = T._dropout_fwd
+        seen = []
+
+        def spy(x, p, rng):
+            out, keep = dropout(x, p, rng)
+            seen.append((out is x, keep))
+            return out, keep
+
+        monkeypatch.setattr(T, "_dropout_fwd", spy)
+        g = np.random.default_rng(1)
+        state = g.bit_generator.state
+        without, _ = call_op(op, 0.0, None)
+        with_g, _ = call_op(op, 0.0, g)
+        assert seen and all(s == (True, None) for s in seen)
+        assert g.bit_generator.state == state
+        assert np.array_equal(without.data, with_g.data)
+
+    @pytest.mark.parametrize("op", DROPOUT_OPS)
+    def test_a_rate_above_zero_needs_a_generator(self, op):
+        with pytest.raises(ValueError, match="dropout at rate 0.3 requires a generator"):
+            call_op(op, 0.3, None)
+        g = np.random.default_rng(1)
+        state = g.bit_generator.state
+        call_op(op, 0.3, g)
+        assert g.bit_generator.state != state
 
 
 class TestDtype:
@@ -1214,14 +1265,10 @@ class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("op", sorted(OP_CALLS))
     def test_output_and_gradients_take_the_inputs_dtype(self, op, dtype):
-        shapes, call = OP_CALLS[op]
-        rng = np.random.default_rng(0)
-        inputs = [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
-                  for shape in shapes]
-        out = call(inputs, np.random.default_rng(1))
+        out, inputs = call_op(op, 0.3, np.random.default_rng(1), dtype)
         assert out.data.dtype == dtype
         if out.data.size > 1:
-            R = Tensor(rng.normal(size=(out.shape[1], 3)).astype(dtype))
+            R = Tensor(np.random.default_rng(2).normal(size=(out.shape[1], 3)).astype(dtype))
             out = T.softmax_cross_entropy(T.linear(out, R, Tensor(np.zeros(3, dtype))),
                                           np.arange(out.shape[0]) % 3)
         assert out.data.dtype == dtype

@@ -511,15 +511,14 @@ class TestCrossValidation:
             np.mean([rows[str(f)][1] for f in range(3)]), abs=1e-12)
 
     def test_honours_encoder_p_drop(self, monkeypatch):
-        # p_drop=0 in the encoder config means no dropout mask is ever drawn,
-        # in the encoder or in the classifier.
+        # p_drop=0 in the encoder config means every dropout site, in the
+        # encoder and in the classifier, in training and in eval, runs at rate 0.
         rates = []
         dropout = T._dropout_fwd
 
-        def spy(x, p, rng, training):
-            if training:
-                rates.append(p)
-            return dropout(x, p, rng, training)
+        def spy(x, p, rng):
+            rates.append(p)
+            return dropout(x, p, rng)
 
         monkeypatch.setattr(T, "_dropout_fwd", spy)
         config = TrainConfig(epochs=1, lr=1e-2, folds=2, seed=0, batch_size=8)
