@@ -103,6 +103,9 @@ def dump_filename(epoch, layer):
 
 
 def write_dump(dump: LayerDump, out_dir):
+    """Write ``dump`` as CSV, each value in the shortest form that reads back
+    to it in the vectors' dtype: a float32 value reads back bit-identical
+    through ``astype(np.float32)``, a float64 one as itself."""
     bad = np.flatnonzero(~np.isfinite(dump.vectors).all(axis=1))
     if bad.size:
         raise ValueError(f"epoch {dump.epoch}, layer {dump.layer}: non-finite [CLS] state "
@@ -111,7 +114,7 @@ def write_dump(dump: LayerDump, out_dir):
     header = "example_id,label," + ",".join(f"v{i}" for i in range(h))
     lines = [header]
     for eid, lab, vec in zip(dump.example_ids, dump.labels, dump.vectors):
-        lines.append(f"{int(eid)},{int(lab)}," + ",".join(map(repr, vec.tolist())))
+        lines.append(f"{int(eid)},{int(lab)}," + ",".join(map(str, vec)))
     path = os.path.join(out_dir, dump_filename(dump.epoch, dump.layer))
     atomic_write_bytes(path, ("\n".join(lines) + "\n").encode("utf-8"))
     return path
@@ -157,8 +160,9 @@ def dump_trace(model, arrays, epoch, layers, out_dir):
 
     The examples run through ``model.trace_batch`` in the length-ordered
     batches of ``train.eval_batches``, as in ``evaluate``; the rows are
-    written in dataset order. Layers are 1-based; requesting a layer
-    above the model's count errors. Returns the written paths.
+    written in dataset order, in the trace's dtype. Layers are 1-based;
+    requesting a layer above the model's count errors. Returns the
+    written paths.
     """
     L = model.config.L
     for layer in layers:
@@ -166,7 +170,9 @@ def dump_trace(model, arrays, epoch, layers, out_dir):
             raise ValueError(f"layer {layer} out of range 1..{L}")
     labels = arrays[3]
     n = len(labels)
-    per_layer = [np.empty((n, model.config.H)) for _ in range(L)]
+    # The trace takes the dtype of the embedding tables it starts from.
+    dtype = model.encoder.params["embed/token"].data.dtype
+    per_layer = [np.empty((n, model.config.H), dtype) for _ in range(L)]
     for idx, tok, seg, mask in eval_batches(arrays):
         for li, block in enumerate(model.trace_batch(tok, seg, mask)):
             per_layer[li][idx] = block

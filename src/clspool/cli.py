@@ -82,6 +82,8 @@ def _parse_setting(key, text):
         raise ValueError(f"expected one of {_CHOICES[key]}, got {text!r}")
     if kind is _int_list and min(value, default=1) < 1:
         raise ValueError(f"expected integers >= 1, got {text!r}")
+    if kind is _int_list and len(set(value)) < len(value):
+        raise ValueError(f"expected distinct integers, got {text!r}")
     if key in _ENCODER_KEYS:
         EncoderConfig.check_field(_ENCODER_KEYS[key], value)
     elif key not in _CLI_KEYS:

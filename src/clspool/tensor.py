@@ -24,7 +24,9 @@ each and carry a hand-derived backward:
   projection, dropout, residual and layer norm) over the N valid
   positions of a batch, given as one N×H matrix, with one query per
   valid position or one per example, from one H×3H query, key and value
-  block; only inside it are the rows laid out as a padded view;
+  block; only inside it are the rows laid out as a padded view, and its
+  attention scores are key-major, so that the softmax reduces over the
+  outermost, contiguous axis;
 - ``ffn_sublayer``, the block's feed-forward sublayer (GELU network,
   dropout, residual and layer norm); its GELU is the tanh form of BERT
   and GPT, within 4.7e-4 of the exact (erf) GELU, so the runtime imports
@@ -372,10 +374,18 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
     scattered or gathered. Dropout at rate ``p`` draws its mask from
     ``rng``.
 
+    The scores are stored key-major, as one (S, B, A, Sq) array for the
+    Sq = S or 1 queries, so that the softmax's max, exp, sum and divide
+    run in place over axis 0: S vectorized passes over B·A·Sq contiguous
+    values, where a reduction over a short last axis would run one row
+    at a time. The backward builds dS in the same layout. Both query
+    forms take this one path.
+
     Returns ``(out, probs)``: the output, with as many rows as r, and the
-    attention probabilities, (B, A, S, S) or (B, A, 1, S), which the
-    backward reuses. The probability rows of masked query positions come
-    from zero queries and belong to no output row.
+    attention probabilities, (B, A, S, S) or (B, A, 1, S), a transposed
+    view of the key-major array, which the backward reuses. The
+    probability rows of masked query positions come from zero queries
+    and belong to no output row.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2:
@@ -398,13 +408,15 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
     c = 1.0 / math.sqrt(H // A)
     QKV = _split_heads(xd @ Wqkv.data + bqkv.data, B, S, 3 * A, holes)
     Q, K, V = QKV[:, :A, :Sq], QKV[:, A:2 * A], QKV[:, 2 * A:]
-    # The softmax runs in place: one (B, A, S', S) array for all its steps.
-    P = np.matmul(Q, K.transpose(0, 1, 3, 2))
-    P *= c
-    P += np.where(valid, 0.0, -1e9).astype(P.dtype)[:, None, None, :]
-    P -= P.max(axis=-1, keepdims=True)
-    np.exp(P, out=P)
-    P /= P.sum(axis=-1, keepdims=True)
+    # The key-major scores: the softmax runs in place over axis 0.
+    Pt = np.empty((S, B, A, Sq), QKV.dtype)
+    np.matmul(K, Q.transpose(0, 1, 3, 2), out=Pt.transpose(1, 2, 0, 3))
+    Pt *= c
+    Pt += np.where(valid.T, 0.0, -1e9).astype(Pt.dtype)[:, :, None, None]
+    Pt -= Pt.max(axis=0)
+    np.exp(Pt, out=Pt)
+    Pt /= Pt.sum(axis=0)
+    P = Pt.transpose(1, 2, 3, 0)
     ctx = _merge_heads(np.matmul(P, V), q_holes)
     o, keep = _dropout_fwd(ctx @ Wo.data + bo.data, p, rng)
     y, xhat, inv = _layer_norm_fwd(xd[rows] + o, gamma.data, beta.data)
@@ -417,16 +429,18 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
         _accumulate(bo, do.sum(axis=0))
         _accumulate(Wo, ctx.T @ do)
         G = _split_heads(do @ Wo.data.T, B, Sq, A, q_holes)
-        dS = np.matmul(G, V.transpose(0, 1, 3, 2))
-        dS -= (dS * P).sum(axis=-1, keepdims=True)
-        dS *= P
-        dS *= c
+        # dS is key-major like Pt, and its softmax sum runs over axis 0.
+        dSt = np.empty_like(Pt)
+        np.matmul(V, G.transpose(0, 1, 3, 2), out=dSt.transpose(1, 2, 0, 3))
+        dSt -= (dSt * Pt).sum(axis=0)
+        dSt *= Pt
+        dSt *= c
         # One gradient for [Q | K | V], laid out as QKV; with ``cls_only``
         # only the queries' column 0 is nonzero.
         dQKV = np.zeros(QKV.shape, QKV.dtype)
-        np.matmul(dS, K, out=dQKV[:, :A, :Sq])
-        np.matmul(dS.transpose(0, 1, 3, 2), Q, out=dQKV[:, A:2 * A])
-        np.matmul(P.transpose(0, 1, 3, 2), G, out=dQKV[:, 2 * A:])
+        np.matmul(dSt.transpose(1, 2, 3, 0), K, out=dQKV[:, :A, :Sq])
+        np.matmul(dSt.transpose(1, 2, 0, 3), Q, out=dQKV[:, A:2 * A])
+        np.matmul(Pt.transpose(1, 2, 0, 3), G, out=dQKV[:, 2 * A:])
         dqkv = _merge_heads(dQKV, holes)
         _accumulate(bqkv, dqkv.sum(axis=0))
         _accumulate(Wqkv, xd.T @ dqkv)

@@ -3,6 +3,8 @@ import os
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clspool import rng as R
 from clspool.analysis import (DegenerateDataError, LayerDump, Projection2D,
@@ -13,6 +15,7 @@ from clspool.data import (DataError, PairExample, pack_dataset, synth_generate,
                           vocab_for_examples)
 from clspool.encoder import EncoderConfig
 from clspool.model import PooledClassifier
+from clspool.train import eval_batches
 
 
 def make_dump(vectors, labels=None, epoch=1, layer=1):
@@ -192,6 +195,28 @@ class TestDumpFiles:
         npt.assert_array_equal(back.labels, dump.labels)
         npt.assert_array_equal(back.vectors, dump.vectors)  # repr round-trips exactly
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(width=32, allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=12))
+    def test_float32_values_read_back_bit_identical(self, tmp_path_factory, values):
+        vectors = np.array(values, np.float32).reshape(-1, 1)
+        dump = LayerDump(1, 1, np.arange(len(vectors)), np.zeros(len(vectors), int), vectors)
+        back = read_dump(write_dump(dump, str(tmp_path_factory.mktemp("dump"))))
+        assert np.array_equal(back.vectors.astype(np.float32).view(np.uint32),
+                              vectors.view(np.uint32))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=12))
+    def test_float64_dump_bytes_are_each_values_repr(self, tmp_path_factory, values):
+        # The float64 form is Python's shortest repr, the bytes of every
+        # float64 dump written before the dtype-aware form.
+        vectors = np.array(values).reshape(-1, 1)
+        dump = make_dump(vectors)
+        path = write_dump(dump, str(tmp_path_factory.mktemp("dump")))
+        expected = [f"{i},0," + ",".join(map(repr, row)) for i, row in enumerate(vectors.tolist())]
+        with open(path, encoding="utf-8") as f:
+            assert f.read().splitlines()[1:] == expected
+
     def test_header_shape(self, tmp_path):
         dump = make_dump(np.zeros((2, 4)) + [1, 2, 3, 4.0])
         path = write_dump(dump, str(tmp_path))
@@ -246,6 +271,21 @@ class TestDumpTrace:
             dump_trace(model, arrays, epoch=1, layers=[4], out_dir=str(tmp_path))
         with pytest.raises(ValueError, match="out of range"):
             dump_trace(model, arrays, epoch=1, layers=[0], out_dir=str(tmp_path))
+
+    def test_float32_trace_reads_back_bit_identical(self, tmp_path):
+        model, arrays = trained_tiny_model()
+        dump_trace(model, arrays, epoch=1, layers=[2], out_dir=str(tmp_path))
+        trace = np.empty((len(arrays[3]), model.config.H), np.float32)
+        for idx, tok, seg, mask in eval_batches(arrays):
+            trace[idx] = model.trace_batch(tok, seg, mask)[1]
+        path = tmp_path / "cls_epoch1_layer2.csv"
+        back = read_dump(str(path))
+        assert np.array_equal(back.vectors.astype(np.float32).view(np.uint32),
+                              trace.view(np.uint32))
+        # float32's shortest round-trip form has at most 9 significant digits.
+        values = [v for line in path.read_text().splitlines()[1:] for v in line.split(",")[2:]]
+        assert max(len(v.split("e")[0].lstrip("-").replace(".", "").strip("0"))
+                   for v in values) <= 9
 
     def test_batched_dump_matches_batch_size_one(self, tmp_path):
         # Fixed-length synthetic pairs, and 70 texts of 1 to 15 tokens, which

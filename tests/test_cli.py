@@ -564,10 +564,11 @@ class TestOneParsePerSetting:
     """A `train` flag and its config line parse a value by one route."""
 
     # (key, text): an unparsable int and float, values out of range, bad choices,
-    # a dump list that does not parse and two with an entry below 1.
+    # a dump list that does not parse, two with an entry below 1 and two with
+    # a repeated entry.
     BAD = [("epochs", "ten"), ("lr", "fast"), ("seed", "-1"), ("L", "0"), ("p_drop", "1.0"),
            ("pooling", "cnn"), ("schema", "xyz"), ("dump_epochs", "1,a"), ("dump_epochs", "1,0"),
-           ("dump_layers", "0")]
+           ("dump_layers", "0"), ("dump_epochs", "2,1,2"), ("dump_layers", "1,1")]
 
     def test_same_reason_from_flag_and_config_line(self, dataset, tmp_path, capsys):
         cfg, out = tmp_path / "cfg", tmp_path / "run"
@@ -585,6 +586,18 @@ class TestOneParsePerSetting:
             reason = flag_err[len(flag_prefix):]
             assert reason and reason == file_err[0][len(file_prefix):]
             assert not out.exists()
+
+    def test_repeated_dump_entry_refused_by_both_routes(self, dataset, tmp_path, capsys):
+        # A repeated entry would dump the same file twice.
+        cfg, out = tmp_path / "cfg", tmp_path / "run"
+        assert run(["train", "--data", dataset, "--dump-layers", "1,1", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "clspool train: error: argument --dump-layers: expected distinct integers, got '1,1'")
+        cfg.write_text("epochs=2\ndump_epochs=1,1\n")
+        assert run(["train", "--data", dataset, "--config", str(cfg), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:2: dump_epochs: expected distinct integers, got '1,1'\n")
+        assert not out.exists()
 
     def test_every_default_parses_back_by_both_routes(self, tmp_path):
         # A default written as text must read back as itself, type and all

@@ -610,7 +610,9 @@ def reference_gelu(a):
 def reference_attention(qkv, mask, heads, cls_only):
     """Multi-head attention of the N×3H rows [Q | K | V] as one tape node,
     with queries at every valid position or, with ``cls_only``, at each
-    example's column 0; its core runs on the (B, 3A, S, d_h) view of the rows."""
+    example's column 0; its core runs on the (B, 3A, S, d_h) view of the rows.
+    The scores and dS are key-major, (S, B, A, Sq), and the softmax sums run
+    over axis 0, as in the op: a sum's rounding depends on its order."""
     B, S = mask.shape
     valid = mask == 1
     N = int(np.count_nonzero(valid))
@@ -620,15 +622,23 @@ def reference_attention(qkv, mask, heads, cls_only):
     c = 1.0 / math.sqrt(H // heads)
     QKV = T._split_heads(qkv.data, B, S, 3 * heads, holes)
     Q, K, V = QKV[:, :heads, :Sq], QKV[:, heads:2 * heads], QKV[:, 2 * heads:]
-    bias = np.where(valid, 0.0, -1e9)[:, None, None, :]
-    scores = np.matmul(Q, K.transpose(0, 1, 3, 2)) * c + bias
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    P = e / e.sum(axis=-1, keepdims=True)
+
+    def key_major(a, b):
+        """a·bᵀ of two (B, A, ·, d_h) stacks, stored as (S, B, A, Sq)."""
+        out = np.empty((S, B, heads, Sq), QKV.dtype)
+        np.matmul(a, b.transpose(0, 1, 3, 2), out=out.transpose(1, 2, 0, 3))
+        return out
+
+    bias = np.where(valid.T, 0.0, -1e9)[:, :, None, None]
+    scores = key_major(K, Q) * c + bias
+    e = np.exp(scores - scores.max(axis=0))
+    Pt = e / e.sum(axis=0)
+    P = Pt.transpose(1, 2, 3, 0)
 
     def bwd(g):
         G = T._split_heads(g, B, Sq, heads, q_holes)
-        dP = np.matmul(G, V.transpose(0, 1, 3, 2))
-        dS = P * (dP - (dP * P).sum(axis=-1, keepdims=True)) * c
+        dPt = key_major(V, G)
+        dS = (Pt * (dPt - (dPt * Pt).sum(axis=0)) * c).transpose(1, 2, 3, 0)
         d = np.zeros(QKV.shape)
         d[:, :heads, :Sq] = np.matmul(dS, K)
         d[:, heads:2 * heads] = np.matmul(dS.transpose(0, 1, 3, 2), Q)

@@ -549,6 +549,34 @@ class TestAttention:
             assert np.all(probs[masked] == 0.0)
             npt.assert_allclose(probs.sum(axis=-1), 1.0, rtol=0, atol=1e-12)
 
+    # This class's float64 bound, 1e-12, carried to float32 by the ratio of
+    # the two epsilons: about 5.4e-4, or 4,500 float32 epsilons.
+    F32_TOL = 1e-12 * np.finfo(np.float32).eps / np.finfo(np.float64).eps
+
+    @settings(max_examples=150, deadline=None)
+    @given(attention_cases())
+    def test_float32_near_the_float64_loop(self, case):
+        # The inputs are rounded to float32 first, so the oracle sees the
+        # op's inputs and only the op's own rounding counts.
+        x, weights, mask, heads = case
+        x, *weights = (a.astype(np.float32).astype(np.float64) for a in (x, *weights))
+        Wq, bq, Wk, bk, Wv, bv, Wo, bo, gamma, beta = weights
+        ctx, ref_probs = naive_attention(x @ Wq + bq, x @ Wk + bk, x @ Wv + bv, mask, heads)
+        for cls_only in (False, True):
+            out, probs = T.attention_sublayer(
+                Tensor(x.astype(np.float32)),
+                [Tensor(a.astype(np.float32)) for a in joined(weights)], mask, heads, cls_only)
+            assert out.data.dtype == probs.dtype == np.float32
+            rows = cls_rows_of(mask) if cls_only else slice(None)
+            ref_s = x[rows] + ctx[rows] @ Wo + bo
+            npt.assert_allclose(out.data, numpy_layer_norm(ref_s, gamma, beta), rtol=0,
+                                atol=self.F32_TOL * rounding_scale(ref_s))
+            valid = mask[:, :1] == 1 if cls_only else mask == 1
+            query_rows = np.broadcast_to(valid[:, None, :, None], probs.shape)
+            npt.assert_allclose(probs[query_rows], ref_probs[:, :, :probs.shape[2]][query_rows],
+                                rtol=0, atol=self.F32_TOL)
+            assert np.all(probs[np.broadcast_to(mask[:, None, None, :] == 0, probs.shape)] == 0.0)
+
     @settings(max_examples=150, deadline=None)
     @given(attention_cases())
     def test_gradients_equal_the_padded_computations_valid_rows(self, case):
