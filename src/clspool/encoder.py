@@ -72,7 +72,9 @@ class EncoderConfig:
 
 
 def init_normal(rng, shape):
-    return rng.normal(0.0, INIT_STD, size=shape)
+    """A weight of ``shape`` drawn from N(0, INIT_STD²), or with ``rng`` None
+    zeros and no draw, for a model whose weights a checkpoint then sets."""
+    return np.zeros(shape) if rng is None else rng.normal(0.0, INIT_STD, size=shape)
 
 
 class MiniEncoder:

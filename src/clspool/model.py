@@ -25,6 +25,8 @@ class PooledClassifier:
     """A classifier over the per-layer [CLS] trace of a MiniEncoder, in float32."""
 
     def __init__(self, config: EncoderConfig, pooling_kind: str, n_classes: int, rng):
+        """A model drawn from ``rng``; with ``rng`` None, one whose weights are
+        zeros, drawn from nothing, for ``load`` to set."""
         if pooling_kind not in HEAD_KINDS:
             raise ValueError(f"unknown pooling kind {pooling_kind!r}, expected one of {HEAD_KINDS}")
         self.config = config
@@ -32,7 +34,7 @@ class PooledClassifier:
         self.n_classes = n_classes
         # One child stream each, so every head starts from the same encoder
         # and classifier: the design is paired in everything but the head.
-        enc_rng, head_rng, cls_rng = rng.spawn(3)
+        enc_rng, head_rng, cls_rng = (None,) * 3 if rng is None else rng.spawn(3)
         self.encoder = MiniEncoder(config, enc_rng)
         self.pool_head = HEADS[pooling_kind](config.H, head_rng)
         self.classifier = ClassifierHead(config.H, n_classes, cls_rng)
@@ -97,11 +99,11 @@ class PooledClassifier:
         """The model saved at ``path`` and its metadata, with the checked
         ``schema`` filled in. The metadata's sizes are checked against the
         blobs before the model is built, so it allocates nothing the file
-        does not hold."""
+        does not hold, and the model is built without a draw."""
         meta, blobs = load_checkpoint(path)
         config, schema = _config_from_meta(meta)
         _check_sizes(meta, blobs)
-        model = cls(config, meta["pooling"], meta["n_classes"], np.random.default_rng(0))
+        model = cls(config, meta["pooling"], meta["n_classes"], None)
         params = model.parameters()
         missing = set(params) - set(blobs)
         extra = set(blobs) - set(params)

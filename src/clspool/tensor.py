@@ -44,14 +44,19 @@ Every op computes in the dtype of its inputs, float32 or float64: the
 buffers it allocates take that dtype and its constants are Python
 scalars, which do not widen an array, so the model runs in float32 and
 the finite-difference gradient check in float64 through the same code.
-Dropout still draws float64 uniforms and compares them with p, and only
-its 0 or 1/(1-p) mask takes the dtype, so a float32 run draws the same
-masks as a float64 run of the same seed.
+Dropout still draws float64 uniforms and compares them with p, and its
+0 or 1/(1-p) mask is the boolean draw times 1/(1-p) in the dtype, so a
+float32 run draws the same masks as a float64 run of the same seed.
 
 Layer norm and dropout are each one private forward/backward pair on
 arrays, shared by the three sublayers (and ``linear``, for dropout); GELU
 is one such pair too, for ``ffn_sublayer``. Dropout is its rate ``p``
 alone: at rate 0, as in eval mode, an op drops nothing and needs no ``rng``.
+The layer norm's row means and variances, and every column sum (the
+layer norm's gamma and beta gradients and each bias gradient, through
+``_col_sum``), are products with a constant vector, so they too run in
+BLAS, which chooses their summation order; numpy's reductions over a
+short axis take several times as long.
 
 Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
@@ -65,6 +70,7 @@ scope; training never does.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextvars import ContextVar
 
@@ -209,42 +215,72 @@ def _scatter_add_rows(g, idx, rows):
 # layer norm and dropout
 
 
+@functools.lru_cache(maxsize=64)
+def _const(n, value, dtype):
+    """A read-only n-vector of ``value`` in ``dtype``.
+
+    A row mean, or with ones a column sum, is then one BLAS
+    matrix-vector product, several times faster than numpy's reduction
+    over a 32-wide axis.
+    """
+    a = np.full(n, value, dtype)
+    a.flags.writeable = False
+    return a
+
+
+def _col_sum(g):
+    """The column sums of the matrix ``g``, as one product with a ones row."""
+    return _const(g.shape[0], 1.0, g.dtype) @ g
+
+
 def _layer_norm_fwd(s, gamma, beta):
     """Per-row layer norm of the matrix ``s``; returns (output, xhat, inv).
 
     ``xhat`` is the normalized ``s`` and ``inv`` the per-row 1/sqrt(var + 1e-12)
     column, which ``_layer_norm_bwd`` reuses. The mean and the variance are
-    row sums divided by the width, which is what ``np.mean`` and ``np.var``
-    compute, to the bit, with one pass fewer over ``s``.
+    products with a constant vector of 1/H, so BLAS chooses their summation
+    order, and the output is written into the buffer that held the squares.
     """
-    n = s.shape[1]
-    xhat = s - s.sum(axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / n + 1e-12)
+    w = _const(s.shape[1], 1.0 / s.shape[1], s.dtype)
+    xhat = s - (s @ w)[:, None]
+    sq = np.multiply(xhat, xhat)
+    inv = 1.0 / np.sqrt((sq @ w)[:, None] + 1e-12)
     xhat *= inv
-    return xhat * gamma + beta, xhat, inv
+    y = np.multiply(xhat, gamma, out=sq)
+    y += beta
+    return y, xhat, inv
 
 
 def _layer_norm_bwd(g, xhat, inv, gamma):
-    """Gradients (d gamma, d beta, d s) of ``_layer_norm_fwd`` for the output gradient ``g``."""
-    n = g.shape[1]
-    gg = g * gamma
-    m1 = gg.sum(axis=1, keepdims=True) / n
-    m2 = (gg * xhat).sum(axis=1, keepdims=True) / n
-    return (g * xhat).sum(axis=0), g.sum(axis=0), (gg - m1 - xhat * m2) * inv
+    """Gradients (d gamma, d beta, d s) of ``_layer_norm_fwd`` for the output gradient ``g``.
+
+    The two row means, of g·gamma and of g·gamma·xhat, are the products of g
+    and g·xhat with the vector gamma/H; the column sums are ``_col_sum``.
+    """
+    w = gamma / g.shape[1]
+    gx = g * xhat
+    m1, m2 = (g @ w)[:, None], (gx @ w)[:, None]
+    dgamma, dbeta = _col_sum(gx), _col_sum(g)
+    ds = g * gamma
+    ds -= m1
+    ds -= np.multiply(xhat, m2, out=gx)
+    ds *= inv
+    return dgamma, dbeta, ds
 
 
 def _dropout_fwd(x, p, rng):
     """Inverted dropout of the array ``x`` at rate ``p``; returns (output, keep).
 
-    ``keep`` is the 0 or 1/(1-p) multiplier in ``x``'s dtype, drawn from
-    ``rng`` as float64 uniforms whatever that dtype, or None at p = 0, when
-    ``x`` is returned and ``rng`` may be None; p > 0 without ``rng`` raises.
+    ``keep`` is the 0 or 1/(1-p) multiplier in ``x``'s dtype: the boolean
+    draw, from ``rng`` as float64 uniforms whatever that dtype, times
+    1/(1-p) rounded to that dtype. It is None at p = 0, when ``x`` is
+    returned and ``rng`` may be None; p > 0 without ``rng`` raises.
     """
     if p == 0.0:
         return x, None
     if rng is None:
         raise ValueError(f"dropout at rate {p} requires a generator")
-    keep = ((rng.random(x.shape) >= p) / (1.0 - p)).astype(x.dtype, copy=False)
+    keep = (rng.random(x.shape) >= p) * x.dtype.type(1.0 / (1.0 - p))
     return x * keep, keep
 
 
@@ -412,7 +448,8 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
     Pt = np.empty((S, B, A, Sq), QKV.dtype)
     np.matmul(K, Q.transpose(0, 1, 3, 2), out=Pt.transpose(1, 2, 0, 3))
     Pt *= c
-    Pt += np.where(valid.T, 0.0, -1e9).astype(Pt.dtype)[:, :, None, None]
+    if holes is not None:
+        Pt += np.where(valid.T, 0.0, -1e9).astype(Pt.dtype)[:, :, None, None]
     Pt -= Pt.max(axis=0)
     np.exp(Pt, out=Pt)
     Pt /= Pt.sum(axis=0)
@@ -426,7 +463,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
         _accumulate(gamma, dgamma)
         _accumulate(beta, dbeta)
         do = _dropout_bwd(ds, keep)
-        _accumulate(bo, do.sum(axis=0))
+        _accumulate(bo, _col_sum(do))
         _accumulate(Wo, ctx.T @ do)
         G = _split_heads(do @ Wo.data.T, B, Sq, A, q_holes)
         # dS is key-major like Pt, and its softmax sum runs over axis 0.
@@ -442,7 +479,7 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
         np.matmul(dSt.transpose(1, 2, 0, 3), Q, out=dQKV[:, A:2 * A])
         np.matmul(Pt.transpose(1, 2, 0, 3), G, out=dQKV[:, 2 * A:])
         dqkv = _merge_heads(dQKV, holes)
-        _accumulate(bqkv, dqkv.sum(axis=0))
+        _accumulate(bqkv, _col_sum(dqkv))
         _accumulate(Wqkv, xd.T @ dqkv)
         if x.requires_grad:
             dx = dqkv @ Wqkv.data.T
@@ -478,13 +515,15 @@ def ffn_sublayer(x, weights, p=0.0, rng=None):
         _accumulate(gamma, dgamma)
         _accumulate(beta, dbeta)
         do = _dropout_bwd(ds, keep)
-        _accumulate(b2, do.sum(axis=0))
+        _accumulate(b2, _col_sum(do))
         _accumulate(W2, a.T @ do)
         dh = _gelu_bwd(do @ W2.data.T, hc, t)
-        _accumulate(b1, dh.sum(axis=0))
+        _accumulate(b1, _col_sum(dh))
         _accumulate(W1, xd.T @ dh)
-        _accumulate(x, ds)
-        _accumulate(x, dh @ W1.data.T)
+        if x.requires_grad:
+            dx = dh @ W1.data.T
+            dx += ds
+            _accumulate(x, dx)
 
     return Tensor(y, _parents=(x, *weights), _backward=bwd)
 
@@ -529,10 +568,6 @@ def layer_attention(rows, q, W):
     return Tensor(combined @ W.data, _parents=(*rows, q, W), _backward=bwd), P
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 def lstm(xs, W, U, b):
     """Fused single-layer LSTM over a sequence of B×D rows; returns the last h.
 
@@ -558,10 +593,12 @@ def lstm(xs, W, U, b):
     hs = [h]
     for t in range(len(xs)):
         z = XW[t] + h @ U.data + b.data if t else XW[t] + b.data
-        a = np.empty_like(z)
-        a[:, :2 * H] = _sigmoid(z[:, :2 * H])
-        a[:, 2 * H:3 * H] = np.tanh(z[:, 2 * H:3 * H])
-        a[:, 3 * H:] = _sigmoid(z[:, 3 * H:])
+        # One sigmoid over all four gates, then tanh over the g block.
+        a = np.negative(z)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        np.tanh(z[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])
         i, f, g, o = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
         c = f * cs[-1] + i * g
         tc = np.tanh(c)
@@ -590,7 +627,7 @@ def lstm(xs, W, U, b):
         flat = dZ.reshape(-1, 4 * H)
         _accumulate(W, X.reshape(-1, D).T @ flat)
         _accumulate(U, np.stack(hs[:-1]).reshape(-1, H).T @ flat)
-        _accumulate(b, flat.sum(axis=0))
+        _accumulate(b, _col_sum(flat))
         if any(x.requires_grad for x in xs):
             dX = flat @ W.data.T
             for t, x in enumerate(xs):
@@ -616,7 +653,7 @@ def linear(x, W, b, p=0.0, rng=None):
     def bwd(g):
         _accumulate(x, _dropout_bwd(g @ W.data.T, keep))
         _accumulate(W, xd.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        _accumulate(b, _col_sum(g))
 
     return Tensor(xd @ W.data + b.data, _parents=(x, W, b), _backward=bwd)
 

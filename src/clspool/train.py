@@ -76,22 +76,29 @@ def regularized_loss(logits, labels, params, decay_names, lam):
 class Adam:
     """Adam with bias correction over a model's name -> parameter dict.
 
-    The moments of all parameters live in two flat vectors of the
-    parameters' dtype, and a step updates every parameter with one pass of
-    vector ops; the update is elementwise, so it equals a per-parameter
-    loop bit for bit. A None gradient (a parameter cut off from the loss),
-    a shape mismatch or a non-finite gradient raises ``ValueError`` naming
-    the parameter before anything moves.
+    The parameters, and their first and second moments, live in three flat
+    vectors of the parameters' dtype: ``__init__`` copies each parameter
+    into the parameter vector and rebinds its ``data`` to a view of its
+    slice, and a step updates the three vectors in place, one pass of
+    vector ops, so nothing is concatenated or copied back. The update is
+    elementwise, so it equals a per-parameter loop bit for bit. While an
+    ``Adam`` holds a parameter, its ``data`` must not be rebound, or the
+    step no longer reaches it. A None gradient (a parameter cut off from
+    the loss), a shape mismatch or a non-finite gradient raises
+    ``ValueError`` naming the parameter before anything moves.
     """
 
     def __init__(self, params, lr):
         self.params = dict(params)
         self.lr = lr
         self.t = 0
-        self._offsets = np.cumsum([0] + [p.data.size for p in self.params.values()])
-        dtype = np.result_type(*(p.data for p in self.params.values()))
-        self.m = np.zeros(self._offsets[-1], dtype)
-        self.v = np.zeros(self._offsets[-1], dtype)
+        values = self.params.values()
+        self.theta = np.concatenate([p.data.ravel() for p in values])
+        offsets = np.cumsum([0] + [p.data.size for p in values])
+        for p, lo, hi in zip(values, offsets[:-1], offsets[1:]):
+            p.data = self.theta[lo:hi].reshape(p.data.shape)
+        self.m = np.zeros_like(self.theta)
+        self.v = np.zeros_like(self.theta)
 
     def step(self):
         for name, p in self.params.items():
@@ -100,20 +107,25 @@ class Adam:
             if p.grad.shape != p.data.shape:
                 raise ValueError(f"parameter {name}: gradient shape {p.grad.shape} "
                                  f"!= parameter shape {p.data.shape}")
-        params = self.params.values()
-        g = np.concatenate([p.grad.ravel() for p in params])
+        g = np.concatenate([p.grad.ravel() for p in self.params.values()])
         if not np.isfinite(g).all():
             bad = next(n for n, p in self.params.items() if not np.isfinite(p.grad).all())
             raise ValueError(f"non-finite gradient in parameter {bad}")
         self.t += 1
-        theta = np.concatenate([p.data.ravel() for p in params])
-        self.m = BETA1 * self.m + (1 - BETA1) * g
-        self.v = BETA2 * self.v + (1 - BETA2) * g * g
+        term = (1 - BETA1) * g
+        self.m *= BETA1
+        self.m += term
+        np.multiply(g, 1 - BETA2, out=term)
+        term *= g
+        self.v *= BETA2
+        self.v += term
         m_hat = self.m / (1 - BETA1 ** self.t)
         v_hat = self.v / (1 - BETA2 ** self.t)
-        theta = theta - self.lr * m_hat / (np.sqrt(v_hat) + EPS)
-        for p, lo, hi in zip(params, self._offsets[:-1], self._offsets[1:]):
-            p.data = theta[lo:hi].reshape(p.data.shape)
+        np.sqrt(v_hat, out=v_hat)
+        v_hat += EPS
+        m_hat *= self.lr
+        m_hat /= v_hat
+        self.theta -= m_hat
 
     def zero_grad(self):
         for p in self.params.values():

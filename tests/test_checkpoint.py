@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clspool import encoder
+from clspool import pooling as pooling_mod
 from clspool import rng as R
 from clspool.checkpoint import (MAGIC, VERSION, atomic_write_bytes,
                                 load_checkpoint, save_checkpoint)
-from clspool.encoder import EncoderConfig
+from clspool.encoder import EncoderConfig, init_normal
 from clspool.model import PooledClassifier
+from clspool.pooling import HEAD_KINDS
 
 
 class TestAtomicWrite:
@@ -155,6 +158,32 @@ class TestModelPersistence:
             assert logits.dtype == np.float32
             npt.assert_array_equal(back.forward_batch(ids, seg, mask).data, logits)
             npt.assert_array_equal(back.predict(ids, seg, mask), model.predict(ids, seg, mask))
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # ``load`` builds the model from no generator, so no weight is drawn,
+        # and still gives back every parameter of every head.
+        saved = {}
+        for pooling in HEAD_KINDS:
+            saved[pooling] = PooledClassifier(self.CFG, pooling, 3, R.rng_for(0, 0))
+            saved[pooling].save(str(tmp_path / f"{pooling}.ckpt"))
+
+        def no_draw(rng, shape):
+            if rng is not None:
+                raise AssertionError(f"a {shape} weight was drawn")
+            return init_normal(rng, shape)
+
+        def no_generator(*args):
+            raise AssertionError("a generator was made")
+
+        monkeypatch.setattr(encoder, "init_normal", no_draw)
+        monkeypatch.setattr(pooling_mod, "init_normal", no_draw)
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for pooling, model in saved.items():
+            back, _ = PooledClassifier.load(str(tmp_path / f"{pooling}.ckpt"))
+            assert back.parameters().keys() == model.parameters().keys()
+            for name, p in back.parameters().items():
+                assert p.data.dtype == np.float32
+                npt.assert_array_equal(p.data, model.parameters()[name].data)
 
     def test_extra_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "m.ckpt")

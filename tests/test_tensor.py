@@ -29,10 +29,13 @@ def weighted_sum(t, w):
 
 
 def tape_add(a, b):
-    """Elementwise sum, or a bias vector added to every row of a matrix, as one tape node."""
+    """Elementwise sum, or a bias vector added to every row of a matrix, as one tape node.
+
+    The bias gradient is summed by the fused ops' own column sum, so the
+    chains built from this node equal those ops to the bit."""
     def bwd(g):
         T._accumulate(a, g)
-        T._accumulate(b, g if a.shape == b.shape else g.sum(axis=0))
+        T._accumulate(b, g if a.shape == b.shape else T._col_sum(g))
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
@@ -1170,6 +1173,67 @@ class TestLayerNormAndActivations:
         eye, zero, one = np.eye(3), np.zeros(3), np.ones(3)
         y = T.ffn_sublayer(Tensor(x), [Tensor(a) for a in (eye, zero, eye, zero, one, zero)]).data
         npt.assert_allclose(y, numpy_layer_norm(x + [[0.0, 10.0, 0.0]], one, zero), atol=1e-9)
+
+
+@st.composite
+def float32_rows(draw):
+    """A float32 matrix of 1 to 64 rows, 6 or 32 wide, its rows offset and
+    scaled as a drawn mean and spread; a float32 gamma and output gradient."""
+    n, H = draw(st.integers(1, 64)), draw(st.sampled_from([6, 32]))
+    loc, scale = draw(st.floats(-4.0, 4.0)), 10.0 ** draw(st.floats(-1.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    s = rng.normal(loc, scale, size=(n, H)).astype(np.float32)
+    gamma, beta = rng.normal(size=(2, H)).astype(np.float32)
+    return s, gamma, beta, rng.normal(size=(n, H)).astype(np.float32)
+
+
+class TestFloat32Reductions:
+    """The layer norm's row means and the column sums are BLAS products in
+    float32: each result against a float64 reference on the same inputs.
+    The layer-norm bounds are in float32 epsilons scaled by
+    ``rounding_scale`` (its square for the input gradient, and times the
+    column's sum of |g| for d gamma), about 5 times the worst of 4,000
+    random cases: 13.7 for outputs, 12.5 for the input gradient and 3.0
+    for d gamma. d beta and the column sums are held to the error bound of
+    any summation order."""
+
+    EPS = float(np.finfo(np.float32).eps)
+
+    @classmethod
+    def summation_bound(cls, terms):
+        """Any order of summing n float32 terms errs by at most
+        (n-1)u/(1-(n-1)u) times the sum of their magnitudes, u = eps/2."""
+        nu = (len(terms) - 1) * cls.EPS / 2
+        return nu / (1 - nu) * np.abs(terms).sum(axis=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(float32_rows())
+    def test_layer_norm_near_the_float64_reference(self, case):
+        s, gamma, beta, g = case
+        y, xhat, inv = T._layer_norm_fwd(s, gamma, beta)
+        dgamma, dbeta, ds = T._layer_norm_bwd(g, xhat, inv, gamma)
+        assert all(a.dtype == np.float32 for a in (y, xhat, inv, dgamma, dbeta, ds))
+        S, Gm, Bt, G = (a.astype(np.float64) for a in (s, gamma, beta, g))
+        k = rounding_scale(S)
+        npt.assert_allclose(y, numpy_layer_norm(S, Gm, Bt), rtol=0, atol=64 * self.EPS * k)
+        sd = np.sqrt(S.var(axis=1, keepdims=True) + 1e-12)
+        xh = (S - S.mean(axis=1, keepdims=True)) / sd
+        gg = G * Gm
+        ref_ds = (gg - gg.mean(axis=1, keepdims=True)
+                  - xh * (gg * xh).mean(axis=1, keepdims=True)) / sd
+        npt.assert_allclose(ds, ref_ds, rtol=0, atol=64 * self.EPS * k * k)
+        assert np.all(np.abs(dgamma - (G * xh).sum(axis=0))
+                      <= 16 * self.EPS * k * np.abs(G).sum(axis=0))
+        assert np.all(np.abs(dbeta - G.sum(axis=0)) <= self.summation_bound(G))
+
+    @settings(max_examples=200, deadline=None)
+    @given(float32_rows())
+    def test_column_sum_within_the_summation_bound(self, case):
+        g = case[3]
+        got = T._col_sum(g)
+        assert got.dtype == np.float32 and got.shape == (g.shape[1],)
+        G = g.astype(np.float64)
+        assert np.all(np.abs(got - G.sum(axis=0)) <= self.summation_bound(G))
 
 
 class TestGradcheckCoverage:

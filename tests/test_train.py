@@ -243,6 +243,38 @@ class TestAdam:
                 assert np.array_equal(p.data, q.data)
         assert opt.t == ref.t == 50
 
+    def test_parameters_are_views_of_the_flat_vector(self):
+        # Adam rebinds each parameter to its slice of one vector, values and
+        # dtype unchanged, and a step moves them through that vector alone.
+        model = PooledClassifier(EncoderConfig(L=2, H=8, A=2, F=12, V=16, S_max=8), "lstm", 3,
+                                 R.rng_for(0, R.INIT))
+        params = model.parameters()
+        before = {name: p.data.copy() for name, p in params.items()}
+        opt = Adam(params, lr=1e-3)
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.theta), name
+            assert p.data.dtype == np.float32 and np.array_equal(p.data, before[name]), name
+        for p in params.values():
+            p.grad = np.ones(p.shape, np.float32)
+        opt.step()
+        for name, p in params.items():
+            assert np.shares_memory(p.data, opt.theta), name
+            assert np.all(p.data < before[name]), name
+
+    def test_trained_model_round_trips_through_load(self, tmp_path):
+        ex = toy_separable_examples(16)
+        vocab = vocab_for_examples(ex)
+        model = PooledClassifier(replace(TOY_ENC, V=len(vocab)), "lstm", 3, R.rng_for(0, 0))
+        arrays = pack_dataset(ex, vocab, 8)
+        train_model(model, arrays, TrainConfig(epochs=2, lr=1e-2, folds=2, batch_size=8),
+                    R.rng_for(0, 1), R.rng_for(0, 2))
+        path = str(tmp_path / "m.ckpt")
+        model.save(path)
+        back, _ = PooledClassifier.load(path)
+        for name, p in model.parameters().items():
+            assert np.array_equal(back.parameters()[name].data, p.data), name
+        npt.assert_array_equal(back.predict(*arrays[:3]), model.predict(*arrays[:3]))
+
 
 def holey_batch(seed):
     """Token ids, segments and mask of lengths 6, 4 and 5 in 6 columns; the
