@@ -3,7 +3,9 @@
 Builds a small computation graph by hand from the ops a model runs (the
 fused embedding sublayer, a linear layer, a second linear layer with
 dropout, and the cross-entropy loss with a scaled L2 penalty), runs
-backward(), and checks a gradient against a central finite difference.
+``loss.backward()``, which gives every tensor the graph reaches its
+gradient, and checks a gradient against a central finite difference.
+Every weight is a plain ``Tensor(data)``: there is no per-tensor switch.
 """
 
 import numpy as np
@@ -16,15 +18,15 @@ rng = np.random.default_rng(0)
 # Four positions of one pair, one (token, segment, position) row each; token
 # 5 occurs twice, so its table row gets the sum of both rows' gradients.
 ids = np.array([[2, 0, 0], [5, 0, 1], [3, 1, 2], [5, 1, 3]])
-embed = [Tensor(rng.normal(size=(6, 5)), requires_grad=True),   # token table
-         Tensor(rng.normal(size=(2, 5)), requires_grad=True),   # segment table
-         Tensor(rng.normal(size=(4, 5)), requires_grad=True),   # position table
-         Tensor(np.ones(5), requires_grad=True),                # layer-norm gain
-         Tensor(np.zeros(5), requires_grad=True)]               # layer-norm bias
-W1 = Tensor(rng.normal(size=(5, 5)), requires_grad=True)
-b1 = Tensor(np.zeros(5), requires_grad=True)
-W2 = Tensor(rng.normal(size=(5, 2)), requires_grad=True)
-b2 = Tensor(np.zeros(2), requires_grad=True)
+embed = [Tensor(rng.normal(size=(6, 5))),   # token table
+         Tensor(rng.normal(size=(2, 5))),   # segment table
+         Tensor(rng.normal(size=(4, 5))),   # position table
+         Tensor(np.ones(5)),                # layer-norm gain
+         Tensor(np.zeros(5))]               # layer-norm bias
+W1 = Tensor(rng.normal(size=(5, 5)))
+b1 = Tensor(np.zeros(5))
+W2 = Tensor(rng.normal(size=(5, 2)))
+b2 = Tensor(np.zeros(2))
 labels = np.array([0, 1, 1, 0])
 
 
@@ -55,7 +57,7 @@ wminus[i, j] -= h
 fd = (loss_with(Tensor(wplus)).item() - loss_with(Tensor(wminus)).item()) / (2 * h)
 print(f"dL/dW2[{i},{j}]: autodiff {W2.grad[i, j]:.8f}  finite-diff {fd:.8f}")
 
-# The tape is consumed by backward(); reusing it is an error.
+# The tape is consumed by loss.backward(); reusing it is an error.
 try:
     loss.backward()
 except RuntimeError as e:

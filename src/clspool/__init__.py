@@ -6,7 +6,7 @@ heads over that trace (last / lstm / attention), a cross-validated
 training harness, and a PCA-based layer-geometry analysis pipeline.
 """
 
-from .tensor import Tensor, ShapeError, backward
+from .tensor import Tensor, ShapeError
 from .encoder import EncoderConfig, MiniEncoder
 from .pooling import (HEAD_KINDS, HEADS, AttentionPoolHead, ClassifierHead, LastPoolHead,
                       LSTMPoolHead, classify)

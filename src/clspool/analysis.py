@@ -123,11 +123,15 @@ def write_dump(dump: LayerDump, out_dir):
 def read_dump(path):
     """Read a dump CSV; its epoch and layer come from its file name.
 
-    A bad file name, header or row raises DataError naming the file and line.
+    The name must be the one ``dump_filename`` gives its epoch and layer, so
+    no two files name one (epoch, layer). A bad file name, header or row
+    raises DataError naming the file and line.
     """
-    m = re.fullmatch(r"cls_epoch(\d+)_layer(\d+)\.csv", os.path.basename(path))
-    if m is None:
-        raise DataError(f"{path}: file name does not match cls_epoch<E>_layer<L>.csv")
+    name = os.path.basename(path)
+    m = re.fullmatch(r"cls_epoch(\d+)_layer(\d+)\.csv", name)
+    if m is None or name != dump_filename(int(m[1]), int(m[2])):
+        raise DataError(f"{path}: file name does not match cls_epoch<E>_layer<L>.csv, "
+                        "E and L with no leading zero")
     epoch, layer = int(m[1]), int(m[2])
     ids, labels, vectors = [], [], []
     lines = read_lines(path)

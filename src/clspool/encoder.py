@@ -58,8 +58,9 @@ class EncoderConfig:
     @staticmethod
     def check_field(name, value):
         """Raise ValueError if ``value`` is of the wrong type or out of range for the
-        field ``name`` on its own. Every field is an int but ``p_drop``, an int or a
-        float; a bool is neither. So JSON-decoded checkpoint metadata needs no other check."""
+        field ``name`` on its own. Every field but ``p_drop`` is an int that numpy's
+        int64 holds, and ``p_drop`` an int or a float; a bool is neither. So JSON-decoded
+        checkpoint metadata needs no other check."""
         p_drop = name == "p_drop"
         if isinstance(value, bool) or not isinstance(value, (int, float) if p_drop else int):
             raise ValueError(f"{name} must be {'a number' if p_drop else 'an integer'}, "
@@ -69,6 +70,8 @@ class EncoderConfig:
                 raise ValueError(f"dropout rate must be in [0, 1), got {value}")
         elif value < (low := MIN_S_MAX if name == "S_max" else 1):
             raise ValueError(f"{name} must be >= {low}, got {value}")
+        elif value > (high := np.iinfo(np.int64).max):
+            raise ValueError(f"{name} must be <= {high}, got {value}")
 
 
 def init_normal(rng, shape):
@@ -111,7 +114,7 @@ class MiniEncoder:
             self._weight(f"{p}/ln2_b", np.zeros(c.H), decay=False)
 
     def _weight(self, name, array, decay):
-        self.params[name] = Tensor(array, requires_grad=True)
+        self.params[name] = Tensor(array)
         if decay:
             self.decay.add(name)
 

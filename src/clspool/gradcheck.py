@@ -1,7 +1,7 @@
 """Central finite-difference verification of every parameterized operation.
 
 For each scenario a small random model is built, the analytic gradient of
-its scalar loss is computed by backward(), and sampled parameter
+its scalar loss is computed by ``loss.backward()``, and sampled parameter
 coordinates are re-checked against (f(x+h) - f(x-h)) / 2h at 64-bit.
 The relative error measure is |a - fd| / max(1, |a|, |fd|).
 
@@ -59,8 +59,7 @@ def check_gradients(loss_fn, params, rng, coords_per_param=2):
     """
     loss = loss_fn()
     loss.backward()
-    grads = {name: (p.grad.copy() if p.grad is not None else np.zeros_like(p.data))
-             for name, p in params.items()}
+    grads = {name: p.grad.copy() for name, p in params.items()}
     worst = 0.0
     for name, p in params.items():
         size = p.data.size
@@ -83,11 +82,11 @@ def _composite_graph_scenario(seed):
     cross-entropy with an L2 term at c=0.1."""
     rng = rng_mod.rng_for(seed, 90)
     params = {
-        "E": T.Tensor(rng.normal(size=(3, 3)), requires_grad=True),
-        "W1": T.Tensor(rng.normal(size=(3, 4)), requires_grad=True),
-        "b1": T.Tensor(rng.normal(size=4), requires_grad=True),
-        "W2": T.Tensor(rng.normal(size=(4, 2)), requires_grad=True),
-        "b2": T.Tensor(rng.normal(size=2), requires_grad=True),
+        "E": T.Tensor(rng.normal(size=(3, 3))),
+        "W1": T.Tensor(rng.normal(size=(3, 4))),
+        "b1": T.Tensor(rng.normal(size=4)),
+        "W2": T.Tensor(rng.normal(size=(4, 2))),
+        "b2": T.Tensor(rng.normal(size=2)),
     }
     labels = rng.integers(2, size=5)
 
@@ -116,8 +115,7 @@ def _op_scenario(stream, shapes, op):
     finite-difference pass draws the same dropout mask."""
     def build(seed):
         rng = rng_mod.rng_for(seed, stream)
-        params = {name: T.Tensor(rng.normal(size=shape), requires_grad=True)
-                  for name, shape in shapes.items()}
+        params = {name: T.Tensor(rng.normal(size=shape)) for name, shape in shapes.items()}
 
         def output():
             return op(params, rng_mod.rng_for(seed, 96))

@@ -51,9 +51,9 @@ class LSTMPoolHead:
         b = np.zeros(4 * H)
         b[H:2 * H] = 1.0   # forget gate starts open so early gradients reach the whole trace
         self.params = {
-            "lstm/W": Tensor(init_normal(rng, (H, 4 * H)), requires_grad=True),
-            "lstm/U": Tensor(init_normal(rng, (H, 4 * H)), requires_grad=True),
-            "lstm/b": Tensor(b, requires_grad=True),
+            "lstm/W": Tensor(init_normal(rng, (H, 4 * H))),
+            "lstm/U": Tensor(init_normal(rng, (H, 4 * H))),
+            "lstm/b": Tensor(b),
         }
         self.decay = {"lstm/W", "lstm/U"}
 
@@ -68,8 +68,8 @@ class AttentionPoolHead:
 
     def __init__(self, H, rng):
         self.params = {
-            "attnpool/W_h": Tensor(init_normal(rng, (H, H)), requires_grad=True),
-            "attnpool/q": Tensor(init_normal(rng, (H,)), requires_grad=True),
+            "attnpool/W_h": Tensor(init_normal(rng, (H, H))),
+            "attnpool/q": Tensor(init_normal(rng, (H,))),
         }
         self.decay = {"attnpool/W_h", "attnpool/q"}
 
@@ -91,8 +91,8 @@ class ClassifierHead:
 
     def __init__(self, H, C, rng):
         self.params = {
-            "classifier/W_o": Tensor(init_normal(rng, (H, C)), requires_grad=True),
-            "classifier/b_o": Tensor(np.zeros(C), requires_grad=True),
+            "classifier/W_o": Tensor(init_normal(rng, (H, C))),
+            "classifier/b_o": Tensor(np.zeros(C)),
         }
         self.decay = {"classifier/W_o"}
 

@@ -1,10 +1,9 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every operation records itself on an implicit tape (the graph of Tensor
-nodes); ``backward(loss)`` walks the tape in reverse topological order,
-accumulates gradients into every tensor created with ``requires_grad=True``,
-and clears each node as soon as its own backward has run, so a graph can
-only be differentiated once.
+nodes); ``loss.backward()`` walks the tape in reverse topological order,
+gives every tensor it reaches a gradient, and clears each node as soon as
+its own backward has run, so a graph can only be differentiated once.
 
 The eight public ops are exactly the ones a model runs: ``gather_rows``
 and the seven fused ops below. Each takes Tensors, never raw arrays.
@@ -60,12 +59,13 @@ short axis take several times as long.
 
 Inside a ``with no_grad():`` scope nothing is recorded: a new Tensor
 keeps no parents and no backward closure, so none of the arrays a
-closure would hold outlive the op, and it requires a gradient only if it
-is a leaf created with ``requires_grad=True``. The ops build their
-closures as always; ``Tensor.__init__`` keeps none on a node without
-parents, so the scope is honoured in that one place. The eval-mode
-forwards, ``PooledClassifier.predict`` and ``trace_batch``, run in the
-scope; training never does.
+closure would hold outlive the op. The ops build their closures as
+always; ``Tensor.__init__`` keeps none on a node without parents, so the
+scope is honoured in that one place. It is the only gradient switch: a
+gradient that is not wanted is cut by reading ``Tensor(t.data)``, a leaf
+like every Tensor built from data, or by leaving the tensor out of the
+optimizer. The eval-mode forwards, ``PooledClassifier.predict`` and
+``trace_batch``, run in the scope; training never does.
 """
 
 from __future__ import annotations
@@ -101,14 +101,13 @@ class Tensor:
     A float32 or float64 array is kept as it is; anything else becomes float64.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_consumed")
 
-    def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
+    def __init__(self, data, _parents=(), _backward=None):
         data = np.asarray(data)
         self.data = data if data.dtype in _FLOATS else data.astype(np.float64)
         if not _recording.get():
             _parents = ()
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
         self.grad = None
         self._parents = _parents
         # A node without parents has nothing to pass a gradient to, so it
@@ -124,56 +123,48 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def backward(self):
-        backward(self)
+        """Accumulate the gradient of this scalar loss into every tensor its tape
+        reaches, clearing the tape as the walk passes: a second backward raises."""
+        if self.data.size != 1:
+            raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
+        if self._consumed:
+            raise RuntimeError("tape already consumed: one backward pass per forward pass")
+
+        topo = []
+        visited = set()
+        stack = [(self, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if id(p) not in visited:
+                    stack.append((p, False))
+
+        self.grad = np.ones_like(self.data)
+        # Every op gives each parent a gradient, so each node holds one here.
+        for node in reversed(topo):
+            if node._backward is not None:
+                node._backward(node.grad)
+            node._consumed = True
+            # Every consumer of the node has run, so its closure and parent
+            # links can go now: the arrays they hold are freed during the walk,
+            # and a second backward cannot silently re-run.
+            if node._parents:
+                node._backward = None
+                node._parents = ()
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.shape})"
 
 
 def _accumulate(t, g):
-    if not t.requires_grad:
-        return
     t.grad = g if t.grad is None else t.grad + g
-
-
-def backward(loss):
-    """Accumulate gradients of a scalar loss into every requires_grad tensor.
-
-    The tape rooted at ``loss`` is cleared node by node as the walk passes;
-    a second backward on the same graph raises.
-    """
-    if loss.data.size != 1:
-        raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss._consumed:
-        raise RuntimeError("tape already consumed: one backward pass per forward pass")
-
-    topo = []
-    visited = set()
-    stack = [(loss, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited:
-                stack.append((p, False))
-
-    loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
-        node._consumed = True
-        # Every consumer of the node has run, so its closure and parent
-        # links can go now: the arrays they hold are freed during the walk,
-        # and a second backward cannot silently re-run.
-        if node._parents:
-            node._backward = None
-            node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +391,8 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
     parents (x, *weights), where ``weights`` is (Wqkv, bqkv, Wo, bo,
     gamma, beta) and [Q | K | V] = x·Wqkv+bqkv is one product, Wqkv H×3H
     and bqkv 3H. r, the query rows, is ``x``, or with ``cls_only`` the
-    first row of each example (its [CLS] row). ``mask`` is a (B, S) 0/1
+    first row of each example (its [CLS] row), and a mask row whose
+    column 0 is not valid raises ValueError. ``mask`` is a (B, S) 0/1
     array; its N ones are the valid positions, and ``x`` is N×H, one row
     per valid position in example-major order. Each example attends only
     to its own valid positions, with A = ``heads`` heads. Only inside the
@@ -438,6 +430,10 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
     Wqkv, bqkv, Wo, bo, gamma, beta = weights
     holes = None if N == B * S else valid
     A, xd = heads, x.data
+    no_cls = np.flatnonzero(~valid[:, :1].any(axis=1)) if cls_only else ()
+    if len(no_cls):
+        raise ValueError(f"attention_sublayer: mask rows {no_cls.tolist()} do not mark "
+                         "the [CLS] column 0 valid")
     # The query rows: each example's first, or all.
     rows = np.concatenate(([0], np.cumsum(valid.sum(axis=1))[:-1])) if cls_only else slice(None)
     Sq, q_holes = (1, None) if cls_only else (S, holes)
@@ -481,10 +477,9 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
         dqkv = _merge_heads(dQKV, holes)
         _accumulate(bqkv, _col_sum(dqkv))
         _accumulate(Wqkv, xd.T @ dqkv)
-        if x.requires_grad:
-            dx = dqkv @ Wqkv.data.T
-            dx[rows] += ds
-            _accumulate(x, dx)
+        dx = dqkv @ Wqkv.data.T
+        dx[rows] += ds
+        _accumulate(x, dx)
 
     return Tensor(y, _parents=(x, *weights), _backward=bwd), P
 
@@ -520,10 +515,9 @@ def ffn_sublayer(x, weights, p=0.0, rng=None):
         dh = _gelu_bwd(do @ W2.data.T, hc, t)
         _accumulate(b1, _col_sum(dh))
         _accumulate(W1, xd.T @ dh)
-        if x.requires_grad:
-            dx = dh @ W1.data.T
-            dx += ds
-            _accumulate(x, dx)
+        dx = dh @ W1.data.T
+        dx += ds
+        _accumulate(x, dx)
 
     return Tensor(y, _parents=(x, *weights), _backward=bwd)
 
@@ -628,10 +622,9 @@ def lstm(xs, W, U, b):
         _accumulate(W, X.reshape(-1, D).T @ flat)
         _accumulate(U, np.stack(hs[:-1]).reshape(-1, H).T @ flat)
         _accumulate(b, _col_sum(flat))
-        if any(x.requires_grad for x in xs):
-            dX = flat @ W.data.T
-            for t, x in enumerate(xs):
-                _accumulate(x, dX[t * B:(t + 1) * B])
+        dX = flat @ W.data.T
+        for t, x in enumerate(xs):
+            _accumulate(x, dX[t * B:(t + 1) * B])
 
     return Tensor(h, _parents=(*xs, W, U, b), _backward=bwd)
 

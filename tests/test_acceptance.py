@@ -362,7 +362,7 @@ def test_criterion_8_optimizer():
     failures = []
 
     # scalar quadratic f(t) = t^2, lr 0.1, 200 steps
-    p = Tensor([1.0], requires_grad=True)
+    p = Tensor([1.0])
     opt = Adam({"p": p}, lr=0.1)
     for _ in range(200):
         p.grad = 2.0 * p.data
@@ -372,7 +372,7 @@ def test_criterion_8_optimizer():
 
     # closed-form first step: delta = -lr * g / (|g| + eps)
     for g0, lr in ((1.0, 0.1), (-3.5, 0.01), (0.2, 0.7)):
-        q = Tensor([2.0], requires_grad=True)
+        q = Tensor([2.0])
         opt = Adam({"q": q}, lr=lr)
         q.grad = np.array([g0])
         opt.step()

@@ -329,6 +329,20 @@ class TestProjectDumpDir:
         direct = cluster_score(pca_project(dump, k=2))
         assert rows[0][2] == pytest.approx(direct, abs=1e-12)
 
+    @pytest.mark.parametrize("alias", ["cls_epoch01_layer1.csv", "cls_epoch1_layer001.csv",
+                                       "cls_epoch١_layer1.csv"])
+    def test_second_name_for_one_epoch_and_layer_writes_nothing(self, tmp_path, alias):
+        # Only dump_filename's spelling names a dump: a copy under another
+        # spelling of (1, 1) would be projected and scored twice.
+        model, arrays = trained_tiny_model()
+        dumps = tmp_path / "dumps"
+        out = tmp_path / "proj"
+        dump_trace(model, arrays, epoch=1, layers=[1], out_dir=str(dumps))
+        (dumps / alias).write_bytes((dumps / "cls_epoch1_layer1.csv").read_bytes())
+        with pytest.raises(DataError, match=f"{dumps / alias}: file name does not match"):
+            project_dump_dir(str(dumps), str(out))
+        assert not out.exists()
+
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             project_dump_dir(str(tmp_path), str(tmp_path / "out"))

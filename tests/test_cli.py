@@ -548,6 +548,22 @@ class TestEncoderSettings:
         assert f"error: {cfg}:2: s_max: S_max must be >= 4, got 3" in err
         assert "Traceback" not in err and not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_s_max_beyond_int64_refused_by_both_routes(self, dataset, tmp_path, capsys, source):
+        # numpy's int64 cannot hold 10²³, so the packing could not take it.
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"H=8\ns_max={10**23}\n")
+        settings = ["--s-max", str(10**23)] if source == "flag" else ["--config", str(cfg)]
+        out = tmp_path / "run"
+        rc = run(["train", "--data", dataset, *settings, "--out", str(out)])
+        err = capsys.readouterr().err
+        reason = f"S_max must be <= {2**63 - 1}, got {10**23}"
+        if source == "flag":
+            assert rc == 2 and f"argument --s-max: {reason}" in err
+        else:
+            assert rc == 1 and f"error: {cfg}:2: s_max: {reason}" in err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("source", ["flags", "file"])
     def test_head_count_mismatch_names_both_keys(self, dataset, tmp_path, capsys, source):
         cfg = tmp_path / "cfg"

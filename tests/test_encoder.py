@@ -204,7 +204,7 @@ class TestEmbed:
         assert all(a is b for a, b in zip(out._parents, embed_weights(enc)))
         with T.no_grad():
             out = embed_rows(enc, [2, 5, 5], [0, 1, 1], [0, 1, 2], 0.1, R.rng_for(0, 3))
-        assert out._parents == () and out._backward is None and not out.requires_grad
+        assert out._parents == () and out._backward is None
 
     @pytest.mark.parametrize("column, name", [(0, "token"), (1, "segment"), (2, "position")])
     def test_out_of_range_ids_are_rejected(self, column, name):
@@ -692,7 +692,7 @@ class TestFusedBlock:
         cls_rows = np.concatenate(([0], np.cumsum(mask.sum(axis=1))[:-1]))
 
         def run(fused):
-            x = T.Tensor(x_data, requires_grad=True)
+            x = T.Tensor(x_data)
             rng = R.rng_for(seed, 1)
             if fused:
                 out = enc._block(x, mask, 0, config.p_drop, rng, cls_only)
@@ -715,7 +715,7 @@ class TestFusedBlock:
 
     def test_two_tape_nodes_per_block(self):
         enc = MiniEncoder(small_config(L=1), R.rng_for(19, 0))
-        x = T.Tensor(np.ones((3, 8)), requires_grad=True)
+        x = T.Tensor(np.ones((3, 8)))
         out = enc._block(x, np.ones((1, 3)), 0, 0.1, R.rng_for(19, 1))
         attn, *ffn_weights = out._parents
         assert attn._parents[0] is x

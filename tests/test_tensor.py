@@ -1,5 +1,6 @@
 import inspect
 import math
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -11,6 +12,7 @@ from scipy.special import erf
 from clspool import tensor as T
 from clspool.data import pack_dataset, synth_generate, vocab_for_examples
 from clspool.encoder import EncoderConfig
+from clspool.gradcheck import SCENARIOS
 from clspool.pooling import HEAD_KINDS
 from clspool.tensor import ShapeError, Tensor
 from clspool.train import TrainConfig, evaluate, fit
@@ -151,9 +153,9 @@ class TestMatmul:
             T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))), zero_bias(2))
 
     def test_gradient_rule(self):
-        a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
-        b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        c = Tensor(np.zeros(1), requires_grad=True)
+        a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        b = Tensor(np.array([[5.0], [6.0]]))
+        c = Tensor(np.zeros(1))
         g = np.array([[1.0], [-2.0]])
         weighted_sum(T.linear(a, b, c), g).backward()
         npt.assert_array_equal(a.grad, g @ b.data.T)
@@ -227,7 +229,7 @@ class TestCrossEntropy:
 
     def test_confidently_wrong_keeps_its_gradient(self):
         # A probability clamp would give log(1e12) = 27.63 and a zero gradient here.
-        logits = Tensor([[1e4, 0.0, -1e4]], requires_grad=True)
+        logits = Tensor([[1e4, 0.0, -1e4]])
         loss = T.softmax_cross_entropy(logits, [2])
         assert loss.item() == pytest.approx(2e4, rel=1e-12)
         loss.backward()
@@ -239,7 +241,7 @@ class TestCrossEntropy:
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=5, size=(n, c))
         labels = rng.integers(c, size=n)
-        logits = Tensor(x, requires_grad=True)
+        logits = Tensor(x)
         loss = T.softmax_cross_entropy(logits, labels)
         assert loss._parents == (logits,)  # one tape node
         loss.backward()
@@ -249,20 +251,38 @@ class TestCrossEntropy:
         npt.assert_allclose(logits.grad, (p - np.eye(c)[labels]) / n, rtol=0, atol=1e-15)
 
 
+def reachable(loss):
+    """Every Tensor on the tape rooted at ``loss``, ``loss`` included. Read it
+    before the backward walk, which clears the links."""
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._parents)
+    return list(seen.values())
+
+
+def without_own_gradient(nodes):
+    """The nodes whose gradient is missing or differs from their data in shape or dtype."""
+    return [node for node in nodes if node.grad is None or node.grad.shape != node.shape
+            or node.grad.dtype != node.data.dtype]
+
+
 class TestBackward:
     def test_square_at_three(self):
         # A parent used twice gets both gradients: d(2x)²/dx = 8x.
-        x = Tensor([3.0], requires_grad=True)
+        x = Tensor([3.0])
         tape_sum_squares([tape_add(x, x)], 1.0).backward()
         npt.assert_allclose(x.grad, [24.0], atol=1e-14)
 
     def test_non_scalar_rejected(self):
-        x = Tensor(np.zeros((2, 2)), requires_grad=True)
+        x = Tensor(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="scalar"):
             T.gather_rows(x, [0, 1]).backward()
 
     def test_one_backward_per_tape(self):
-        x = Tensor([[2.0, 1.0]], requires_grad=True)
+        x = Tensor([[2.0, 1.0]])
         loss = T.softmax_cross_entropy(x, [0])
         loss.backward()
         with pytest.raises(RuntimeError, match="tape"):
@@ -271,7 +291,7 @@ class TestBackward:
     def test_tape_freed_as_the_walk_passes(self):
         # When an earlier node's backward runs, the later node whose backward
         # has already run holds no closure and no parents.
-        x = Tensor([1.0, 2.0], requires_grad=True)
+        x = Tensor([1.0, 2.0])
         seen = []
 
         def bwd(g):
@@ -286,6 +306,14 @@ class TestBackward:
         assert first._backward is None and first._parents == ()
         npt.assert_array_equal(x.grad, [1.0, 1.0])
 
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_every_tensor_the_tape_reaches_gets_its_gradient(self, name):
+        # Fixed inputs too, such as the scenarios' projection R and zero bias.
+        loss = SCENARIOS[name](0)[0]()
+        nodes = reachable(loss)
+        loss.backward()
+        assert without_own_gradient(nodes) == []
+
     def test_composite_graph_matches_finite_differences(self):
         # Random 5-parameter graph; h=1e-5, rel err < 1e-4 at 64-bit.
         from clspool.gradcheck import check_gradients, _composite_graph_scenario
@@ -298,7 +326,7 @@ class TestBackward:
     def test_determinism_bit_identical(self):
         def run():
             rng = np.random.default_rng(11)
-            w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+            w = Tensor(rng.normal(size=(4, 3)))
             x = Tensor(rng.normal(size=(2, 4)))
             T.softmax_cross_entropy(T.linear(x, w, zero_bias(3)), [0, 2]).backward()
             return w.grad
@@ -310,7 +338,7 @@ def public_ops():
     """The public ops of clspool.tensor, name -> function."""
     return {name: f for name, f in vars(T).items()
             if inspect.isfunction(f) and f.__module__ == T.__name__
-            and not name.startswith("_") and name != "backward"}
+            and not name.startswith("_")}
 
 
 def spy_on_public_ops(monkeypatch, made):
@@ -338,7 +366,7 @@ class TestNoGrad:
     def graph(rng):
         """A scalar through a fused sublayer, a linear layer with dropout and
         the loss with an L2 term, and its parameters."""
-        params = [Tensor(rng.normal(size=s), requires_grad=True)
+        params = [Tensor(rng.normal(size=s))
                   for s in ((3, 4), (4,), (4, 3), (3,), (3,), (3,))]
         x = Tensor(rng.normal(size=(5, 3)))
         h = T.ffn_sublayer(x, params)
@@ -350,7 +378,6 @@ class TestNoGrad:
             nodes, params = self.graph(np.random.default_rng(0))
         for node in nodes:
             assert node._parents == () and node._backward is None
-            assert not node.requires_grad
         nodes[-1].backward()
         assert all(p.grad is None for p in params)
 
@@ -377,15 +404,15 @@ class TestNoGrad:
         on[-1].backward()
         assert all(p.grad is not None for p in params)
 
-    def test_leaf_keeps_requires_grad(self):
+    def test_leaf_made_in_scope_gets_its_gradient(self):
         with T.no_grad():
-            w = Tensor(np.ones(2), requires_grad=True)
-        assert w.requires_grad and w._parents == ()
+            w = Tensor(np.ones(2))
+        assert w._parents == ()
         T.softmax_cross_entropy(Tensor([[0.0, 0.0]]), [0], [w], 1.0).backward()
         npt.assert_array_equal(w.grad, [2.0, 2.0])
 
     def test_recording_resumes_after_exit_and_after_error(self):
-        x = Tensor([[1.0]], requires_grad=True)
+        x = Tensor([[1.0]])
         with T.no_grad():
             with T.no_grad():
                 pass
@@ -503,8 +530,8 @@ def split(joined_weights):
 def weighted_sublayer_grads(x, weights, mask, heads, w, cls_only=False):
     """The sublayer's output, probabilities, and x and weight gradients for the
     loss sum(out * w); the weights and their gradients are per projection."""
-    xt = Tensor(x, requires_grad=True)
-    wt = [Tensor(a, requires_grad=True) for a in joined(weights)]
+    xt = Tensor(x)
+    wt = [Tensor(a) for a in joined(weights)]
     out, probs = T.attention_sublayer(xt, wt, mask, heads, cls_only)
     weighted_sum(out, w).backward()
     return out.data, probs, xt.grad, split([t.grad for t in wt])
@@ -647,6 +674,20 @@ class TestAttention:
             with pytest.raises(ShapeError, match=rf"\({rows}, 4\)"):
                 T.attention_sublayer(Tensor(np.zeros((rows, 4))), weights, mask, 2)
 
+    @pytest.mark.parametrize("mask, rows", [([[0, 1, 1], [1, 1, 0]], "[0]"),
+                                            ([[1, 1, 0], [0, 0, 1], [0, 1, 1]], "[1, 2]")],
+                             ids=["row0", "rows1_2"])
+    def test_cls_queries_need_column_0_valid(self, mask, rows):
+        # A row whose column 0 is masked has no [CLS] query: the padded
+        # layout's zero row would stand in for it.
+        weights = [Tensor(np.zeros(shape)) for shape in ((4, 12), 12, (4, 4), 4, 4, 4)]
+        mask = np.array(mask)
+        x = Tensor(np.ones((mask.sum(), 4)))
+        with pytest.raises(ValueError, match=re.escape(
+                f"mask rows {rows} do not mark the [CLS] column 0 valid")):
+            T.attention_sublayer(x, weights, mask, 2, cls_only=True)
+        assert T.attention_sublayer(x, weights, mask, 2)[0].shape == x.shape
+
     def test_shapes_rejected(self):
         x = Tensor(np.zeros((8, 4)))
         weights = [Tensor(np.zeros(shape)) for shape in ((4, 12), 12, (4, 4), 4, 4, 4)]
@@ -667,10 +708,10 @@ class TestAttention:
                                  np.ones((2, 4)), 2)
 
     def test_one_tape_node(self):
-        weights = [Tensor(a, requires_grad=True)
+        weights = [Tensor(a)
                    for a in joined([np.eye(4) if i < 8 and i % 2 == 0 else np.ones(4)
                                     for i in range(10)])]
-        x = Tensor(np.ones((8, 4)), requires_grad=True)
+        x = Tensor(np.ones((8, 4)))
         out, _ = T.attention_sublayer(x, weights, np.ones((2, 4)), 2)
         assert len(weights) == 6 and out._parents == (x, *weights)
 
@@ -805,8 +846,8 @@ class TestFFNSublayer:
         rng = np.random.default_rng(seed)
         x, w = rng.normal(size=(2, n, H))
         weights = ffn_weights(rng, H, F)
-        xt = Tensor(x, requires_grad=True)
-        wt = [Tensor(a, requires_grad=True) for a in weights]
+        xt = Tensor(x)
+        wt = [Tensor(a) for a in weights]
         out = T.ffn_sublayer(xt, wt)
         assert out._parents == (xt, *wt)
         weighted_sum(out, w).backward()
@@ -875,7 +916,7 @@ def lstm_cases(draw):
 def gate_views(block):
     """The four per-gate column slices of a joined W, U or b, as new leaves."""
     H = block.shape[-1] // 4
-    return [Tensor(block.data[..., k * H:(k + 1) * H].copy(), requires_grad=True)
+    return [Tensor(block.data[..., k * H:(k + 1) * H].copy())
             for k in range(4)]
 
 
@@ -884,11 +925,11 @@ class TestLSTM:
     @given(lstm_cases())
     def test_matches_per_gate_tape_graph(self, case):
         xs, blocks, weights = case
-        rows = [Tensor(x, requires_grad=True) for x in xs]
-        W, U, b = (Tensor(a, requires_grad=True) for a in blocks)
+        rows = [Tensor(x) for x in xs]
+        W, U, b = (Tensor(a) for a in blocks)
         h = T.lstm(rows, W, U, b)
         weighted_sum(h, weights).backward()
-        ref_rows = [Tensor(x, requires_grad=True) for x in xs]
+        ref_rows = [Tensor(x) for x in xs]
         views = [gate_views(t) for t in (W, U, b)]
         ref_h = per_gate_lstm(ref_rows, *views)
         weighted_sum(ref_h, weights).backward()
@@ -901,8 +942,8 @@ class TestLSTM:
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(0)
-        rows = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
-        W, U, b = (Tensor(rng.normal(size=s), requires_grad=True)
+        rows = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
+        W, U, b = (Tensor(rng.normal(size=s))
                    for s in ((3, 12), (3, 12), (12,)))
         h = T.lstm(rows, W, U, b)
         assert h.shape == (2, 3)
@@ -959,8 +1000,8 @@ class TestLayerAttention:
     @given(layer_attention_cases())
     def test_matches_per_row_oracle(self, case):
         xs, q, W, weights = case
-        rows = [Tensor(x, requires_grad=True) for x in xs]
-        query, proj = Tensor(q, requires_grad=True), Tensor(W, requires_grad=True)
+        rows = [Tensor(x) for x in xs]
+        query, proj = Tensor(q), Tensor(W)
         out, P = T.layer_attention(rows, query, proj)
         weighted_sum(out, weights).backward()
         ref_out, ref_P, ref_dxs, ref_dq, ref_dW = per_row_layer_attention(xs, q, W, weights)
@@ -974,9 +1015,9 @@ class TestLayerAttention:
 
     def test_one_tape_node(self):
         rng = np.random.default_rng(0)
-        rows = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(4)]
-        q = Tensor(rng.normal(size=3), requires_grad=True)
-        W = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        rows = [Tensor(rng.normal(size=(2, 3))) for _ in range(4)]
+        q = Tensor(rng.normal(size=3))
+        W = Tensor(rng.normal(size=(3, 3)))
         out, P = T.layer_attention(rows, q, W)
         assert out.shape == (2, 3) and P.shape == (2, 4)
         assert out._parents == (*rows, q, W)
@@ -1003,7 +1044,7 @@ class TestSumSquares:
     def test_bit_identical_to_numpy(self):
         rng = np.random.default_rng(3)
         data = [rng.normal(size=s) for s in ((4, 5), (7,), (3, 3), (2, 6))]
-        ps = [Tensor(d, requires_grad=True) for d in data]
+        ps = [Tensor(d) for d in data]
         logits = Tensor(rng.normal(size=(3, 4)))
         loss = T.softmax_cross_entropy(logits, [0, 3, 1], ps, 1e-5)
         assert loss._parents == (logits, *ps)
@@ -1027,7 +1068,7 @@ def stage_cases(draw):
 
 
 def leaves(*arrays):
-    return [Tensor(a, requires_grad=True) for a in arrays]
+    return [Tensor(a) for a in arrays]
 
 
 class TestFusedStagesEqualTheirChains:
@@ -1072,7 +1113,7 @@ class TestFusedStagesEqualTheirChains:
 
 class TestGatherRows:
     def test_rows_and_scatter_added_gradient(self):
-        table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+        table = Tensor(np.arange(12.0).reshape(4, 3))
         out = T.gather_rows(table, [2, 0, 2])
         npt.assert_array_equal(out.data, table.data[[2, 0, 2]])
         weighted_sum(out, np.ones((3, 3))).backward()
@@ -1125,7 +1166,7 @@ class TestDropout:
 
     def test_identity_at_eval(self):
         # Eval runs at rate 0, which needs no generator.
-        x = Tensor(np.arange(16.0).reshape(4, 4), requires_grad=True)
+        x = Tensor(np.arange(16.0).reshape(4, 4))
         y = T.linear(x, Tensor(np.eye(4)), zero_bias(4), 0.0, None)
         npt.assert_array_equal(y.data, x.data)
         weighted_sum(y, np.ones((4, 4))).backward()
@@ -1304,7 +1345,7 @@ def call_op(op, p, rng, dtype=np.float64):
     gradient; returns (output, inputs)."""
     shapes, call = OP_CALLS[op]
     draw = np.random.default_rng(0)
-    inputs = [Tensor(draw.normal(size=shape).astype(dtype), requires_grad=True)
+    inputs = [Tensor(draw.normal(size=shape).astype(dtype))
               for shape in shapes]
     return call(inputs, p, rng), inputs
 

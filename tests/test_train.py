@@ -19,7 +19,7 @@ from clspool.train import (Adam, TrainConfig, confusion_matrix, cross_validated_
                            read_results_csv, regularized_loss, train_model,
                            write_results_csv)
 
-from test_tensor import tape_add
+from test_tensor import reachable, tape_add, without_own_gradient
 
 
 def reference_adam(grads, theta0, lr, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -103,28 +103,28 @@ class TestTrainConfig:
 class TestRegularizedLoss:
     def test_zero_lambda_equals_cross_entropy(self):
         logits = Tensor(np.log([[0.2, 0.8]]))
-        w = Tensor([[1.0]], requires_grad=True)
+        w = Tensor([[1.0]])
         loss = regularized_loss(logits, [1], {"w": w}, {"w"}, lam=0.0)
         assert loss.item() == pytest.approx(-np.log(0.8), abs=1e-12)
 
     def test_single_weight_analytic(self):
         logits = Tensor([[-1e3, 0.0]])
-        w = Tensor([2.0], requires_grad=True)
+        w = Tensor([2.0])
         loss = regularized_loss(logits, [1], {"w": w}, {"w"}, lam=1e-5)
         assert loss.item() == pytest.approx(4e-5, abs=1e-18)
 
     def test_biases_excluded(self):
         logits = Tensor([[-1e3, 0.0]])
-        w = Tensor([2.0], requires_grad=True)
-        b = Tensor([100.0], requires_grad=True)
+        w = Tensor([2.0])
+        b = Tensor([100.0])
         loss = regularized_loss(logits, [1], {"w": w, "b": b}, {"w"}, lam=1.0)
         assert loss.item() == pytest.approx(4.0, abs=1e-12)
 
     def test_finite_difference_on_full_loss(self):
         from clspool.gradcheck import check_gradients
         rng = np.random.default_rng(0)
-        w1 = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        w2 = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+        w1 = Tensor(rng.normal(size=(3, 4)))
+        w2 = Tensor(rng.normal(size=(4, 2)))
         x = rng.normal(size=(5, 3))
         labels = rng.integers(2, size=5)
         params = {"w1": w1, "w2": w2}
@@ -142,7 +142,7 @@ class TestRegularizedLoss:
 class TestAdam:
     def test_first_step_closed_form(self):
         lr = 0.1
-        p = Tensor([1.0], requires_grad=True)
+        p = Tensor([1.0])
         opt = Adam({"p": p}, lr=lr)
         p.grad = np.array([1.0])
         opt.step()
@@ -151,7 +151,7 @@ class TestAdam:
         assert p.data[0] == pytest.approx(expected, abs=1e-12)
 
     def test_zero_gradient_never_moves(self):
-        p = Tensor([3.0], requires_grad=True)
+        p = Tensor([3.0])
         opt = Adam({"p": p}, lr=0.5)
         for _ in range(10):
             p.grad = np.array([0.0])
@@ -159,7 +159,7 @@ class TestAdam:
         assert p.data[0] == 3.0
 
     def test_quadratic_convergence(self):
-        p = Tensor([1.0], requires_grad=True)
+        p = Tensor([1.0])
         opt = Adam({"p": p}, lr=0.1)
         for _ in range(200):
             p.grad = 2.0 * p.data
@@ -169,7 +169,7 @@ class TestAdam:
     def test_matches_reference_oracle(self):
         rng = np.random.default_rng(0)
         grads = rng.normal(size=50)
-        p = Tensor([0.7], requires_grad=True)
+        p = Tensor([0.7])
         opt = Adam({"p": p}, lr=0.01)
         for g in grads:
             p.grad = np.array([g])
@@ -177,15 +177,15 @@ class TestAdam:
         assert p.data[0] == pytest.approx(reference_adam(grads, 0.7, 0.01), abs=1e-12)
 
     def test_shape_mismatch(self):
-        p = Tensor([1.0, 2.0], requires_grad=True)
+        p = Tensor([1.0, 2.0])
         opt = Adam({"p": p}, lr=0.1)
         p.grad = np.array([1.0])
         with pytest.raises(ValueError):
             opt.step()
 
     def test_shape_mismatch_moves_nothing(self):
-        a = Tensor([1.0, 2.0], requires_grad=True)
-        b = Tensor([1.0, 2.0], requires_grad=True)
+        a = Tensor([1.0, 2.0])
+        b = Tensor([1.0, 2.0])
         opt = Adam({"a": a, "b": b}, lr=0.1)
         a.grad = np.array([1.0, 1.0])
         b.grad = np.array([1.0])
@@ -196,8 +196,8 @@ class TestAdam:
         assert not opt.m.any() and not opt.v.any()
 
     def test_non_finite_gradient_moves_nothing(self):
-        params = {"a": Tensor(np.ones(3), requires_grad=True),
-                  "b": Tensor(np.ones((2, 2)), requires_grad=True)}
+        params = {"a": Tensor(np.ones(3)),
+                  "b": Tensor(np.ones((2, 2)))}
         opt = Adam(params, lr=0.1)
         params["a"].grad = np.ones(3)
         params["b"].grad = np.array([[1.0, np.inf], [0.0, 0.0]])
@@ -207,9 +207,9 @@ class TestAdam:
         npt.assert_array_equal(params["a"].data, np.ones(3))
 
     def test_missing_gradient_names_the_parameter_and_moves_nothing(self):
-        params = {"a": Tensor(np.ones(3), requires_grad=True),
-                  "b": Tensor(np.ones((2, 2)), requires_grad=True),
-                  "c": Tensor(np.ones(2), requires_grad=True)}
+        params = {"a": Tensor(np.ones(3)),
+                  "b": Tensor(np.ones((2, 2))),
+                  "c": Tensor(np.ones(2))}
         opt = Adam(params, lr=0.1)
         for p in params.values():
             p.grad = np.ones(p.shape)
@@ -230,8 +230,8 @@ class TestAdam:
         rng = np.random.default_rng(7)
         shapes = [(3, 4), (5,), (1,), (2, 2), (6, 1), (4,), (1, 7), (3,), (2, 3), (8,)]
         init = [rng.normal(size=s) for s in shapes]
-        flat = {f"p{i}": Tensor(d.copy(), requires_grad=True) for i, d in enumerate(init)}
-        loop = [Tensor(d.copy(), requires_grad=True) for d in init]
+        flat = {f"p{i}": Tensor(d.copy()) for i, d in enumerate(init)}
+        loop = [Tensor(d.copy()) for d in init]
         opt, ref = Adam(flat, lr=0.01), LoopAdam(loop, lr=0.01)
         for _ in range(50):
             for p, q in zip(flat.values(), loop):
@@ -301,8 +301,11 @@ class TestEveryParameterGetsAGradient:
         tok, seg, mask = holey_batch(L)
         params = model.parameters()
         logits = model.forward_batch(tok, seg, mask, training=True, rng=R.rng_for(L, R.DROPOUT))
-        regularized_loss(logits, np.array([0, 2, 1]), params, model.decay_names(),
-                         lam).backward()
+        loss = regularized_loss(logits, np.array([0, 2, 1]), params, model.decay_names(), lam)
+        nodes = reachable(loss)
+        loss.backward()
+        # Every tensor on the tape, not only each parameter, holds its gradient.
+        assert without_own_gradient(nodes) == []
         assert [name for name, p in params.items() if p.grad is None] == []
         Adam(params, lr=1e-3).step()
 
@@ -310,7 +313,7 @@ class TestEveryParameterGetsAGradient:
         ex = toy_separable_examples(16)
         vocab = vocab_for_examples(ex)
         m = PooledClassifier(replace(TOY_ENC, V=len(vocab)), "attention", 3, R.rng_for(0, 0))
-        m.pool_head.params["attnpool/unused"] = Tensor(np.zeros(2), requires_grad=True)
+        m.pool_head.params["attnpool/unused"] = Tensor(np.zeros(2))
         config = TrainConfig(epochs=1, lr=1e-2, folds=2, seed=0, batch_size=8)
         with pytest.raises(ValueError, match="epoch 1, step 1: parameter attnpool/unused "
                                              "has no gradient"):
