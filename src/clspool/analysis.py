@@ -164,9 +164,9 @@ def dump_trace(model, arrays, epoch, layers, out_dir):
 
     The examples run through ``model.trace_batch`` in the length-ordered
     batches of ``train.eval_batches``, as in ``evaluate``; the rows are
-    written in dataset order, in the trace's dtype. Layers are 1-based;
-    requesting a layer above the model's count errors. Returns the
-    written paths.
+    written in dataset order, in the trace's dtype, into ``out_dir``, which
+    is made if missing. Layers are 1-based; requesting a layer above the
+    model's count errors. Returns the written paths.
     """
     L = model.config.L
     for layer in layers:
@@ -180,7 +180,6 @@ def dump_trace(model, arrays, epoch, layers, out_dir):
     for idx, tok, seg, mask in eval_batches(arrays):
         for li, block in enumerate(model.trace_batch(tok, seg, mask)):
             per_layer[li][idx] = block
-    os.makedirs(out_dir, exist_ok=True)
     paths = []
     ids = np.arange(n)
     for layer in layers:
@@ -195,9 +194,10 @@ def project_dump_dir(dumps_dir, out_dir):
 
     Writes ``proj_epoch{e}_layer{l}.csv`` files (example_id, label, p0, p1)
     and ``cluster_scores.csv`` (epoch, layer, cluster_score,
-    explained_var0, explained_var1). Every dump is read, projected and
-    scored before any file is written, so a bad dump leaves ``out_dir`` as
-    it was; the DataError it raises starts with the dump's path.
+    explained_var0, explained_var1) into ``out_dir``, which is made if
+    missing. Every dump is read, projected and scored before any file is
+    written, so a bad dump leaves ``out_dir`` as it was, or absent; the
+    DataError it raises starts with the dump's path.
     """
     names = sorted(n for n in os.listdir(dumps_dir)
                    if n.startswith("cls_epoch") and n.endswith(".csv"))
@@ -212,7 +212,6 @@ def project_dump_dir(dumps_dir, out_dir):
             projections.append((dump, proj, cluster_score(proj)))
         except ValueError as e:
             raise DataError(f"{path}: {e}") from None
-    os.makedirs(out_dir, exist_ok=True)
     score_rows = []
     for dump, proj, score in projections:
         lines = ["example_id,label,p0,p1"]

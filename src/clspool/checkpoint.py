@@ -41,7 +41,9 @@ VERSION = 2
 
 
 def atomic_write_bytes(path, payload: bytes):
+    """Write ``payload`` to ``path`` atomically, making its directory if missing."""
     d = os.path.dirname(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as f:

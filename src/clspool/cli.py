@@ -15,12 +15,14 @@ error.
 A ``--config`` file holds flat ``key=value`` lines mirroring the flags;
 flags given on the command line override the file. A flag and a config line
 parse a value by one route, so a bad value gets one reason from either.
-Every setting, across keys too, is checked before the data is read.
+Every setting, across keys too, and the ``--out`` directory are checked before
+the data is read.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import inspect
 import os
 import sys
@@ -146,6 +148,19 @@ def _resolve(args, file_values):
     return merged
 
 
+def _check_out(path):
+    """Raise, creating nothing, the OSError that making directory ``path`` would give
+    unless the nearest existing path at or above it is a directory we can write in."""
+    below = here = os.path.abspath(path)
+    while not os.path.lexists(here):
+        below, here = here, os.path.dirname(here)
+    if os.path.isdir(here) and os.access(here, os.W_OK | os.X_OK):
+        return
+    code = (errno.EACCES if os.path.isdir(here) else
+            errno.EEXIST if here == below else errno.ENOTDIR)
+    raise OSError(code, os.strerror(code), below)
+
+
 def _cmd_synth(args):
     examples = synth_generate(args.n, classes=args.classes, seed=args.seed)
     save_jsonl(examples, args.out, "absa")
@@ -164,6 +179,7 @@ def _cmd_train(args):
                 raise DataError(f"--{key.replace('_', '-')}: {v} is out of range "
                                 f"1..{opt[bound]} (--{bound})")
     dump_layers = opt["dump_layers"] or range(1, enc.L + 1)
+    _check_out(opt["out"])
     examples = load_jsonl(opt["data"], opt["schema"])
 
     def epoch_hook(fold, epoch, model, held_out):

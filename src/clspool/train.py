@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import ctypes
 import math
-import os
 import sys
 from dataclasses import dataclass, field, replace
 
@@ -158,23 +157,15 @@ def metrics_from_confusion(cm):
     flagged in ``empty_classes``.
     """
     cm = np.asarray(cm)
-    classes = cm.shape[0]
-    total = cm.sum()
-    accuracy = float(np.trace(cm) / total)
-    per_class = []
-    empty = []
-    for c in range(classes):
-        tp = cm[c, c]
-        actual = cm[c, :].sum()
-        predicted = cm[:, c].sum()
-        if actual == 0 and predicted == 0:
-            per_class.append(0.0)
-            empty.append(c)
-            continue
-        precision = tp / predicted if predicted else 0.0
-        recall = tp / actual if actual else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        per_class.append(float(f1))
+    accuracy = float(np.trace(cm) / cm.sum())
+    tp = np.diag(cm).astype(float)
+    actual, predicted = cm.sum(axis=1), cm.sum(axis=0)
+    precision = np.divide(tp, predicted, out=np.zeros_like(tp), where=predicted > 0)
+    recall = np.divide(tp, actual, out=np.zeros_like(tp), where=actual > 0)
+    both = precision + recall
+    f1 = np.divide(2 * precision * recall, both, out=np.zeros_like(tp), where=both > 0)
+    per_class = f1.tolist()
+    empty = np.flatnonzero((actual == 0) & (predicted == 0)).tolist()
     return EvalResult(accuracy=accuracy, macro_f1=float(np.mean(per_class)),
                       per_class_f1=per_class, confusion=cm, empty_classes=empty)
 
@@ -345,10 +336,8 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     schema's class count so that a class absent from the data still gets
     its column. ``epoch_hook(fold, epoch, model, held_out)`` gets the fold's
     packed held-out arrays. Returns per-fold EvalResults, mean/std
-    aggregates and the prepared data, and optionally writes the results CSV;
-    its directory is made once the vocabulary and the folds accept the data,
-    and removed again if it was made here and the run fails, a model that
-    cannot be allocated included, before anything is written in it.
+    aggregates and the prepared data; given ``out_csv``, it writes the
+    results CSV there once every fold is done.
     """
     vocab = data.vocab_for_examples(examples)
     model_config = replace(enc_config, V=len(vocab))
@@ -357,24 +346,13 @@ def cross_validated_train(examples, enc_config, pooling, config: TrainConfig,
     if n_classes is None:
         n_classes = int(labels.max()) + 1
     splits = kfold_split(labels, config.folds, config.seed)
-    made = None
-    if out_csv is not None:
-        out_dir = os.path.dirname(os.path.abspath(out_csv))
-        made = None if os.path.isdir(out_dir) else out_dir
-        os.makedirs(out_dir, exist_ok=True)
-
     fold_results = []
-    try:
-        for f, (train_idx, test_idx) in enumerate(splits):
-            held_out = tuple(a[test_idx] for a in arrays)
-            hook = (lambda e, m: epoch_hook(f, e, m, held_out)) if epoch_hook else None
-            model = fit(model_config, pooling, n_classes, tuple(a[train_idx] for a in arrays),
-                        config, run=f, epoch_hook=hook)
-            fold_results.append(evaluate(model, held_out))
-    except BaseException:
-        if made is not None and not os.listdir(made):
-            os.rmdir(made)
-        raise
+    for f, (train_idx, test_idx) in enumerate(splits):
+        held_out = tuple(a[test_idx] for a in arrays)
+        hook = (lambda e, m: epoch_hook(f, e, m, held_out)) if epoch_hook else None
+        model = fit(model_config, pooling, n_classes, tuple(a[train_idx] for a in arrays),
+                    config, run=f, epoch_hook=hook)
+        fold_results.append(evaluate(model, held_out))
 
     mean, std = _aggregate(fold_results)
     if out_csv is not None:

@@ -9,6 +9,7 @@ whole suite stays within a small CPU budget.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -307,7 +308,7 @@ def test_criterion_6_cv_protocol(tmp_path):
     # identical master seed reproduces byte-identical outputs
     csv_b = str(tmp_path / "b.csv")
     cross_validated_train(examples, enc, "attention", config, out_csv=csv_b)
-    if open(csv_a, "rb").read() != open(csv_b, "rb").read():
+    if Path(csv_a).read_bytes() != Path(csv_b).read_bytes():
         failures.append("rerun with same seed not byte-identical")
 
     _line(6, "CV partition/stratification laws, exact aggregates, reproducible",

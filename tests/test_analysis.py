@@ -220,7 +220,8 @@ class TestDumpFiles:
     def test_header_shape(self, tmp_path):
         dump = make_dump(np.zeros((2, 4)) + [1, 2, 3, 4.0])
         path = write_dump(dump, str(tmp_path))
-        header = open(path).readline().strip()
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
         assert header == "example_id,label,v0,v1,v2,v3"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -264,6 +265,12 @@ class TestDumpTrace:
         dump_trace(model, arrays, epoch=1, layers=[2], out_dir=str(b_dir))
         name = "cls_epoch1_layer2.csv"
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
+
+    def test_missing_nested_out_dir_is_made(self, tmp_path):
+        model, arrays = trained_tiny_model()
+        out = tmp_path / "a" / "b"
+        dump_trace(model, arrays, epoch=1, layers=[2], out_dir=str(out))
+        assert os.listdir(out) == ["cls_epoch1_layer2.csv"]
 
     def test_layer_out_of_range(self, tmp_path):
         model, arrays = trained_tiny_model()
@@ -319,6 +326,14 @@ class TestProjectDumpDir:
         scores = (out / "cluster_scores.csv").read_text().splitlines()
         assert scores[0] == "epoch,layer,cluster_score,explained_var0,explained_var1"
         assert len(scores) == 3
+
+    def test_missing_nested_out_dir_is_made(self, tmp_path):
+        model, arrays = trained_tiny_model()
+        dumps = tmp_path / "dumps"
+        dump_trace(model, arrays, epoch=1, layers=[2], out_dir=str(dumps))
+        out = tmp_path / "a" / "b"
+        project_dump_dir(str(dumps), str(out))
+        assert sorted(os.listdir(out)) == ["cluster_scores.csv", "proj_epoch1_layer2.csv"]
 
     def test_score_table_matches_direct_computation(self, tmp_path):
         model, arrays = trained_tiny_model()

@@ -2,6 +2,7 @@ import os
 import re
 import struct
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -35,6 +36,12 @@ class TestAtomicWrite:
         atomic_write_bytes(str(path), b"two")
         assert path.read_bytes() == b"two"
 
+    def test_makes_missing_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "f.bin"
+        atomic_write_bytes(str(path), b"x")
+        assert path.read_bytes() == b"x"
+        assert os.listdir(path.parent) == ["f.bin"]
+
 
 class TestFormat:
     def test_round_trip(self, tmp_path):
@@ -62,7 +69,7 @@ class TestFormat:
     def test_header_layout(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, {"n": 2}, {"w": np.zeros((2, 3))})
-        buf = open(path, "rb").read()
+        buf = Path(path).read_bytes()
         assert buf[:8] == MAGIC
         assert struct.unpack_from("<I", buf, 8)[0] == VERSION
         meta_len = struct.unpack_from("<I", buf, 12)[0]
@@ -77,7 +84,7 @@ class TestFormat:
     def test_bad_version(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, {}, {"w": np.zeros(2)})
-        buf = bytearray(open(path, "rb").read())
+        buf = bytearray(Path(path).read_bytes())
         struct.pack_into("<I", buf, 8, 99)
         (tmp_path / "bad.ckpt").write_bytes(bytes(buf))
         with pytest.raises(ValueError, match="version"):
@@ -96,7 +103,7 @@ class TestFormat:
     def test_names_sorted_on_disk(self, tmp_path):
         path = str(tmp_path / "c.ckpt")
         save_checkpoint(path, {}, {"zz": np.zeros(1), "aa": np.zeros(1)})
-        buf = open(path, "rb").read()
+        buf = Path(path).read_bytes()
         assert buf.index(b"aa") < buf.index(b"zz")
 
     @pytest.mark.parametrize("bad", [1e300, np.nan, -np.inf])
@@ -131,7 +138,7 @@ class TestFormat:
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
         save_checkpoint(a, {"x": [1, 2]}, params)
         save_checkpoint(b, {"x": [1, 2]}, params)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 class TestModelPersistence:

@@ -47,6 +47,11 @@ class TestSynth:
     def test_usage_error_exit_2(self):
         assert run(["synth", "--n", "10"]) == 2  # missing --out
 
+    def test_missing_out_directory_is_made(self, tmp_path):
+        path = tmp_path / "new" / "dir" / "d.jsonl"
+        assert run(["synth", "--n", "10", "--out", str(path)]) == 0
+        assert len(load_jsonl(str(path), "absa")) == 10
+
 
 class TestTrain:
     def test_happy_path(self, dataset, tmp_path, capsys):
@@ -237,9 +242,9 @@ class TestTrain:
 
 
 class TestUnusableDataLeavesNoOut:
-    """Data that the vocabulary or the folds refuse exits 1 with their message
-    before ``--out`` is made, and a model that cannot be allocated removes
-    the empty ``--out`` that the run made."""
+    """Data that the vocabulary or the folds refuse, a model that cannot be
+    allocated and a run that diverges exit 1 with their message, and the run
+    creates no ``--out``: nothing is made before the first artifact is written."""
 
     def test_folds_above_the_dataset_size(self, tmp_path, capsys):
         path = str(tmp_path / "five.jsonl")
@@ -253,7 +258,8 @@ class TestUnusableDataLeavesNoOut:
     @pytest.mark.parametrize("existed", [False, True])
     def test_model_that_cannot_be_allocated(self, dataset, tiny_cfg, tmp_path, capsys, existed):
         # A 10¹²×64 position table, 512 TB, is beyond a 47-bit address space,
-        # so the allocation fails at once; an --out that was there stays.
+        # so the allocation fails at once; no --out is made, and one that was
+        # there stays.
         out = tmp_path / "run"
         if existed:
             out.mkdir()
@@ -270,6 +276,52 @@ class TestUnusableDataLeavesNoOut:
         assert run(["train", "--data", str(path), "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: cannot build a vocabulary from an empty corpus\n"
         assert not out.exists()
+
+    def test_diverging_run_leaves_no_nested_out(self, dataset, tmp_path, capsys):
+        out = tmp_path / "x" / "y" / "z"
+        assert run(["train", "--data", dataset, "--out", str(out), "--lr", "1e300", "--L", "1",
+                    "--H", "8", "--A", "2", "--F", "8", "--epochs", "1", "--folds", "2"]) == 1
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestOutCheckedBeforeTheDataIsRead:
+    """An ``--out`` that the writers could not make or write in exits 1 with
+    the text ``os.makedirs`` gives, before the data is read, creating nothing."""
+
+    def run_unread(self, dataset, tmp_path, monkeypatch, out):
+        read = []
+        monkeypatch.setattr(cli, "load_jsonl", lambda *a, **k: read.append(1))
+        before = sorted(os.listdir(tmp_path))
+        assert run(["train", "--data", dataset, "--out", out]) == 1
+        assert read == []
+        assert sorted(os.listdir(tmp_path)) == before
+
+    @pytest.mark.parametrize("sub, message", [
+        ("", "[Errno 17] File exists: '{file}'"),
+        ("/sub", "[Errno 20] Not a directory: '{file}/sub'"),
+        ("/sub/more", "[Errno 20] Not a directory: '{file}/sub'"),
+    ])
+    def test_file_at_or_above_out(self, dataset, tmp_path, monkeypatch, capsys, sub, message):
+        file = tmp_path / "afile"
+        file.write_text("")
+        self.run_unread(dataset, tmp_path, monkeypatch, str(file) + sub)
+        assert capsys.readouterr().err == f"error: {message.format(file=file)}\n"
+
+    @pytest.mark.parametrize("sub, named", [("", ""), ("/run", "/run"), ("/run/sub", "/run")])
+    def test_directory_that_cannot_be_written(self, dataset, tmp_path, monkeypatch, capsys,
+                                              sub, named):
+        # Tests may run as root, which os.access lets write anywhere, so the
+        # probe is told that `locked` cannot be written.
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode, **k:
+                            path != str(locked) and access(path, mode, **k))
+        self.run_unread(dataset, tmp_path, monkeypatch, str(locked) + sub)
+        assert capsys.readouterr().err == (f"error: [Errno 13] Permission denied: "
+                                           f"'{locked}{named}'\n")
+        assert os.listdir(locked) == []
 
 
 class TestEvalAndProject:
@@ -778,6 +830,7 @@ class TestNoTraceback:
         (["eval", "--checkpoint", "{dir}", "--data", "{data}"], "Is a directory: '{dir}'"),
         (["train", "--data", "{data}", "--out", "{file}"], "File exists: '{file}'"),
         (["project", "--dumps", "{file}", "--out", "{dir}/p"], "Not a directory: '{file}'"),
+        (["train", "--data", "{data}", "--out", "{file}/sub"], "Not a directory: '{file}/sub'"),
     ])
     def test_os_errors_exit_1(self, paths, dataset, capsys, argv, expect):
         names = {"dir": paths[0], "file": paths[1], "data": dataset}
