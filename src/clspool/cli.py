@@ -89,7 +89,7 @@ def _parse_setting(key, text):
     if key in _ENCODER_KEYS:
         EncoderConfig.check_field(_ENCODER_KEYS[key], value)
     elif key not in _CLI_KEYS:
-        TrainConfig(**{key: value})
+        TrainConfig.check_field(key, value)
     return value
 
 
@@ -120,8 +120,8 @@ def _int_at_least(low):
 
 
 def _read_config_file(path):
-    """Typed ``key=value`` settings from a config file."""
-    values = {}
+    """Typed ``key=value`` settings from a config file; a key set twice is an error."""
+    values, set_on = {}, {}
     for lineno, line in read_lines(path):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -131,6 +131,9 @@ def _read_config_file(path):
         key, _, val = (part.strip() for part in line.partition("="))
         if key not in _TRAIN_KEYS:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in set_on:
+            raise DataError(f"{path}:{lineno}: {key}: already set on line {set_on[key]}")
+        set_on[key] = lineno
         try:
             values[key] = _parse_setting(key, val)
         except ValueError as e:

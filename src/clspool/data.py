@@ -195,6 +195,9 @@ def save_jsonl(examples, path, schema):
 # synthetic sentence-pair task
 
 
+N_ASPECTS = 6   # aspects in every synthetic example, of as many in all
+
+
 def _aspect_word(i):
     return f"topic{i}"
 
@@ -203,7 +206,7 @@ def _marker_word(aspect, c):
     return f"{_aspect_word(aspect)}_sent{c}"
 
 
-def synth_generate(n, classes=3, seed=0, n_aspects=6, aspect_pool=6):
+def synth_generate(n, classes=3, seed=0):
     """Generate a class-balanced synthetic sentence-pair task.
 
     ``text_a`` is a shuffled bag of aspect-qualified sentiment markers, one
@@ -212,21 +215,19 @@ def synth_generate(n, classes=3, seed=0, n_aspects=6, aspect_pool=6):
     marker. The label is therefore a deterministic function of the marker
     tokens in ``text_a`` conditioned on ``text_b``. The other aspects'
     markers act as distractors: a classifier that ignores ``text_b`` can at
-    best guess the most frequent sentiment among the markers, which with 6
-    markers stays near chance.
+    best guess the most frequent sentiment among the markers, which with
+    ``N_ASPECTS`` = 6 markers stays near chance.
     """
     if classes < 1:
         raise ValueError(f"need classes >= 1, got {classes}")
     if n < classes:
         raise ValueError(f"need n >= classes, got n={n}, classes={classes}")
-    if n_aspects > aspect_pool:
-        raise ValueError(f"n_aspects={n_aspects} exceeds aspect_pool={aspect_pool}")
     rng = rng_mod.rng_for(seed, rng_mod.SYNTH)
     examples = []
     for i in range(n):
         label = i % classes
-        aspects = rng.choice(aspect_pool, size=n_aspects, replace=False)
-        chosen = int(aspects[rng.integers(n_aspects)])
+        aspects = rng.choice(N_ASPECTS, size=N_ASPECTS, replace=False)
+        chosen = int(aspects[rng.integers(N_ASPECTS)])
         words = [_marker_word(int(a), label if a == chosen else int(rng.integers(classes)))
                  for a in aspects]
         rng.shuffle(words)

@@ -13,8 +13,10 @@ checked explicitly; the only broadcast is a bias vector added over the
 rows of a matrix, inside the ops. Every matrix product, forward and
 backward, is one numpy ``@``, so BLAS chooses the summation order. Each op
 builds its backward closure first and passes it to the ``Tensor``
-constructor with the node's parents. Seven fused ops record one tape node
-each and carry a hand-derived backward:
+constructor with the node's parents. A backward is a pure function of the
+output gradient: it returns one gradient per parent, in parents order, and
+``Tensor.backward`` alone adds them into the parents. Seven fused ops
+record one tape node each and carry a hand-derived backward:
 
 - ``embedding_sublayer``, the encoder's input stage: token + segment +
   position rows, layer norm and dropout, over a batch's valid positions;
@@ -124,7 +126,9 @@ class Tensor:
 
     def backward(self):
         """Accumulate the gradient of this scalar loss into every tensor its tape
-        reaches, clearing the tape as the walk passes: a second backward raises."""
+        reaches, clearing the tape as the walk passes: a second backward raises.
+        Each node's backward returns one gradient per parent, and this walk alone
+        adds them; a count that differs from the parents' raises ValueError."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if self._consumed:
@@ -150,7 +154,8 @@ class Tensor:
         # Every op gives each parent a gradient, so each node holds one here.
         for node in reversed(topo):
             if node._backward is not None:
-                node._backward(node.grad)
+                for p, g in zip(node._parents, node._backward(node.grad), strict=True):
+                    p.grad = g if p.grad is None else p.grad + g
             node._consumed = True
             # Every consumer of the node has run, so its closure and parent
             # links can go now: the arrays they hold are freed during the walk,
@@ -163,10 +168,6 @@ class Tensor:
         return f"Tensor(shape={self.shape})"
 
 
-def _accumulate(t, g):
-    t.grad = g if t.grad is None else t.grad + g
-
-
 # ---------------------------------------------------------------------------
 # indexing
 
@@ -176,7 +177,7 @@ def gather_rows(a, indices):
     idx = np.asarray(indices, dtype=np.intp)
 
     def bwd(g):
-        _accumulate(a, _scatter_add_rows(g, idx, a.shape[0]))
+        return (_scatter_add_rows(g, idx, a.shape[0]),)
 
     return Tensor(_checked_rows("gather_rows: indices", a.data, idx), _parents=(a,), _backward=bwd)
 
@@ -376,10 +377,8 @@ def embedding_sublayer(ids, weights, p=0.0, rng=None):
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(_dropout_bwd(g, keep), xhat, inv, gamma.data)
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
-        for t, col in zip(tables, ids.T):
-            _accumulate(t, _scatter_add_rows(ds, col, t.shape[0]))
+        return (*(_scatter_add_rows(ds, col, t.shape[0]) for t, col in zip(tables, ids.T)),
+                dgamma, dbeta)
 
     return Tensor(y, _parents=weights, _backward=bwd)
 
@@ -456,11 +455,8 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
         do = _dropout_bwd(ds, keep)
-        _accumulate(bo, _col_sum(do))
-        _accumulate(Wo, ctx.T @ do)
+        dWo, dbo = ctx.T @ do, _col_sum(do)
         G = _split_heads(do @ Wo.data.T, B, Sq, A, q_holes)
         # dS is key-major like Pt, and its softmax sum runs over axis 0.
         dSt = np.empty_like(Pt)
@@ -475,11 +471,9 @@ def attention_sublayer(x, weights, mask, heads, cls_only=False, p=0.0, rng=None)
         np.matmul(dSt.transpose(1, 2, 0, 3), Q, out=dQKV[:, A:2 * A])
         np.matmul(Pt.transpose(1, 2, 0, 3), G, out=dQKV[:, 2 * A:])
         dqkv = _merge_heads(dQKV, holes)
-        _accumulate(bqkv, _col_sum(dqkv))
-        _accumulate(Wqkv, xd.T @ dqkv)
         dx = dqkv @ Wqkv.data.T
         dx[rows] += ds
-        _accumulate(x, dx)
+        return dx, xd.T @ dqkv, _col_sum(dqkv), dWo, dbo, dgamma, dbeta
 
     return Tensor(y, _parents=(x, *weights), _backward=bwd), P
 
@@ -507,17 +501,11 @@ def ffn_sublayer(x, weights, p=0.0, rng=None):
 
     def bwd(g):
         dgamma, dbeta, ds = _layer_norm_bwd(g, xhat, inv, gamma.data)
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
         do = _dropout_bwd(ds, keep)
-        _accumulate(b2, _col_sum(do))
-        _accumulate(W2, a.T @ do)
         dh = _gelu_bwd(do @ W2.data.T, hc, t)
-        _accumulate(b1, _col_sum(dh))
-        _accumulate(W1, xd.T @ dh)
         dx = dh @ W1.data.T
         dx += ds
-        _accumulate(x, dx)
+        return dx, xd.T @ dh, _col_sum(dh), a.T @ do, _col_sum(do), dgamma, dbeta
 
     return Tensor(y, _parents=(x, *weights), _backward=bwd)
 
@@ -551,13 +539,12 @@ def layer_attention(rows, q, W):
         combined = combined + rows[l].data * P[:, l:l + 1]
 
     def bwd(g):
-        _accumulate(W, combined.T @ g)
+        dW = combined.T @ g
         g = g @ W.data.T
         dP = np.stack([(g * r.data).sum(axis=1) for r in rows], axis=1)
         dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-        for l, r in enumerate(rows):
-            _accumulate(r, g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data)
-        _accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
+        return (*(g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data for l in range(len(rows))),
+                sum(dS[:, l] @ r.data for l, r in enumerate(rows)), dW)
 
     return Tensor(combined @ W.data, _parents=(*rows, q, W), _backward=bwd), P
 
@@ -619,12 +606,9 @@ def lstm(xs, W, U, b):
             if t:
                 dh = dz @ U.data.T
         flat = dZ.reshape(-1, 4 * H)
-        _accumulate(W, X.reshape(-1, D).T @ flat)
-        _accumulate(U, np.stack(hs[:-1]).reshape(-1, H).T @ flat)
-        _accumulate(b, _col_sum(flat))
         dX = flat @ W.data.T
-        for t, x in enumerate(xs):
-            _accumulate(x, dX[t * B:(t + 1) * B])
+        return (*(dX[t * B:(t + 1) * B] for t in range(len(xs))), X.reshape(-1, D).T @ flat,
+                np.stack(hs[:-1]).reshape(-1, H).T @ flat, _col_sum(flat))
 
     return Tensor(h, _parents=(*xs, W, U, b), _backward=bwd)
 
@@ -644,9 +628,7 @@ def linear(x, W, b, p=0.0, rng=None):
     xd, keep = _dropout_fwd(x.data, p, rng)
 
     def bwd(g):
-        _accumulate(x, _dropout_bwd(g @ W.data.T, keep))
-        _accumulate(W, xd.T @ g)
-        _accumulate(b, _col_sum(g))
+        return _dropout_bwd(g @ W.data.T, keep), xd.T @ g, _col_sum(g)
 
     return Tensor(xd @ W.data + b.data, _parents=(x, W, b), _backward=bwd)
 
@@ -680,8 +662,6 @@ def softmax_cross_entropy(logits, labels, penalized=(), lam=0.0):
     def bwd(g):
         d = e / total
         d[rows, lab] -= 1.0
-        _accumulate(logits, d * (float(g) / n))
-        for t in penalized:
-            _accumulate(t, 2.0 * float(g * lam) * t.data)
+        return d * (float(g) / n), *(2.0 * float(g * lam) * t.data for t in penalized)
 
     return Tensor(loss, _parents=(logits, *penalized), _backward=bwd)

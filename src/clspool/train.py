@@ -19,7 +19,7 @@ import csv
 import ctypes
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -47,19 +47,27 @@ class TrainConfig:
     batch_size: int = 32
 
     def __post_init__(self):
+        for f in fields(self):
+            self.check_field(f.name, getattr(self, f.name))
+
+    @staticmethod
+    def check_field(name, value):
+        """Raise ValueError if ``value`` is of the wrong type or out of range for the
+        field ``name``. ``lam`` and ``lr`` are an int or a float, the others an int;
+        a bool is neither."""
+        number = name in ("lam", "lr")
+        if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
+            raise ValueError(f"{name} must be {'a number' if number else 'an integer'}, "
+                             f"got {value!r}")
         # Every comparison with NaN is false, so these refuse NaN as well as inf.
-        if not 0 <= self.lam < math.inf:
-            raise ValueError(f"L2 coefficient must be finite and >= 0, got {self.lam}")
-        if not 0 < self.lr < math.inf:
-            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
-        if self.folds < 2:
-            raise ValueError(f"fold count must be >= 2, got {self.folds}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        ok, rule = {"lam": (0 <= value < math.inf, "L2 coefficient must be finite and >= 0"),
+                    "lr": (0 < value < math.inf, "learning rate must be finite and > 0"),
+                    "epochs": (value >= 1, "epochs must be >= 1"),
+                    "folds": (value >= 2, "fold count must be >= 2"),
+                    "seed": (value >= 0, "seed must be >= 0"),
+                    "batch_size": (value >= 1, "batch_size must be >= 1")}[name]
+        if not ok:
+            raise ValueError(f"{rule}, got {value}")
 
 
 def regularized_loss(logits, labels, params, decay_names, lam):

@@ -109,6 +109,14 @@ class TestTrain:
         err = capsys.readouterr().err
         assert f"{cfg}:6: epochs: expected int, got 'ten'" in err
 
+    def test_config_key_set_twice_exit_1(self, dataset, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("epochs=1\nlr=0.01\nepochs=2\n")
+        out = tmp_path / "run"
+        assert run(["train", "--data", dataset, "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"{cfg}:3: epochs: already set on line 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_encoder_flags(self, dataset, tmp_path):
         out = str(tmp_path / "run")
         assert run(["train", "--data", dataset, "--L", "1", "--H", "8", "--A", "2",

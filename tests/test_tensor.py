@@ -23,7 +23,7 @@ def weighted_sum(t, w):
     gradient g·w, bit-identical to an elementwise product and then a sum."""
     w = np.asarray(w, dtype=np.float64)
     return Tensor((t.data * w).sum(), _parents=(t,),
-                  _backward=lambda g: T._accumulate(t, np.full(t.shape, float(g)) * w))
+                  _backward=lambda g: (np.full(t.shape, float(g)) * w,))
 
 
 # The unfused chains the fused stages after the encoder replace, kept as
@@ -36,16 +36,14 @@ def tape_add(a, b):
     The bias gradient is summed by the fused ops' own column sum, so the
     chains built from this node equal those ops to the bit."""
     def bwd(g):
-        T._accumulate(a, g)
-        T._accumulate(b, g if a.shape == b.shape else T._col_sum(g))
+        return g, g if a.shape == b.shape else T._col_sum(g)
 
     return Tensor(a.data + b.data, _parents=(a, b), _backward=bwd)
 
 
 def tape_matmul(a, b):
     def bwd(g):
-        T._accumulate(a, g @ b.data.T)
-        T._accumulate(b, a.data.T @ g)
+        return g @ b.data.T, a.data.T @ g
 
     return Tensor(a.data @ b.data, _parents=(a, b), _backward=bwd)
 
@@ -55,7 +53,7 @@ def tape_dropout(x, p, rng):
     y, keep = T._dropout_fwd(x.data, p, rng)
     if keep is None:
         return x
-    return Tensor(y, _parents=(x,), _backward=lambda g: T._accumulate(x, T._dropout_bwd(g, keep)))
+    return Tensor(y, _parents=(x,), _backward=lambda g: (T._dropout_bwd(g, keep),))
 
 
 def tape_sum_squares(tensors, c):
@@ -63,8 +61,7 @@ def tape_sum_squares(tensors, c):
     tensors = tuple(tensors)
 
     def bwd(g):
-        for t in tensors:
-            T._accumulate(t, 2.0 * float(g * c) * t.data)
+        return tuple(2.0 * float(g * c) * t.data for t in tensors)
 
     return Tensor(sum((t.data * t.data).sum() for t in tensors) * c, _parents=tensors,
                   _backward=bwd)
@@ -83,9 +80,8 @@ def unprojected_layer_attention(rows, q):
     def bwd(g):
         dP = np.stack([(g * r.data).sum(axis=1) for r in rows], axis=1)
         dS = P * (dP - (dP * P).sum(axis=1, keepdims=True))
-        for l, r in enumerate(rows):
-            T._accumulate(r, g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data)
-        T._accumulate(q, sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
+        return (*(g * P[:, l:l + 1] + dS[:, l:l + 1] * q.data for l in range(len(rows))),
+                sum(dS[:, l] @ r.data for l, r in enumerate(rows)))
 
     return Tensor(combined, _parents=(*rows, q), _backward=bwd)
 
@@ -296,7 +292,7 @@ class TestBackward:
 
         def bwd(g):
             seen.append((last._backward, last._parents))
-            T._accumulate(x, g)
+            return (g,)
 
         first = Tensor(x.data * 3.0, _parents=(x,), _backward=bwd)
         last = weighted_sum(first, np.ones(2))
@@ -313,6 +309,21 @@ class TestBackward:
         nodes = reachable(loss)
         loss.backward()
         assert without_own_gradient(nodes) == []
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_each_backward_returns_one_gradient_per_parent(self, name):
+        # Called on ones of its output's shape, before the walk clears it.
+        for node in reachable(SCENARIOS[name](0)[0]()):
+            if node._backward is not None:
+                grads = node._backward(np.ones_like(node.data))
+                assert [(g.shape, g.dtype) for g in grads] == \
+                    [(p.shape, p.data.dtype) for p in node._parents]
+
+    def test_backward_short_of_a_gradient_raises(self):
+        a, b = Tensor([1.0]), Tensor([2.0])
+        node = Tensor(a.data + b.data, _parents=(a, b), _backward=lambda g: (g,))
+        with pytest.raises(ValueError, match="shorter"):
+            weighted_sum(node, [1.0]).backward()
 
     def test_composite_graph_matches_finite_differences(self):
         # Random 5-parameter graph; h=1e-5, rel err < 1e-4 at 64-bit.
@@ -871,20 +882,19 @@ class TestFFNSublayer:
 def tape_mul(a, b):
     """Elementwise product of same-shape tensors, as one tape node."""
     def bwd(g):
-        T._accumulate(a, g * b.data)
-        T._accumulate(b, g * a.data)
+        return g * b.data, g * a.data
 
     return Tensor(a.data * b.data, _parents=(a, b), _backward=bwd)
 
 
 def tape_tanh(a):
     y = np.tanh(a.data)
-    return Tensor(y, _parents=(a,), _backward=lambda g: T._accumulate(a, g * (1.0 - y * y)))
+    return Tensor(y, _parents=(a,), _backward=lambda g: (g * (1.0 - y * y),))
 
 
 def tape_sigmoid(a):
     y = 1.0 / (1.0 + np.exp(-a.data))
-    return Tensor(y, _parents=(a,), _backward=lambda g: T._accumulate(a, g * y * (1.0 - y)))
+    return Tensor(y, _parents=(a,), _backward=lambda g: (g * y * (1.0 - y),))
 
 
 def per_gate_lstm(xs, W, U, b):

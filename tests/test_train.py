@@ -94,6 +94,17 @@ class TestTrainConfig:
             TrainConfig(seed=-1)
         assert TrainConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("name, value", [
+        ("seed", 1.5), ("epochs", 1.5), ("folds", 2.0), ("batch_size", 8.0), ("seed", True),
+        ("folds", "3"), ("lam", True), ("lr", False), ("lr", "0.1"), ("lam", None)])
+    def test_wrong_type_rejected(self, name, value):
+        kind = "a number" if name in ("lam", "lr") else "an integer"
+        with pytest.raises(ValueError, match=f"^{name} must be {kind}, got {value!r}$"):
+            TrainConfig(**{name: value})
+
+    def test_int_rates_accepted(self):
+        assert TrainConfig(lr=1).lr == 1 and TrainConfig(lam=0).lam == 0
+
     def test_dropout_is_not_a_train_setting(self):
         # The dropout rate has one home: EncoderConfig.p_drop.
         with pytest.raises(TypeError):
@@ -724,7 +735,7 @@ class TestTrainingDynamics:
             if len(calls) < 3:
                 return loss
             nan = Tensor(0.0, _parents=(bias,),
-                         _backward=lambda g: T._accumulate(bias, np.full(3, np.nan)))
+                         _backward=lambda g: (np.full(3, np.nan),))
             return tape_add(loss, nan)
 
         monkeypatch.setattr("clspool.train.regularized_loss", poisoned)
