@@ -216,8 +216,11 @@ def synth_generate(n, classes=3, seed=0):
     tokens in ``text_a`` conditioned on ``text_b``. The other aspects'
     markers act as distractors: a classifier that ignores ``text_b`` can at
     best guess the most frequent sentiment among the markers, which with
-    ``N_ASPECTS`` = 6 markers stays near chance.
+    ``N_ASPECTS`` = 6 markers stays near chance. ``n`` and ``classes`` that
+    are not integers raise ValueError.
     """
+    rng_mod.check_integer("n", n)
+    rng_mod.check_integer("classes", classes)
     if classes < 1:
         raise ValueError(f"need classes >= 1, got {classes}")
     if n < classes:

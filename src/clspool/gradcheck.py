@@ -205,8 +205,10 @@ def run_gradcheck(seeds=20, coords_per_param=2, report=None):
 
     Returns (all_passed, results) where results maps scenario name to the
     worst relative error observed; a scenario passes below ``REL_TOL``.
-    Fewer than one seed checks nothing and raises ValueError.
+    ``seeds`` that is not an integer, or below 1 (which checks nothing),
+    raises ValueError.
     """
+    rng_mod.check_integer("seeds", seeds)
     if seeds < 1:
         raise ValueError(f"seeds must be >= 1, got {seeds}")
     results = {}

@@ -1,9 +1,10 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 Every operation records itself on an implicit tape (the graph of Tensor
-nodes); ``loss.backward()`` walks the tape in reverse topological order,
-gives every tensor it reaches a gradient, and clears each node as soon as
-its own backward has run, so a graph can only be differentiated once.
+nodes, each holding its position in the order they were made);
+``loss.backward()`` runs the nodes its loss reaches newest first, gives
+every tensor it reaches a gradient, and clears each node as soon as its
+own backward has run, so a graph can only be differentiated once.
 
 The eight public ops are exactly the ones a model runs: ``gather_rows``
 and the seven fused ops below. Each takes Tensors, never raw arrays.
@@ -73,6 +74,7 @@ optimizer. The eval-mode forwards, ``PooledClassifier.predict`` and
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from contextvars import ContextVar
 
@@ -85,6 +87,8 @@ class ShapeError(ValueError):
 
 _recording = ContextVar("clspool_tape_recording", default=True)
 _FLOATS = (np.float32, np.float64)
+# A Tensor is made after its parents, so its tape position exceeds theirs.
+_positions = itertools.count()
 
 
 class no_grad:
@@ -103,7 +107,7 @@ class Tensor:
     A float32 or float64 array is kept as it is; anything else becomes float64.
     """
 
-    __slots__ = ("data", "grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "grad", "_parents", "_backward", "_consumed", "_position")
 
     def __init__(self, data, _parents=(), _backward=None):
         data = np.asarray(data)
@@ -116,6 +120,7 @@ class Tensor:
         # keeps no closure, nor the arrays the closure holds.
         self._backward = _backward if _parents else None
         self._consumed = False
+        self._position = next(_positions)
 
     @property
     def shape(self):
@@ -126,33 +131,25 @@ class Tensor:
 
     def backward(self):
         """Accumulate the gradient of this scalar loss into every tensor its tape
-        reaches, clearing the tape as the walk passes: a second backward raises.
-        Each node's backward returns one gradient per parent, and this walk alone
-        adds them; a count that differs from the parents' raises ValueError."""
+        reaches, running the nodes newest first, so each after all its consumers,
+        and clearing the tape as the walk passes: a second backward raises. Each
+        node's backward returns one gradient per parent, which this walk alone
+        adds; a count that differs from the parents' raises ValueError."""
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.shape}")
         if self._consumed:
             raise RuntimeError("tape already consumed: one backward pass per forward pass")
 
-        topo = []
-        visited = set()
-        stack = [(self, False)]
+        reached, stack = {id(self): self}, [self]
         while stack:
-            node, expanded = stack.pop()
-            if expanded:
-                topo.append(node)
-                continue
-            if id(node) in visited:
-                continue
-            visited.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in visited:
-                    stack.append((p, False))
+            for p in stack.pop()._parents:
+                if id(p) not in reached:
+                    reached[id(p)] = p
+                    stack.append(p)
 
         self.grad = np.ones_like(self.data)
         # Every op gives each parent a gradient, so each node holds one here.
-        for node in reversed(topo):
+        for node in sorted(reached.values(), key=lambda n: n._position, reverse=True):
             if node._backward is not None:
                 for p, g in zip(node._parents, node._backward(node.grad), strict=True):
                     p.grad = g if p.grad is None else p.grad + g
@@ -576,7 +573,9 @@ def lstm(xs, W, U, b):
         z = XW[t] + h @ U.data + b.data if t else XW[t] + b.data
         # One sigmoid over all four gates, then tanh over the g block.
         a = np.negative(z)
-        np.exp(a, out=a)
+        # Below z ≈ −88, a float32 exp overflows to inf, and the gate is exactly 0.
+        with np.errstate(over="ignore"):
+            np.exp(a, out=a)
         a += 1.0
         np.divide(1.0, a, out=a)
         np.tanh(z[:, 2 * H:3 * H], out=a[:, 2 * H:3 * H])

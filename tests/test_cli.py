@@ -532,6 +532,11 @@ class TestGradcheck:
         with pytest.raises(ValueError, match="seeds must be >= 1, got 0"):
             run_gradcheck(seeds=0)
 
+    def test_run_gradcheck_rejects_a_count_that_is_not_an_integer(self):
+        from clspool.gradcheck import run_gradcheck
+        with pytest.raises(ValueError, match=r"seeds must be an integer, got 1\.5"):
+            run_gradcheck(seeds=1.5)
+
 
 class TestNegativeSeed:
     def test_synth_exit_2(self, tmp_path, capsys):

@@ -238,6 +238,15 @@ class TestSynth:
         with pytest.raises(ValueError, match=f"need classes >= 1, got {classes}"):
             synth_generate(10, classes=classes)
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n": 6.0}, "n must be an integer, got 6.0"),
+        ({"n": 6, "classes": 2.0}, "classes must be an integer, got 2.0"),
+        ({"n": 6, "classes": True}, "classes must be an integer, got True"),
+    ])
+    def test_count_that_is_not_an_integer_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            synth_generate(**kwargs)
+
 
 def reference_pack_pair(ex, vocab, s_max):
     """The per-pair packer that ``pack_dataset`` replaced, kept as the oracle."""

@@ -1,6 +1,7 @@
 import inspect
 import math
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -301,6 +302,51 @@ class TestBackward:
         assert seen == [(None, ())]
         assert first._backward is None and first._parents == ()
         npt.assert_array_equal(x.grad, [1.0, 1.0])
+
+    def test_walk_runs_the_newest_node_first(self):
+        # a = f(x), then b = g(x), then c = h(b), then loss(a, c): c and b run
+        # before a, although a is loss's first parent.
+        ran = []
+
+        def node(name, *parents):
+            def bwd(g):
+                ran.append(name)
+                return tuple(np.ones_like(p.data) for p in parents)
+
+            return Tensor(sum(p.data for p in parents), _parents=parents, _backward=bwd)
+
+        x = Tensor([1.0])
+        a = node("a", x)
+        b = node("b", x)
+        c = node("c", b)
+        node("loss", a, c).backward()
+        assert ran == ["loss", "c", "b", "a"]
+
+    @pytest.mark.parametrize("name", list(SCENARIOS))
+    def test_each_node_runs_after_all_its_consumers(self, name):
+        loss = SCENARIOS[name](0)[0]()
+        nodes = reachable(loss)
+        ran = []
+
+        def recorded(node):
+            bwd = node._backward
+
+            def run(g):
+                ran.append(node)
+                return bwd(g)
+
+            return run
+
+        for node in nodes:
+            if node._backward is not None:
+                node._backward = recorded(node)
+        consumers = {id(node): [user for user in nodes if any(p is node for p in user._parents)]
+                     for node in nodes}
+        loss.backward()
+        step = {id(node): i for i, node in enumerate(ran)}
+        assert len(step) == len(ran) > 1
+        for node in ran:
+            assert all(step[id(user)] < step[id(node)] for user in consumers[id(node)])
 
     @pytest.mark.parametrize("name", list(SCENARIOS))
     def test_every_tensor_the_tape_reaches_gets_its_gradient(self, name):
@@ -958,6 +1004,17 @@ class TestLSTM:
         h = T.lstm(rows, W, U, b)
         assert h.shape == (2, 3)
         assert h._parents == (*rows, W, U, b)
+
+    def test_gate_far_below_zero_is_zero_without_a_warning(self):
+        # The o gate's pre-activation is -120: its float32 exp(120) overflows
+        # to inf, so the gate, and with it h = o·tanh(c), is exactly 0.
+        f32 = np.float32
+        W = Tensor(np.array([[0.0, 0.0, 0.0, -120.0]], f32))
+        b = Tensor(np.array([1.0, 1.0, 1.0, 0.0], f32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = T.lstm([Tensor(np.ones((1, 1), f32))], W, Tensor(np.zeros((1, 4), f32)), b)
+        assert h.data.dtype == f32 and h.data.tolist() == [[0.0]]
 
     def test_shapes_rejected(self):
         x = Tensor(np.zeros((2, 3)))
