@@ -17,6 +17,7 @@ import numpy as np
 
 from .checkpoint import atomic_write_bytes
 from .data import DataError, read_lines
+from .rng import check_integer
 from .train import eval_batches
 
 
@@ -43,11 +44,12 @@ class Projection2D:
 
 
 def pca_project(dump: LayerDump, k=2):
-    """Project mean-centered vectors onto the top-k right singular vectors.
+    """Project mean-centered vectors onto the top-k right singular vectors, k an integer >= 1.
 
     Component signs are fixed so each component's first nonzero coordinate
     is positive; explained variance is sigma^2 / (n - 1), descending.
     """
+    k = check_integer("k", k, 1)
     X = np.asarray(dump.vectors, dtype=float)
     n, h = X.shape
     if k > h:
@@ -165,9 +167,11 @@ def dump_trace(model, arrays, epoch, layers, out_dir):
     The examples run through ``model.trace_batch`` in the length-ordered
     batches of ``train.eval_batches``, as in ``evaluate``; the rows are
     written in dataset order, in the trace's dtype, into ``out_dir``, which
-    is made if missing. Layers are 1-based; requesting a layer above the
-    model's count errors. Returns the written paths.
+    is made if missing. The epoch must be an integer >= 0 and each layer one in
+    1..L, or ValueError is raised before any file is written. Returns the paths.
     """
+    epoch = check_integer("epoch", epoch, 0)
+    layers = [check_integer("layer", layer) for layer in layers]
     L = model.config.L
     for layer in layers:
         if not 1 <= layer <= L:

@@ -219,8 +219,8 @@ def synth_generate(n, classes=3, seed=0):
     ``N_ASPECTS`` = 6 markers stays near chance. ``n`` and ``classes`` that
     are not integers raise ValueError.
     """
-    rng_mod.check_integer("n", n)
-    rng_mod.check_integer("classes", classes)
+    n = rng_mod.check_integer("n", n)
+    classes = rng_mod.check_integer("classes", classes)
     if classes < 1:
         raise ValueError(f"need classes >= 1, got {classes}")
     if n < classes:

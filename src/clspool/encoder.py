@@ -29,6 +29,7 @@ import numpy as np
 
 from . import tensor as T
 from .data import MIN_S_MAX
+from .rng import check_integer, check_number
 from .tensor import ShapeError, Tensor
 
 # Weight init scale. 0.02 (the usual BERT value) assumes pre-trained scale
@@ -51,27 +52,22 @@ class EncoderConfig:
 
     def __post_init__(self):
         for name in ("L", "H", "A", "F", "V", "S_max", "p_drop"):
-            self.check_field(name, getattr(self, name))
+            setattr(self, name, self.check_field(name, getattr(self, name)))
         if self.H % self.A != 0:
             raise ValueError(f"hidden size H={self.H} not divisible by head count A={self.A}")
 
     @staticmethod
     def check_field(name, value):
-        """Raise ValueError if ``value`` is of the wrong type or out of range for the
-        field ``name`` on its own. Every field but ``p_drop`` is an int that numpy's
-        int64 holds, and ``p_drop`` an int or a float; a bool is neither. So JSON-decoded
-        checkpoint metadata needs no other check."""
-        p_drop = name == "p_drop"
-        if isinstance(value, bool) or not isinstance(value, (int, float) if p_drop else int):
-            raise ValueError(f"{name} must be {'a number' if p_drop else 'an integer'}, "
-                             f"got {value!r}")
-        if p_drop:
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"dropout rate must be in [0, 1), got {value}")
-        elif value < (low := MIN_S_MAX if name == "S_max" else 1):
-            raise ValueError(f"{name} must be >= {low}, got {value}")
-        elif value > (high := np.iinfo(np.int64).max):
-            raise ValueError(f"{name} must be <= {high}, got {value}")
+        """Return ``value`` as a Python number if it suits the field ``name`` on its own, or
+        raise ValueError: ``p_drop`` a number, every other field an integer that numpy's int64
+        holds (``rng``'s rules). So JSON-decoded checkpoint metadata needs no other check."""
+        if name != "p_drop":
+            value = check_integer(name, value, MIN_S_MAX if name == "S_max" else 1)
+            if value > (high := np.iinfo(np.int64).max):
+                raise ValueError(f"{name} must be <= {high}, got {value}")
+        elif not 0.0 <= (value := check_number(name, value)) < 1.0:
+            raise ValueError(f"dropout rate must be in [0, 1), got {value}")
+        return value
 
 
 def init_normal(rng, shape):

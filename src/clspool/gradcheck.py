@@ -208,9 +208,7 @@ def run_gradcheck(seeds=20, coords_per_param=2, report=None):
     ``seeds`` that is not an integer, or below 1 (which checks nothing),
     raises ValueError.
     """
-    rng_mod.check_integer("seeds", seeds)
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds}")
+    seeds = rng_mod.check_integer("seeds", seeds, 1)
     results = {}
     for name, build in SCENARIOS.items():
         worst = 0.0

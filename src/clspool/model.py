@@ -10,6 +10,7 @@ from . import tensor as T
 from .data import RESERVED, SCHEMAS
 from .encoder import EncoderConfig, MiniEncoder
 from .pooling import HEAD_KINDS, HEADS, ClassifierHead, classify
+from .rng import check_integer
 from .checkpoint import load_checkpoint, save_checkpoint
 
 
@@ -26,18 +27,18 @@ class PooledClassifier:
 
     def __init__(self, config: EncoderConfig, pooling_kind: str, n_classes: int, rng):
         """A model drawn from ``rng``; with ``rng`` None, one whose weights are
-        zeros, drawn from nothing, for ``load`` to set."""
+        zeros, drawn from nothing, for ``load`` to set. ``n_classes`` is an integer >= 1."""
         if pooling_kind not in HEAD_KINDS:
             raise ValueError(f"unknown pooling kind {pooling_kind!r}, expected one of {HEAD_KINDS}")
         self.config = config
         self.pooling_kind = pooling_kind
-        self.n_classes = n_classes
+        self.n_classes = check_integer("n_classes", n_classes, 1)
         # One child stream each, so every head starts from the same encoder
         # and classifier: the design is paired in everything but the head.
         enc_rng, head_rng, cls_rng = (None,) * 3 if rng is None else rng.spawn(3)
         self.encoder = MiniEncoder(config, enc_rng)
         self.pool_head = HEADS[pooling_kind](config.H, head_rng)
-        self.classifier = ClassifierHead(config.H, n_classes, cls_rng)
+        self.classifier = ClassifierHead(config.H, self.n_classes, cls_rng)
         # The model runs in single precision: every parameter is drawn in
         # float64, as the parts draw it, and rounded to float32 once, here.
         for p in self.parameters().values():
@@ -164,9 +165,7 @@ def _config_from_meta(meta):
     if meta.get("pooling") not in HEAD_KINDS:
         raise ValueError(f"checkpoint metadata 'pooling' must be one of {HEAD_KINDS}, "
                          f"got {meta.get('pooling')!r}")
-    n = meta.get("n_classes")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ValueError(f"checkpoint metadata 'n_classes' must be an integer >= 1, got {n!r}")
+    check_integer("checkpoint metadata 'n_classes'", meta.get("n_classes"), 1)
     schema = meta.get("schema", "absa")
     if not isinstance(schema, str) or schema not in SCHEMAS:
         raise ValueError(f"checkpoint metadata 'schema' must be one of {sorted(SCHEMAS)}, "

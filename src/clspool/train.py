@@ -48,26 +48,21 @@ class TrainConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            self.check_field(f.name, getattr(self, f.name))
+            setattr(self, f.name, self.check_field(f.name, getattr(self, f.name)))
 
     @staticmethod
     def check_field(name, value):
-        """Raise ValueError if ``value`` is of the wrong type or out of range for the
-        field ``name``. ``lam`` and ``lr`` are an int or a float, the others an int;
-        a bool is neither."""
-        number = name in ("lam", "lr")
-        if isinstance(value, bool) or not isinstance(value, (int, float) if number else int):
-            raise ValueError(f"{name} must be {'a number' if number else 'an integer'}, "
-                             f"got {value!r}")
+        """Return ``value`` as a Python number if it suits the field ``name``, or raise
+        ValueError: ``lam`` and ``lr`` are numbers, the others integers (``rng``'s rules)."""
+        if name not in ("lam", "lr"):
+            return rng_mod.check_integer(name, value, {"folds": 2, "seed": 0}.get(name, 1))
+        value = rng_mod.check_number(name, value)
         # Every comparison with NaN is false, so these refuse NaN as well as inf.
         ok, rule = {"lam": (0 <= value < math.inf, "L2 coefficient must be finite and >= 0"),
-                    "lr": (0 < value < math.inf, "learning rate must be finite and > 0"),
-                    "epochs": (value >= 1, "epochs must be >= 1"),
-                    "folds": (value >= 2, "fold count must be >= 2"),
-                    "seed": (value >= 0, "seed must be >= 0"),
-                    "batch_size": (value >= 1, "batch_size must be >= 1")}[name]
+                    "lr": (0 < value < math.inf, "learning rate must be finite and > 0")}[name]
         if not ok:
             raise ValueError(f"{rule}, got {value}")
+        return value
 
 
 def regularized_loss(logits, labels, params, decay_names, lam):
@@ -208,10 +203,11 @@ def eval_batches(arrays, batch_size=EVAL_BATCH):
 
     The examples are sorted by packed length (``mask`` row sums), stably,
     so equal lengths keep dataset order, and the order is cut into batches
-    of ``batch_size``; ``idx`` holds each batch row's dataset index. Like
-    lengths then share a batch and pad little. This is the one eval
-    batching loop: callers write each batch's results back at ``idx``.
+    of ``batch_size``, an integer >= 1; ``idx`` holds each batch row's
+    dataset index. Like lengths then share a batch and pad little. This is the
+    one eval batching loop: callers write each batch's results back at ``idx``.
     """
+    batch_size = rng_mod.check_integer("batch_size", batch_size, 1)
     tok, seg, mask = arrays[:3]
     order = np.argsort(mask.sum(axis=1), kind="stable")
     for lo in range(0, len(order), batch_size):
@@ -252,11 +248,13 @@ def evaluate(model, arrays, batch_size=EVAL_BATCH):
 
 
 def kfold_split(labels, folds, seed):
-    """Stratified k-fold: disjoint covering folds, per-class counts within 1.
+    """Stratified k-fold, ``folds`` an integer >= 2: disjoint covering folds, per-class
+    counts within 1.
 
     Indices of each class are shuffled (seeded) and dealt round-robin;
     the dealing offset advances across classes so fold sizes stay balanced.
     """
+    folds = rng_mod.check_integer("folds", folds, 2)
     labels = np.asarray(labels)
     n = len(labels)
     if folds > n:

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import numpy.testing as npt
@@ -118,6 +119,13 @@ class TestPCA:
     def test_k_exceeds_dim(self):
         with pytest.raises(ValueError, match="exceeds"):
             pca_project(make_dump(np.eye(3)[:, :2]), k=3)
+
+    @pytest.mark.parametrize("k, message", [
+        (-1, "k must be >= 1, got -1"), (0, "k must be >= 1, got 0"),
+        (1.5, "k must be an integer, got 1.5"), (True, "k must be an integer, got True")])
+    def test_k_must_be_an_integer_at_least_1(self, k, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pca_project(make_dump(np.eye(3)), k=k)
 
 
 class TestClusterScore:
@@ -278,6 +286,19 @@ class TestDumpTrace:
             dump_trace(model, arrays, epoch=1, layers=[4], out_dir=str(tmp_path))
         with pytest.raises(ValueError, match="out of range"):
             dump_trace(model, arrays, epoch=1, layers=[0], out_dir=str(tmp_path))
+
+    @pytest.mark.parametrize("epoch, layers, message", [
+        (True, [1], "epoch must be an integer, got True"),
+        (1.5, [1], "epoch must be an integer, got 1.5"),
+        (-1, [1], "epoch must be >= 0, got -1"),
+        (1, [True], "layer must be an integer, got True"),
+        (1, [1, 1.5], "layer must be an integer, got 1.5")])
+    def test_bad_epoch_or_layer_writes_nothing(self, tmp_path, epoch, layers, message):
+        model, arrays = trained_tiny_model()
+        out = tmp_path / "dumps"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            dump_trace(model, arrays, epoch=epoch, layers=layers, out_dir=str(out))
+        assert not out.exists()
 
     def test_float32_trace_reads_back_bit_identical(self, tmp_path):
         model, arrays = trained_tiny_model()

@@ -230,6 +230,35 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match=f"mismatch: metadata '{key}' is 1000000000000, "):
             PooledClassifier.load(path)
 
+    def test_numpy_sizes_build_a_model_that_saves_and_loads(self, tmp_path):
+        cfg = EncoderConfig(L=np.int64(2), H=np.int32(8), A=np.int16(2), F=np.uint8(12),
+                            V=np.int64(16), S_max=np.uint32(10), p_drop=np.float32(0.1))
+        assert [type(getattr(cfg, k)) for k in ("L", "H", "A", "F", "V", "S_max", "p_drop")] \
+            == [int] * 6 + [float]
+        path = str(tmp_path / "m.ckpt")
+        model = PooledClassifier(cfg, "lstm", np.int64(3), R.rng_for(2, 0))
+        assert type(model.n_classes) is int
+        model.save(path)
+        back, meta = PooledClassifier.load(path)
+        assert back.config == cfg and meta["n_classes"] == 3
+        for name, p in back.parameters().items():
+            npt.assert_array_equal(p.data, model.parameters()[name].data)
+
+    @pytest.mark.parametrize("n, message", [
+        (0, "must be >= 1, got 0"), (2.0, "must be an integer, got 2.0"),
+        (True, "must be an integer, got True")])
+    def test_class_count_must_be_an_integer_at_least_1(self, tmp_path, n, message):
+        with pytest.raises(ValueError, match=f"^n_classes {re.escape(message)}$"):
+            PooledClassifier(self.CFG, "last", n, R.rng_for(2, 0))
+        path = str(tmp_path / "m.ckpt")
+        model = PooledClassifier(self.CFG, "last", 3, R.rng_for(2, 0))
+        model.save(path)
+        meta, params = load_checkpoint(path)
+        save_checkpoint(path, {**meta, "n_classes": n}, params)
+        meta_message = f"checkpoint metadata 'n_classes' {message}"
+        with pytest.raises(ValueError, match=f"^{re.escape(meta_message)}$"):
+            PooledClassifier.load(path)
+
     def test_all_head_kinds_round_trip(self, tmp_path):
         for kind in ("last", "lstm", "attention"):
             path = str(tmp_path / f"{kind}.ckpt")

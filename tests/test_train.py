@@ -1,3 +1,4 @@
+import re
 import sys
 from dataclasses import replace
 
@@ -104,6 +105,15 @@ class TestTrainConfig:
 
     def test_int_rates_accepted(self):
         assert TrainConfig(lr=1).lr == 1 and TrainConfig(lam=0).lam == 0
+
+    def test_numpy_values_are_stored_as_python_values(self):
+        config = TrainConfig(lam=np.float64(1e-5), lr=np.float32(1e-3), epochs=np.int8(2),
+                             folds=np.uint16(3), seed=np.int64(7), batch_size=np.int32(8))
+        assert type(config.lr) is float and config.lr == float(np.float32(1e-3))
+        assert type(config.lam) is float and config.lam == 1e-5
+        assert [type(v) for v in (config.epochs, config.folds, config.seed,
+                                  config.batch_size)] == [int] * 4
+        assert (config.epochs, config.folds, config.seed, config.batch_size) == (2, 3, 7, 8)
 
     def test_dropout_is_not_a_train_setting(self):
         # The dropout rate has one home: EncoderConfig.p_drop.
@@ -750,6 +760,19 @@ class TestTrainingDynamics:
         empty = (np.zeros((0, 4), dtype=int),) * 3 + (np.zeros(0, dtype=int),)
         with pytest.raises(ValueError, match="empty"):
             evaluate(m, empty)
+
+    @pytest.mark.parametrize("batch_size, message", [
+        (-1, "batch_size must be >= 1, got -1"), (0, "batch_size must be >= 1, got 0"),
+        (2.5, "batch_size must be an integer, got 2.5"),
+        (True, "batch_size must be an integer, got True")])
+    def test_eval_batch_size_must_be_an_integer_at_least_1(self, batch_size, message):
+        m = PooledClassifier(TOY_ENC, "last", 3, R.rng_for(0, 0))
+        arrays = (np.full((5, 4), 2), np.zeros((5, 4), dtype=int), np.ones((5, 4), dtype=int),
+                  np.array([0, 1, 2, 0, 1]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            list(eval_batches(arrays, batch_size))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            evaluate(m, arrays, batch_size)
 
 
 def varied_length_examples(n, seed):
